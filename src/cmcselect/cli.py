@@ -17,7 +17,8 @@ import math
 import os
 import sys
 
-from .criteria import CmcConfig, SelectionReport, adjr2_select, bic_select, cmc_select, cp_select
+from . import __version__
+from .criteria import CRITERIA, SelectionReport, select_many
 from .datasets import PROSTATE_ENV, PROSTATE_RESPONSE, load_prostate
 from .errors import (
     ConfigError,
@@ -28,10 +29,8 @@ from .errors import (
     TooFewRowsError,
 )
 from .linalg import Dataset, Mask, standardize
-from .simulate import CRITERIA, MonteCarloResult, Scenario, labels_for, run_monte_carlo
+from .simulate import MonteCarloResult, Scenario, labels_for, run_monte_carlo
 from .subsets import CandidateSet
-
-VERSION = "0.1.0"
 
 _CRITERION_ALIASES = {
     "cmc": "cmc",
@@ -240,12 +239,10 @@ def _parse_alphas(raw: str) -> list[float]:
 def _parse_candidates(raw: str, names: tuple[str, ...]) -> CandidateSet:
     if raw == "all":
         return CandidateSet.all_subsets()
-    if raw == "best-per-size":
-        return CandidateSet.best_per_size()
     if raw.startswith("list:"):
         return read_candidate_list(raw[5:], names)
     raise ConfigError(
-        f"bad --candidates value {raw!r}; expected all, best-per-size, or list:<path>"
+        f"bad --candidates value {raw!r}; expected all or list:<path>"
     )
 
 
@@ -335,21 +332,11 @@ def run_select(args: argparse.Namespace) -> str:
     criteria = _parse_criteria(args.criteria)
     alphas = _parse_alphas(args.alphas)
     cands = _parse_candidates(args.candidates, data.names)
-    reports: list[SelectionReport] = []
-    for crit in criteria:
-        if crit == "cmc":
-            for a in alphas:
-                reports.append(cmc_select(data, CmcConfig(alpha=a, candidates=cands)))
-        elif crit == "bic":
-            reports.append(bic_select(data, cands))
-        elif crit == "cp_aic":
-            reports.append(cp_select(data, cands))
-        else:
-            reports.append(adjr2_select(data, cands))
+    reports = select_many(data, criteria, alphas, cands)
     if args.format == "json":
         meta = {
             "command": "select",
-            "version": VERSION,
+            "version": __version__,
             "data": source,
             "response": response,
             "n": data.n,
@@ -478,7 +465,7 @@ def run_simulate(args: argparse.Namespace) -> str:
     label = f"({scenario.n}, {scenario.p}, {scenario.p_active})"
     meta = {
         "command": "simulate",
-        "version": VERSION,
+        "version": __version__,
         "seed": args.seed,
         "reps": args.reps,
         "threads": args.threads,
@@ -521,7 +508,7 @@ def run_tables(args: argparse.Namespace) -> str:
             rows.append((f"({rho:g}, {n})", res))
     meta = {
         "command": "tables",
-        "version": VERSION,
+        "version": __version__,
         "table": args.table,
         "seed": args.seed,
         "reps": args.reps,
@@ -547,13 +534,11 @@ def _build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--alphas", default="0.9", help="comma list of cmc alpha levels (default 0.9)")
     ps.add_argument("--standardize", action="store_true",
                     help="standardize predictors (mean 0, sd 1, n-1 denominator)")
-    ps.add_argument("--candidates", default="all", metavar="{all|best-per-size|list:<path>}",
+    ps.add_argument("--candidates", default="all", metavar="{all|list:<path>}",
                     help="candidate models (default all)")
     ps.add_argument("--format", choices=("table", "json", "csv"), default="table")
 
-    def add_mc_flags(sp, default_alphas):
-        sp.add_argument("--criteria", default="cmc,bic,cp,adjr2")
-        sp.add_argument("--alphas", default=default_alphas)
+    def add_mc_flags(sp):
         sp.add_argument("--reps", type=int, default=100)
         sp.add_argument("--seed", type=int, default=1)
         sp.add_argument("--threads", type=int, default=os.cpu_count() or 1,
@@ -567,11 +552,13 @@ def _build_parser() -> argparse.ArgumentParser:
     pm.add_argument("--p-active", dest="p_active", type=int, required=True)
     pm.add_argument("--rho", type=float, default=0.0)
     pm.add_argument("--sigma", type=float, default=1.0)
-    add_mc_flags(pm, "0.9,0.5,0.1")
+    pm.add_argument("--criteria", default="cmc,bic,cp,adjr2")
+    pm.add_argument("--alphas", default="0.9,0.5,0.1")
+    add_mc_flags(pm)
 
     pt = sub.add_parser("tables", help="reproduce a built-in experiment grid")
     pt.add_argument("--table", type=int, choices=(1, 2, 3), required=True)
-    add_mc_flags(pt, "0.9,0.5,0.1")
+    add_mc_flags(pt)
     return parser
 
 

@@ -18,18 +18,18 @@ import math
 from dataclasses import dataclass, field
 from typing import Mapping
 
-import numpy as np
-
 from .errors import (
+    ConfigError,
     DegenerateFitError,
     DomainError,
     InconsistentStatisticError,
     InfeasibleCandidatesError,
-    TooFewRowsError,
 )
 from .fdist import FParams, f_cdf, f_quantile
-from .linalg import Dataset, FitSummary, Mask, fit_subset, full_mask
+from .linalg import Dataset, FitSummary, FullFit, Mask, fit_subset, full_fit
 from .subsets import CandidateSet, PerSizeBest, best_per_size
+
+CRITERIA = ("adjr2", "cp_aic", "bic", "cmc")
 
 # submodel RSS may undershoot the full-model RSS by at most this relative slack
 _LAMBDA_SLACK = 1e-9
@@ -37,11 +37,10 @@ _LAMBDA_SLACK = 1e-9
 
 @dataclass(frozen=True)
 class CmcConfig:
-    """Selector settings: alpha level (default 0.9), candidate set, engine flag."""
+    """Selector settings: alpha level (default 0.9) and candidate set."""
 
     alpha: float = 0.9
     candidates: CandidateSet = field(default_factory=CandidateSet.all_subsets)
-    prune: bool = True
 
     def __post_init__(self) -> None:
         if not (isinstance(self.alpha, (int, float)) and 0.0 <= self.alpha <= 1.0):
@@ -79,6 +78,14 @@ class SelectionReport:
     per_size: PerSizeBest
 
 
+def _lambda(rss: float, rss_full: float, sigma2: float, what: str) -> float:
+    # tiny negative values from rounding clamp to zero; a submodel RSS
+    # genuinely below the full-model RSS is a consistency violation
+    if rss < rss_full - _LAMBDA_SLACK * rss_full:
+        raise InconsistentStatisticError(f"{what} rss {rss} fell below full-model rss {rss_full}")
+    return max(0.0, (rss - rss_full) / sigma2)
+
+
 def lambda_stat(fit: FitSummary, rss_full: float, sigma2: float) -> float:
     """Likelihood-ratio statistic of a submodel fit against the full model.
 
@@ -87,11 +94,7 @@ def lambda_stat(fit: FitSummary, rss_full: float, sigma2: float) -> float:
     """
     if sigma2 <= 0.0:
         raise DegenerateFitError(f"sigma2 must be positive, got {sigma2}")
-    if fit.rss < rss_full - _LAMBDA_SLACK * rss_full:
-        raise InconsistentStatisticError(
-            f"submodel rss {fit.rss} fell below full-model rss {rss_full}"
-        )
-    return max(0.0, (fit.rss - rss_full) / sigma2)
+    return _lambda(fit.rss, rss_full, sigma2, "submodel")
 
 
 def kappa(alpha: float, q: int, n: int) -> float:
@@ -125,33 +128,18 @@ def classify(chosen, truth, p: int) -> RatePair:
     return RatePair(fir=fir, far=far)
 
 
-def _sigma2_from_full(data: Dataset, rss_full: float) -> float:
-    if data.n <= data.q:
-        raise TooFewRowsError(f"criteria need n > q, got n={data.n}, q={data.q}")
-    ynorm2 = float(data.y @ data.y)
-    if rss_full <= 1e-12 * ynorm2:
-        raise DegenerateFitError("full-model residual sum of squares is numerically zero")
-    return rss_full / (data.n - data.q)
-
-
-def _full_fit_stats(data: Dataset) -> tuple[float, float]:
-    rss_full = fit_subset(data, full_mask(data.p)).rss
-    return rss_full, _sigma2_from_full(data, rss_full)
-
-
-def _cmc_over_per_size(
-    per_size: PerSizeBest, rss_full: float, sigma2: float, kap: float
+def cmc_from_table(
+    per_size: PerSizeBest, full: FullFit, kap: float
 ) -> tuple[int, dict[int, float]]:
-    """Smallest size whose best subset is feasible; returns (size, per-size lambdas)."""
+    """Smallest size whose best subset has lambda <= kap; returns (size, per-size lambdas).
+
+    Raises InfeasibleCandidatesError when no size is feasible (possible
+    only for explicit candidate lists that omit an adequate model).
+    """
     lambdas: dict[int, float] = {}
     chosen_size = -1
     for s in sorted(per_size.entries):
-        rss = per_size.entries[s].rss
-        if rss < rss_full - _LAMBDA_SLACK * rss_full:
-            raise InconsistentStatisticError(
-                f"size-{s} rss {rss} fell below full-model rss {rss_full}"
-            )
-        lam = max(0.0, (rss - rss_full) / sigma2)
+        lam = _lambda(per_size.entries[s].rss, full.rss, full.sigma2, f"size-{s}")
         lambdas[s] = lam
         if chosen_size < 0 and lam <= kap:
             chosen_size = s
@@ -161,40 +149,6 @@ def _cmc_over_per_size(
             "explicit candidate lists must include an adequate model"
         )
     return chosen_size, lambdas
-
-
-def cmc_select(data: Dataset, config: CmcConfig = CmcConfig()) -> SelectionReport:
-    """Constrained-minimum selection at the configured alpha level.
-
-    Returns the per-size best model at the smallest size whose lambda
-    statistic is at or below kappa.  alpha=1 yields the full model,
-    alpha=0 the intercept-only model.
-
-    Parameters
-    ----------
-    data : Dataset
-    config : CmcConfig
-
-    Returns
-    -------
-    SelectionReport
-        With lambda_, kappa, and the per-size lambda table filled in.
-    """
-    rss_full, sigma2 = _full_fit_stats(data)
-    kap = kappa(config.alpha, data.q, data.n)
-    per_size = best_per_size(data, config.candidates, prune=config.prune)
-    size, lambdas = _cmc_over_per_size(per_size, rss_full, sigma2, kap)
-    chosen = per_size.entries[size].mask
-    return SelectionReport(
-        criterion="cmc",
-        alpha=config.alpha,
-        chosen=chosen,
-        fit=fit_subset(data, chosen),
-        lambda_=lambdas[size],
-        kappa=kap,
-        scores=lambdas,
-        per_size=per_size,
-    )
 
 
 def _pick_by_score(per_size: PerSizeBest, scores: dict[int, float], minimize: bool) -> int:
@@ -213,12 +167,17 @@ def _pick_by_score(per_size: PerSizeBest, scores: dict[int, float], minimize: bo
     return best_size
 
 
-def _ic_over_per_size(
-    per_size: PerSizeBest, n: int, sigma2: float, tss: float, criterion: str
+def ic_from_table(
+    per_size: PerSizeBest, full: FullFit, criterion: str
 ) -> tuple[int, dict[int, float]]:
-    """Best size under an information criterion; returns (size, per-size scores)."""
+    """Best size under "bic", "cp_aic" or "adjr2"; returns (size, per-size scores).
+
+    BIC is n*ln(RSS/n) + k*ln(n), Cp is RSS/sigma2_hat - n + 2k, adjusted
+    R-squared is 1 - (RSS/(n-k)) / (TSS/(n-1)), with k = size + 1.
+    """
     if not per_size.entries:
         raise InfeasibleCandidatesError("candidate set produced no usable model")
+    n = full.n
     scores: dict[int, float] = {}
     for s, entry in per_size.entries.items():
         k = s + 1
@@ -227,48 +186,91 @@ def _ic_over_per_size(
                 raise DegenerateFitError("zero residual sum of squares; BIC undefined")
             scores[s] = n * math.log(entry.rss / n) + k * math.log(n)
         elif criterion == "cp_aic":
-            scores[s] = entry.rss / sigma2 - n + 2.0 * k
+            scores[s] = entry.rss / full.sigma2 - n + 2.0 * k
         else:
-            if tss <= 0.0:
-                raise DegenerateFitError("constant response; adjusted R-squared undefined")
-            scores[s] = 1.0 - (entry.rss / (n - k)) / (tss / (n - 1))
+            scores[s] = 1.0 - (entry.rss / (n - k)) / (full.tss / (n - 1))
     size = _pick_by_score(per_size, scores, minimize=criterion != "adjr2")
     return size, scores
 
 
-def _ic_select(
+def select_many(
     data: Dataset,
-    cands: CandidateSet,
-    prune: bool,
-    criterion: str,
-) -> SelectionReport:
-    rss_full, sigma2 = _full_fit_stats(data)
-    per_size = best_per_size(data, cands, prune=prune)
-    tss = float(np.square(data.y - data.y.mean()).sum())
-    size, scores = _ic_over_per_size(per_size, data.n, sigma2, tss, criterion)
-    chosen = per_size.entries[size].mask
-    return SelectionReport(
-        criterion=criterion,
-        alpha=None,
-        chosen=chosen,
-        fit=fit_subset(data, chosen),
-        lambda_=None,
-        kappa=None,
-        scores=scores,
-        per_size=per_size,
-    )
+    criteria=CRITERIA,
+    alphas=(0.9,),
+    candidates: CandidateSet | None = None,
+) -> list[SelectionReport]:
+    """Every requested criterion on one dataset, from one search.
+
+    One full-model fit and one per-size search serve all criteria; each
+    distinct chosen mask is refit once.
+
+    Parameters
+    ----------
+    data : Dataset
+    criteria : sequence of {"adjr2", "cp_aic", "bic", "cmc"}
+    alphas : sequence of floats in [0, 1], one cmc report per value
+    candidates : CandidateSet, optional
+        Defaults to all subsets.
+
+    Returns
+    -------
+    list of SelectionReport
+        In criteria order, cmc expanded to one report per alpha.
+    """
+    for c in criteria:
+        if c not in CRITERIA:
+            raise ConfigError(f"unknown criterion {c!r}; expected one of {CRITERIA}")
+    full = full_fit(data)
+    kappas = [kappa(a, data.q, data.n) for a in alphas] if "cmc" in criteria else []
+    per_size = best_per_size(data, candidates or CandidateSet.all_subsets())
+    fits: dict[Mask, FitSummary] = {}
+
+    def report(criterion, alpha, kap, size, scores) -> SelectionReport:
+        chosen = per_size.entries[size].mask
+        if chosen not in fits:
+            fits[chosen] = fit_subset(data, chosen)
+        return SelectionReport(
+            criterion=criterion,
+            alpha=alpha,
+            chosen=chosen,
+            fit=fits[chosen],
+            lambda_=None if kap is None else scores[size],
+            kappa=kap,
+            scores=scores,
+            per_size=per_size,
+        )
+
+    reports: list[SelectionReport] = []
+    for c in criteria:
+        if c == "cmc":
+            for a, kap in zip(alphas, kappas):
+                reports.append(report(c, a, kap, *cmc_from_table(per_size, full, kap)))
+        else:
+            reports.append(report(c, None, None, *ic_from_table(per_size, full, c)))
+    return reports
 
 
-def bic_select(data: Dataset, cands: CandidateSet | None = None, prune: bool = True) -> SelectionReport:
+def cmc_select(data: Dataset, config: CmcConfig = CmcConfig()) -> SelectionReport:
+    """Constrained-minimum selection at the configured alpha level.
+
+    Returns the per-size best model at the smallest size whose lambda
+    statistic is at or below kappa, with lambda_, kappa and the per-size
+    lambda table filled in.  alpha=1 yields the full model, alpha=0 the
+    intercept-only model.
+    """
+    return select_many(data, ("cmc",), (config.alpha,), config.candidates)[0]
+
+
+def bic_select(data: Dataset, cands: CandidateSet | None = None) -> SelectionReport:
     """Minimize n*ln(RSS/n) + k*ln(n) with k = size + 1."""
-    return _ic_select(data, cands or CandidateSet.all_subsets(), prune, "bic")
+    return select_many(data, ("bic",), (), cands)[0]
 
 
-def cp_select(data: Dataset, cands: CandidateSet | None = None, prune: bool = True) -> SelectionReport:
+def cp_select(data: Dataset, cands: CandidateSet | None = None) -> SelectionReport:
     """Minimize RSS/sigma2_hat - n + 2k (Mallows Cp, equivalent to AIC here)."""
-    return _ic_select(data, cands or CandidateSet.all_subsets(), prune, "cp_aic")
+    return select_many(data, ("cp_aic",), (), cands)[0]
 
 
-def adjr2_select(data: Dataset, cands: CandidateSet | None = None, prune: bool = True) -> SelectionReport:
+def adjr2_select(data: Dataset, cands: CandidateSet | None = None) -> SelectionReport:
     """Maximize 1 - (RSS/(n-k)) / (TSS/(n-1))."""
-    return _ic_select(data, cands or CandidateSet.all_subsets(), prune, "adjr2")
+    return select_many(data, ("adjr2",), (), cands)[0]

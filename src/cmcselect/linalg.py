@@ -28,7 +28,8 @@ EMPTY_MASK: Mask = ()
 # relative floor on the QR diagonal below which columns count as collinear
 RANK_TOL = 1e-10
 
-# relative floor on the full-model RSS below which lambda statistics are undefined
+# floor on the full-model RSS, relative to the centered TSS, below which
+# lambda statistics are undefined
 DEGENERATE_TOL = 1e-12
 
 
@@ -160,23 +161,48 @@ def fit_subset(data: Dataset, mask) -> FitSummary:
     return FitSummary(mask=mask, beta=beta, rss=rss, df_resid=n - (k + 1))
 
 
-def full_model_variance(data: Dataset) -> float:
-    """Residual mean square of the full model, the sigma-hat-squared all criteria share.
+@dataclass(frozen=True)
+class FullFit:
+    """Full-model statistics that every criterion reads: sizes, RSS, sigma-hat-squared, TSS.
+
+    Build it with full_fit, which validates it.
+    """
+
+    n: int
+    q: int
+    rss: float
+    sigma2: float
+    tss: float
+
+
+def full_fit(data: Dataset, rss: float | None = None) -> FullFit:
+    """Validated full-model statistics; sigma2 = rss / (n - q), tss is the centered TSS.
+
+    Parameters
+    ----------
+    data : Dataset
+    rss : float, optional
+        The full-model RSS when already known (a per-size table's size-p
+        entry is the QR refit of the full mask); fitted here otherwise.
 
     Raises
     ------
     TooFewRowsError
         If n <= q (no residual degrees of freedom).
+    RankDeficientError
+        If the full design is collinear (only when rss is not given).
     DegenerateFitError
-        If the full-model RSS is zero up to DEGENERATE_TOL relative to ||y||^2.
+        If the response is constant, or the full-model RSS is zero up to
+        DEGENERATE_TOL relative to the centered TSS.
     """
     if data.n <= data.q:
         raise TooFewRowsError(f"variance estimate needs n > q, got n={data.n}, q={data.q}")
-    rss_full = fit_subset(data, full_mask(data.p)).rss
-    ynorm2 = float(data.y @ data.y)
-    if rss_full <= DEGENERATE_TOL * ynorm2:
+    if rss is None:
+        rss = fit_subset(data, full_mask(data.p)).rss
+    tss = float(np.square(data.y - data.y.mean()).sum())
+    if np.ptp(data.y) == 0.0 or rss <= DEGENERATE_TOL * tss:
         raise DegenerateFitError("full-model residual sum of squares is numerically zero")
-    return rss_full / (data.n - data.q)
+    return FullFit(n=data.n, q=data.q, rss=rss, sigma2=rss / (data.n - data.q), tss=tss)
 
 
 def standardize(data: Dataset) -> Dataset:

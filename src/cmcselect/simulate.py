@@ -19,12 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .criteria import RatePair, _cmc_over_per_size, _ic_over_per_size, classify, kappa
-from .errors import ConfigError, DegenerateFitError, DomainError, RankDeficientError
-from .linalg import Dataset
+from .criteria import CRITERIA, RatePair, classify, cmc_from_table, ic_from_table, kappa
+from .errors import ConfigError, DomainError, RankDeficientError, TooFewRowsError
+from .linalg import Dataset, full_fit
 from .subsets import SUBSET_LIMIT_DEFAULT, CandidateSet, best_per_size
-
-CRITERIA = ("adjr2", "cp_aic", "bic", "cmc")
 
 # reference correlated shape (p, p_active, group_size); anything else is an extension
 _REFERENCE_CORRELATED = (20, 10, 5)
@@ -156,43 +154,32 @@ def _gen_design(scenario: Scenario, rng: np.random.Generator) -> np.ndarray:
 
 def _replicate(args) -> tuple[int, list[float], list[float], int]:
     """One replication: fresh data, every criterion, classification rates."""
-    scenario, criteria, alphas, seed, rep, prune, limit = args
+    scenario, criteria, kappas, seed, rep, limit = args
     rng = np.random.default_rng([seed, rep])
-    q = scenario.p + 1
-    cands = CandidateSet.best_per_size(limit=limit)
+    cands = CandidateSet.all_subsets(limit=limit)
     regen = 0
     while True:
         X = _gen_design(scenario, rng)
         y = gen_response(X, scenario, rng)
         data = Dataset(X=X, y=y)
-        try:
-            per_size = best_per_size(data, cands, prune=prune)
-            full = per_size.get(scenario.p)
-            if full is None:
-                raise RankDeficientError("full design collinear")
-            rss_full = full.rss
-            if rss_full <= 1e-12 * float(y @ y):
-                raise DegenerateFitError("full-model residual sum of squares is numerically zero")
+        per_size = best_per_size(data, cands)
+        full_entry = per_size.get(scenario.p)
+        if full_entry is not None:
             break
-        except RankDeficientError:
-            regen += 1
-            if regen > _MAX_REGEN:
-                raise
-    sigma2 = rss_full / (scenario.n - q)
-    tss = float(np.square(y - y.mean()).sum())
+        # a collinear full design has no size-p entry: redraw
+        regen += 1
+        if regen > _MAX_REGEN:
+            raise RankDeficientError("full design collinear")
+    full = full_fit(data, rss=full_entry.rss)
     truth = scenario.truth
     firs: list[float] = []
     fars: list[float] = []
     for c in criteria:
         if c == "cmc":
-            for a in alphas:
-                kap = kappa(a, q, scenario.n)
-                size, _ = _cmc_over_per_size(per_size, rss_full, sigma2, kap)
-                rates = classify(per_size.entries[size].mask, truth, scenario.p)
-                firs.append(rates.fir)
-                fars.append(rates.far)
+            sizes = [cmc_from_table(per_size, full, kap)[0] for kap in kappas]
         else:
-            size, _ = _ic_over_per_size(per_size, scenario.n, sigma2, tss, c)
+            sizes = [ic_from_table(per_size, full, c)[0]]
+        for size in sizes:
             rates = classify(per_size.entries[size].mask, truth, scenario.p)
             firs.append(rates.fir)
             fars.append(rates.far)
@@ -206,7 +193,6 @@ def run_monte_carlo(
     reps: int = 100,
     seed: int = 1,
     threads: int = 1,
-    prune: bool = True,
     limit: int = SUBSET_LIMIT_DEFAULT,
 ) -> MonteCarloResult:
     """Average classification rates of each criterion over seeded replications.
@@ -222,8 +208,6 @@ def run_monte_carlo(
         design is redrawn from the same stream (at most 10 times).
     threads : int
         Worker processes; results are identical for any value.
-    prune : bool
-        Passed through to the subset engine.
     limit : int
         Subset-engine size limit (raise above 25 for p up to ~32).
 
@@ -246,10 +230,14 @@ def run_monte_carlo(
         if not (0.0 <= a <= 1.0):
             raise ConfigError(f"alpha must lie in [0, 1], got {a}")
     labels = labels_for(criteria, alphas)
+    q = scenario.p + 1
+    if scenario.n <= q:
+        raise TooFewRowsError(f"need n > p+1, got n={scenario.n}, p={scenario.p}")
+    kappas = tuple(kappa(a, q, scenario.n) for a in alphas) if "cmc" in criteria else ()
     fir = np.empty((reps, len(labels)))
     far = np.empty((reps, len(labels)))
     regenerated = 0
-    tasks = ((scenario, criteria, alphas, seed, r, prune, limit) for r in range(reps))
+    tasks = ((scenario, criteria, kappas, seed, r, limit) for r in range(reps))
     if threads == 1:
         results = map(_replicate, tasks)
     else:

@@ -1,4 +1,4 @@
-"""Candidate-model enumeration and per-size minimum-RSS search.
+"""Candidate sets and the per-size minimum-RSS search.
 
 The selectors only ever need, for each model size s, the size-s subset
 with minimum RSS.  Two exact search paths produce that table over all
@@ -20,12 +20,12 @@ from __future__ import annotations
 import itertools
 import logging
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DimensionMismatchError, LimitExceededError, RankDeficientError
-from .linalg import Dataset, FitSummary, Mask, as_mask, fit_subset
+from .linalg import Dataset, Mask, as_mask, fit_subset
 
 log = logging.getLogger(__name__)
 
@@ -41,10 +41,8 @@ _CHUNK = 32768
 class CandidateSet:
     """Which models to consider.
 
-    kind is one of "all" (every subset), "best-per-size" (same search
-    space, but only the per-size winners are materialized), or
-    "explicit" (a fixed list of masks, e.g. a lasso path).  Exhaustive
-    kinds refuse to run beyond `limit` predictors.
+    kind is "all" (every subset) or "explicit" (a fixed list of masks,
+    e.g. a lasso path).  "all" refuses to run beyond `limit` predictors.
     """
 
     kind: str
@@ -52,7 +50,7 @@ class CandidateSet:
     limit: int = SUBSET_LIMIT_DEFAULT
 
     def __post_init__(self) -> None:
-        if self.kind not in ("all", "best-per-size", "explicit"):
+        if self.kind not in ("all", "explicit"):
             raise DimensionMismatchError(f"unknown candidate kind {self.kind!r}")
         if self.kind == "explicit":
             if self.masks is None:
@@ -71,10 +69,6 @@ class CandidateSet:
     @classmethod
     def all_subsets(cls, limit: int = SUBSET_LIMIT_DEFAULT) -> "CandidateSet":
         return cls(kind="all", limit=limit)
-
-    @classmethod
-    def best_per_size(cls, limit: int = SUBSET_LIMIT_DEFAULT) -> "CandidateSet":
-        return cls(kind="best-per-size", limit=limit)
 
     @classmethod
     def explicit(cls, masks) -> "CandidateSet":
@@ -102,7 +96,7 @@ class PerSizeBest:
 
 
 def _check_limit(data: Dataset, cands: CandidateSet) -> None:
-    if cands.kind in ("all", "best-per-size") and data.p > cands.limit:
+    if cands.kind == "all" and data.p > cands.limit:
         raise LimitExceededError(
             f"exhaustive search over p={data.p} exceeds the limit of {cands.limit}"
         )
@@ -291,33 +285,3 @@ def best_per_size(data: Dataset, cands: CandidateSet, prune: bool = True) -> Per
         log.info("skipped %d rank-deficient subset(s)", skipped)
     return PerSizeBest(p=data.p, entries=entries, skipped=skipped)
 
-
-def enumerate_fits(data: Dataset, cands: CandidateSet) -> Iterator[FitSummary]:
-    """Yield a FitSummary per candidate mask, skipping collinear masks with a logged count.
-
-    For kind "all" the stream has one fit per subset in size-major,
-    lexicographic order; "best-per-size" yields only the per-size winners;
-    "explicit" follows list order after deduplication.
-    """
-    _check_limit(data, cands)
-    skipped = 0
-    if cands.kind == "explicit":
-        for raw in cands.masks:
-            mask = as_mask(raw, data.p)
-            try:
-                yield fit_subset(data, mask)
-            except RankDeficientError:
-                skipped += 1
-    elif cands.kind == "best-per-size":
-        table = best_per_size(data, cands)
-        for s in table.sizes():
-            yield fit_subset(data, table.entries[s].mask)
-    else:
-        for s in range(data.p + 1):
-            for combo in itertools.combinations(range(data.p), s):
-                try:
-                    yield fit_subset(data, combo)
-                except RankDeficientError:
-                    skipped += 1
-    if skipped:
-        log.info("skipped %d rank-deficient candidate mask(s)", skipped)

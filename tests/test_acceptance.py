@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from cmcselect import (
+    CRITERIA,
     CandidateSet,
     CmcConfig,
     Dataset,
@@ -28,13 +29,14 @@ from cmcselect import (
     f_cdf,
     f_quantile,
     fit_subset,
+    full_fit,
     full_mask,
-    full_model_variance,
     kappa,
     lambda_stat,
     load_prostate,
     locate_prostate,
     run_monte_carlo,
+    select_many,
     standardize,
     FETCH_INSTRUCTION,
 )
@@ -55,7 +57,7 @@ def test_c1_hand_oracle_fit():
     assert abs(full.beta[1] - 1.3) < 1e-10
     assert abs(full.rss - 0.30) < 1e-10
     assert abs(full.rss - rss_ref) < 1e-10
-    assert abs(full_model_variance(HAND) - 0.15) < 1e-10
+    assert abs(full_fit(HAND).sigma2 - 0.15) < 1e-10
 
     empty = fit_subset(HAND, ())
     _, rss_empty_ref = normal_eq_fit(HAND, ())
@@ -183,7 +185,7 @@ def test_c8_prostate_case_study():
 
 def test_c9_property_suite():
     """Feasibility, minimality, monotone sparsity, region membership,
-    quadratic identity, rescaling invariance, thread reproducibility."""
+    quadratic identity, rescaling and shift invariance, thread reproducibility."""
     rng = np.random.default_rng(SEED + 1)
 
     # feasibility and minimality against brute force
@@ -221,7 +223,7 @@ def test_c9_property_suite():
         data = random_dataset(rng, n, p)
         A = np.column_stack([np.ones(n), data.X])
         beta_full = fit_subset(data, full_mask(p)).beta
-        sigma2 = full_model_variance(data)
+        sigma2 = full_fit(data).sigma2
         q = p + 1
         for alpha in (0.9, 0.5, 0.1):
             report = cmc_select(data, CmcConfig(alpha=alpha))
@@ -237,7 +239,7 @@ def test_c9_property_suite():
         data = random_dataset(rng, n, p)
         A = np.column_stack([np.ones(n), data.X])
         full = fit_subset(data, full_mask(p))
-        sigma2 = full_model_variance(data)
+        sigma2 = full_fit(data).sigma2
         size = int(rng.integers(0, p + 1))
         mask = tuple(sorted(rng.choice(p, size=size, replace=False).tolist()))
         sub = fit_subset(data, mask)
@@ -255,6 +257,19 @@ def test_c9_property_suite():
                 cmc_select(data, CmcConfig(alpha=alpha)).chosen
                 == cmc_select(scaled, CmcConfig(alpha=alpha)).chosen
             )
+
+    # shifting the response must not change any criterion's chosen mask; the
+    # near-noiseless design is one that a check against ||y||^2 calls degenerate
+    x = rng.standard_normal((40, 4))
+    for data in (
+        random_dataset(rng, 40, 5),
+        Dataset(X=x, y=x[:, 0] + x[:, 1] + 0.05 * rng.standard_normal(40)),
+    ):
+        chosen = [r.chosen for r in select_many(data, CRITERIA, (0.9, 0.5, 0.1))]
+        for shift in (1e3, 1e5):
+            shifted = Dataset(X=data.X, y=data.y + shift, names=data.names)
+            reports = select_many(shifted, CRITERIA, (0.9, 0.5, 0.1))
+            assert [r.chosen for r in reports] == chosen, shift
 
     # identical results regardless of worker count
     sc = Scenario(kind="weak", n=30, p=6, p_active=3)

@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import cmcselect
+import cmcselect.subsets
 from cmcselect import (
     MissingResponseError,
     ParseError,
@@ -192,6 +193,28 @@ def test_select_candidate_list(tmp_path, capsys):
     assert [e["size"] for e in doc["results"][0]["per_size"]] == [1]
 
 
+def test_select_searches_once(tmp_path, capsys, monkeypatch):
+    path = write(tmp_path, "d4.csv",
+                 "y,a,b,c\n1,0,2,1\n3,1,0,2\n4,2,1,0\n8,3,3,1\n9,4,2,2\n13,5,4,0\n")
+    original = cmcselect.subsets.best_per_size
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name == "cmcselect" or name.startswith("cmcselect."):
+            for key, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, key, counted)
+    code = main(["select", "--data", path, "--response", "y", "--criteria", "cmc,bic,cp,adjr2",
+                 "--alphas", "0.9,0.5,0.1", "--format", "json"])
+    assert code == 0
+    assert len(json.loads(capsys.readouterr().out)["results"]) == 6
+    assert len(calls) == 1
+
+
 def test_select_exit_codes(tmp_path, capsys, monkeypatch):
     path = write(tmp_path, "d1.csv", D1_CSV)
 
@@ -209,6 +232,10 @@ def test_select_exit_codes(tmp_path, capsys, monkeypatch):
     assert main(["select", "--data", path, "--response", "y",
                  "--alphas", "1.5"]) == 2
     capsys.readouterr()
+
+    assert main(["select", "--data", path, "--response", "y",
+                 "--candidates", "best-per-size"]) == 2
+    assert "list:<path>" in capsys.readouterr().err
 
     monkeypatch.delenv(PROSTATE_ENV, raising=False)
     assert main(["select"]) == 2
@@ -278,6 +305,15 @@ def test_tables_two_structure(capsys):
     assert list(doc["results"][1]["rates"]) == ["cmc_0.5"]
     assert list(doc["results"][2]["rates"]) == ["cmc_0.1"]
     assert to_canonical_json(doc) == out
+
+
+def test_tables_rejects_simulate_only_flags(capsys):
+    # tables runs fixed criteria and alphas per grid, so it takes neither flag
+    for flag, value in (("--criteria", "bic"), ("--alphas", "0.5")):
+        with pytest.raises(SystemExit) as exc:
+            main(["tables", "--table", "2", flag, value])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 @pytest.mark.slow

@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 from cmcselect import (
+    CRITERIA,
     CandidateSet,
     CmcConfig,
+    ConfigError,
     Dataset,
     DomainError,
     InconsistentStatisticError,
@@ -21,10 +23,11 @@ from cmcselect import (
     cp_select,
     f_cdf,
     fit_subset,
+    full_fit,
     full_mask,
-    full_model_variance,
     kappa,
     lambda_stat,
+    select_many,
 )
 from conftest import random_dataset
 
@@ -128,7 +131,7 @@ def test_cmc_feasibility_and_minimality():
         p = int(rng.integers(3, 8))
         data = random_dataset(rng, int(rng.integers(p + 6, p + 25)), p)
         rss_full = fit_subset(data, full_mask(p)).rss
-        sigma2 = full_model_variance(data)
+        sigma2 = full_fit(data).sigma2
         for alpha in (0.9, 0.5, 0.1):
             report = cmc_select(data, CmcConfig(alpha=alpha))
             kap = kappa(alpha, data.q, data.n)
@@ -218,6 +221,26 @@ def test_information_criteria_match_direct_scan():
             assert report.chosen == mask_ref, (trial, name)
             assert report.criterion == name
             assert report.lambda_ is None and report.kappa is None
+
+
+def test_select_many_matches_single_selectors():
+    rng = np.random.default_rng(127)
+    data = random_dataset(rng, 35, 5)
+    reports = select_many(data, CRITERIA, (0.9, 0.1))
+    singles = [adjr2_select(data), cp_select(data), bic_select(data)] + [
+        cmc_select(data, CmcConfig(alpha=a)) for a in (0.9, 0.1)
+    ]
+    assert [(r.criterion, r.alpha) for r in reports] == [
+        (s.criterion, s.alpha) for s in singles
+    ]
+    for r, s in zip(reports, singles):
+        assert r.chosen == s.chosen
+        assert r.scores == s.scores
+        assert (r.lambda_, r.kappa) == (s.lambda_, s.kappa)
+        np.testing.assert_array_equal(r.fit.beta, s.fit.beta)
+        assert r.per_size is reports[0].per_size
+    with pytest.raises(ConfigError):
+        select_many(data, ("aic",))
 
 
 def test_near_noiseless_recovery():

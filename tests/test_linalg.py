@@ -12,8 +12,8 @@ from cmcselect import (
     TooFewRowsError,
     as_mask,
     fit_subset,
+    full_fit,
     full_mask,
-    full_model_variance,
     standardize,
 )
 from conftest import normal_eq_fit, random_dataset
@@ -40,7 +40,7 @@ def test_hand_empty_fit():
 
 
 def test_hand_variance():
-    assert abs(full_model_variance(HAND) - 0.15) < 1e-10
+    assert abs(full_fit(HAND).sigma2 - 0.15) < 1e-10
 
 
 def test_mask_helpers():
@@ -133,14 +133,18 @@ def test_degenerate_full_fit():
     y = 1.0 + X @ np.array([2.0, -1.0])
     data = Dataset(X=X, y=y)
     with pytest.raises(DegenerateFitError):
-        full_model_variance(data)
+        full_fit(data)
+    # a constant response: its centered TSS and full-model RSS are both rounding noise
+    for c in (0.1, 5.0):
+        with pytest.raises(DegenerateFitError):
+            full_fit(Dataset(X=X, y=np.full(30, c)))
 
 
 def test_variance_needs_residual_df():
     X = np.array([[0.0, 1.0], [1.0, 0.0], [2.0, 3.0]])
     data = Dataset(X=X, y=np.array([1.0, 2.0, 3.0]))
     with pytest.raises(TooFewRowsError):
-        full_model_variance(data)
+        full_fit(data)
 
 
 def test_standardize_moments_and_idempotence():

@@ -9,7 +9,6 @@ from cmcselect import (
     DimensionMismatchError,
     LimitExceededError,
     best_per_size,
-    enumerate_fits,
     fit_subset,
 )
 from conftest import naive_best_per_size, random_dataset
@@ -26,33 +25,12 @@ def test_candidate_set_validation():
     assert cands.masks == ((0, 1), (2,))
 
 
-def test_enumerate_all_in_size_major_order():
-    rng = np.random.default_rng(2)
-    data = random_dataset(rng, 12, 2)
-    masks = [fit.mask for fit in enumerate_fits(data, CandidateSet.all_subsets())]
-    assert masks == [(), (0,), (1,), (0, 1)]
-
-    data3 = random_dataset(rng, 12, 3)
-    fits = list(enumerate_fits(data3, CandidateSet.all_subsets()))
-    assert len(fits) == 8
-    sizes = [len(f.mask) for f in fits]
-    assert sizes == sorted(sizes)
-
-
-def test_enumerate_explicit_keeps_order():
-    rng = np.random.default_rng(4)
-    data = random_dataset(rng, 15, 4)
-    cands = CandidateSet.explicit([(2,), (0, 3), ()])
-    masks = [fit.mask for fit in enumerate_fits(data, cands)]
-    assert masks == [(2,), (0, 3), ()]
-
-
 def test_explicit_out_of_range_mask():
     rng = np.random.default_rng(4)
     data = random_dataset(rng, 15, 4)
     cands = CandidateSet.explicit([(7,)])
     with pytest.raises(DimensionMismatchError):
-        list(enumerate_fits(data, cands))
+        best_per_size(data, cands)
 
 
 def test_limit_guard():
@@ -60,8 +38,6 @@ def test_limit_guard():
     data = random_dataset(rng, 20, 6)
     with pytest.raises(LimitExceededError):
         best_per_size(data, CandidateSet.all_subsets(limit=5))
-    with pytest.raises(LimitExceededError):
-        list(enumerate_fits(data, CandidateSet.all_subsets(limit=5)))
     best_per_size(data, CandidateSet.all_subsets(limit=6))
 
 
@@ -71,7 +47,7 @@ def test_limit_default_is_twenty_five():
     y = rng.standard_normal(30)
     data = Dataset(X=X, y=y)
     with pytest.raises(LimitExceededError):
-        best_per_size(data, CandidateSet.best_per_size())
+        best_per_size(data, CandidateSet.all_subsets())
 
 
 def test_matches_naive_oracle_both_paths():
@@ -150,15 +126,6 @@ def test_exact_tie_breaks_lexicographically():
         table = best_per_size(data, CandidateSet.all_subsets(), prune=prune)
         assert table.entries[1].mask == (0,)
     assert table.entries[2].mask in ((0, 1), (1, 2))
-
-
-def test_enumerate_skips_collinear():
-    data = duplicate_column_dataset()
-    fits = list(enumerate_fits(data, CandidateSet.all_subsets()))
-    assert len(fits) == 6
-    masks = {f.mask for f in fits}
-    assert (0, 2) not in masks
-    assert (0, 1, 2) not in masks
 
 
 def test_explicit_per_size_takes_min():
