@@ -18,7 +18,7 @@ import os
 import sys
 
 from . import __version__
-from .criteria import CRITERIA, SelectionReport, select_many
+from .criteria import CRITERIA, SelectionReport, labels_for, select_many
 from .datasets import PROSTATE_ENV, PROSTATE_RESPONSE, load_prostate
 from .errors import (
     ConfigError,
@@ -29,8 +29,8 @@ from .errors import (
     TooFewRowsError,
 )
 from .linalg import Dataset, Mask, standardize
-from .simulate import MonteCarloResult, Scenario, labels_for, run_monte_carlo
-from .subsets import CandidateSet
+from .simulate import MonteCarloResult, Scenario, run_monte_carlo
+from .subsets import SUBSET_LIMIT_DEFAULT, CandidateSet
 
 _CRITERION_ALIASES = {
     "cmc": "cmc",
@@ -40,19 +40,34 @@ _CRITERION_ALIASES = {
     "adjr2": "adjr2",
 }
 
-_TABLE1_SHAPES = [
-    (20, 10, 5), (30, 10, 5), (40, 10, 5), (50, 10, 5),
-    (40, 20, 10), (60, 20, 10), (80, 20, 10), (100, 20, 10),
-    (60, 30, 15), (90, 30, 15), (120, 30, 15), (150, 30, 15),
-]
+_ALPHAS = (0.9, 0.5, 0.1)
 
-_TABLE2_ROWS = [(40, 20, 10, 0.9), (60, 20, 10, 0.5), (100, 20, 10, 0.1)]
-
-_TABLE3_ROWS = [
-    (0.3, 40), (0.3, 60), (0.3, 100), (0.3, 200),
-    (0.5, 40), (0.5, 60), (0.5, 100), (0.5, 200),
-    (0.8, 40), (0.8, 60), (0.8, 100), (0.8, 200), (0.8, 400),
-]
+# each built-in grid, one (row label, scenario, criteria, alphas, subset limit) per row
+_TABLES = {
+    1: [
+        (f"({n}, {p}, {pa})", Scenario("weak", n, p, pa), CRITERIA, _ALPHAS,
+         max(p, SUBSET_LIMIT_DEFAULT))
+        for n, p, pa in [
+            (20, 10, 5), (30, 10, 5), (40, 10, 5), (50, 10, 5),
+            (40, 20, 10), (60, 20, 10), (80, 20, 10), (100, 20, 10),
+            (60, 30, 15), (90, 30, 15), (120, 30, 15), (150, 30, 15),
+        ]
+    ],
+    2: [
+        (f"({n}, 20, 10) a={a:g}", Scenario("weak", n, 20, 10), ("cmc",), (a,),
+         SUBSET_LIMIT_DEFAULT)
+        for n, a in [(40, 0.9), (60, 0.5), (100, 0.1)]
+    ],
+    3: [
+        (f"({rho:g}, {n})", Scenario("correlated", n, 20, 10, rho=rho), CRITERIA, _ALPHAS,
+         SUBSET_LIMIT_DEFAULT)
+        for rho, n in [
+            (0.3, 40), (0.3, 60), (0.3, 100), (0.3, 200),
+            (0.5, 40), (0.5, 60), (0.5, 100), (0.5, 200),
+            (0.8, 40), (0.8, 60), (0.8, 100), (0.8, 200), (0.8, 400),
+        ]
+    ],
+}
 
 
 # ---------------------------------------------------------------- ingestion
@@ -101,7 +116,7 @@ def load_csv(path: str, response_name: str) -> Dataset:
                             row=r, col=c + 1,
                         ) from None
                 rows.append(parsed)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     ri = names.index(response_name)
     y = [row[ri] for row in rows]
@@ -117,8 +132,9 @@ def load_csv(path: str, response_name: str) -> Dataset:
 def read_candidate_list(path: str, names: tuple[str, ...]) -> CandidateSet:
     """Parse a text file of comma-separated variable names, one model per line."""
     try:
-        text = open(path, encoding="utf-8").read()
-    except OSError as exc:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     masks: list[Mask] = []
     for ln, line in enumerate(text.splitlines(), start=1):
@@ -230,9 +246,6 @@ def _parse_alphas(raw: str) -> list[float]:
         raise ConfigError(f"bad --alphas value: {raw!r}") from exc
     if not alphas:
         raise ConfigError("no alphas given")
-    for a in alphas:
-        if not (0.0 <= a <= 1.0):
-            raise ConfigError(f"alpha must lie in [0, 1], got {a}")
     return alphas
 
 
@@ -447,8 +460,6 @@ def _serialize_runs(
 
 def run_simulate(args: argparse.Namespace) -> str:
     """Run one scenario and serialize its rate summary."""
-    if args.reps < 1:
-        raise ConfigError(f"--reps must be >= 1, got {args.reps}")
     scenario = Scenario(
         kind=args.scenario,
         n=args.n,
@@ -478,34 +489,11 @@ def run_simulate(args: argparse.Namespace) -> str:
 
 def run_tables(args: argparse.Namespace) -> str:
     """Reproduce one built-in experiment grid at a configurable rep count."""
-    if args.reps < 1:
-        raise ConfigError(f"--reps must be >= 1, got {args.reps}")
-    rows: list[tuple[str, MonteCarloResult]] = []
-    if args.table == 1:
-        for i, (n, p, pa) in enumerate(_TABLE1_SHAPES):
-            sc = Scenario(kind="weak", n=n, p=p, p_active=pa)
-            res = run_monte_carlo(
-                sc, CRITERIA, (0.9, 0.5, 0.1),
-                reps=args.reps, seed=args.seed + i, threads=args.threads,
-                limit=max(p, 25),
-            )
-            rows.append((f"({n}, {p}, {pa})", res))
-    elif args.table == 2:
-        for i, (n, p, pa, alpha) in enumerate(_TABLE2_ROWS):
-            sc = Scenario(kind="weak", n=n, p=p, p_active=pa)
-            res = run_monte_carlo(
-                sc, ("cmc",), (alpha,),
-                reps=args.reps, seed=args.seed + i, threads=args.threads,
-            )
-            rows.append((f"({n}, {p}, {pa}) a={alpha:g}", res))
-    else:
-        for i, (rho, n) in enumerate(_TABLE3_ROWS):
-            sc = Scenario(kind="correlated", n=n, p=20, p_active=10, rho=rho)
-            res = run_monte_carlo(
-                sc, CRITERIA, (0.9, 0.5, 0.1),
-                reps=args.reps, seed=args.seed + i, threads=args.threads,
-            )
-            rows.append((f"({rho:g}, {n})", res))
+    rows = [
+        (label, run_monte_carlo(sc, criteria, alphas, reps=args.reps, seed=args.seed + i,
+                                threads=args.threads, limit=limit))
+        for i, (label, sc, criteria, alphas, limit) in enumerate(_TABLES[args.table])
+    ]
     meta = {
         "command": "tables",
         "version": __version__,
@@ -576,9 +564,6 @@ def main(argv: list[str] | None = None) -> int:
         else:
             out = run_tables(args)
     except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NumericalError as exc:

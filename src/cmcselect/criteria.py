@@ -14,6 +14,7 @@ table, since each is monotone in RSS at fixed size.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Mapping
@@ -26,7 +27,7 @@ from .errors import (
     InfeasibleCandidatesError,
 )
 from .fdist import FParams, f_cdf, f_quantile
-from .linalg import Dataset, FitSummary, FullFit, Mask, fit_subset, full_fit
+from .linalg import Dataset, FitSummary, FullFit, Mask, full_fit
 from .subsets import CandidateSet, PerSizeBest, best_per_size
 
 CRITERIA = ("adjr2", "cp_aic", "bic", "cmc")
@@ -97,6 +98,8 @@ def lambda_stat(fit: FitSummary, rss_full: float, sigma2: float) -> float:
     return _lambda(fit.rss, rss_full, sigma2, "submodel")
 
 
+# cached: every Monte Carlo replicate asks its worker for the same few thresholds
+@functools.lru_cache
 def kappa(alpha: float, q: int, n: int) -> float:
     """Threshold q * F(1 - alpha; q, n - q); 0 at alpha=1, +inf at alpha=0."""
     if not (0.0 <= alpha <= 1.0):
@@ -117,6 +120,31 @@ def alpha_schedule(n: int, delta: float, q: int) -> float:
     if not (delta > 0.0 and math.isfinite(delta)):
         raise DomainError(f"delta must be positive and finite, got {delta!r}")
     return 1.0 - f_cdf(float(n) ** delta, FParams(q, n - q))
+
+
+def labels_for(criteria, alphas) -> tuple[str, ...]:
+    """One result label per report: the criterion name, or cmc_<alpha:g> for each cmc alpha.
+
+    This is the one check of a selection request.  Raises ConfigError
+    for an unknown criterion, cmc without alphas, any alpha outside
+    [0, 1] (cmc requested or not), or two reports with the same label.
+    """
+    out: list[str] = []
+    for c in criteria:
+        if c not in CRITERIA:
+            raise ConfigError(f"unknown criterion {c!r}; expected one of {CRITERIA}")
+        if c == "cmc":
+            if not alphas:
+                raise ConfigError("cmc requested but no alphas given")
+            out.extend(f"cmc_{a:g}" for a in alphas)
+        else:
+            out.append(c)
+    for a in alphas:
+        if not (0.0 <= a <= 1.0):
+            raise ConfigError(f"alpha must lie in [0, 1], got {a}")
+    if len(set(out)) != len(out):
+        raise ConfigError(f"duplicate result labels in {out}")
+    return tuple(out)
 
 
 def classify(chosen, truth, p: int) -> RatePair:
@@ -201,8 +229,8 @@ def select_many(
 ) -> list[SelectionReport]:
     """Every requested criterion on one dataset, from one search.
 
-    One full-model fit and one per-size search serve all criteria; each
-    distinct chosen mask is refit once.
+    One full-model fit and one per-size table serve all criteria; each
+    report's fit is the table entry of its chosen size.
 
     Parameters
     ----------
@@ -215,25 +243,20 @@ def select_many(
     Returns
     -------
     list of SelectionReport
-        In criteria order, cmc expanded to one report per alpha.
+        In criteria order, cmc expanded to one report per alpha: the
+        order of labels_for(criteria, alphas), which validates the request.
     """
-    for c in criteria:
-        if c not in CRITERIA:
-            raise ConfigError(f"unknown criterion {c!r}; expected one of {CRITERIA}")
+    labels_for(criteria, alphas)
     full = full_fit(data)
-    kappas = [kappa(a, data.q, data.n) for a in alphas] if "cmc" in criteria else []
     per_size = best_per_size(data, candidates or CandidateSet.all_subsets())
-    fits: dict[Mask, FitSummary] = {}
 
     def report(criterion, alpha, kap, size, scores) -> SelectionReport:
-        chosen = per_size.entries[size].mask
-        if chosen not in fits:
-            fits[chosen] = fit_subset(data, chosen)
+        fit = per_size.entries[size]
         return SelectionReport(
             criterion=criterion,
             alpha=alpha,
-            chosen=chosen,
-            fit=fits[chosen],
+            chosen=fit.mask,
+            fit=fit,
             lambda_=None if kap is None else scores[size],
             kappa=kap,
             scores=scores,
@@ -243,7 +266,8 @@ def select_many(
     reports: list[SelectionReport] = []
     for c in criteria:
         if c == "cmc":
-            for a, kap in zip(alphas, kappas):
+            for a in alphas:
+                kap = kappa(a, data.q, data.n)
                 reports.append(report(c, a, kap, *cmc_from_table(per_size, full, kap)))
         else:
             reports.append(report(c, None, None, *ic_from_table(per_size, full, c)))

@@ -51,7 +51,8 @@ def load_prostate(path: str | os.PathLike | None = None) -> Dataset:
     Raises
     ------
     ParseError
-        If the file is missing or its structure does not match.
+        If the file is missing, unreadable, not UTF-8, empty, or its
+        structure does not match.
     """
     resolved = locate_prostate(path)
     if resolved is None:
@@ -59,15 +60,16 @@ def load_prostate(path: str | os.PathLike | None = None) -> Dataset:
             "prostate fixture not found; fetch it and point "
             f"{PROSTATE_ENV} at it:\n{FETCH_INSTRUCTION}"
         )
-    raw = resolved.read_bytes()
+    try:
+        raw = resolved.read_bytes()
+        lines = raw.decode("utf-8").splitlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParseError(f"cannot read {resolved}: {exc}") from exc
     log.info("prostate fixture %s sha256=%s", resolved, hashlib.sha256(raw).hexdigest())
-    text = raw.decode("utf-8")
-    delim = "\t" if "\t" in text.splitlines()[0] else ","
-    reader = csv.reader(text.splitlines(), delimiter=delim)
-    header = next(reader, None)
-    if header is None:
+    if not lines:
         raise ParseError(f"{resolved}: empty file")
-    header = [h.strip() for h in header]
+    reader = csv.reader(lines, delimiter="\t" if "\t" in lines[0] else ",")
+    header = [h.strip() for h in next(reader)]
     needed = set(PROSTATE_PREDICTORS) | {PROSTATE_RESPONSE}
     missing = needed - set(header)
     if missing:

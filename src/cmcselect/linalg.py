@@ -175,30 +175,22 @@ class FullFit:
     tss: float
 
 
-def full_fit(data: Dataset, rss: float | None = None) -> FullFit:
+def full_fit(data: Dataset) -> FullFit:
     """Validated full-model statistics; sigma2 = rss / (n - q), tss is the centered TSS.
-
-    Parameters
-    ----------
-    data : Dataset
-    rss : float, optional
-        The full-model RSS when already known (a per-size table's size-p
-        entry is the QR refit of the full mask); fitted here otherwise.
 
     Raises
     ------
     TooFewRowsError
         If n <= q (no residual degrees of freedom).
     RankDeficientError
-        If the full design is collinear (only when rss is not given).
+        If the full design is collinear.
     DegenerateFitError
         If the response is constant, or the full-model RSS is zero up to
         DEGENERATE_TOL relative to the centered TSS.
     """
     if data.n <= data.q:
         raise TooFewRowsError(f"variance estimate needs n > q, got n={data.n}, q={data.q}")
-    if rss is None:
-        rss = fit_subset(data, full_mask(data.p)).rss
+    rss = fit_subset(data, full_mask(data.p)).rss
     tss = float(np.square(data.y - data.y.mean()).sum())
     if np.ptp(data.y) == 0.0 or rss <= DEGENERATE_TOL * tss:
         raise DegenerateFitError("full-model residual sum of squares is numerically zero")

@@ -5,8 +5,9 @@ factor-correlated: the first `group_size` active columns share one latent
 factor and the first `group_size` inactive columns share another, mixed
 with weight w chosen so the within-group correlation is a requested rho.
 Each replication draws a fresh design and response from a child generator
-keyed by (seed, replication index), runs every requested criterion on the
-same data, and classifies the chosen mask against the true active set;
+keyed by (seed, replication index), runs select_many on it (the selector a
+user runs on one dataset), and classifies each chosen mask against the
+true active set;
 results are merged by replication index, so a run is bit-identical for a
 fixed (seed, reps) no matter how many worker processes are used.
 """
@@ -19,10 +20,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .criteria import CRITERIA, RatePair, classify, cmc_from_table, ic_from_table, kappa
+from .criteria import CRITERIA, RatePair, classify, labels_for, select_many
 from .errors import ConfigError, DomainError, RankDeficientError, TooFewRowsError
-from .linalg import Dataset, full_fit
-from .subsets import SUBSET_LIMIT_DEFAULT, CandidateSet, best_per_size
+from .linalg import Dataset
+from .subsets import SUBSET_LIMIT_DEFAULT, CandidateSet
 
 # reference correlated shape (p, p_active, group_size); anything else is an extension
 _REFERENCE_CORRELATED = (20, 10, 5)
@@ -135,17 +136,6 @@ def gen_response(X: np.ndarray, scenario: Scenario, rng: np.random.Generator) ->
     return scenario.beta0 + signal + scenario.sigma * rng.standard_normal(n)
 
 
-def labels_for(criteria, alphas) -> tuple[str, ...]:
-    """Flat result labels: cmc expands to one label per alpha."""
-    out: list[str] = []
-    for c in criteria:
-        if c == "cmc":
-            out.extend(f"cmc_{a:g}" for a in alphas)
-        else:
-            out.append(c)
-    return tuple(out)
-
-
 def _gen_design(scenario: Scenario, rng: np.random.Generator) -> np.ndarray:
     if scenario.kind == "weak":
         return gen_weak_design(scenario.n, scenario.p, rng)
@@ -153,37 +143,24 @@ def _gen_design(scenario: Scenario, rng: np.random.Generator) -> np.ndarray:
 
 
 def _replicate(args) -> tuple[int, list[float], list[float], int]:
-    """One replication: fresh data, every criterion, classification rates."""
-    scenario, criteria, kappas, seed, rep, limit = args
+    """One replication: fresh data, select_many, classification rates."""
+    scenario, criteria, alphas, seed, rep, limit = args
     rng = np.random.default_rng([seed, rep])
     cands = CandidateSet.all_subsets(limit=limit)
     regen = 0
     while True:
         X = _gen_design(scenario, rng)
-        y = gen_response(X, scenario, rng)
-        data = Dataset(X=X, y=y)
-        per_size = best_per_size(data, cands)
-        full_entry = per_size.get(scenario.p)
-        if full_entry is not None:
+        data = Dataset(X=X, y=gen_response(X, scenario, rng))
+        try:
+            reports = select_many(data, criteria, alphas, cands)
             break
-        # a collinear full design has no size-p entry: redraw
-        regen += 1
-        if regen > _MAX_REGEN:
-            raise RankDeficientError("full design collinear")
-    full = full_fit(data, rss=full_entry.rss)
-    truth = scenario.truth
-    firs: list[float] = []
-    fars: list[float] = []
-    for c in criteria:
-        if c == "cmc":
-            sizes = [cmc_from_table(per_size, full, kap)[0] for kap in kappas]
-        else:
-            sizes = [ic_from_table(per_size, full, c)[0]]
-        for size in sizes:
-            rates = classify(per_size.entries[size].mask, truth, scenario.p)
-            firs.append(rates.fir)
-            fars.append(rates.far)
-    return rep, firs, fars, regen
+        except RankDeficientError:
+            # the full design is collinear: redraw
+            regen += 1
+            if regen > _MAX_REGEN:
+                raise
+    rates = [classify(r.chosen, scenario.truth, scenario.p) for r in reports]
+    return rep, [r.fir for r in rates], [r.far for r in rates], regen
 
 
 def run_monte_carlo(
@@ -202,6 +179,7 @@ def run_monte_carlo(
     scenario : Scenario
     criteria : sequence of {"adjr2", "cp_aic", "bic", "cmc"}
     alphas : sequence of floats, one cmc column per value
+        Result labels come from labels_for, which validates the request.
     reps : int >= 1
     seed : int
         Replication r draws from default_rng([seed, r]); a collinear
@@ -221,23 +199,13 @@ def run_monte_carlo(
         raise ConfigError(f"threads must be >= 1, got {threads}")
     criteria = tuple(criteria)
     alphas = tuple(float(a) for a in alphas)
-    for c in criteria:
-        if c not in CRITERIA:
-            raise ConfigError(f"unknown criterion {c!r}; expected one of {CRITERIA}")
-    if "cmc" in criteria and not alphas:
-        raise ConfigError("cmc requested but no alphas given")
-    for a in alphas:
-        if not (0.0 <= a <= 1.0):
-            raise ConfigError(f"alpha must lie in [0, 1], got {a}")
     labels = labels_for(criteria, alphas)
-    q = scenario.p + 1
-    if scenario.n <= q:
+    if scenario.n <= scenario.p + 1:
         raise TooFewRowsError(f"need n > p+1, got n={scenario.n}, p={scenario.p}")
-    kappas = tuple(kappa(a, q, scenario.n) for a in alphas) if "cmc" in criteria else ()
     fir = np.empty((reps, len(labels)))
     far = np.empty((reps, len(labels)))
     regenerated = 0
-    tasks = ((scenario, criteria, kappas, seed, r, limit) for r in range(reps))
+    tasks = ((scenario, criteria, alphas, seed, r, limit) for r in range(reps))
     if threads == 1:
         results = map(_replicate, tasks)
     else:

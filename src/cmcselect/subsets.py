@@ -12,7 +12,7 @@ path is the default and is what makes p = 20..30 Monte Carlo runs cheap.
 Intercepts are handled exactly by centering: the RSS of a subset fitted
 with an intercept equals the RSS of the centered regression on the same
 columns, so searches run on the centered Gram matrix and winners are
-re-fit through the QR path for reporting.
+re-fit through the QR path; those fits are the table's entries.
 """
 
 from __future__ import annotations
@@ -20,12 +20,11 @@ from __future__ import annotations
 import itertools
 import logging
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DimensionMismatchError, LimitExceededError, RankDeficientError
-from .linalg import Dataset, Mask, as_mask, fit_subset
+from .linalg import Dataset, FitSummary, Mask, fit_subset
 
 log = logging.getLogger(__name__)
 
@@ -75,21 +74,13 @@ class CandidateSet:
         return cls(kind="explicit", masks=tuple(tuple(m) for m in masks))
 
 
-class SizeEntry(NamedTuple):
-    mask: Mask
-    rss: float
-
-
 @dataclass(frozen=True)
 class PerSizeBest:
-    """Minimum-RSS subset per model size; sizes absent from the candidate set are missing."""
+    """The QR fit of the minimum-RSS subset per size; sizes with no usable candidate are missing."""
 
     p: int
-    entries: dict[int, SizeEntry]
+    entries: dict[int, FitSummary]
     skipped: int = 0
-
-    def get(self, size: int) -> SizeEntry | None:
-        return self.entries.get(size)
 
     def sizes(self) -> list[int]:
         return sorted(self.entries)
@@ -228,22 +219,21 @@ def _branch_and_bound(G, b, tss, p: int) -> tuple[list[Mask | None], np.ndarray,
     return best_mask, best_rss, skipped
 
 
-def _best_explicit(data: Dataset, cands: CandidateSet) -> PerSizeBest:
-    entries: dict[int, SizeEntry] = {}
-    skipped = 0
-    for raw in cands.masks:
-        mask = as_mask(raw, data.p)
+def _fit_table(data: Dataset, masks, skipped: int) -> PerSizeBest:
+    """QR-fit each mask and keep the lowest RSS per size, ties to the smaller mask."""
+    entries: dict[int, FitSummary] = {}
+    for mask in masks:
         try:
             fit = fit_subset(data, mask)
         except RankDeficientError:
             skipped += 1
             continue
-        s = len(mask)
+        s = len(fit.mask)
         cur = entries.get(s)
-        if cur is None or fit.rss < cur.rss or (fit.rss == cur.rss and mask < cur.mask):
-            entries[s] = SizeEntry(mask, fit.rss)
+        if cur is None or fit.rss < cur.rss or (fit.rss == cur.rss and fit.mask < cur.mask):
+            entries[s] = fit
     if skipped:
-        log.info("skipped %d rank-deficient candidate mask(s)", skipped)
+        log.info("skipped %d rank-deficient subset(s)", skipped)
     return PerSizeBest(p=data.p, entries=entries, skipped=skipped)
 
 
@@ -262,26 +252,13 @@ def best_per_size(data: Dataset, cands: CandidateSet, prune: bool = True) -> Per
     -------
     PerSizeBest
         Ties at equal RSS break to the lexicographically smallest sorted
-        mask.  Rank-deficient masks are skipped and counted; reported RSS
-        values come from the QR fitter, so entries match fit_subset exactly.
+        mask.  Rank-deficient masks are skipped and counted; each entry is
+        the fit_subset fit of its mask.
     """
     _check_limit(data, cands)
     if cands.kind == "explicit":
-        return _best_explicit(data, cands)
+        return _fit_table(data, cands.masks, 0)
     G, b, tss = _centered(data)
     search = _branch_and_bound if prune else _scan_all
     masks, _, skipped = search(G, b, tss, data.p)
-    entries: dict[int, SizeEntry] = {}
-    for s, mask in enumerate(masks):
-        if mask is None:
-            continue
-        try:
-            fit = fit_subset(data, mask)
-        except RankDeficientError:
-            skipped += 1
-            continue
-        entries[s] = SizeEntry(mask, fit.rss)
-    if skipped:
-        log.info("skipped %d rank-deficient subset(s)", skipped)
-    return PerSizeBest(p=data.p, entries=entries, skipped=skipped)
-
+    return _fit_table(data, [m for m in masks if m is not None], skipped)

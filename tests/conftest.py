@@ -9,6 +9,7 @@ than tautology.
 from __future__ import annotations
 
 import itertools
+import sys
 
 import numpy as np
 
@@ -44,6 +45,22 @@ def random_dataset(rng: np.random.Generator, n: int, p: int, sigma: float = 1.0)
     k = max(1, p // 2)
     y = 0.5 + X[:, :k].sum(axis=1) + sigma * rng.standard_normal(n)
     return Dataset(X=X, y=y)
+
+
+def spy_calls(monkeypatch, original) -> list:
+    """Route every package-level binding of `original` through a recorder; returns its call list."""
+    calls: list = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name == "cmcselect" or name.startswith("cmcselect."):
+            for key, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, key, counted)
+    return calls
 
 
 _ACCEPTANCE_PREFIX = "tests/test_acceptance.py"

@@ -26,6 +26,7 @@ from cmcselect.cli import (
     read_candidate_list,
     to_canonical_json,
 )
+from conftest import spy_calls
 
 D1_CSV = "y,x\n0,0\n1,1\n2,2\n4,3\n"
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -196,23 +197,15 @@ def test_select_candidate_list(tmp_path, capsys):
 def test_select_searches_once(tmp_path, capsys, monkeypatch):
     path = write(tmp_path, "d4.csv",
                  "y,a,b,c\n1,0,2,1\n3,1,0,2\n4,2,1,0\n8,3,3,1\n9,4,2,2\n13,5,4,0\n")
-    original = cmcselect.subsets.best_per_size
-    calls = []
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
-
-    for name, module in list(sys.modules.items()):
-        if name == "cmcselect" or name.startswith("cmcselect."):
-            for key, value in list(vars(module).items()):
-                if value is original:
-                    monkeypatch.setattr(module, key, counted)
+    searches = spy_calls(monkeypatch, cmcselect.subsets.best_per_size)
+    fits = spy_calls(monkeypatch, cmcselect.fit_subset)
     code = main(["select", "--data", path, "--response", "y", "--criteria", "cmc,bic,cp,adjr2",
                  "--alphas", "0.9,0.5,0.1", "--format", "json"])
     assert code == 0
     assert len(json.loads(capsys.readouterr().out)["results"]) == 6
-    assert len(calls) == 1
+    assert len(searches) == 1
+    # p + 1 per-size table entries plus the full fit; reports reuse the table's fits
+    assert len(fits) == 3 + 2
 
 
 def test_select_exit_codes(tmp_path, capsys, monkeypatch):
@@ -234,12 +227,30 @@ def test_select_exit_codes(tmp_path, capsys, monkeypatch):
     capsys.readouterr()
 
     assert main(["select", "--data", path, "--response", "y",
+                 "--alphas", "0.9,0.9"]) == 2
+    assert "duplicate" in capsys.readouterr().err
+
+    assert main(["select", "--data", path, "--response", "y",
                  "--candidates", "best-per-size"]) == 2
     assert "list:<path>" in capsys.readouterr().err
 
     monkeypatch.delenv(PROSTATE_ENV, raising=False)
     assert main(["select"]) == 2
     assert PROSTATE_ENV in capsys.readouterr().err
+
+
+def test_non_utf8_input_exits_2(tmp_path, capsys):
+    bad_csv = tmp_path / "bad.csv"
+    bad_csv.write_bytes(b"y,x\n1,0\n2,\xff\n3,2\n4,3\n")
+    assert main(["select", "--data", str(bad_csv), "--response", "y"]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+    path = write(tmp_path, "d1.csv", D1_CSV)
+    bad_list = tmp_path / "cands.txt"
+    bad_list.write_bytes(b"x\n\xff\n")
+    assert main(["select", "--data", path, "--response", "y",
+                 "--candidates", f"list:{bad_list}"]) == 2
+    assert capsys.readouterr().err.startswith("error:")
 
 
 def test_select_numerical_exit_code(tmp_path, capsys):

@@ -243,6 +243,20 @@ def test_select_many_matches_single_selectors():
         select_many(data, ("aic",))
 
 
+def test_select_many_request_checks():
+    data = random_dataset(np.random.default_rng(131), 30, 4)
+    for criteria, alphas in (
+        (("cmc",), ()),  # cmc with no alphas
+        (("bic",), (1.5,)),  # alphas are range-checked even without cmc
+        (("cmc",), (-0.1,)),
+        (("bic", "bic"), ()),  # two reports, one label
+        (("cmc",), (0.9, 0.9)),
+        (("cmc",), (0.1234561, 0.1234564)),  # both label as cmc_0.123456
+    ):
+        with pytest.raises(ConfigError):
+            select_many(data, criteria, alphas)
+
+
 def test_near_noiseless_recovery():
     rng = np.random.default_rng(1)
     n, p = 60, 6

@@ -114,3 +114,19 @@ def test_missing_fixture_names_the_fetch_step(tmp_path, monkeypatch):
         load_prostate()
     assert PROSTATE_ENV in str(err.value)
     assert "curl" in FETCH_INSTRUCTION
+
+
+def test_non_utf8_file(tmp_path):
+    path = tmp_path / "prostate.data"
+    write_plain_csv(path)
+    path.write_bytes(path.read_bytes().replace(b"lcavol", b"lc\xffvol"))
+    with pytest.raises(ParseError):
+        load_prostate(path)
+
+
+def test_empty_file(tmp_path, monkeypatch):
+    path = tmp_path / "prostate.data"
+    path.write_bytes(b"")
+    monkeypatch.setenv(PROSTATE_ENV, str(path))
+    with pytest.raises(ParseError):
+        load_prostate()

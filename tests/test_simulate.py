@@ -6,12 +6,14 @@ import numpy as np
 import pytest
 
 from cmcselect import (
+    CRITERIA,
     CmcConfig,
     ConfigError,
     Dataset,
     DomainError,
     MonteCarloResult,
     Scenario,
+    classify,
     cmc_select,
     gen_correlated_design,
     gen_response,
@@ -19,7 +21,9 @@ from cmcselect import (
     labels_for,
     rho_to_w,
     run_monte_carlo,
+    select_many,
 )
+from conftest import spy_calls
 
 
 def test_scenario_validation():
@@ -139,6 +143,29 @@ def test_monte_carlo_validation():
         run_monte_carlo(sc, reps=2, threads=0)
     with pytest.raises(ConfigError):
         run_monte_carlo(sc, criteria=("cmc",), alphas=(), reps=1)
+
+
+def test_monte_carlo_rejects_duplicate_labels():
+    # both alphas label as cmc_0.123456, so one column of rates would be lost
+    sc = Scenario(kind="weak", n=30, p=5, p_active=2)
+    with pytest.raises(ConfigError):
+        run_monte_carlo(sc, criteria=("cmc",), alphas=(0.1234561, 0.1234564), reps=3)
+
+
+def test_replicate_runs_select_many(monkeypatch):
+    # a replicate is select_many on the data drawn from default_rng([seed, rep])
+    calls = spy_calls(monkeypatch, select_many)
+    sc = Scenario(kind="weak", n=30, p=6, p_active=3, sigma=1.5)
+    for seed in (1, 2, 3):
+        calls.clear()
+        res = run_monte_carlo(sc, reps=1, seed=seed)
+        assert len(calls) == 1
+        rng = np.random.default_rng([seed, 0])
+        X = gen_weak_design(sc.n, sc.p, rng)
+        reports = select_many(Dataset(X=X, y=gen_response(X, sc, rng)), CRITERIA, (0.9, 0.5, 0.1))
+        assert len(res.labels) == len(reports) == 6
+        for label, report in zip(res.labels, reports):
+            assert res.rates[label] == classify(report.chosen, sc.truth, sc.p)
 
 
 def test_monte_carlo_reproducible():

@@ -94,7 +94,11 @@ def test_reported_rss_matches_refit():
     table = best_per_size(data, CandidateSet.all_subsets())
     for s in table.sizes():
         entry = table.entries[s]
-        assert entry.rss == fit_subset(data, entry.mask).rss
+        refit = fit_subset(data, entry.mask)
+        assert entry.rss == refit.rss
+        # entries are the QR fits themselves, coefficients included
+        np.testing.assert_array_equal(entry.beta, refit.beta)
+        assert entry.df_resid == refit.df_resid
 
 
 def duplicate_column_dataset(seed: int = 5) -> Dataset:
