@@ -80,7 +80,7 @@ def load_csv(path: str, response_name: str) -> Dataset:
     error naming its 1-based row and column.
     """
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = _csv.reader(fh)
             header = next(reader, None)
             if header is None:
@@ -132,7 +132,7 @@ def load_csv(path: str, response_name: str) -> Dataset:
 def read_candidate_list(path: str, names: tuple[str, ...]) -> CandidateSet:
     """Parse a text file of comma-separated variable names, one model per line."""
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc

@@ -3,11 +3,23 @@
 The selectors only ever need, for each model size s, the size-s subset
 with minimum RSS.  Two exact search paths produce that table over all
 2^p subsets: a vectorized scan that solves the centered normal equations
-for whole blocks of same-size subsets at once, and a depth-first
-branch-and-bound that prunes with the RSS-nesting bound (the residual
-sum of squares of a partial model's most complete extension is a floor
-for every model in between).  Both return identical results; the pruned
-path is the default and is what makes p = 20..30 Monte Carlo runs cheap.
+for whole blocks of same-size subsets at once, and a leaps-and-bounds
+search (after Furnival & Wilson, 1974) that prunes with the RSS-nesting
+bound (the residual sum of squares of a partial model's most complete
+extension is a floor for every model in between).  Both return identical
+results, except that the scan may resolve an exact tie between identical
+columns by rounding; the pruned path is the default and is what makes
+p = 20..30 Monte Carlo runs cheap.
+
+The pruned search walks the inclusion/exclusion tree with Gaussian
+sweeps of the augmented Gram matrix [[G, b], [b', tss]].  Each node
+carries two swept blocks over its undecided variables plus y: the floor
+(swept on the variables decided in) and the ceiling (the full-model
+sweep with the variables decided out unswept).  Including a variable is
+one rank-1 sweep of the floor, excluding it one rank-1 unsweep of the
+ceiling, and a node's RSS is the [y, y] entry, so no node solves a
+linear system.  Nodes advance one tree level at a time, a block of up to
+_BLOCK nodes per numpy call, from a depth-first stack of blocks.
 
 Intercepts are handled exactly by centering: the RSS of a subset fitted
 with an intercept equals the RSS of the centered regression on the same
@@ -34,6 +46,14 @@ SUBSET_LIMIT_DEFAULT = 25
 _NEG_RSS_TOL = 1e-8
 
 _CHUNK = 32768
+
+# a sweep pivot at or below this fraction of its column's centered sum of
+# squares (1 - R^2 on the variables swept before it) marks a collinear subset
+_PIVOT_TOL = 1e-10
+
+# tree nodes per block of the pruned search: bounds its memory and keeps
+# the incumbents improving in near depth-first order
+_BLOCK = 128
 
 
 @dataclass(frozen=True)
@@ -81,6 +101,9 @@ class PerSizeBest:
     p: int
     entries: dict[int, FitSummary]
     skipped: int = 0
+    # search tree nodes evaluated, floors plus ceilings (2^p for the scan,
+    # 0 for an explicit list): the search's work, independent of the machine
+    nodes: int = 0
 
     def sizes(self) -> list[int]:
         return sorted(self.entries)
@@ -96,7 +119,10 @@ def _check_limit(data: Dataset, cands: CandidateSet) -> None:
 def _centered(data: Dataset):
     Xc = data.X - data.X.mean(axis=0)
     yc = data.y - data.y.mean()
-    return Xc.T @ Xc, Xc.T @ yc, float(yc @ yc)
+    # einsum sums every entry in one order, so identical columns get
+    # identical Gram rows and exact ties stay exact; BLAS products do not
+    G = np.einsum("ij,ik->jk", Xc, Xc)
+    return G, np.einsum("ij,i->j", Xc, yc), float(yc @ yc)
 
 
 def _chunk_rss(G: np.ndarray, b: np.ndarray, tss: float, idx: np.ndarray) -> np.ndarray:
@@ -119,7 +145,7 @@ def _chunk_rss(G: np.ndarray, b: np.ndarray, tss: float, idx: np.ndarray) -> np.
     return rss
 
 
-def _scan_all(G, b, tss, p: int) -> tuple[list[Mask | None], np.ndarray, int]:
+def _scan_all(G, b, tss, p: int) -> tuple[list[Mask | None], int, int]:
     """Unpruned exhaustive search: per-size batched solves in lexicographic order."""
     best_rss = np.full(p + 1, np.inf)
     best_mask: list[Mask | None] = [None] * (p + 1)
@@ -140,86 +166,148 @@ def _scan_all(G, b, tss, p: int) -> tuple[list[Mask | None], np.ndarray, int]:
             if rss[k] < best_rss[s]:
                 best_rss[s] = rss[k]
                 best_mask[s] = tuple(int(i) for i in idx[k])
-    return best_mask, best_rss, skipped
+    return best_mask, skipped, 2**p
 
 
-def _branch_and_bound(G, b, tss, p: int) -> tuple[list[Mask | None], np.ndarray, int]:
+def _sweep(W: np.ndarray, diag: np.ndarray) -> np.ndarray:
+    """Sweep a stack of symmetric (m, m) matrices in place on their first m-1 indices.
+
+    A pivot at or below _PIVOT_TOL * diag is collinear and stays unswept,
+    so the [y, y] entry becomes the RSS of projecting y on the others.
+    Returns, per matrix, whether every pivot was swept.
+    """
+    clean = np.ones(W.shape[0], dtype=bool)
+    for k in range(W.shape[1] - 1):
+        piv = W[:, k, k].copy()
+        ok = piv > _PIVOT_TOL * diag[k]
+        clean &= ok
+        col = np.divide(W[:, :, k], piv[:, None], out=np.zeros(W.shape[:2]), where=ok[:, None])
+        W -= W[:, :, k, None] * col[:, None, :]
+        W[:, :, k] = col
+        W[:, k, :] = col
+        W[:, k, k] = np.divide(-1.0, piv, out=np.zeros_like(piv), where=ok)
+    return clean
+
+
+def _leaps_and_bounds(G, b, tss, p: int) -> tuple[list[Mask | None], int, int]:
     """Pruned exhaustive search over the inclusion/exclusion tree.
 
-    Every visited node registers its floor (all decided-in variables) and
-    ceiling (floor plus all undecided variables).  A child is explored only
-    if its ceiling RSS could still beat or tie the incumbent at some
-    reachable size; ties must survive so the lexicographic rule stays exact.
+    A node at depth d has decided order[:d]; its floor is the decided-in
+    set and its ceiling the floor plus order[d:].  Evaluating a node gives
+    its include child's floor and its exclude child's ceiling; both are
+    registered, and a child is expanded only if its ceiling RSS could
+    still beat or tie the incumbent at some reachable size, so ties
+    survive and the lexicographic rule stays exact.  A child with one
+    undecided variable is not expanded: its children repeat registered
+    sets.  Returns the per-size masks, the collinear subsets skipped and
+    the nodes evaluated.
     """
-    best_rss = np.full(p + 1, np.inf)
-    best_mask: list[Mask | None] = [None] * (p + 1)
-    best_rss[0] = tss
-    best_mask[0] = ()
-    skipped = 0
-
     diag = np.diag(G)
-    score = np.divide(
-        b * b, diag, out=np.zeros_like(b), where=diag > 0
-    )
-    order = [int(j) for j in np.argsort(-score, kind="stable")]
-    solve = np.linalg.solve
+    score = np.divide(b * b, diag, out=np.zeros_like(b), where=diag > 0)
+    order = np.argsort(-score, kind="stable")
+    gdiag = diag[order]
+    # row d marks order[d]; tail[d] marks order[d:]
+    first = np.eye(p, dtype=bool)[order]
+    tail = np.logical_or.accumulate(first[::-1], axis=0)[::-1]
 
-    def rss_of(idx: list[int]) -> tuple[float, bool]:
-        if not idx:
-            return tss, True
-        a = np.asarray(idx, dtype=np.intp)
-        Gs = G[np.ix_(a, a)]
-        bs = b[a]
-        try:
-            val = tss - float(bs @ solve(Gs, bs))
-            if np.isfinite(val) and val >= -_NEG_RSS_TOL * tss:
-                return val, True
-        except np.linalg.LinAlgError:
-            pass
-        # collinear subset: not a reportable candidate, but its projection
-        # RSS (minimum-norm solve) still lower-bounds every extension
-        w = np.linalg.lstsq(Gs, bs, rcond=None)[0]
-        return max(tss - float(bs @ w), 0.0), False
+    best_rss = np.full(p + 1, np.inf)
+    best_set = [None] * (p + 1)  # per size, the winner as a bool row over the p columns
+    best_rss[0] = tss
+    best_set[0] = np.zeros(p, dtype=bool)
 
-    def register(idx: list[int], rss: float, ok: bool) -> None:
-        nonlocal skipped
-        if not ok:
-            skipped += 1
-            return
-        s = len(idx)
-        if rss < best_rss[s]:
-            best_rss[s] = rss
-            best_mask[s] = tuple(sorted(idx))
-        elif rss == best_rss[s]:
-            m = tuple(sorted(idx))
-            prev = best_mask[s]
-            if prev is None or m < prev:
-                best_mask[s] = m
+    def register(rss, size, ok, inset, extra) -> None:
+        hit = rss <= best_rss[size]
+        if ok is not None:
+            hit &= ok
+        for i in hit.nonzero()[0].tolist():
+            s, r = size[i], rss[i]
+            if r > best_rss[s]:
+                continue
+            cand = inset[i] | extra
+            if r == best_rss[s]:
+                # equal sizes: the set holding the first differing column sorts first
+                k = (cand != best_set[s]).argmax()
+                if not cand[k]:
+                    continue
+            best_rss[s] = r
+            best_set[s] = cand
 
-    def walk(d: int, fixed: list[int], ceil_rss: float) -> None:
-        if d == p:
-            return
-        j = order[d]
-        child = fixed + [j]
-        child_rss, ok = rss_of(child)
-        register(child, child_rss, ok)
-        lo = len(child)
-        if not np.all(ceil_rss > best_rss[lo : lo + (p - d)]):
-            walk(d + 1, child, ceil_rss)
-        ceil_set = fixed + order[d + 1 :]
-        new_ceil, ok = rss_of(ceil_set)
-        register(ceil_set, new_ceil, ok)
-        lo = len(fixed)
-        if not np.all(new_ceil > best_rss[lo : lo + (p - d)]):
-            walk(d + 1, fixed, new_ceil)
+    M = np.empty((1, p + 1, p + 1))
+    M[0, :p, :p] = G[np.ix_(order, order)]
+    M[0, :p, p] = M[0, p, :p] = b[order]
+    M[0, p, p] = tss
+    T = M.copy()
+    full_ok = _sweep(T, gdiag)
+    ceil = T[:, p, p].copy()
+    if not full_ok[0]:
+        # a collinear full design has no ceiling chain to unsweep; each
+        # ceiling is then the projection RSS of a fresh sweep of its floor
+        T = None
+    inset = np.zeros((1, p), dtype=bool)
+    nin = np.zeros(1, dtype=np.intp)
+    skipped = int(not full_ok[0])
+    nodes = 2
+    if p:
+        register(ceil, nin + p, full_ok, inset, tail[0])
+    stack = [(0, M, T, inset, nin, ceil)] if p >= 2 else []
+    with np.errstate(divide="ignore", invalid="ignore"):
+        while stack:
+            d, S, T, inset, nin, ceil = stack.pop()
+            n = len(nin)
+            nodes += 2 * n
+            # include order[d]: sweep it into the floor
+            piv = S[:, 0, 0]
+            inc_ok = piv > _PIVOT_TOL * gdiag[d]
+            sy = S[:, -1, 0]
+            floor = S[:, -1, -1] - sy * (sy / piv)
+            # exclude order[d]: unsweep it from the ceiling
+            if T is not None:
+                ty = T[:, -1, 0]
+                cex = T[:, -1, -1] - ty * (ty / T[:, 0, 0])
+                exc_ok = None
+            else:
+                W = S[:, 1:, 1:].copy()
+                exc_ok = _sweep(W, gdiag[d + 1 :])
+                cex = W[:, -1, -1]
+                skipped += n - int(np.count_nonzero(exc_ok))
+            skipped += n - int(np.count_nonzero(inc_ok))
+            register(floor, nin + 1, inc_ok, inset, first[d])
+            register(cex, nin + (p - d - 1), exc_ok, inset, tail[d + 1])
+            if d + 2 >= p:
+                continue
+            # reach[lo]: the worst incumbent over sizes lo .. lo+p-d-1, which a
+            # child with floor size lo can reach (a sliding-window view of best_rss)
+            window = np.ndarray((d + 2, p - d), best_rss.dtype, best_rss, 0, best_rss.strides * 2)
+            reach = window.max(axis=1)
+            ki = (inc_ok & (ceil <= reach[nin + 1])).nonzero()[0]
+            ke = (cex <= reach[nin]).nonzero()[0]
+            idx = np.concatenate((ki, ke))
+            if not len(idx):
+                continue
+            m = len(ki)
+            S2 = S[idx, 1:, 1:]
+            a = S[ki, 1:, 0]
+            S2[:m] -= a[:, :, None] * (a / piv[ki, None])[:, None, :]
+            T2 = None
+            if T is not None:
+                T2 = T[idx, 1:, 1:]
+                c = T[ke, 1:, 0]
+                T2[m:] -= c[:, :, None] * (c / T[ke, 0, 0, None])[:, None, :]
+            inset2 = inset[idx]
+            inset2[:m] |= first[d]
+            nin2 = nin[idx]
+            nin2[:m] += 1
+            ceil2 = np.concatenate((ceil[ki], cex[ke]))
+            # include-children end up on top of the stack
+            for lo in reversed(range(0, len(idx), _BLOCK)):
+                hi = lo + _BLOCK
+                stack.append((d + 1, S2[lo:hi], None if T2 is None else T2[lo:hi],
+                              inset2[lo:hi], nin2[lo:hi], ceil2[lo:hi]))
+    masks = [None if row is None else tuple(row.nonzero()[0].tolist()) for row in best_set]
+    return masks, skipped, nodes
 
-    full_rss, ok = rss_of(list(range(p)))
-    register(list(range(p)), full_rss, ok)
-    walk(0, [], full_rss)
-    return best_mask, best_rss, skipped
 
-
-def _fit_table(data: Dataset, masks, skipped: int) -> PerSizeBest:
+def _fit_table(data: Dataset, masks, skipped: int, nodes: int = 0) -> PerSizeBest:
     """QR-fit each mask and keep the lowest RSS per size, ties to the smaller mask."""
     entries: dict[int, FitSummary] = {}
     for mask in masks:
@@ -234,7 +322,8 @@ def _fit_table(data: Dataset, masks, skipped: int) -> PerSizeBest:
             entries[s] = fit
     if skipped:
         log.info("skipped %d rank-deficient subset(s)", skipped)
-    return PerSizeBest(p=data.p, entries=entries, skipped=skipped)
+    log.debug("search evaluated %d node(s), skipped %d subset(s)", nodes, skipped)
+    return PerSizeBest(p=data.p, entries=entries, skipped=skipped, nodes=nodes)
 
 
 def best_per_size(data: Dataset, cands: CandidateSet, prune: bool = True) -> PerSizeBest:
@@ -245,7 +334,7 @@ def best_per_size(data: Dataset, cands: CandidateSet, prune: bool = True) -> Per
     data : Dataset
     cands : CandidateSet
     prune : bool
-        Use the branch-and-bound path (default).  The unpruned scan
+        Use the leaps-and-bounds search (default).  The unpruned scan
         returns identical results and exists as its safety net.
 
     Returns
@@ -253,12 +342,12 @@ def best_per_size(data: Dataset, cands: CandidateSet, prune: bool = True) -> Per
     PerSizeBest
         Ties at equal RSS break to the lexicographically smallest sorted
         mask.  Rank-deficient masks are skipped and counted; each entry is
-        the fit_subset fit of its mask.
+        the fit_subset fit of its mask, and `nodes` counts the search's work.
     """
     _check_limit(data, cands)
     if cands.kind == "explicit":
         return _fit_table(data, cands.masks, 0)
     G, b, tss = _centered(data)
-    search = _branch_and_bound if prune else _scan_all
-    masks, _, skipped = search(G, b, tss, data.p)
-    return _fit_table(data, [m for m in masks if m is not None], skipped)
+    search = _leaps_and_bounds if prune else _scan_all
+    masks, skipped, nodes = search(G, b, tss, data.p)
+    return _fit_table(data, [m for m in masks if m is not None], skipped, nodes)

@@ -253,6 +253,23 @@ def test_non_utf8_input_exits_2(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+def test_byte_order_mark_is_not_a_name(tmp_path, capsys):
+    # spreadsheet exports often start UTF-8 files with a byte-order mark
+    bom = b"\xef\xbb\xbf"
+    plain = write(tmp_path, "d1.csv", D1_CSV)
+    marked = tmp_path / "bom.csv"
+    marked.write_bytes(bom + D1_CSV.encode())
+    args = ["--response", "y", "--criteria", "cmc", "--alphas", "0.5", "--format", "json"]
+    assert main(["select", "--data", plain] + args) == 0
+    expect = json.loads(capsys.readouterr().out)["results"]
+    assert main(["select", "--data", str(marked)] + args) == 0
+    assert json.loads(capsys.readouterr().out)["results"] == expect
+
+    cands = tmp_path / "cands.txt"
+    cands.write_bytes(bom + b"x1,x3\nx2\n")
+    assert read_candidate_list(str(cands), ("x1", "x2", "x3")).masks == ((0, 2), (1,))
+
+
 def test_select_numerical_exit_code(tmp_path, capsys):
     exact = write(tmp_path, "exact.csv", "y,x\n1,0\n3,1\n5,2\n7,3\n9,4\n")
     assert main(["select", "--data", exact, "--response", "y"]) == 3

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cmcselect import (
     CandidateSet,
@@ -10,7 +12,9 @@ from cmcselect import (
     LimitExceededError,
     best_per_size,
     fit_subset,
+    subsets,
 )
+from cmcselect.simulate import Scenario, gen_correlated_design, gen_response
 from conftest import naive_best_per_size, random_dataset
 
 
@@ -141,3 +145,97 @@ def test_explicit_per_size_takes_min():
     rss0 = fit_subset(data, (0,)).rss
     rss3 = fit_subset(data, (3,)).rss
     assert table.entries[1].rss == min(rss0, rss3)
+
+
+def masks_of(table) -> dict:
+    return {s: entry.mask for s, entry in table.entries.items()}
+
+
+def test_node_count_repeats_exactly():
+    rng = np.random.default_rng(12)
+    data = random_dataset(rng, 40, 12)
+    first = best_per_size(data, CandidateSet.all_subsets())
+    again = best_per_size(data, CandidateSet.all_subsets())
+    assert (again.nodes, again.skipped) == (first.nodes, first.skipped)
+    # the unpruned tree evaluates 2^p floors and ceilings, as many as the scan
+    assert 0 < first.nodes < 2**12
+    assert best_per_size(data, CandidateSet.all_subsets(), prune=False).nodes == 2**12
+    assert best_per_size(data, CandidateSet.explicit([(0,), (1, 2)])).nodes == 0
+
+
+@pytest.mark.parametrize("block", [1, 3, subsets._BLOCK])
+def test_correlated_designs_match_scan(monkeypatch, block):
+    # factor-correlated groups keep many subtrees alive, so the blocks fill,
+    # split and stack up; block sizes 1 and 3 force a split at every level
+    monkeypatch.setattr(subsets, "_BLOCK", block)
+    for seed in range(3):
+        for p in (12, 13, 14):
+            scen = Scenario("correlated", n=2 * p + 12, p=p, p_active=p // 2,
+                            rho=0.8, group_size=4)
+            rng = np.random.default_rng([seed, p])
+            X = gen_correlated_design(scen, rng)
+            data = Dataset(X=X, y=gen_response(X, scen, rng))
+            pruned = best_per_size(data, CandidateSet.all_subsets())
+            scan = best_per_size(data, CandidateSet.all_subsets(), prune=False)
+            assert masks_of(pruned) == masks_of(scan), (seed, p)
+            assert pruned.skipped == scan.skipped == 0
+            assert pruned.nodes < scan.nodes
+
+
+def twin_dataset(seed: int, p: int, col: int, copy: int) -> Dataset:
+    """Random design whose column `copy` repeats column `col` exactly."""
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((3 * p, p)) * 10.0 ** rng.uniform(-2, 2, p)
+    X[:, copy] = X[:, col]
+    signal = X[:, : p // 2] / X[:, : p // 2].std(axis=0)
+    return Dataset(X=X, y=signal.sum(axis=1) + rng.standard_normal(3 * p))
+
+
+def test_rank_deficient_full_design_matches_scan():
+    # the full design is collinear, so the search has no ceiling chain and
+    # bounds each subtree by a fresh projection sweep of its floor
+    data = twin_dataset(8, 8, col=2, copy=7)
+    pruned = best_per_size(data, CandidateSet.all_subsets())
+    scan = best_per_size(data, CandidateSet.all_subsets(), prune=False)
+    assert pruned.skipped >= 1
+    assert pruned.sizes() == scan.sizes() == list(range(8))
+
+    def canonical(mask):
+        # a mask holding column 7 alone ties exactly with its twin holding 2
+        return tuple(sorted(2 if i == 7 else i for i in mask))
+
+    for s in scan.sizes():
+        assert canonical(pruned.entries[s].mask) == canonical(scan.entries[s].mask), s
+        assert 7 not in pruned.entries[s].mask or 2 in pruned.entries[s].mask
+        assert abs(pruned.entries[s].rss - scan.entries[s].rss) <= 1e-9 * scan.entries[s].rss
+
+
+@pytest.mark.parametrize("p", [6, 8, 10, 12])
+def test_duplicate_column_tie_breaks_lexicographically(p):
+    # columns 1 and p-3 are identical: every winner holding just one of them
+    # ties exactly with its twin, and the twin holding column 1 sorts first
+    copy = p - 3
+    data = twin_dataset(p, p, col=1, copy=copy)
+    table = best_per_size(data, CandidateSet.all_subsets())
+    assert table.skipped >= 1
+    for s in table.sizes():
+        mask = table.entries[s].mask
+        assert copy not in mask or 1 in mask, (s, mask)
+    assert table.entries[p - 1].mask == tuple(i for i in range(p) if i != copy)
+
+
+@settings(max_examples=50, derandomize=True, deadline=None)
+@given(p=st.integers(1, 12), data=st.data())
+def test_pruned_search_matches_scan_property(p, data):
+    n = data.draw(st.integers(p + 3, 3 * p + 5), label="n")
+    scales = data.draw(st.lists(st.floats(-2.0, 2.0), min_size=p, max_size=p), label="log10 scales")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    Z = rng.standard_normal((n, p))
+    if p >= 2 and data.draw(st.booleans(), label="0.9-correlated pair"):
+        j, k = data.draw(st.permutations(range(p)), label="pair")[:2]
+        Z[:, k] = 0.9 * Z[:, j] + np.sqrt(1 - 0.81) * Z[:, k]
+    y = Z[:, : max(1, p // 2)].sum(axis=1) + rng.standard_normal(n)
+    design = Dataset(X=Z * 10.0 ** np.asarray(scales), y=y)
+    pruned = best_per_size(design, CandidateSet.all_subsets())
+    scan = best_per_size(design, CandidateSet.all_subsets(), prune=False)
+    assert masks_of(pruned) == masks_of(scan)
