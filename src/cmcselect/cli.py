@@ -530,7 +530,7 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--reps", type=int, default=100)
         sp.add_argument("--seed", type=int, default=1)
         sp.add_argument("--threads", type=int, default=os.cpu_count() or 1,
-                        help="worker processes (default: machine parallelism)")
+                        help="worker processes, at most one per rep (default: machine parallelism)")
         sp.add_argument("--format", choices=("table", "json", "csv"), default="table")
 
     pm = sub.add_parser("simulate", help="Monte Carlo rates for one scenario")
@@ -538,7 +538,8 @@ def _build_parser() -> argparse.ArgumentParser:
     pm.add_argument("--n", type=int, required=True)
     pm.add_argument("--p", type=int, required=True)
     pm.add_argument("--p-active", dest="p_active", type=int, required=True)
-    pm.add_argument("--rho", type=float, default=0.0)
+    pm.add_argument("--rho", type=float, default=0.0,
+                    help="within-group correlation (correlated scenario only)")
     pm.add_argument("--sigma", type=float, default=1.0)
     pm.add_argument("--criteria", default="cmc,bic,cp,adjr2")
     pm.add_argument("--alphas", default="0.9,0.5,0.1")

@@ -37,7 +37,7 @@ class Scenario:
 
     The response is beta0 + active_value * (sum of the first p_active
     columns) + sigma * noise.  rho and group_size matter only for the
-    correlated kind.
+    correlated kind; a weak scenario refuses a nonzero rho.
     """
 
     kind: str
@@ -59,6 +59,8 @@ class Scenario:
             raise ConfigError(f"p_active must lie in [0, p], got {self.p_active}")
         if not (0.0 <= self.rho < 1.0):
             raise ConfigError(f"rho must lie in [0, 1), got {self.rho}")
+        if self.kind == "weak" and self.rho != 0.0:
+            raise ConfigError(f"rho applies only to the correlated kind, got {self.rho} for weak")
         if not (self.sigma > 0.0 and math.isfinite(self.sigma)):
             raise ConfigError(f"sigma must be positive, got {self.sigma}")
         if self.kind == "correlated":
@@ -185,7 +187,8 @@ def run_monte_carlo(
         Replication r draws from default_rng([seed, r]); a collinear
         design is redrawn from the same stream (at most 10 times).
     threads : int
-        Worker processes; results are identical for any value.
+        Worker processes, at most `reps` of them start; results are
+        identical for any value.
     limit : int
         Subset-engine size limit (raise above 25 for p up to ~32).
 
@@ -206,18 +209,20 @@ def run_monte_carlo(
     far = np.empty((reps, len(labels)))
     regenerated = 0
     tasks = ((scenario, criteria, alphas, seed, r, limit) for r in range(reps))
-    if threads == 1:
+    # a pool starts all its workers at once, so never more than there are reps
+    workers = min(threads, reps)
+    if workers == 1:
         results = map(_replicate, tasks)
     else:
-        pool = ProcessPoolExecutor(max_workers=threads)
-        results = pool.map(_replicate, tasks, chunksize=max(1, reps // (threads * 8)))
+        pool = ProcessPoolExecutor(max_workers=workers)
+        results = pool.map(_replicate, tasks, chunksize=max(1, reps // (workers * 8)))
     try:
         for rep, firs, fars, regen in results:
             fir[rep] = firs
             far[rep] = fars
             regenerated += regen
     finally:
-        if threads != 1:
+        if workers != 1:
             pool.shutdown()
     mean_fir = fir.mean(axis=0)
     mean_far = far.mean(axis=0)

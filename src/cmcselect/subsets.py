@@ -1,19 +1,15 @@
 """Candidate sets and the per-size minimum-RSS search.
 
 The selectors only ever need, for each model size s, the size-s subset
-with minimum RSS.  Two exact search paths produce that table over all
-2^p subsets: a vectorized scan that solves the centered normal equations
-for whole blocks of same-size subsets at once, and a leaps-and-bounds
-search (after Furnival & Wilson, 1974) that prunes with the RSS-nesting
-bound (the residual sum of squares of a partial model's most complete
-extension is a floor for every model in between).  Both return identical
-results, except that the scan may resolve an exact tie between identical
-columns by rounding; the pruned path is the default and is what makes
-p = 20..30 Monte Carlo runs cheap.
+with minimum RSS.  One exact search produces that table over all 2^p
+subsets: a leaps-and-bounds search (after Furnival & Wilson, 1974) that
+prunes with the RSS-nesting bound (the residual sum of squares of a
+partial model's most complete extension is a floor for every model in
+between), which is what makes p = 20..30 Monte Carlo runs cheap.
 
-The pruned search walks the inclusion/exclusion tree with Gaussian
-sweeps of the augmented Gram matrix [[G, b], [b', tss]].  Each node
-carries two swept blocks over its undecided variables plus y: the floor
+The search walks the inclusion/exclusion tree with Gaussian sweeps of
+the augmented Gram matrix [[G, b], [b', tss]].  Each node carries two
+swept blocks over its undecided variables plus y: the floor
 (swept on the variables decided in) and the ceiling (the full-model
 sweep with the variables decided out unswept).  Including a variable is
 one rank-1 sweep of the floor, excluding it one rank-1 unsweep of the
@@ -23,13 +19,12 @@ _BLOCK nodes per numpy call, from a depth-first stack of blocks.
 
 Intercepts are handled exactly by centering: the RSS of a subset fitted
 with an intercept equals the RSS of the centered regression on the same
-columns, so searches run on the centered Gram matrix and winners are
+columns, so the search runs on the centered Gram matrix and winners are
 re-fit through the QR path; those fits are the table's entries.
 """
 
 from __future__ import annotations
 
-import itertools
 import logging
 from dataclasses import dataclass
 
@@ -42,17 +37,12 @@ log = logging.getLogger(__name__)
 
 SUBSET_LIMIT_DEFAULT = 25
 
-# searched RSS below -tol*TSS marks a numerically unusable (collinear) subset
-_NEG_RSS_TOL = 1e-8
-
-_CHUNK = 32768
-
 # a sweep pivot at or below this fraction of its column's centered sum of
 # squares (1 - R^2 on the variables swept before it) marks a collinear subset
 _PIVOT_TOL = 1e-10
 
-# tree nodes per block of the pruned search: bounds its memory and keeps
-# the incumbents improving in near depth-first order
+# tree nodes per block of the search: bounds its memory and keeps the
+# incumbents improving in near depth-first order
 _BLOCK = 128
 
 
@@ -101,8 +91,8 @@ class PerSizeBest:
     p: int
     entries: dict[int, FitSummary]
     skipped: int = 0
-    # search tree nodes evaluated, floors plus ceilings (2^p for the scan,
-    # 0 for an explicit list): the search's work, independent of the machine
+    # search tree nodes evaluated, floors plus ceilings (0 for an explicit
+    # list): the search's work, independent of the machine
     nodes: int = 0
 
     def sizes(self) -> list[int]:
@@ -123,50 +113,6 @@ def _centered(data: Dataset):
     # identical Gram rows and exact ties stay exact; BLAS products do not
     G = np.einsum("ij,ik->jk", Xc, Xc)
     return G, np.einsum("ij,i->j", Xc, yc), float(yc @ yc)
-
-
-def _chunk_rss(G: np.ndarray, b: np.ndarray, tss: float, idx: np.ndarray) -> np.ndarray:
-    """RSS for a block of same-size subsets; +inf where the Gram is unusable."""
-    Gs = G[idx[:, :, None], idx[:, None, :]]
-    bs = b[idx]
-    try:
-        sol = np.linalg.solve(Gs, bs[..., None])[..., 0]
-        rss = tss - np.einsum("ij,ij->i", bs, sol)
-    except np.linalg.LinAlgError:
-        rss = np.empty(idx.shape[0])
-        for i in range(idx.shape[0]):
-            try:
-                rss[i] = tss - bs[i] @ np.linalg.solve(Gs[i], bs[i])
-            except np.linalg.LinAlgError:
-                rss[i] = np.inf
-    bad = ~np.isfinite(rss) | (rss < -_NEG_RSS_TOL * tss)
-    if bad.any():
-        rss = np.where(bad, np.inf, rss)
-    return rss
-
-
-def _scan_all(G, b, tss, p: int) -> tuple[list[Mask | None], int, int]:
-    """Unpruned exhaustive search: per-size batched solves in lexicographic order."""
-    best_rss = np.full(p + 1, np.inf)
-    best_mask: list[Mask | None] = [None] * (p + 1)
-    best_rss[0] = tss
-    best_mask[0] = ()
-    skipped = 0
-    for s in range(1, p + 1):
-        combos = itertools.combinations(range(p), s)
-        while True:
-            block = list(itertools.islice(combos, _CHUNK))
-            if not block:
-                break
-            idx = np.asarray(block, dtype=np.intp)
-            rss = _chunk_rss(G, b, tss, idx)
-            skipped += int(np.isinf(rss).sum())
-            k = int(np.argmin(rss))
-            # lexicographic order of generation makes "first strict min" the tie-break
-            if rss[k] < best_rss[s]:
-                best_rss[s] = rss[k]
-                best_mask[s] = tuple(int(i) for i in idx[k])
-    return best_mask, skipped, 2**p
 
 
 def _sweep(W: np.ndarray, diag: np.ndarray) -> np.ndarray:
@@ -326,16 +272,15 @@ def _fit_table(data: Dataset, masks, skipped: int, nodes: int = 0) -> PerSizeBes
     return PerSizeBest(p=data.p, entries=entries, skipped=skipped, nodes=nodes)
 
 
-def best_per_size(data: Dataset, cands: CandidateSet, prune: bool = True) -> PerSizeBest:
+def best_per_size(data: Dataset, cands: CandidateSet) -> PerSizeBest:
     """The minimum-RSS subset at every size present in the candidate set.
+
+    "all" runs the leaps-and-bounds search; "explicit" fits each listed mask.
 
     Parameters
     ----------
     data : Dataset
     cands : CandidateSet
-    prune : bool
-        Use the leaps-and-bounds search (default).  The unpruned scan
-        returns identical results and exists as its safety net.
 
     Returns
     -------
@@ -348,6 +293,5 @@ def best_per_size(data: Dataset, cands: CandidateSet, prune: bool = True) -> Per
     if cands.kind == "explicit":
         return _fit_table(data, cands.masks, 0)
     G, b, tss = _centered(data)
-    search = _leaps_and_bounds if prune else _scan_all
-    masks, skipped, nodes = search(G, b, tss, data.p)
+    masks, skipped, nodes = _leaps_and_bounds(G, b, tss, data.p)
     return _fit_table(data, [m for m in masks if m is not None], skipped, nodes)

@@ -2,8 +2,9 @@
 
 The oracles here are deliberately independent of the package's fitting
 path: least squares is solved through the raw normal equations, and the
-per-size search is a naive double loop, so agreement is evidence rather
-than tautology.
+per-size search QR-factors every subset's design on its own, with no
+Gram matrix, no centering and no pruning, so agreement is evidence
+rather than tautology.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import sys
 import numpy as np
 
 from cmcselect import Dataset
+from cmcselect.linalg import RANK_TOL
 
 
 def normal_eq_fit(data: Dataset, mask) -> tuple[np.ndarray, float]:
@@ -30,13 +32,27 @@ def normal_eq_fit(data: Dataset, mask) -> tuple[np.ndarray, float]:
 
 
 def naive_best_per_size(data: Dataset) -> dict[int, tuple[tuple[int, ...], float]]:
-    """Brute-force per-size minimum RSS over all 2^p subsets."""
+    """Per-size minimum RSS over all 2^p subsets, one batched Householder QR per size.
+
+    Each subset's stacked design [1 | X_S | y] is factored whole, so its RSS
+    is R[-1, -1]**2.  A subset whose R diagonal fails fit_subset's RANK_TOL
+    ratio test is collinear and left out.  Subsets come in lexicographic
+    order and ties go to the first strict minimum.
+    """
     best: dict[int, tuple[tuple[int, ...], float]] = {}
     for s in range(data.p + 1):
-        for combo in itertools.combinations(range(data.p), s):
-            _, rss = normal_eq_fit(data, combo)
-            if s not in best or rss < best[s][1]:
-                best[s] = (combo, rss)
+        combos = np.array(list(itertools.combinations(range(data.p), s)), dtype=np.intp)
+        A = np.empty((len(combos), data.n, s + 2))
+        A[:, :, 0] = 1.0
+        A[:, :, 1:-1] = data.X[:, combos].transpose(1, 0, 2)
+        A[:, :, -1] = data.y
+        R = np.linalg.qr(A, mode="r")
+        diag = np.abs(np.diagonal(R, axis1=1, axis2=2)[:, :-1])
+        full_rank = diag.min(axis=1) > RANK_TOL * diag.max(axis=1)
+        rss = np.where(full_rank, R[:, -1, -1] ** 2, np.inf)
+        k = int(np.argmin(rss))
+        if np.isfinite(rss[k]):
+            best[s] = (tuple(combos[k].tolist()), float(rss[k]))
     return best
 
 

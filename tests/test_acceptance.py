@@ -86,19 +86,18 @@ def test_c2_distribution_correctness():
 
 
 def test_c3_subset_engine_oracle_equivalence():
-    """50 random instances, p <= 8: engine == naive scan, pruned and not."""
+    """50 random instances, p <= 8: engine == batched-QR per-size oracle."""
     rng = np.random.default_rng(SEED)
     for trial in range(50):
         p = int(rng.integers(2, 9))
         n = int(rng.integers(p + 4, p + 40))
         data = random_dataset(rng, n, p, sigma=float(rng.uniform(0.3, 3.0)))
         expect = naive_best_per_size(data)
-        for prune in (True, False):
-            table = best_per_size(data, CandidateSet.all_subsets(), prune=prune)
-            for s in range(p + 1):
-                mask_ref, rss_ref = expect[s]
-                assert table.entries[s].mask == mask_ref, (trial, prune, s)
-                assert abs(table.entries[s].rss - rss_ref) <= 1e-9 * max(rss_ref, 1.0)
+        table = best_per_size(data, CandidateSet.all_subsets())
+        for s in range(p + 1):
+            mask_ref, rss_ref = expect[s]
+            assert table.entries[s].mask == mask_ref, (trial, s)
+            assert abs(table.entries[s].rss - rss_ref) <= 1e-9 * max(rss_ref, 1.0)
 
 
 def test_c4_weak_signal_rates_n50():

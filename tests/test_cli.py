@@ -319,6 +319,10 @@ def test_simulate_exit_codes(capsys):
     assert main(["simulate", "--n", "25", "--p", "4", "--p-active", "2",
                  "--reps", "2", "--threads", "0"]) == 2
     capsys.readouterr()
+    # rho has no effect on a weak design, so it is refused, not echoed
+    assert main(["simulate", "--n", "25", "--p", "4", "--p-active", "2",
+                 "--rho", "0.5", "--reps", "2", "--threads", "1"]) == 2
+    capsys.readouterr()
 
 
 def test_tables_two_structure(capsys):

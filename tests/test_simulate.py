@@ -22,6 +22,7 @@ from cmcselect import (
     rho_to_w,
     run_monte_carlo,
     select_many,
+    simulate,
 )
 from conftest import spy_calls
 
@@ -37,6 +38,9 @@ def test_scenario_validation():
         Scenario(kind="weak", n=40, p=10, p_active=5, sigma=0.0)
     with pytest.raises(ConfigError):
         Scenario(kind="correlated", n=40, p=20, p_active=10, rho=0.5, group_size=11)
+    with pytest.raises(ConfigError):
+        # a weak design has no groups to correlate
+        Scenario(kind="weak", n=40, p=10, p_active=5, rho=0.5)
 
 
 def test_scenario_truth_and_extension():
@@ -180,6 +184,29 @@ def test_monte_carlo_reproducible():
         fir, far = a.rates[label]
         assert 0.0 <= fir <= 1.0 and 0.0 <= far <= 1.0
         assert 0.0 <= a.zero_fraction[label] <= 1.0
+
+
+def test_pool_starts_at_most_reps_workers(monkeypatch):
+    # a pool forks all of its workers up front; a serial stand-in records how many
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def map(self, fn, tasks, chunksize=1):
+            return map(fn, tasks)
+
+        def shutdown(self):
+            pass
+
+    monkeypatch.setattr(simulate, "ProcessPoolExecutor", SerialPool)
+    sc = Scenario(kind="weak", n=20, p=4, p_active=2)
+    pooled = run_monte_carlo(sc, reps=3, seed=4, threads=64)
+    assert sizes == [3]
+    assert pooled.rates == run_monte_carlo(sc, reps=3, seed=4, threads=1).rates
+    run_monte_carlo(sc, reps=1, seed=4, threads=8)
+    assert sizes == [3]
 
 
 def test_monte_carlo_seed_changes_rates():

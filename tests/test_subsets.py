@@ -1,4 +1,4 @@
-"""Exhaustive-search checks against a naive double-loop oracle."""
+"""Exhaustive-search checks against the batched-QR per-size oracle."""
 
 import numpy as np
 import pytest
@@ -61,14 +61,13 @@ def test_matches_naive_oracle_both_paths():
         n = int(rng.integers(p + 5, p + 30))
         data = random_dataset(rng, n, p)
         expect = naive_best_per_size(data)
-        for prune in (True, False):
-            table = best_per_size(data, CandidateSet.all_subsets(), prune=prune)
-            assert table.sizes() == list(range(p + 1))
-            for s in range(p + 1):
-                mask_ref, rss_ref = expect[s]
-                entry = table.entries[s]
-                assert entry.mask == mask_ref, (trial, prune, s)
-                assert abs(entry.rss - rss_ref) <= 1e-9 * max(rss_ref, 1.0)
+        table = best_per_size(data, CandidateSet.all_subsets())
+        assert table.sizes() == list(range(p + 1))
+        for s in range(p + 1):
+            mask_ref, rss_ref = expect[s]
+            entry = table.entries[s]
+            assert entry.mask == mask_ref, (trial, s)
+            assert abs(entry.rss - rss_ref) <= 1e-9 * max(rss_ref, 1.0)
 
 
 def test_per_size_rss_monotone():
@@ -115,24 +114,21 @@ def duplicate_column_dataset(seed: int = 5) -> Dataset:
 
 def test_collinear_subsets_skipped():
     data = duplicate_column_dataset()
-    table = best_per_size(data, CandidateSet.all_subsets(), prune=False)
-    # the two masks holding both copies: {0,2} and {0,1,2}
-    assert table.skipped == 2
+    # the masks holding both copies, {0,2} and {0,1,2}, are collinear
+    table = best_per_size(data, CandidateSet.all_subsets())
+    assert table.skipped >= 1
     assert table.sizes() == [0, 1, 2]
-    pruned = best_per_size(data, CandidateSet.all_subsets(), prune=True)
-    assert pruned.skipped >= 1
-    assert pruned.sizes() == [0, 1, 2]
+    expect = naive_best_per_size(data)
+    assert sorted(expect) == [0, 1, 2]
     for s in (0, 1, 2):
-        assert pruned.entries[s].mask == table.entries[s].mask
-        assert pruned.entries[s].rss == table.entries[s].rss
+        assert abs(table.entries[s].rss - expect[s][1]) <= 1e-9 * expect[s][1]
 
 
 def test_exact_tie_breaks_lexicographically():
     data = duplicate_column_dataset()
     # columns 0 and 2 are identical, so the size-1 optimum is a tie
-    for prune in (True, False):
-        table = best_per_size(data, CandidateSet.all_subsets(), prune=prune)
-        assert table.entries[1].mask == (0,)
+    table = best_per_size(data, CandidateSet.all_subsets())
+    assert table.entries[1].mask == (0,)
     assert table.entries[2].mask in ((0, 1), (1, 2))
 
 
@@ -157,17 +153,21 @@ def test_node_count_repeats_exactly():
     first = best_per_size(data, CandidateSet.all_subsets())
     again = best_per_size(data, CandidateSet.all_subsets())
     assert (again.nodes, again.skipped) == (first.nodes, first.skipped)
-    # the unpruned tree evaluates 2^p floors and ceilings, as many as the scan
+    # the unpruned tree would evaluate 2^p floors and ceilings
     assert 0 < first.nodes < 2**12
-    assert best_per_size(data, CandidateSet.all_subsets(), prune=False).nodes == 2**12
     assert best_per_size(data, CandidateSet.explicit([(0,), (1, 2)])).nodes == 0
 
 
-@pytest.mark.parametrize("block", [1, 3, subsets._BLOCK])
-def test_correlated_designs_match_scan(monkeypatch, block):
+def assert_matches(table, expect) -> None:
+    """Masks equal the oracle's exactly, RSS within 1e-9 relative."""
+    assert masks_of(table) == {s: mask for s, (mask, _) in expect.items()}
+    for s, (_, rss) in expect.items():
+        assert abs(table.entries[s].rss - rss) <= 1e-9 * rss, s
+
+
+def test_correlated_designs_match_oracle(monkeypatch):
     # factor-correlated groups keep many subtrees alive, so the blocks fill,
     # split and stack up; block sizes 1 and 3 force a split at every level
-    monkeypatch.setattr(subsets, "_BLOCK", block)
     for seed in range(3):
         for p in (12, 13, 14):
             scen = Scenario("correlated", n=2 * p + 12, p=p, p_active=p // 2,
@@ -175,11 +175,13 @@ def test_correlated_designs_match_scan(monkeypatch, block):
             rng = np.random.default_rng([seed, p])
             X = gen_correlated_design(scen, rng)
             data = Dataset(X=X, y=gen_response(X, scen, rng))
-            pruned = best_per_size(data, CandidateSet.all_subsets())
-            scan = best_per_size(data, CandidateSet.all_subsets(), prune=False)
-            assert masks_of(pruned) == masks_of(scan), (seed, p)
-            assert pruned.skipped == scan.skipped == 0
-            assert pruned.nodes < scan.nodes
+            expect = naive_best_per_size(data)
+            for block in (1, 3, subsets._BLOCK):
+                monkeypatch.setattr(subsets, "_BLOCK", block)
+                table = best_per_size(data, CandidateSet.all_subsets())
+                assert_matches(table, expect)
+                assert table.skipped == 0
+                assert table.nodes < 2**p
 
 
 def twin_dataset(seed: int, p: int, col: int, copy: int) -> Dataset:
@@ -191,23 +193,23 @@ def twin_dataset(seed: int, p: int, col: int, copy: int) -> Dataset:
     return Dataset(X=X, y=signal.sum(axis=1) + rng.standard_normal(3 * p))
 
 
-def test_rank_deficient_full_design_matches_scan():
+def test_rank_deficient_full_design_matches_oracle():
     # the full design is collinear, so the search has no ceiling chain and
     # bounds each subtree by a fresh projection sweep of its floor
     data = twin_dataset(8, 8, col=2, copy=7)
-    pruned = best_per_size(data, CandidateSet.all_subsets())
-    scan = best_per_size(data, CandidateSet.all_subsets(), prune=False)
-    assert pruned.skipped >= 1
-    assert pruned.sizes() == scan.sizes() == list(range(8))
+    table = best_per_size(data, CandidateSet.all_subsets())
+    expect = naive_best_per_size(data)
+    assert table.skipped >= 1
+    assert table.sizes() == sorted(expect) == list(range(8))
 
     def canonical(mask):
         # a mask holding column 7 alone ties exactly with its twin holding 2
         return tuple(sorted(2 if i == 7 else i for i in mask))
 
-    for s in scan.sizes():
-        assert canonical(pruned.entries[s].mask) == canonical(scan.entries[s].mask), s
-        assert 7 not in pruned.entries[s].mask or 2 in pruned.entries[s].mask
-        assert abs(pruned.entries[s].rss - scan.entries[s].rss) <= 1e-9 * scan.entries[s].rss
+    for s, (mask, rss) in expect.items():
+        assert canonical(table.entries[s].mask) == canonical(mask), s
+        assert 7 not in table.entries[s].mask or 2 in table.entries[s].mask
+        assert abs(table.entries[s].rss - rss) <= 1e-9 * rss
 
 
 @pytest.mark.parametrize("p", [6, 8, 10, 12])
@@ -226,7 +228,7 @@ def test_duplicate_column_tie_breaks_lexicographically(p):
 
 @settings(max_examples=50, derandomize=True, deadline=None)
 @given(p=st.integers(1, 12), data=st.data())
-def test_pruned_search_matches_scan_property(p, data):
+def test_pruned_search_matches_oracle_property(p, data):
     n = data.draw(st.integers(p + 3, 3 * p + 5), label="n")
     scales = data.draw(st.lists(st.floats(-2.0, 2.0), min_size=p, max_size=p), label="log10 scales")
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
@@ -236,6 +238,10 @@ def test_pruned_search_matches_scan_property(p, data):
         Z[:, k] = 0.9 * Z[:, j] + np.sqrt(1 - 0.81) * Z[:, k]
     y = Z[:, : max(1, p // 2)].sum(axis=1) + rng.standard_normal(n)
     design = Dataset(X=Z * 10.0 ** np.asarray(scales), y=y)
-    pruned = best_per_size(design, CandidateSet.all_subsets())
-    scan = best_per_size(design, CandidateSet.all_subsets(), prune=False)
-    assert masks_of(pruned) == masks_of(scan)
+    table = best_per_size(design, CandidateSet.all_subsets())
+    assert_matches(table, naive_best_per_size(design))
+    # permuting the columns permutes the winners and nothing else
+    perm = data.draw(st.permutations(range(p)), label="column permutation")
+    permuted = best_per_size(Dataset(X=design.X[:, perm], y=y), CandidateSet.all_subsets())
+    mapped = {s: tuple(sorted(perm[i] for i in m)) for s, m in masks_of(permuted).items()}
+    assert mapped == masks_of(table)
