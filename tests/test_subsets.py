@@ -1,5 +1,7 @@
 """Exhaustive-search checks against the batched-QR per-size oracle."""
 
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -165,23 +167,29 @@ def assert_matches(table, expect) -> None:
         assert abs(table.entries[s].rss - rss) <= 1e-9 * rss, s
 
 
-def test_correlated_designs_match_oracle(monkeypatch):
+@functools.cache
+def correlated_case(seed: int, p: int) -> tuple[Dataset, dict]:
+    """Factor-correlated design and its per-size oracle, built once per (seed, p)."""
+    scen = Scenario("correlated", n=2 * p + 12, p=p, p_active=p // 2,
+                    rho=0.8, group_size=4)
+    rng = np.random.default_rng([seed, p])
+    X = gen_correlated_design(scen, rng)
+    data = Dataset(X=X, y=gen_response(X, scen, rng))
+    return data, naive_best_per_size(data)
+
+
+@pytest.mark.parametrize("block", [1, 3, subsets._BLOCK])
+def test_correlated_designs_match_scan(monkeypatch, block):
     # factor-correlated groups keep many subtrees alive, so the blocks fill,
     # split and stack up; block sizes 1 and 3 force a split at every level
+    monkeypatch.setattr(subsets, "_BLOCK", block)
     for seed in range(3):
         for p in (12, 13, 14):
-            scen = Scenario("correlated", n=2 * p + 12, p=p, p_active=p // 2,
-                            rho=0.8, group_size=4)
-            rng = np.random.default_rng([seed, p])
-            X = gen_correlated_design(scen, rng)
-            data = Dataset(X=X, y=gen_response(X, scen, rng))
-            expect = naive_best_per_size(data)
-            for block in (1, 3, subsets._BLOCK):
-                monkeypatch.setattr(subsets, "_BLOCK", block)
-                table = best_per_size(data, CandidateSet.all_subsets())
-                assert_matches(table, expect)
-                assert table.skipped == 0
-                assert table.nodes < 2**p
+            data, expect = correlated_case(seed, p)
+            table = best_per_size(data, CandidateSet.all_subsets())
+            assert_matches(table, expect)
+            assert table.skipped == 0
+            assert table.nodes < 2**p
 
 
 def twin_dataset(seed: int, p: int, col: int, copy: int) -> Dataset:
