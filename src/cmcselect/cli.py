@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv as _csv
+import dataclasses
 import io
 import json
 import logging
@@ -19,18 +20,11 @@ import sys
 
 from . import __version__
 from .criteria import CRITERIA, SelectionReport, labels_for, select_many
-from .datasets import PROSTATE_ENV, PROSTATE_RESPONSE, load_prostate
-from .errors import (
-    ConfigError,
-    InputError,
-    MissingResponseError,
-    NumericalError,
-    ParseError,
-    TooFewRowsError,
-)
-from .linalg import Dataset, Mask, standardize
+from .datasets import PROSTATE_ENV, PROSTATE_RESPONSE, _read_table, _read_text, load_prostate
+from .errors import ConfigError, InputError, MissingResponseError, NumericalError, ParseError
+from .linalg import Dataset, standardize
 from .simulate import MonteCarloResult, Scenario, run_monte_carlo
-from .subsets import SUBSET_LIMIT_DEFAULT, CandidateSet
+from .subsets import CandidateSet
 
 _CRITERION_ALIASES = {
     "cmc": "cmc",
@@ -42,11 +36,10 @@ _CRITERION_ALIASES = {
 
 _ALPHAS = (0.9, 0.5, 0.1)
 
-# each built-in grid, one (row label, scenario, criteria, alphas, subset limit) per row
+# each built-in grid, one (row label, scenario, criteria, alphas) per row
 _TABLES = {
     1: [
-        (f"({n}, {p}, {pa})", Scenario("weak", n, p, pa), CRITERIA, _ALPHAS,
-         max(p, SUBSET_LIMIT_DEFAULT))
+        (f"({n}, {p}, {pa})", Scenario("weak", n, p, pa), CRITERIA, _ALPHAS)
         for n, p, pa in [
             (20, 10, 5), (30, 10, 5), (40, 10, 5), (50, 10, 5),
             (40, 20, 10), (60, 20, 10), (80, 20, 10), (100, 20, 10),
@@ -54,13 +47,11 @@ _TABLES = {
         ]
     ],
     2: [
-        (f"({n}, 20, 10) a={a:g}", Scenario("weak", n, 20, 10), ("cmc",), (a,),
-         SUBSET_LIMIT_DEFAULT)
+        (f"({n}, 20, 10) a={a:g}", Scenario("weak", n, 20, 10), ("cmc",), (a,))
         for n, a in [(40, 0.9), (60, 0.5), (100, 0.1)]
     ],
     3: [
-        (f"({rho:g}, {n})", Scenario("correlated", n, 20, 10, rho=rho), CRITERIA, _ALPHAS,
-         SUBSET_LIMIT_DEFAULT)
+        (f"({rho:g}, {n})", Scenario("correlated", n, 20, 10, rho=rho), CRITERIA, _ALPHAS)
         for rho, n in [
             (0.3, 40), (0.3, 60), (0.3, 100), (0.3, 200),
             (0.5, 40), (0.5, 60), (0.5, 100), (0.5, 200),
@@ -79,65 +70,23 @@ def load_csv(path: str, response_name: str) -> Dataset:
     predictors in file order.  Any non-numeric or missing cell is an
     error naming its 1-based row and column.
     """
-    try:
-        with open(path, newline="", encoding="utf-8-sig") as fh:
-            reader = _csv.reader(fh)
-            header = next(reader, None)
-            if header is None:
-                raise ParseError(f"{path}: empty file")
-            names = [h.strip() for h in header]
-            if len(set(names)) != len(names):
-                raise ParseError(f"{path}: duplicate column names in header")
-            if response_name not in names:
-                raise MissingResponseError(
-                    f"{path}: response column {response_name!r} not in header {names}"
-                )
-            rows: list[list[float]] = []
-            for r, cells in enumerate(reader, start=2):
-                if not cells or all(not c.strip() for c in cells):
-                    continue
-                if len(cells) != len(names):
-                    raise ParseError(
-                        f"{path}: row {r} has {len(cells)} cells, expected {len(names)}", row=r
-                    )
-                parsed = []
-                for c, cell in enumerate(cells):
-                    cell = cell.strip()
-                    if not cell:
-                        raise ParseError(
-                            f"{path}: row {r}, column {names[c]!r}: missing value",
-                            row=r, col=c + 1,
-                        )
-                    try:
-                        parsed.append(float(cell))
-                    except ValueError:
-                        raise ParseError(
-                            f"{path}: row {r}, column {names[c]!r}: not numeric: {cell!r}",
-                            row=r, col=c + 1,
-                        ) from None
-                rows.append(parsed)
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from exc
-    ri = names.index(response_name)
-    y = [row[ri] for row in rows]
-    X = [[v for i, v in enumerate(row) if i != ri] for row in rows]
-    pred_names = tuple(nm for i, nm in enumerate(names) if i != ri)
-    if len(rows) <= len(pred_names) + 1:
-        raise TooFewRowsError(
-            f"{path}: {len(rows)} usable rows for p={len(pred_names)} predictors; need n > p+1"
-        )
-    return Dataset(X=X, y=y, names=pred_names)
+    def pick(names: list[str]) -> list[int]:
+        if response_name not in names:
+            raise MissingResponseError(
+                f"{path}: response column {response_name!r} not in header {names}"
+            )
+        ri = names.index(response_name)
+        return [i for i in range(len(names)) if i != ri] + [ri]
+
+    names, table = _read_table(path, _read_text(path)[1], ",", pick)
+    names.remove(response_name)
+    return Dataset(X=table[:, :-1], y=table[:, -1], names=tuple(names))
 
 
 def read_candidate_list(path: str, names: tuple[str, ...]) -> CandidateSet:
     """Parse a text file of comma-separated variable names, one model per line."""
-    try:
-        with open(path, encoding="utf-8-sig") as fh:
-            text = fh.read()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from exc
-    masks: list[Mask] = []
-    for ln, line in enumerate(text.splitlines(), start=1):
+    masks: list[list[int]] = []
+    for ln, line in enumerate(_read_text(path)[1].splitlines(), start=1):
         line = line.strip()
         if not line:
             continue
@@ -147,7 +96,7 @@ def read_candidate_list(path: str, names: tuple[str, ...]) -> CandidateSet:
             if token not in names:
                 raise ParseError(f"{path}: line {ln}: unknown variable {token!r}", row=ln)
             idx.append(names.index(token))
-        masks.append(tuple(sorted(set(idx))))
+        masks.append(idx)
     if not masks:
         raise ParseError(f"{path}: no candidate models found")
     return CandidateSet.explicit(masks)
@@ -370,18 +319,7 @@ def run_select(args: argparse.Namespace) -> str:
 # --------------------------------------------------------- simulate / tables
 
 def _scenario_dict(sc: Scenario) -> dict:
-    return {
-        "kind": sc.kind,
-        "n": sc.n,
-        "p": sc.p,
-        "p_active": sc.p_active,
-        "rho": sc.rho,
-        "sigma": sc.sigma,
-        "beta0": sc.beta0,
-        "active_value": sc.active_value,
-        "group_size": sc.group_size,
-        "extension": sc.extension,
-    }
+    return {**dataclasses.asdict(sc), "extension": sc.extension}
 
 
 def _result_dict(res: MonteCarloResult) -> dict:
@@ -491,8 +429,8 @@ def run_tables(args: argparse.Namespace) -> str:
     """Reproduce one built-in experiment grid at a configurable rep count."""
     rows = [
         (label, run_monte_carlo(sc, criteria, alphas, reps=args.reps, seed=args.seed + i,
-                                threads=args.threads, limit=limit))
-        for i, (label, sc, criteria, alphas, limit) in enumerate(_TABLES[args.table])
+                                threads=args.threads))
+        for i, (label, sc, criteria, alphas) in enumerate(_TABLES[args.table])
     ]
     meta = {
         "command": "tables",

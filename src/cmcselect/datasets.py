@@ -1,9 +1,10 @@
-"""Prostate-cancer case-study fixture.
+"""Delimited-text reading and the prostate-cancer case-study fixture.
 
-The dataset (97 prostatectomy patients; response lpsa = log PSA, eight
-clinical predictors) is public but not redistributed here.  The loader
-reads the standard published file from an explicit path or the
-CMC_PROSTATE_PATH environment variable, validates its structure, and
+One reader parses every data file: `select --data` CSVs and the prostate
+file.  The prostate dataset (97 prostatectomy patients; response lpsa =
+log PSA, eight clinical predictors) is public but not redistributed here.
+The loader reads the standard published file from an explicit path or
+the CMC_PROSTATE_PATH environment variable, validates its structure, and
 logs the file's sha256 so runs are attributable to an exact input.
 """
 
@@ -14,6 +15,8 @@ import hashlib
 import logging
 import os
 from pathlib import Path
+
+import numpy as np
 
 from .errors import ParseError
 from .linalg import Dataset
@@ -30,6 +33,53 @@ FETCH_INSTRUCTION = (
     "https://hastie.su.domains/ElemStatLearn/datasets/prostate.data\n"
     f"export {PROSTATE_ENV}=$PWD/prostate.data"
 )
+
+
+def _read_text(path) -> tuple[bytes, str]:
+    """A file's bytes and their UTF-8 text, a leading byte-order mark dropped."""
+    try:
+        raw = Path(path).read_bytes()
+        return raw, raw.decode("utf-8-sig")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParseError(f"cannot read {path}: {exc}") from exc
+
+
+def _read_table(path, text: str, delimiter: str | None, pick) -> tuple[list[str], np.ndarray]:
+    """Parse header-first delimited text: the header names and an (n, k) array.
+
+    A None delimiter is a tab if the header line holds one, else a comma.
+    pick(names) gets the stripped, unique header names and returns the k
+    column indices to parse, in array order.  Blank rows are skipped; a
+    ragged row or an empty or non-numeric cell names its 1-based row and column.
+    """
+    lines = text.splitlines()
+    if not lines:
+        raise ParseError(f"{path}: empty file")
+    if delimiter is None:
+        delimiter = "\t" if "\t" in lines[0] else ","
+    reader = csv.reader(lines, delimiter=delimiter)
+    names = [h.strip() for h in next(reader)]
+    if len(set(names)) != len(names):
+        raise ParseError(f"{path}: duplicate column names in header")
+    cols = pick(names)
+    rows: list[list[float]] = []
+    for r, cells in enumerate(reader, start=2):
+        if not cells or all(not c.strip() for c in cells):
+            continue
+        if len(cells) != len(names):
+            raise ParseError(f"{path}: row {r} has {len(cells)} cells, expected {len(names)}", row=r)
+        row = []
+        for c in cols:
+            cell = cells[c].strip()
+            try:
+                row.append(float(cell))
+            except ValueError:
+                what = f"not numeric: {cell!r}" if cell else "missing value"
+                raise ParseError(
+                    f"{path}: row {r}, column {names[c]!r}: {what}", row=r, col=c + 1
+                ) from None
+        rows.append(row)
+    return names, np.array(rows, dtype=np.float64).reshape(len(rows), len(cols))
 
 
 def locate_prostate(path: str | os.PathLike | None = None) -> Path | None:
@@ -60,33 +110,17 @@ def load_prostate(path: str | os.PathLike | None = None) -> Dataset:
             "prostate fixture not found; fetch it and point "
             f"{PROSTATE_ENV} at it:\n{FETCH_INSTRUCTION}"
         )
-    try:
-        raw = resolved.read_bytes()
-        lines = raw.decode("utf-8").splitlines()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ParseError(f"cannot read {resolved}: {exc}") from exc
+    raw, text = _read_text(resolved)
     log.info("prostate fixture %s sha256=%s", resolved, hashlib.sha256(raw).hexdigest())
-    if not lines:
-        raise ParseError(f"{resolved}: empty file")
-    reader = csv.reader(lines, delimiter="\t" if "\t" in lines[0] else ",")
-    header = [h.strip() for h in next(reader)]
-    needed = set(PROSTATE_PREDICTORS) | {PROSTATE_RESPONSE}
-    missing = needed - set(header)
-    if missing:
-        raise ParseError(f"{resolved}: missing expected column(s) {sorted(missing)}")
-    keep = {name: header.index(name) for name in needed}
-    rows: list[list[float]] = []
-    for r, cells in enumerate(reader, start=2):
-        if not cells or all(not c.strip() for c in cells):
-            continue
-        if len(cells) != len(header):
-            raise ParseError(f"{resolved}: row {r} has {len(cells)} cells, expected {len(header)}", row=r)
-        try:
-            rows.append([float(cells[keep[name]]) for name in (*PROSTATE_PREDICTORS, PROSTATE_RESPONSE)])
-        except ValueError as exc:
-            raise ParseError(f"{resolved}: row {r}: {exc}", row=r) from exc
-    if len(rows) != PROSTATE_ROWS:
-        raise ParseError(f"{resolved}: expected {PROSTATE_ROWS} data rows, found {len(rows)}")
-    X = [row[:-1] for row in rows]
-    y = [row[-1] for row in rows]
-    return Dataset(X=X, y=y, names=PROSTATE_PREDICTORS)
+    columns = (*PROSTATE_PREDICTORS, PROSTATE_RESPONSE)
+
+    def pick(names: list[str]) -> list[int]:
+        missing = set(columns) - set(names)
+        if missing:
+            raise ParseError(f"{resolved}: missing expected column(s) {sorted(missing)}")
+        return [names.index(name) for name in columns]
+
+    table = _read_table(resolved, text, None, pick)[1]
+    if len(table) != PROSTATE_ROWS:
+        raise ParseError(f"{resolved}: expected {PROSTATE_ROWS} data rows, found {len(table)}")
+    return Dataset(X=table[:, :-1], y=table[:, -1], names=PROSTATE_PREDICTORS)

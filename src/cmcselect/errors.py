@@ -47,7 +47,7 @@ class ConstantColumnError(InputError):
 
 
 class LimitExceededError(InputError):
-    """Exhaustive enumeration requested beyond the configured size limit."""
+    """Exhaustive search requested over more than subsets.SUBSET_LIMIT predictors."""
 
 
 class ConfigError(InputError):

@@ -23,8 +23,6 @@ from .errors import (
 
 Mask = tuple[int, ...]
 
-EMPTY_MASK: Mask = ()
-
 # relative floor on the QR diagonal below which columns count as collinear
 RANK_TOL = 1e-10
 
@@ -54,7 +52,8 @@ class Dataset:
     ----------
     X : (n, p) array_like
         Predictor values; the intercept column is implicit, so the
-        effective design has q = p+1 columns.
+        effective design has q = p+1 columns, and n <= p+1 (no residual
+        degree of freedom) raises TooFewRowsError.
     y : (n,) array_like
         Response values.
     names : sequence of p unique strings, optional
@@ -77,8 +76,8 @@ class Dataset:
         if not np.all(np.isfinite(X)) or not np.all(np.isfinite(y)):
             raise DimensionMismatchError("X and y entries must all be finite")
         n, p = X.shape
-        if n <= p:
-            raise TooFewRowsError(f"need n > p for the full-model fit, got n={n}, p={p}")
+        if n <= p + 1:
+            raise TooFewRowsError(f"need n > p+1 rows for the full-model fit, got n={n}, p={p}")
         names = tuple(self.names) if self.names else tuple(f"x{i+1}" for i in range(p))
         if len(names) != p or len(set(names)) != p:
             raise DimensionMismatchError(f"names must be {p} unique labels, got {names!r}")
@@ -141,8 +140,6 @@ def fit_subset(data: Dataset, mask) -> FitSummary:
     mask = as_mask(mask, data.p)
     n = data.n
     k = len(mask)
-    if k + 1 > n:
-        raise DimensionMismatchError(f"mask of size {k} needs n > {k}, got n={n}")
     A = np.empty((n, k + 1))
     A[:, 0] = 1.0
     if k:
@@ -180,16 +177,12 @@ def full_fit(data: Dataset) -> FullFit:
 
     Raises
     ------
-    TooFewRowsError
-        If n <= q (no residual degrees of freedom).
     RankDeficientError
         If the full design is collinear.
     DegenerateFitError
         If the response is constant, or the full-model RSS is zero up to
         DEGENERATE_TOL relative to the centered TSS.
     """
-    if data.n <= data.q:
-        raise TooFewRowsError(f"variance estimate needs n > q, got n={data.n}, q={data.q}")
     rss = fit_subset(data, full_mask(data.p)).rss
     tss = float(np.square(data.y - data.y.mean()).sum())
     if np.ptp(data.y) == 0.0 or rss <= DEGENERATE_TOL * tss:

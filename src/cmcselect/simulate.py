@@ -23,7 +23,7 @@ import numpy as np
 from .criteria import CRITERIA, RatePair, classify, labels_for, select_many
 from .errors import ConfigError, DomainError, RankDeficientError, TooFewRowsError
 from .linalg import Dataset
-from .subsets import SUBSET_LIMIT_DEFAULT, CandidateSet
+from .subsets import CandidateSet
 
 # reference correlated shape (p, p_active, group_size); anything else is an extension
 _REFERENCE_CORRELATED = (20, 10, 5)
@@ -37,7 +37,8 @@ class Scenario:
 
     The response is beta0 + active_value * (sum of the first p_active
     columns) + sigma * noise.  rho and group_size matter only for the
-    correlated kind; a weak scenario refuses a nonzero rho.
+    correlated kind; a weak scenario refuses a nonzero rho.  n <= p+1
+    raises TooFewRowsError, any other bad shape or value ConfigError.
     """
 
     kind: str
@@ -55,6 +56,8 @@ class Scenario:
             raise ConfigError(f"scenario kind must be 'weak' or 'correlated', got {self.kind!r}")
         if not (self.n >= 1 and self.p >= 1):
             raise ConfigError(f"need n, p >= 1, got n={self.n}, p={self.p}")
+        if self.n <= self.p + 1:
+            raise TooFewRowsError(f"need n > p+1, got n={self.n}, p={self.p}")
         if not (0 <= self.p_active <= self.p):
             raise ConfigError(f"p_active must lie in [0, p], got {self.p_active}")
         if not (0.0 <= self.rho < 1.0):
@@ -64,10 +67,11 @@ class Scenario:
         if not (self.sigma > 0.0 and math.isfinite(self.sigma)):
             raise ConfigError(f"sigma must be positive, got {self.sigma}")
         if self.kind == "correlated":
-            cap = min(self.p_active, self.p - self.p_active)
-            if not (1 <= self.group_size <= cap):
+            g = self.group_size
+            if not (1 <= g <= min(self.p_active, self.p - self.p_active)):
                 raise ConfigError(
-                    f"group_size must lie in [1, {cap}] for this shape, got {self.group_size}"
+                    f"correlated groups of group_size={g} need 1 <= group_size <= p_active "
+                    f"and group_size <= p - p_active, got p_active={self.p_active}, p={self.p}"
                 )
 
     @property
@@ -146,9 +150,9 @@ def _gen_design(scenario: Scenario, rng: np.random.Generator) -> np.ndarray:
 
 def _replicate(args) -> tuple[int, list[float], list[float], int]:
     """One replication: fresh data, select_many, classification rates."""
-    scenario, criteria, alphas, seed, rep, limit = args
+    scenario, criteria, alphas, seed, rep = args
     rng = np.random.default_rng([seed, rep])
-    cands = CandidateSet.all_subsets(limit=limit)
+    cands = CandidateSet.all_subsets()
     regen = 0
     while True:
         X = _gen_design(scenario, rng)
@@ -172,13 +176,14 @@ def run_monte_carlo(
     reps: int = 100,
     seed: int = 1,
     threads: int = 1,
-    limit: int = SUBSET_LIMIT_DEFAULT,
 ) -> MonteCarloResult:
     """Average classification rates of each criterion over seeded replications.
 
     Parameters
     ----------
     scenario : Scenario
+        Its p must not exceed subsets.SUBSET_LIMIT: the first replicate's
+        search raises LimitExceededError.
     criteria : sequence of {"adjr2", "cp_aic", "bic", "cmc"}
     alphas : sequence of floats, one cmc column per value
         Result labels come from labels_for, which validates the request.
@@ -189,8 +194,6 @@ def run_monte_carlo(
     threads : int
         Worker processes, at most `reps` of them start; results are
         identical for any value.
-    limit : int
-        Subset-engine size limit (raise above 25 for p up to ~32).
 
     Returns
     -------
@@ -203,12 +206,10 @@ def run_monte_carlo(
     criteria = tuple(criteria)
     alphas = tuple(float(a) for a in alphas)
     labels = labels_for(criteria, alphas)
-    if scenario.n <= scenario.p + 1:
-        raise TooFewRowsError(f"need n > p+1, got n={scenario.n}, p={scenario.p}")
     fir = np.empty((reps, len(labels)))
     far = np.empty((reps, len(labels)))
     regenerated = 0
-    tasks = ((scenario, criteria, alphas, seed, r, limit) for r in range(reps))
+    tasks = ((scenario, criteria, alphas, seed, r) for r in range(reps))
     # a pool starts all its workers at once, so never more than there are reps
     workers = min(threads, reps)
     if workers == 1:

@@ -323,6 +323,28 @@ def test_simulate_exit_codes(capsys):
     assert main(["simulate", "--n", "25", "--p", "4", "--p-active", "2",
                  "--rho", "0.5", "--reps", "2", "--threads", "1"]) == 2
     capsys.readouterr()
+    # n = p+1 leaves no residual degree of freedom
+    assert main(["simulate", "--n", "11", "--p", "10", "--p-active", "5",
+                 "--reps", "1", "--threads", "1"]) == 2
+    assert "n > p+1" in capsys.readouterr().err
+    # beyond the exhaustive-search limit of 30 predictors
+    assert main(["simulate", "--n", "40", "--p", "31", "--p-active", "5",
+                 "--reps", "1", "--threads", "1"]) == 2
+    assert "p=31" in capsys.readouterr().err
+    # the default groups of 5 do not fit 4 active columns; the error names
+    # what the command line can change
+    assert main(["simulate", "--scenario", "correlated", "--n", "40", "--p", "8",
+                 "--p-active", "4", "--rho", "0.5", "--threads", "1"]) == 2
+    assert "p_active" in capsys.readouterr().err
+
+
+def test_simulate_at_the_subset_limit(capsys):
+    # p = 30 is searched exhaustively; a strong signal keeps the search short
+    assert main(["simulate", "--n", "200", "--p", "30", "--p-active", "15", "--sigma", "0.1",
+                 "--reps", "1", "--threads", "1", "--format", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["results"][0]["scenario"]["p"] == 30
+    assert doc["results"][0]["rates"]["bic"] == {"fir": 0.0, "far": 0.0, "zero_fraction": 1.0}
 
 
 def test_tables_two_structure(capsys):

@@ -48,12 +48,15 @@ def test_load_esl_layout(tmp_path):
 
 
 def test_load_plain_csv_any_column_order(tmp_path):
-    f = tmp_path / "prostate.csv"
-    write_plain_csv(f, order=("lpsa",) + PROSTATE_PREDICTORS[::-1])
-    data = load_prostate(f)
-    assert data.names == PROSTATE_PREDICTORS
-    np.testing.assert_array_equal(data.X[:, 2], [cell(r, 2) for r in range(PROSTATE_ROWS)])
-    np.testing.assert_array_equal(data.y, [cell(r, 8) for r in range(PROSTATE_ROWS)])
+    # spreadsheet exports often start UTF-8 files with a byte-order mark
+    for bom in (b"", b"\xef\xbb\xbf"):
+        f = tmp_path / "prostate.csv"
+        write_plain_csv(f, order=("lpsa",) + PROSTATE_PREDICTORS[::-1])
+        f.write_bytes(bom + f.read_bytes())
+        data = load_prostate(f)
+        assert data.names == PROSTATE_PREDICTORS
+        np.testing.assert_array_equal(data.X[:, 2], [cell(r, 2) for r in range(PROSTATE_ROWS)])
+        np.testing.assert_array_equal(data.y, [cell(r, 8) for r in range(PROSTATE_ROWS)])
 
 
 def test_wrong_row_count(tmp_path):
@@ -68,19 +71,24 @@ def test_missing_column(tmp_path):
     write_plain_csv(f, order=[c for c in COLUMNS if c != "svi"])
     with pytest.raises(ParseError, match="svi"):
         load_prostate(f)
+    # a repeated name would make the column it stands for ambiguous
+    write_plain_csv(f, order=COLUMNS + ("age",))
+    with pytest.raises(ParseError, match="duplicate"):
+        load_prostate(f)
 
 
 def test_non_numeric_cell(tmp_path):
     f = tmp_path / "prostate.csv"
-    write_plain_csv(f)
-    body = f.read_text().splitlines()
-    parts = body[13].split(",")
-    parts[2] = "high"
-    body[13] = ",".join(parts)
-    f.write_text("\n".join(body) + "\n")
-    with pytest.raises(ParseError) as err:
-        load_prostate(f)
-    assert err.value.row == 14
+    for value in ("high", ""):
+        write_plain_csv(f)
+        body = f.read_text().splitlines()
+        parts = body[13].split(",")
+        parts[2] = value
+        body[13] = ",".join(parts)
+        f.write_text("\n".join(body) + "\n")
+        with pytest.raises(ParseError) as err:
+            load_prostate(f)
+        assert (err.value.row, err.value.col) == (14, 3)
 
 
 def test_ragged_row(tmp_path):

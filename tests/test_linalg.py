@@ -57,12 +57,13 @@ def test_mask_helpers():
 def test_dataset_validation():
     with pytest.raises(DimensionMismatchError):
         Dataset(X=np.zeros((3, 2)), y=np.zeros(4))
+    # n = p+1 leaves the full model no residual degree of freedom
     with pytest.raises(TooFewRowsError):
-        Dataset(X=np.zeros((2, 2)), y=np.zeros(2))
+        Dataset(X=np.zeros((3, 2)), y=np.zeros(3))
     with pytest.raises(DimensionMismatchError):
         Dataset(X=np.array([[np.nan], [1.0], [2.0]]), y=np.zeros(3))
     with pytest.raises(DimensionMismatchError):
-        Dataset(X=np.zeros((3, 2)), y=np.zeros(3), names=("a",))
+        Dataset(X=np.zeros((4, 2)), y=np.zeros(4), names=("a",))
     data = Dataset(X=np.zeros((3, 1)) + np.arange(3)[:, None], y=np.arange(3.0))
     assert data.names == ("x1",)
     assert not data.X.flags.writeable
@@ -141,10 +142,13 @@ def test_degenerate_full_fit():
 
 
 def test_variance_needs_residual_df():
+    # the dataset itself refuses n = p+1, so full_fit's sigma2 always has n - q >= 1
     X = np.array([[0.0, 1.0], [1.0, 0.0], [2.0, 3.0]])
-    data = Dataset(X=X, y=np.array([1.0, 2.0, 3.0]))
     with pytest.raises(TooFewRowsError):
-        full_fit(data)
+        Dataset(X=X, y=np.array([1.0, 2.0, 3.0]))
+    X4 = np.vstack([X, [[3.0, 1.0]]])
+    full = full_fit(Dataset(X=X4, y=np.array([1.0, 2.0, 3.0, 5.0])))
+    assert full.n - full.q == 1
 
 
 def test_standardize_moments_and_idempotence():

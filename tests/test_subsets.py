@@ -39,21 +39,26 @@ def test_explicit_out_of_range_mask():
         best_per_size(data, cands)
 
 
-def test_limit_guard():
-    rng = np.random.default_rng(6)
-    data = random_dataset(rng, 20, 6)
-    with pytest.raises(LimitExceededError):
-        best_per_size(data, CandidateSet.all_subsets(limit=5))
-    best_per_size(data, CandidateSet.all_subsets(limit=6))
+def test_limit_guard(monkeypatch):
+    # a stub search that only records p: this checks the guard, not the engine
+    searched = []
 
+    def stub_search(G, b, tss, p):
+        searched.append(p)
+        return [()], 0, 0
 
-def test_limit_default_is_twenty_five():
+    monkeypatch.setattr(subsets, "_leaps_and_bounds", stub_search)
     rng = np.random.default_rng(8)
-    X = rng.standard_normal((30, 26))
-    y = rng.standard_normal(30)
-    data = Dataset(X=X, y=y)
-    with pytest.raises(LimitExceededError):
+    limit = subsets.SUBSET_LIMIT
+    best_per_size(random_dataset(rng, limit + 9, limit), CandidateSet.all_subsets())
+    assert searched == [limit]
+    data = random_dataset(rng, limit + 10, limit + 1)
+    with pytest.raises(LimitExceededError, match=f"p={limit + 1}"):
         best_per_size(data, CandidateSet.all_subsets())
+    assert searched == [limit]
+    # the limit bounds the search, not the data: an explicit list still fits
+    table = best_per_size(data, CandidateSet.explicit([(0, 3), tuple(range(limit + 1))]))
+    assert table.sizes() == [2, limit + 1]
 
 
 def test_matches_naive_oracle_both_paths():
