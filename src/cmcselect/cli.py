@@ -244,7 +244,7 @@ def _select_table(reports: list[SelectionReport], names: tuple[str, ...]) -> str
             kap = f"{rep.kappa:.6g}" if math.isfinite(rep.kappa) else "inf"
             print(f"lambda = {rep.lambda_:.6g}   kappa = {kap}", file=buf)
         print("coefficients:", file=buf)
-        width = max(len("intercept"), *(len(nm) for nm in names)) + 2
+        width = max(map(len, ("intercept", *names))) + 2
         print(f"  {'intercept':<{width}}{rep.fit.beta[0]: .4f}", file=buf)
         for i in rep.chosen:
             print(f"  {names[i]:<{width}}{rep.fit.beta[i + 1]: .4f}", file=buf)

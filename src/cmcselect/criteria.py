@@ -229,7 +229,8 @@ def select_many(
 ) -> list[SelectionReport]:
     """Every requested criterion on one dataset, from one search.
 
-    One full-model fit and one per-size table serve all criteria; each
+    One per-size table serves all criteria, and the full-model
+    statistics come from its size-p entry when it has one; each
     report's fit is the table entry of its chosen size.
 
     Parameters
@@ -247,8 +248,20 @@ def select_many(
         order of labels_for(criteria, alphas), which validates the request.
     """
     labels_for(criteria, alphas)
-    full = full_fit(data)
     per_size = best_per_size(data, candidates or CandidateSet.all_subsets())
+    return _reports(per_size, _full_from_table(data, per_size), criteria, alphas)
+
+
+def _full_from_table(data: Dataset, per_size: PerSizeBest) -> FullFit:
+    """full_fit of the data, reusing the table's size-p entry when there is one."""
+    return full_fit(data, per_size.entries.get(data.p))
+
+
+def _reports(per_size: PerSizeBest, full: FullFit, criteria, alphas) -> list[SelectionReport]:
+    """One report per criterion and cmc alpha, in labels_for order, from one table.
+
+    The request is not validated here; select_many and run_monte_carlo do that.
+    """
 
     def report(criterion, alpha, kap, size, scores) -> SelectionReport:
         fit = per_size.entries[size]
@@ -267,7 +280,7 @@ def select_many(
     for c in criteria:
         if c == "cmc":
             for a in alphas:
-                kap = kappa(a, data.q, data.n)
+                kap = kappa(a, full.q, full.n)
                 reports.append(report(c, a, kap, *cmc_from_table(per_size, full, kap)))
         else:
             reports.append(report(c, None, None, *ic_from_table(per_size, full, c)))

@@ -2,9 +2,9 @@
 
 Every model is identified by a mask of predictor indices; the intercept is
 implicit and never part of the mask.  Fits go through a Householder QR of
-the selected columns, and coefficient vectors come back dense (length p+1,
-exact zeros at excluded positions) so downstream consumers never need to
-know which columns were dropped.
+the selected columns, stacked over fits of one shape, and coefficient
+vectors come back dense (length p+1, exact zeros at excluded positions)
+so downstream consumers never need to know which columns were dropped.
 """
 
 from __future__ import annotations
@@ -119,8 +119,53 @@ class FitSummary:
         object.__setattr__(self, "beta", beta)
 
 
+def _fit_stack(datas, masks) -> list[FitSummary | None]:
+    """QR-fit K (dataset, mask) pairs of one shape and one mask size as one stack.
+
+    The (K, n, k+1) designs go through one batched QR, one solve and
+    one batch of products.  These are the calls a lone fit makes, with a
+    stack axis, and they run per matrix, so each member's beta and rss
+    carry the same bits at any K and any stack position.  A member whose
+    R diagonal fails the RANK_TOL ratio test comes back as None; the
+    others are unaffected.
+    """
+    n = datas[0].n
+    k = len(masks[0])
+    A = np.empty((len(datas), n, k + 1))
+    A[:, :, 0] = 1.0
+    Y = np.empty((len(datas), n))
+    for i, (data, mask) in enumerate(zip(datas, masks)):
+        if k:
+            A[i, :, 1:] = data.X[:, mask]
+        Y[i] = data.y
+    Q, R = np.linalg.qr(A)
+    diag = np.abs(np.diagonal(R, axis1=1, axis2=2))
+    ok = diag.min(axis=1) > RANK_TOL * diag.max(axis=1)
+    if not ok.all():
+        # a collinear member's R may be singular; solve it against the identity
+        # instead, so it cannot fail the others' solve, and drop its result
+        R[~ok] = np.eye(k + 1)
+    coef = np.linalg.solve(R, Q.transpose(0, 2, 1) @ Y[:, :, None])
+    resid = Y - (A @ coef)[:, :, 0]
+    rss = (resid[:, None, :] @ resid[:, :, None])[:, 0, 0]
+    fits: list[FitSummary | None] = []
+    for i, (data, mask) in enumerate(zip(datas, masks)):
+        if not ok[i]:
+            fits.append(None)
+            continue
+        beta = np.zeros(data.q)
+        beta[0] = coef[i, 0, 0]
+        if k:
+            beta[np.asarray(mask) + 1] = coef[i, 1:, 0]
+        fits.append(FitSummary(mask=mask, beta=beta, rss=float(rss[i]), df_resid=n - (k + 1)))
+    return fits
+
+
 def fit_subset(data: Dataset, mask) -> FitSummary:
     """Exact least squares over the selected columns plus intercept.
+
+    This is the one-member stack of the fitter that also fits the
+    per-size tables, so it gives the same bits as a table entry.
 
     Parameters
     ----------
@@ -138,24 +183,10 @@ def fit_subset(data: Dataset, mask) -> FitSummary:
         RANK_TOL (relative, on the QR diagonal).
     """
     mask = as_mask(mask, data.p)
-    n = data.n
-    k = len(mask)
-    A = np.empty((n, k + 1))
-    A[:, 0] = 1.0
-    if k:
-        A[:, 1:] = data.X[:, mask]
-    Q, R = np.linalg.qr(A)
-    diag = np.abs(np.diag(R))
-    if diag.min() <= RANK_TOL * diag.max():
+    fit = _fit_stack([data], [mask])[0]
+    if fit is None:
         raise RankDeficientError(f"columns for mask {mask} are collinear beyond tolerance")
-    coef = np.linalg.solve(R, Q.T @ data.y)
-    resid = data.y - A @ coef
-    rss = float(resid @ resid)
-    beta = np.zeros(data.q)
-    beta[0] = coef[0]
-    if k:
-        beta[np.asarray(mask) + 1] = coef[1:]
-    return FitSummary(mask=mask, beta=beta, rss=rss, df_resid=n - (k + 1))
+    return fit
 
 
 @dataclass(frozen=True)
@@ -172,8 +203,11 @@ class FullFit:
     tss: float
 
 
-def full_fit(data: Dataset) -> FullFit:
+def full_fit(data: Dataset, fit: FitSummary | None = None) -> FullFit:
     """Validated full-model statistics; sigma2 = rss / (n - q), tss is the centered TSS.
+
+    fit, when given, is the full mask's fit_subset fit (a per-size
+    table's size-p entry), which is then not fitted again.
 
     Raises
     ------
@@ -182,8 +216,14 @@ def full_fit(data: Dataset) -> FullFit:
     DegenerateFitError
         If the response is constant, or the full-model RSS is zero up to
         DEGENERATE_TOL relative to the centered TSS.
+    DimensionMismatchError
+        If fit is not a fit of the full mask.
     """
-    rss = fit_subset(data, full_mask(data.p)).rss
+    if fit is None:
+        fit = fit_subset(data, full_mask(data.p))
+    elif fit.mask != full_mask(data.p):
+        raise DimensionMismatchError(f"full_fit needs the full mask's fit, got mask {fit.mask}")
+    rss = fit.rss
     tss = float(np.square(data.y - data.y.mean()).sum())
     if np.ptp(data.y) == 0.0 or rss <= DEGENERATE_TOL * tss:
         raise DegenerateFitError("full-model residual sum of squares is numerically zero")

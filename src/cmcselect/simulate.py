@@ -5,30 +5,43 @@ factor-correlated: the first `group_size` active columns share one latent
 factor and the first `group_size` inactive columns share another, mixed
 with weight w chosen so the within-group correlation is a requested rho.
 Each replication draws a fresh design and response from a child generator
-keyed by (seed, replication index), runs select_many on it (the selector a
-user runs on one dataset), and classifies each chosen mask against the
-true active set;
-results are merged by replication index, so a run is bit-identical for a
-fixed (seed, reps) no matter how many worker processes are used.
+keyed by (seed, replication index), selects on it as select_many does
+(the selector a user runs on one dataset), and classifies each chosen
+mask against the true active set.  Replications run in chunks: a
+chunk's datasets get their per-size tables from one best_per_size call,
+which stacks the QR refits of one model size into one call, bit-identical
+to lone fits.  Results are merged by replication index, so a run is
+bit-identical for a fixed (seed, reps) no matter how many worker
+processes are used.
 """
 
 from __future__ import annotations
 
+import logging
 import math
+import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .criteria import CRITERIA, RatePair, classify, labels_for, select_many
+from .criteria import CRITERIA, RatePair, _full_from_table, _reports, classify, labels_for
 from .errors import ConfigError, DomainError, RankDeficientError, TooFewRowsError
 from .linalg import Dataset
-from .subsets import CandidateSet
+from .subsets import CandidateSet, best_per_size
+
+log = logging.getLogger(__name__)
 
 # reference correlated shape (p, p_active, group_size); anything else is an extension
 _REFERENCE_CORRELATED = (20, 10, 5)
 
 _MAX_REGEN = 10
+
+# most reps per chunk: a serial (400, 30) run then stacks about 3 MB per array
+_MAX_CHUNK = 32
+
+# least seconds between two progress lines
+_PROGRESS_EVERY_S = 10.0
 
 
 @dataclass(frozen=True)
@@ -148,25 +161,42 @@ def _gen_design(scenario: Scenario, rng: np.random.Generator) -> np.ndarray:
     return gen_correlated_design(scenario, rng)
 
 
-def _replicate(args) -> tuple[int, list[float], list[float], int]:
-    """One replication: fresh data, select_many, classification rates."""
-    scenario, criteria, alphas, seed, rep = args
-    rng = np.random.default_rng([seed, rep])
+def _run_chunk(args) -> list[tuple[int, list[float], list[float], int]]:
+    """A chunk of replications: fresh data per rep, one table search call, classification.
+
+    Each rep draws from its own stream.  The chunk's datasets get their
+    tables from one best_per_size call, and each table becomes reports
+    through the code select_many uses.  A rep whose full design is
+    collinear is redrawn from its stream and searched again with the
+    other redrawn reps.
+    """
+    scenario, criteria, alphas, seed, reps = args
     cands = CandidateSet.all_subsets()
-    regen = 0
-    while True:
-        X = _gen_design(scenario, rng)
-        data = Dataset(X=X, y=gen_response(X, scenario, rng))
-        try:
-            reports = select_many(data, criteria, alphas, cands)
-            break
-        except RankDeficientError:
-            # the full design is collinear: redraw
-            regen += 1
-            if regen > _MAX_REGEN:
-                raise
-    rates = [classify(r.chosen, scenario.truth, scenario.p) for r in reports]
-    return rep, [r.fir for r in rates], [r.far for r in rates], regen
+    rngs = {r: np.random.default_rng([seed, r]) for r in reps}
+    regen = dict.fromkeys(reps, 0)
+    out = []
+    pending = list(reps)
+    while pending:
+        datas = []
+        for r in pending:
+            X = _gen_design(scenario, rngs[r])
+            datas.append(Dataset(X=X, y=gen_response(X, scenario, rngs[r])))
+        redraw = []
+        for r, data, table in zip(pending, datas, best_per_size(datas, cands)):
+            try:
+                full = _full_from_table(data, table)
+            except RankDeficientError:
+                # the full design is collinear: redraw
+                regen[r] += 1
+                if regen[r] > _MAX_REGEN:
+                    raise
+                redraw.append(r)
+                continue
+            rates = [classify(rep.chosen, scenario.truth, scenario.p)
+                     for rep in _reports(table, full, criteria, alphas)]
+            out.append((r, [x.fir for x in rates], [x.far for x in rates], regen[r]))
+        pending = redraw
+    return out
 
 
 def run_monte_carlo(
@@ -179,10 +209,15 @@ def run_monte_carlo(
 ) -> MonteCarloResult:
     """Average classification rates of each criterion over seeded replications.
 
+    Replications run in chunks of up to 32, each chunk's tables fitted
+    together; a chunk's results are bit-identical to one-at-a-time
+    select_many runs.  Once a chunk completes, and at most every 10 s,
+    progress (reps done, elapsed time, ETA) is logged at INFO.
+
     Parameters
     ----------
     scenario : Scenario
-        Its p must not exceed subsets.SUBSET_LIMIT: the first replicate's
+        Its p must not exceed subsets.SUBSET_LIMIT: the first chunk's
         search raises LimitExceededError.
     criteria : sequence of {"adjr2", "cp_aic", "bic", "cmc"}
     alphas : sequence of floats, one cmc column per value
@@ -209,19 +244,31 @@ def run_monte_carlo(
     fir = np.empty((reps, len(labels)))
     far = np.empty((reps, len(labels)))
     regenerated = 0
-    tasks = ((scenario, criteria, alphas, seed, r) for r in range(reps))
     # a pool starts all its workers at once, so never more than there are reps
     workers = min(threads, reps)
+    size = min(_MAX_CHUNK, max(1, reps // (workers * 8)))
+    tasks = [(scenario, criteria, alphas, seed, range(lo, min(lo + size, reps)))
+             for lo in range(0, reps, size)]
     if workers == 1:
-        results = map(_replicate, tasks)
+        results = map(_run_chunk, tasks)
     else:
         pool = ProcessPoolExecutor(max_workers=workers)
-        results = pool.map(_replicate, tasks, chunksize=max(1, reps // (workers * 8)))
+        results = pool.map(_run_chunk, tasks)
+    start = last = time.monotonic()
+    done = 0
     try:
-        for rep, firs, fars, regen in results:
-            fir[rep] = firs
-            far[rep] = fars
-            regenerated += regen
+        for chunk in results:
+            for rep, firs, fars, regen in chunk:
+                fir[rep] = firs
+                far[rep] = fars
+                regenerated += regen
+            done += len(chunk)
+            now = time.monotonic()
+            if now - last >= _PROGRESS_EVERY_S:
+                last = now
+                elapsed = now - start
+                log.info("%d/%d reps done, %.1f s elapsed, ETA %.1f s",
+                         done, reps, elapsed, elapsed / done * (reps - done))
     finally:
         if workers != 1:
             pool.shutdown()

@@ -20,18 +20,21 @@ _BLOCK nodes per numpy call, from a depth-first stack of blocks.
 Intercepts are handled exactly by centering: the RSS of a subset fitted
 with an intercept equals the RSS of the centered regression on the same
 columns, so the search runs on the centered Gram matrix and winners are
-re-fit through the QR path; those fits are the table's entries.
+re-fit by QR; those fits are the table's entries.  The refits of one
+call are stacked by model size, across its datasets when it is given
+several of one shape, and each carries the bits a lone fit_subset gives.
 """
 
 from __future__ import annotations
 
 import logging
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError, LimitExceededError, RankDeficientError
-from .linalg import Dataset, FitSummary, Mask, fit_subset
+from .errors import DimensionMismatchError, LimitExceededError
+from .linalg import Dataset, FitSummary, Mask, _fit_stack, as_mask
 
 log = logging.getLogger(__name__)
 
@@ -241,26 +244,41 @@ def _leaps_and_bounds(G, b, tss, p: int) -> tuple[list[Mask | None], int, int]:
     return masks, skipped, nodes
 
 
-def _fit_table(data: Dataset, masks, skipped: int, nodes: int = 0) -> PerSizeBest:
-    """QR-fit each mask and keep the lowest RSS per size, ties to the smaller mask."""
-    entries: dict[int, FitSummary] = {}
-    for mask in masks:
-        try:
-            fit = fit_subset(data, mask)
-        except RankDeficientError:
-            skipped += 1
-            continue
-        s = len(fit.mask)
-        cur = entries.get(s)
-        if cur is None or fit.rss < cur.rss or (fit.rss == cur.rss and fit.mask < cur.mask):
-            entries[s] = fit
-    if skipped:
-        log.info("skipped %d rank-deficient subset(s)", skipped)
-    log.debug("search evaluated %d node(s), skipped %d subset(s)", nodes, skipped)
-    return PerSizeBest(entries=entries, skipped=skipped, nodes=nodes)
+def _fit_tables(datas, searches) -> list[PerSizeBest]:
+    """QR-fit each dataset's masks, stacking same-size masks across datasets.
+
+    searches holds one (masks, skipped, nodes) per dataset.  Per dataset,
+    keeps the lowest RSS per size, ties to the smaller mask.
+    """
+    by_size: dict[int, list[tuple[int, Mask]]] = {}
+    for d, (masks, _, _) in enumerate(searches):
+        for mask in masks:
+            by_size.setdefault(len(mask), []).append((d, mask))
+    fits: dict[tuple[int, Mask], FitSummary | None] = {}
+    for pairs in by_size.values():
+        fits.update(zip(pairs, _fit_stack([datas[d] for d, _ in pairs], [m for _, m in pairs])))
+    tables = []
+    for d, (masks, skipped, nodes) in enumerate(searches):
+        entries: dict[int, FitSummary] = {}
+        for mask in masks:
+            fit = fits[d, mask]
+            if fit is None:
+                skipped += 1
+                continue
+            s = len(fit.mask)
+            cur = entries.get(s)
+            if cur is None or fit.rss < cur.rss or (fit.rss == cur.rss and fit.mask < cur.mask):
+                entries[s] = fit
+        if skipped:
+            log.info("skipped %d rank-deficient subset(s)", skipped)
+        log.debug("search evaluated %d node(s), skipped %d subset(s)", nodes, skipped)
+        tables.append(PerSizeBest(entries=entries, skipped=skipped, nodes=nodes))
+    return tables
 
 
-def best_per_size(data: Dataset, cands: CandidateSet) -> PerSizeBest:
+def best_per_size(
+    data: Dataset | Sequence[Dataset], cands: CandidateSet
+) -> PerSizeBest | list[PerSizeBest]:
     """The minimum-RSS subset at every size present in the candidate set.
 
     "all" runs the leaps-and-bounds search, and raises LimitExceededError
@@ -268,22 +286,40 @@ def best_per_size(data: Dataset, cands: CandidateSet) -> PerSizeBest:
 
     Parameters
     ----------
-    data : Dataset
+    data : Dataset, or a sequence of Datasets of one shape
+        A sequence is searched one dataset at a time, and the winners of
+        all of them are fitted together: one stacked QR per model size.
     cands : CandidateSet
 
     Returns
     -------
-    PerSizeBest
+    PerSizeBest, or for a sequence a list of them in its order
         Ties at equal RSS break to the lexicographically smallest sorted
-        mask.  Rank-deficient masks are skipped and counted; each entry is
-        the fit_subset fit of its mask, and `nodes` counts the search's work.
+        mask.  Rank-deficient masks are skipped and counted; each entry
+        carries the bits fit_subset gives for its mask, and `nodes`
+        counts the search's work.
     """
+    if isinstance(data, Dataset):
+        return _best_per_size([data], cands)[0]
+    return _best_per_size(list(data), cands)
+
+
+def _best_per_size(datas: list[Dataset], cands: CandidateSet) -> list[PerSizeBest]:
+    if not datas:
+        return []
+    if len({d.X.shape for d in datas}) > 1:
+        raise DimensionMismatchError("datasets fitted together must share one shape")
+    p = datas[0].p
     if cands.kind == "explicit":
-        return _fit_table(data, cands.masks, 0)
-    if data.p > SUBSET_LIMIT:
+        masks = [as_mask(m, p) for m in cands.masks]
+        return _fit_tables(datas, [(masks, 0, 0)] * len(datas))
+    if p > SUBSET_LIMIT:
         raise LimitExceededError(
-            f"exhaustive search over p={data.p} exceeds the limit of {SUBSET_LIMIT}"
+            f"exhaustive search over p={p} exceeds the limit of {SUBSET_LIMIT}"
         )
-    G, b, tss = _centered(data)
-    masks, skipped, nodes = _leaps_and_bounds(G, b, tss, data.p)
-    return _fit_table(data, [m for m in masks if m is not None], skipped, nodes)
+    searches = []
+    for d in datas:
+        G, b, tss = _centered(d)
+        masks, skipped, nodes = _leaps_and_bounds(G, b, tss, p)
+        searches.append(([m for m in masks if m is not None], skipped, nodes))
+    return _fit_tables(datas, searches)

@@ -134,6 +134,19 @@ def test_select_table_output(tmp_path, capsys):
     assert "kappa" in out
 
 
+def test_select_without_predictors(tmp_path, capsys):
+    # a response-only file selects the intercept-only model in every format
+    path = write(tmp_path, "y.csv", "y\n1\n2\n4\n")
+    outs = {}
+    for fmt in ("table", "json", "csv"):
+        code = main(["select", "--data", path, "--response", "y", "--format", fmt])
+        outs[fmt] = capsys.readouterr().out
+        assert code == 0, fmt
+    assert "chosen (0 of 0): (intercept only)" in outs["table"]
+    assert "  intercept   2.3333" in outs["table"]
+    assert json.loads(outs["json"])["results"][0]["chosen"] == []
+
+
 def test_select_json_round_trip(tmp_path, capsys):
     path = write(tmp_path, "d1.csv", D1_CSV)
     code = main(["select", "--data", path, "--response", "y",
@@ -198,14 +211,15 @@ def test_select_searches_once(tmp_path, capsys, monkeypatch):
     path = write(tmp_path, "d4.csv",
                  "y,a,b,c\n1,0,2,1\n3,1,0,2\n4,2,1,0\n8,3,3,1\n9,4,2,2\n13,5,4,0\n")
     searches = spy_calls(monkeypatch, cmcselect.subsets.best_per_size)
-    fits = spy_calls(monkeypatch, cmcselect.fit_subset)
+    stacks = spy_calls(monkeypatch, cmcselect.linalg._fit_stack)
     code = main(["select", "--data", path, "--response", "y", "--criteria", "cmc,bic,cp,adjr2",
                  "--alphas", "0.9,0.5,0.1", "--format", "json"])
     assert code == 0
     assert len(json.loads(capsys.readouterr().out)["results"]) == 6
     assert len(searches) == 1
-    # p + 1 per-size table entries plus the full fit; reports reuse the table's fits
-    assert len(fits) == 3 + 2
+    # p + 1 per-size table entries, one stacked fit per size; the full-model
+    # statistics and the reports reuse the table's fits
+    assert sum(len(datas) for datas, _ in stacks) == 3 + 1
 
 
 def test_select_exit_codes(tmp_path, capsys, monkeypatch):

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cmcselect import (
     CRITERIA,
@@ -278,3 +280,39 @@ def test_scores_cover_all_sizes():
     assert sorted(report.scores) == [0, 1, 2, 3, 4]
     report = cmc_select(data, CmcConfig(alpha=0.9))
     assert sorted(report.scores) == [0, 1, 2, 3, 4]
+
+
+def _property_design(data, p: int) -> Dataset:
+    n = data.draw(st.integers(p + 3, 3 * p + 8), label="n")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    X = rng.standard_normal((n, p))
+    active = data.draw(st.integers(0, p), label="active columns")
+    sigma = data.draw(st.sampled_from([0.3, 1.0, 3.0]), label="sigma")
+    return Dataset(X=X, y=1.0 + X[:, :active].sum(axis=1) + sigma * rng.standard_normal(n))
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(p=st.integers(1, 9), data=st.data())
+def test_cmc_size_never_grows_as_alpha_falls_property(p, data):
+    alphas = (0.95, 0.9, 0.5, 0.2, 0.1, 0.01)
+    reports = select_many(_property_design(data, p), ("cmc",), alphas)
+    sizes = [len(r.chosen) for r in reports]
+    assert sizes == sorted(sizes, reverse=True)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(p=st.integers(1, 9), data=st.data())
+def test_power_of_two_column_scaling_changes_nothing_property(p, data):
+    # power-of-two factors are exact in floating point, so the search, the QR
+    # refits and every selection see the same numbers up to exact scaling
+    design = _property_design(data, p)
+    exps = data.draw(st.lists(st.integers(-8, 8), min_size=p, max_size=p), label="exponents")
+    scaled = Dataset(X=design.X * 2.0 ** np.asarray(exps), y=design.y)
+    a = select_many(design, CRITERIA, (0.9, 0.5, 0.1))
+    b = select_many(scaled, CRITERIA, (0.9, 0.5, 0.1))
+    assert [r.chosen for r in a] == [r.chosen for r in b]
+    ta, tb = a[0].per_size, b[0].per_size
+    assert ta.nodes == tb.nodes and ta.sizes() == tb.sizes()
+    for s in ta.sizes():
+        assert ta.entries[s].mask == tb.entries[s].mask
+        assert ta.entries[s].rss == tb.entries[s].rss

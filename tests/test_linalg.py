@@ -16,6 +16,7 @@ from cmcselect import (
     full_mask,
     standardize,
 )
+from cmcselect.linalg import _fit_stack
 from conftest import normal_eq_fit, random_dataset
 
 # hand-checkable instance: x = (0,1,2,3), y = (0,1,2,4)
@@ -126,6 +127,58 @@ def test_rank_deficient_subset_rejected():
         fit_subset(data, (0, 2))
     # the clean pair still fits
     fit_subset(data, (0, 1))
+
+
+def _lone_qr_fit(data: Dataset, mask) -> tuple[np.ndarray, float]:
+    """One unstacked fit: the 2-D numpy calls fit_subset made before fits were stacked."""
+    A = np.column_stack([np.ones(data.n)] + [data.X[:, i] for i in mask])
+    Q, R = np.linalg.qr(A)
+    coef = np.linalg.solve(R, Q.T @ data.y)
+    resid = data.y - A @ coef
+    beta = np.zeros(data.q)
+    beta[0] = coef[0]
+    beta[np.asarray(mask, dtype=np.intp) + 1] = coef[1:]
+    return beta, float(resid @ resid)
+
+
+@pytest.mark.parametrize("K", [1, 2, 7])
+def test_stacked_fits_match_lone_fits_bit_for_bit(K):
+    rng = np.random.default_rng(100 + K)
+    n, p = 25, 6
+    for s in range(p + 1):
+        for bad in range(K):
+            # every stack position takes a turn as the collinear member
+            datas, masks = [], []
+            for i in range(K):
+                X = rng.standard_normal((n, p)) * 10.0 ** rng.uniform(-2, 2, p)
+                mask = tuple(sorted(rng.choice(p, s, replace=False).tolist()))
+                if i == bad and s >= 2:
+                    X[:, mask[1]] = 3.0 * X[:, mask[0]]
+                datas.append(Dataset(X=X, y=rng.standard_normal(n) + 2.0))
+                masks.append(mask)
+            fits = _fit_stack(datas, masks)
+            assert len(fits) == K
+            for i, (data, mask, fit) in enumerate(zip(datas, masks, fits)):
+                if i == bad and s >= 2:
+                    assert fit is None
+                    with pytest.raises(RankDeficientError):
+                        fit_subset(data, mask)
+                    continue
+                lone = fit_subset(data, mask)
+                beta, rss = _lone_qr_fit(data, mask)
+                assert fit.mask == lone.mask == mask
+                assert fit.rss == lone.rss == rss
+                assert np.array_equal(fit.beta, lone.beta) and np.array_equal(fit.beta, beta)
+                assert fit.df_resid == lone.df_resid == n - s - 1
+
+
+def test_full_fit_reuses_the_full_mask_fit():
+    rng = np.random.default_rng(31)
+    data = random_dataset(rng, 30, 4)
+    entry = fit_subset(data, full_mask(4))
+    assert full_fit(data, entry) == full_fit(data)
+    with pytest.raises(DimensionMismatchError):
+        full_fit(data, fit_subset(data, (0, 1)))
 
 
 def test_degenerate_full_fit():

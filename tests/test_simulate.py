@@ -1,5 +1,6 @@
 """Monte Carlo harness checks: generators, seeding, and reproducibility."""
 
+import logging
 import math
 
 import numpy as np
@@ -15,6 +16,7 @@ from cmcselect import (
     Scenario,
     classify,
     cmc_select,
+    criteria,
     gen_correlated_design,
     gen_response,
     gen_weak_design,
@@ -156,20 +158,100 @@ def test_monte_carlo_rejects_duplicate_labels():
         run_monte_carlo(sc, criteria=("cmc",), alphas=(0.1234561, 0.1234564), reps=3)
 
 
+def _select_many_rates(sc: Scenario, seed: int, rep: int, draws: int = 1):
+    """Per-label fir and far of select_many on draw `draws` of default_rng([seed, rep])."""
+    rng = np.random.default_rng([seed, rep])
+    for _ in range(draws):
+        X = gen_weak_design(sc.n, sc.p, rng)
+        y = gen_response(X, sc, rng)
+    reports = select_many(Dataset(X=X, y=y), CRITERIA, (0.9, 0.5, 0.1))
+    rates = [classify(r.chosen, sc.truth, sc.p) for r in reports]
+    return [r.fir for r in rates], [r.far for r in rates]
+
+
 def test_replicate_runs_select_many(monkeypatch):
-    # a replicate is select_many on the data drawn from default_rng([seed, rep])
-    calls = spy_calls(monkeypatch, select_many)
+    # each rep's rates are select_many's on the data drawn from default_rng([seed, rep]),
+    # and the chunk builds its reports with the code select_many uses
+    chunks = []
+    run_chunk = simulate._run_chunk
+
+    def recorded(args):
+        out = run_chunk(args)
+        chunks.append(out)
+        return out
+
+    monkeypatch.setattr(simulate, "_run_chunk", recorded)
+    built = spy_calls(monkeypatch, criteria._reports)
     sc = Scenario(kind="weak", n=30, p=6, p_active=3, sigma=1.5)
     for seed in (1, 2, 3):
-        calls.clear()
-        res = run_monte_carlo(sc, reps=1, seed=seed)
-        assert len(calls) == 1
-        rng = np.random.default_rng([seed, 0])
-        X = gen_weak_design(sc.n, sc.p, rng)
-        reports = select_many(Dataset(X=X, y=gen_response(X, sc, rng)), CRITERIA, (0.9, 0.5, 0.1))
-        assert len(res.labels) == len(reports) == 6
-        for label, report in zip(res.labels, reports):
-            assert res.rates[label] == classify(report.chosen, sc.truth, sc.p)
+        chunks.clear()
+        built.clear()
+        res = run_monte_carlo(sc, reps=5, seed=seed)
+        assert len(built) == 5
+        per_rep = {rep: (firs, fars) for chunk in chunks for rep, firs, fars, _ in chunk}
+        assert sorted(per_rep) == list(range(5))
+        for rep, got in per_rep.items():
+            assert got == _select_many_rates(sc, seed, rep)
+        assert len(res.labels) == 6
+
+
+@pytest.mark.parametrize("reps", [13, 50])
+def test_chunking_does_not_change_results(monkeypatch, reps):
+    # 13 reps run as 13 chunks of one at any thread count; 50 run as uneven chunks
+    # (6+...+2 serially, 3+...+2 at two threads) and match unstacked one-rep chunks
+    sc = Scenario(kind="weak", n=20, p=6, p_active=3, sigma=1.5)
+    runs = [run_monte_carlo(sc, reps=reps, seed=7, threads=t) for t in (1, 2, 3)]
+    monkeypatch.setattr(simulate, "_MAX_CHUNK", 1)
+    runs.append(run_monte_carlo(sc, reps=reps, seed=7, threads=1))
+    first = runs[0]
+    for res in runs[1:]:
+        assert res.rates == first.rates
+        assert res.zero_fraction == first.zero_fraction
+        assert res.regenerated == first.regenerated
+
+
+def test_collinear_draw_is_redrawn_inside_its_chunk(monkeypatch):
+    # the first draws of reps 1 and 4 (both in the first chunk of 5) get a duplicated
+    # column; only those reps redraw, from their own streams
+    sc = Scenario(kind="weak", n=30, p=6, p_active=3, sigma=1.5)
+    seed, reps = 3, 40
+    fresh = {np.random.default_rng([seed, r]).bit_generator.state["state"]["state"]: r
+             for r in (1, 4)}
+    gen = simulate._gen_design
+
+    def collinear_first(scenario, rng):
+        first = fresh.get(rng.bit_generator.state["state"]["state"])
+        X = gen(scenario, rng)
+        if first is not None:
+            X[:, 5] = X[:, 0]
+        return X
+
+    monkeypatch.setattr(simulate, "_gen_design", collinear_first)
+    res = run_monte_carlo(sc, reps=reps, seed=seed)
+    assert res.regenerated == 2
+    fir = np.empty((reps, 6))
+    far = np.empty((reps, 6))
+    for r in range(reps):
+        fir[r], far[r] = _select_many_rates(sc, seed, r, draws=2 if r in (1, 4) else 1)
+    mean_fir, mean_far = fir.mean(axis=0), far.mean(axis=0)
+    for i, label in enumerate(res.labels):
+        assert tuple(res.rates[label]) == (mean_fir[i], mean_far[i])
+
+
+def test_progress_is_logged_per_chunk(monkeypatch, caplog):
+    sc = Scenario(kind="weak", n=20, p=4, p_active=2)
+    with caplog.at_level(logging.INFO, logger="cmcselect.simulate"):
+        run_monte_carlo(sc, reps=20, seed=1)
+    assert not caplog.records  # a run shorter than the interval stays quiet
+    monkeypatch.setattr(simulate, "_PROGRESS_EVERY_S", 0.0)
+    with caplog.at_level(logging.INFO, logger="cmcselect.simulate"):
+        run_monte_carlo(sc, reps=20, seed=1)
+    lines = [rec.getMessage() for rec in caplog.records]
+    # 20 reps in chunks of 20 // 8 = 2
+    assert len(lines) == 10
+    assert lines[0].startswith("2/20 reps done, ")
+    assert lines[-1].startswith("20/20 reps done, ") and lines[-1].endswith("ETA 0.0 s")
+    assert all(rec.levelno == logging.INFO for rec in caplog.records)
 
 
 def test_monte_carlo_reproducible():

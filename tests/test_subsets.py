@@ -17,7 +17,7 @@ from cmcselect import (
     subsets,
 )
 from cmcselect.simulate import Scenario, gen_correlated_design, gen_response
-from conftest import naive_best_per_size, random_dataset
+from conftest import naive_best_per_size, random_dataset, spy_calls
 
 
 def test_candidate_set_validation():
@@ -148,6 +148,33 @@ def test_explicit_per_size_takes_min():
     rss0 = fit_subset(data, (0,)).rss
     rss3 = fit_subset(data, (3,)).rss
     assert table.entries[1].rss == min(rss0, rss3)
+
+
+def test_datasets_searched_together_match_lone_calls(monkeypatch):
+    # a sequence of same-shape datasets fits its winners with one stacked QR
+    # per size, and each table equals the one-dataset call's, bit for bit
+    rng = np.random.default_rng(53)
+    datas = [random_dataset(rng, 30, 7) for _ in range(6)]
+    X = datas[2].X.copy()
+    X[:, 6] = X[:, 1]
+    datas[2] = Dataset(X=X, y=datas[2].y)
+    for cands in (CandidateSet.all_subsets(),
+                  CandidateSet.explicit([(0,), (3,), (1, 6), (1, 2), tuple(range(7))])):
+        lone = [best_per_size(d, cands) for d in datas]
+        stacks = spy_calls(monkeypatch, subsets._fit_stack)
+        together = best_per_size(datas, cands)
+        monkeypatch.undo()
+        assert len(stacks) == len({len(e.mask) for t in lone for e in t.entries.values()})
+        assert isinstance(together, list) and len(together) == len(datas)
+        for a, b in zip(lone, together):
+            assert (a.skipped, a.nodes, a.sizes()) == (b.skipped, b.nodes, b.sizes())
+            for s in a.sizes():
+                assert a.entries[s].mask == b.entries[s].mask
+                assert a.entries[s].rss == b.entries[s].rss
+                assert np.array_equal(a.entries[s].beta, b.entries[s].beta)
+    assert together[2].skipped >= 1
+    with pytest.raises(DimensionMismatchError):
+        best_per_size([datas[0], random_dataset(rng, 31, 7)], CandidateSet.all_subsets())
 
 
 def masks_of(table) -> dict:
