@@ -9,8 +9,10 @@ keyed by (seed, replication index), selects on it as select_many does
 (the selector a user runs on one dataset), and classifies each chosen
 mask against the true active set.  Replications run in chunks: a
 chunk's datasets get their per-size tables from one best_per_size call,
-which stacks the QR refits of one model size into one call, bit-identical
-to lone fits.  Results are merged by replication index, so a run is
+which searches them in lockstep, sharing blocks of tree nodes, and stacks
+the QR refits of one model size into one call; masks, node counts and
+fits are bit-identical to lone calls.  Results are merged by replication
+index, so a run is
 bit-identical for a fixed (seed, reps) no matter how many worker
 processes are used.
 """
@@ -37,7 +39,9 @@ _REFERENCE_CORRELATED = (20, 10, 5)
 
 _MAX_REGEN = 10
 
-# most reps per chunk: a serial (400, 30) run then stacks about 3 MB per array
+# most reps per chunk: a serial (400, 30) run then stacks about 3 MB per
+# array; the chunk's lockstep search holds blocks of at most subsets._BLOCK
+# nodes whatever the chunk size, so its memory is bounded as for one search
 _MAX_CHUNK = 32
 
 # least seconds between two progress lines
@@ -165,10 +169,10 @@ def _run_chunk(args) -> list[tuple[int, list[float], list[float], int]]:
     """A chunk of replications: fresh data per rep, one table search call, classification.
 
     Each rep draws from its own stream.  The chunk's datasets get their
-    tables from one best_per_size call, and each table becomes reports
-    through the code select_many uses.  A rep whose full design is
-    collinear is redrawn from its stream and searched again with the
-    other redrawn reps.
+    tables from one best_per_size call, searched in lockstep, and each
+    table becomes reports through the code select_many uses.  A rep whose
+    full design is collinear is redrawn from its stream and searched
+    again with the other redrawn reps.
     """
     scenario, criteria, alphas, seed, reps = args
     cands = CandidateSet.all_subsets()

@@ -17,6 +17,17 @@ ceiling, and a node's RSS is the [y, y] entry, so no node solves a
 linear system.  Nodes advance one tree level at a time, a block of up to
 _BLOCK nodes per numpy call, from a depth-first stack of blocks.
 
+One call searches all its datasets in lockstep.  A block holds nodes of
+one depth from one dataset or from several, each tagged with its owner,
+so at small p, where one tree level is far below _BLOCK nodes, one set of
+numpy calls advances a whole Monte Carlo chunk.  The owner rule keeps the
+results exact: each dataset's children are cut into _BLOCK chunks where
+its lone search cuts them, and the chunks are packed whole into blocks,
+so every dataset sees the sequence of blocks its lone search sees, and
+its masks, skips and node count are those of a one-dataset call.  Large
+trees fill their blocks alone.  _BLOCK is the one bound on a block,
+merged or not.
+
 Intercepts are handled exactly by centering: the RSS of a subset fitted
 with an intercept equals the RSS of the centered regression on the same
 columns, so the search runs on the centered Gram matrix and winners are
@@ -46,8 +57,8 @@ SUBSET_LIMIT = 30
 # squares (1 - R^2 on the variables swept before it) marks a collinear subset
 _PIVOT_TOL = 1e-10
 
-# tree nodes per block of the search: bounds its memory and keeps the
-# incumbents improving in near depth-first order
+# tree nodes per block of the search, from one dataset or several: bounds its
+# memory and keeps the incumbents improving in near depth-first order
 _BLOCK = 128
 
 
@@ -109,139 +120,241 @@ def _centered(data: Dataset):
 def _sweep(W: np.ndarray, diag: np.ndarray) -> np.ndarray:
     """Sweep a stack of symmetric (m, m) matrices in place on their first m-1 indices.
 
-    A pivot at or below _PIVOT_TOL * diag is collinear and stays unswept,
-    so the [y, y] entry becomes the RSS of projecting y on the others.
-    Returns, per matrix, whether every pivot was swept.
+    diag holds the m-1 centered sums of squares, one row per matrix or one
+    row for all.  A pivot at or below _PIVOT_TOL * diag is collinear and
+    stays unswept, so the [y, y] entry becomes the RSS of projecting y on
+    the others.  Returns, per matrix, whether every pivot was swept.
     """
     clean = np.ones(W.shape[0], dtype=bool)
     for k in range(W.shape[1] - 1):
         piv = W[:, k, k].copy()
-        ok = piv > _PIVOT_TOL * diag[k]
-        clean &= ok
-        col = np.divide(W[:, :, k], piv[:, None], out=np.zeros(W.shape[:2]), where=ok[:, None])
+        ok = piv > _PIVOT_TOL * diag[..., k]
+        if ok.all():
+            # the masked divisions below give these bits too, at a higher call cost
+            col = W[:, :, k] / piv[:, None]
+            inv = -1.0 / piv
+        else:
+            clean &= ok
+            col = np.divide(W[:, :, k], piv[:, None], out=np.zeros(W.shape[:2]), where=ok[:, None])
+            inv = np.divide(-1.0, piv, out=np.zeros_like(piv), where=ok)
         W -= W[:, :, k, None] * col[:, None, :]
         W[:, :, k] = col
         W[:, k, :] = col
-        W[:, k, k] = np.divide(-1.0, piv, out=np.zeros_like(piv), where=ok)
+        W[:, k, k] = inv
     return clean
 
 
-def _leaps_and_bounds(G, b, tss, p: int) -> tuple[list[Mask | None], int, int]:
-    """Pruned exhaustive search over the inclusion/exclusion tree.
+def _split(own: np.ndarray, m: int, K: int):
+    """Cut the children of a block holding several datasets into blocks.
 
-    A node at depth d has decided order[:d]; its floor is the decided-in
-    set and its ceiling the floor plus order[d:].  Evaluating a node gives
-    its include child's floor and its exclude child's ceiling; both are
-    registered, and a child is expanded only if its ceiling RSS could
-    still beat or tie the incumbent at some reachable size, so ties
-    survive and the lexicographic rule stays exact.  A child with one
-    undecided variable is not expanded: its children repeat registered
-    sets.  Returns the per-size masks, the collinear subsets skipped and
-    the nodes evaluated.
+    own tags each child with its dataset: the include-children (the first
+    m) and then the exclude-children, each in node order, which for every
+    dataset is the order of its lone search.  Each dataset's children are
+    cut into _BLOCK chunks where its lone search cuts them, and the chunks
+    are packed whole, in (chunk index, dataset) order, into blocks of at
+    most _BLOCK nodes.  Returns the permutation of the children into block
+    order, each block's (lo, mid, hi) with its include-children in lo:mid,
+    and each block's owner: a dataset index, or None when it holds several.
     """
-    diag = np.diag(G)
+    by_owner = np.argsort(own, kind="stable")
+    count = np.bincount(own, minlength=K)
+    start = np.cumsum(count) - count
+    owner = own[by_owner]
+    chunk = (np.arange(len(own)) - start[owner]) // _BLOCK
+    chunks = -(-count // _BLOCK)
+    where = np.empty((int(chunks.max()), K), dtype=np.intp)
+    owners: list[list[int]] = []
+    fill = _BLOCK
+    for c in range(where.shape[0]):
+        for k in np.flatnonzero(chunks > c).tolist():
+            size = min(_BLOCK, int(count[k]) - c * _BLOCK)
+            if fill + size > _BLOCK:
+                owners.append([])
+                fill = 0
+            owners[-1].append(k)
+            fill += size
+            where[c, k] = len(owners) - 1
+    block = where[chunk, owner]
+    inc = by_owner < m
+    # within a block the include-children go first: each dataset keeps its order
+    perm = by_owner[np.argsort(2 * block + ~inc, kind="stable")]
+    hi = np.cumsum(np.bincount(block, minlength=len(owners))).tolist()
+    mid = np.bincount(block[inc], minlength=len(owners)).tolist()
+    lo = [0] + hi[:-1]
+    cuts = [(a, a + b, c) for a, b, c in zip(lo, mid, hi)]
+    return perm, cuts, [ks[0] if len(ks) == 1 else None for ks in owners]
+
+
+def _leaps_and_bounds(G, b, tss, p: int) -> list[tuple[list[Mask], int, int]]:
+    """Pruned exhaustive search over the inclusion/exclusion trees of K datasets.
+
+    G (K, p, p), b (K, p) and tss (K,) are the centered Gram matrices,
+    cross-products and total sums of squares.  A node at depth d has
+    decided its dataset's order[:d]; its floor is the decided-in set and
+    its ceiling the floor plus order[d:].  Evaluating a node gives its
+    include child's floor and its exclude child's ceiling; both are
+    registered, and a child is expanded only if its ceiling RSS could
+    still beat or tie its dataset's incumbent at some reachable size, so
+    ties survive and the lexicographic rule stays exact.  A child with one
+    undecided variable is not expanded: its children repeat registered
+    sets.
+
+    A block holds nodes of one depth, of one dataset or of several, each
+    tagged with its owner, so one set of numpy calls advances every
+    dataset in it.  Each dataset's children are cut and packed as _split
+    says, so every dataset sees the blocks its lone search sees, and its
+    masks, skips and node count do not depend on the others.  Returns, per
+    dataset, its per-size masks, the collinear subsets skipped and the
+    nodes evaluated.
+    """
+    K = len(tss)
+    diag = np.diagonal(G, axis1=1, axis2=2)
     score = np.divide(b * b, diag, out=np.zeros_like(b), where=diag > 0)
-    order = np.argsort(-score, kind="stable")
-    gdiag = diag[order]
-    # row d marks order[d]; tail[d] marks order[d:]
-    first = np.eye(p, dtype=bool)[order]
-    tail = np.logical_or.accumulate(first[::-1], axis=0)[::-1]
+    order = np.argsort(-score, axis=1, kind="stable")
+    ks = np.arange(K)[:, None]
+    gdiag = diag[ks, order]
+    # a subset's key has bit p-1-j for column j, so at equal size the larger
+    # key holds the first differing column: the lexicographically smaller mask
+    first = np.left_shift(1, p - 1 - order)
+    # tail[k, d] is the key of order[k, d:]
+    tail = np.zeros((K, p + 1), dtype=np.int64)
+    tail[:, :p] = np.cumsum(first[:, ::-1], axis=1)[:, ::-1]
 
-    best_rss = np.full(p + 1, np.inf)
-    best_set = [None] * (p + 1)  # per size, the winner as a bool row over the p columns
-    best_rss[0] = tss
-    best_set[0] = np.zeros(p, dtype=bool)
+    # the incumbents: slot k * (p+1) + s holds dataset k's best size-s subset;
+    # a node carries the slot of its floor, so its size is slot - k * (p+1)
+    best_rss = np.full((K, p + 1), np.inf)
+    best_rss[:, 0] = tss
+    flat_rss = best_rss.reshape(-1)
+    best_key = ([0] + [-1] * p) * K
+    # at depth d, reach[k, lo] for lo <= d+1 is dataset k's worst incumbent
+    # over sizes lo .. lo+p-d-1, which a child with floor size lo can reach
+    reach = np.empty((K, p + 1))
+    flat_reach = reach.reshape(-1)
 
-    def register(rss, size, ok, inset, extra) -> None:
-        hit = rss <= best_rss[size]
-        if ok is not None:
-            hit &= ok
-        for i in hit.nonzero()[0].tolist():
-            s, r = size[i], rss[i]
-            if r > best_rss[s]:
-                continue
-            cand = inset[i] | extra
-            if r == best_rss[s]:
-                # equal sizes: the set holding the first differing column sorts first
-                k = (cand != best_set[s]).argmax()
-                if not cand[k]:
-                    continue
-            best_rss[s] = r
-            best_set[s] = cand
+    def skip(own, ok) -> None:
+        # count the collinear subsets, the False entries of ok, per dataset
+        if isinstance(own, int):
+            skipped[own] += len(ok) - int(np.count_nonzero(ok))
+        elif not ok.all():
+            skipped[:] += np.bincount(own[~ok], minlength=K)
 
-    M = np.empty((1, p + 1, p + 1))
-    M[0, :p, :p] = G[np.ix_(order, order)]
-    M[0, :p, p] = M[0, p, :p] = b[order]
-    M[0, p, p] = tss
+    def register(slots, rss, keys) -> None:
+        # lowest RSS per slot, ties to the larger key, in any order
+        for s, r, k in zip(slots, rss, keys):
+            cur = flat_rss[s]
+            if r < cur or (r == cur and k > best_key[s]):
+                flat_rss[s] = r
+                best_key[s] = k
+
+    M = np.empty((K, p + 1, p + 1))
+    M[:, :p, :p] = G[ks[:, :, None], order[:, :, None], order[:, None, :]]
+    M[:, :p, p] = M[:, p, :p] = b[ks, order]
+    M[:, p, p] = tss
     T = M.copy()
     full_ok = _sweep(T, gdiag)
     ceil = T[:, p, p].copy()
-    if not full_ok[0]:
-        # a collinear full design has no ceiling chain to unsweep; each
-        # ceiling is then the projection RSS of a fresh sweep of its floor
-        T = None
-    inset = np.zeros((1, p), dtype=bool)
-    nin = np.zeros(1, dtype=np.intp)
-    skipped = int(not full_ok[0])
-    nodes = 2
+    skipped = (~full_ok).astype(np.int64)
+    nodes = np.full(K, 2, dtype=np.int64)
     if p:
-        register(ceil, nin + p, full_ok, inset, tail[0])
-    stack = [(0, M, T, inset, nin, ceil)] if p >= 2 else []
+        hit = (full_ok & (ceil <= best_rss[:, p])).nonzero()[0]
+        register((hit * (p + 1) + p).tolist(), ceil[hit].tolist(), tail[hit, 0].tolist())
+    stack = []
+    if p >= 2:
+        # a collinear full design has no ceiling chain to unsweep: its
+        # ceilings are the projection RSS of fresh sweeps of its floors, so
+        # it never shares a block with a clean one
+        for group, chain in (((~full_ok).nonzero()[0], None), (full_ok.nonzero()[0], T)):
+            for lo in range(0, len(group), _BLOCK):
+                own = group[lo : lo + _BLOCK]
+                n = len(own)
+                stack.append((0, M[own], None if chain is None else chain[own],
+                              np.zeros(n, dtype=np.int64), own * (p + 1),
+                              ceil[own], int(own[0]) if n == 1 else own))
     with np.errstate(divide="ignore", invalid="ignore"):
         while stack:
-            d, S, T, inset, nin, ceil = stack.pop()
-            n = len(nin)
-            nodes += 2 * n
+            d, S, T, key, floor_slot, ceil, own = stack.pop()
+            # own is the block's one dataset, or each node's when it holds several
+            single = isinstance(own, int)
+            n = len(floor_slot)
             # include order[d]: sweep it into the floor
             piv = S[:, 0, 0]
-            inc_ok = piv > _PIVOT_TOL * gdiag[d]
+            inc_ok = piv > _PIVOT_TOL * gdiag[own, d]
             sy = S[:, -1, 0]
             floor = S[:, -1, -1] - sy * (sy / piv)
             # exclude order[d]: unsweep it from the ceiling
             if T is not None:
                 ty = T[:, -1, 0]
                 cex = T[:, -1, -1] - ty * (ty / T[:, 0, 0])
-                exc_ok = None
             else:
                 W = S[:, 1:, 1:].copy()
-                exc_ok = _sweep(W, gdiag[d + 1 :])
+                exc_ok = _sweep(W, gdiag[own, d + 1 :])
                 cex = W[:, -1, -1]
-                skipped += n - int(np.count_nonzero(exc_ok))
-            skipped += n - int(np.count_nonzero(inc_ok))
-            register(floor, nin + 1, inc_ok, inset, first[d])
-            register(cex, nin + (p - d - 1), exc_ok, inset, tail[d + 1])
+                skip(own, exc_ok)
+            skip(own, inc_ok)
+            if single:
+                nodes[own] += 2 * n
+            else:
+                nodes += 2 * np.bincount(own, minlength=K)
+            # the candidates: include-children floors, one size up, then
+            # exclude-children ceilings, p-d-1 sizes up, with their slots
+            slot_in = floor_slot + 1
+            slot = np.concatenate((slot_in, floor_slot + (p - d - 1)))
+            rss = np.concatenate((floor, cex))
+            hit = rss <= flat_rss[slot]
+            hit[:n] &= inc_ok
+            if T is None:
+                hit[n:] &= exc_ok
+            hit = hit.nonzero()[0]
+            key_in = key | first[own, d]
+            if len(hit):
+                keys = np.concatenate((key_in, key | tail[own, d + 1]))
+                register(slot[hit].tolist(), rss[hit].tolist(), keys[hit].tolist())
             if d + 2 >= p:
                 continue
-            # reach[lo]: the worst incumbent over sizes lo .. lo+p-d-1, which a
-            # child with floor size lo can reach (a sliding-window view of best_rss)
-            window = np.ndarray((d + 2, p - d), best_rss.dtype, best_rss, 0, best_rss.strides * 2)
-            reach = window.max(axis=1)
-            ki = (inc_ok & (ceil <= reach[nin + 1])).nonzero()[0]
-            ke = (cex <= reach[nin]).nonzero()[0]
+            # the maxima of a sliding-window view of the incumbents
+            window = np.ndarray((K, d + 2, p - d), best_rss.dtype, best_rss, 0,
+                                best_rss.strides + best_rss.strides[1:])
+            window.max(axis=2, out=reach[:, : d + 2])
+            ki = (inc_ok & (ceil <= flat_reach[slot_in])).nonzero()[0]
+            ke = (cex <= flat_reach[floor_slot]).nonzero()[0]
             idx = np.concatenate((ki, ke))
             if not len(idx):
                 continue
             m = len(ki)
-            S2 = S[idx, 1:, 1:]
-            a = S[ki, 1:, 0]
-            S2[:m] -= a[:, :, None] * (a / piv[ki, None])[:, None, :]
-            T2 = None
-            if T is not None:
-                T2 = T[idx, 1:, 1:]
-                c = T[ke, 1:, 0]
-                T2[m:] -= c[:, :, None] * (c / T[ke, 0, 0, None])[:, None, :]
-            inset2 = inset[idx]
-            inset2[:m] |= first[d]
-            nin2 = nin[idx]
-            nin2[:m] += 1
+            key2 = np.concatenate((key_in[ki], key[ke]))
+            slot2 = np.concatenate((slot_in[ki], floor_slot[ke]))
             ceil2 = np.concatenate((ceil[ki], cex[ke]))
-            # include-children end up on top of the stack
-            for lo in reversed(range(0, len(idx), _BLOCK)):
-                hi = lo + _BLOCK
-                stack.append((d + 1, S2[lo:hi], None if T2 is None else T2[lo:hi],
-                              inset2[lo:hi], nin2[lo:hi], ceil2[lo:hi]))
-    masks = [None if row is None else tuple(row.nonzero()[0].tolist()) for row in best_set]
-    return masks, skipped, nodes
+            if single or len(idx) <= _BLOCK:
+                # each dataset's children are already in its lone order: cut in place
+                blocks = [(lo, min(max(m, lo), lo + _BLOCK), min(lo + _BLOCK, len(idx)),
+                           own if single else None) for lo in range(0, len(idx), _BLOCK)]
+            else:
+                perm, cuts, owners = _split(own[idx], m, K)
+                idx, key2, slot2, ceil2 = idx[perm], key2[perm], slot2[perm], ceil2[perm]
+                blocks = [(lo, mid, hi, k) for (lo, mid, hi), k in zip(cuts, owners)]
+            # each block gets arrays of its own, so a popped sibling frees its part;
+            # its include-children lo:mid sweep order[d] in, the rest unsweep it
+            for lo, mid, hi, own_b in reversed(blocks):
+                rows = idx[lo:hi]
+                inc, exc = rows[: mid - lo], rows[mid - lo :]
+                S2 = S[rows, 1:, 1:]
+                if len(inc):
+                    a = S[inc, 1:, 0]
+                    S2[: len(inc)] -= a[:, :, None] * (a / piv[inc, None])[:, None, :]
+                T2 = None
+                if T is not None:
+                    T2 = T[rows, 1:, 1:]
+                    if len(exc):
+                        c = T[exc, 1:, 0]
+                        T2[len(inc) :] -= c[:, :, None] * (c / T[exc, 0, 0, None])[:, None, :]
+                if own_b is None:
+                    own_b = own[rows]
+                # the first block ends up on top of the stack
+                stack.append((d + 1, S2, T2, key2[lo:hi], slot2[lo:hi], ceil2[lo:hi], own_b))
+    bits = [(1 << (p - 1 - j), j) for j in range(p)]
+    masks = [tuple([j for bit, j in bits if key & bit]) if key >= 0 else None for key in best_key]
+    return [([m for m in masks[k * (p + 1) : (k + 1) * (p + 1)] if m is not None],
+             int(skipped[k]), int(nodes[k])) for k in range(K)]
 
 
 def _fit_tables(datas, searches) -> list[PerSizeBest]:
@@ -287,8 +400,10 @@ def best_per_size(
     Parameters
     ----------
     data : Dataset, or a sequence of Datasets of one shape
-        A sequence is searched one dataset at a time, and the winners of
-        all of them are fitted together: one stacked QR per model size.
+        A sequence is searched in lockstep, its datasets sharing blocks of
+        at most _BLOCK nodes, and the winners of all of them are fitted
+        together: one stacked QR per model size.  Each table equals the
+        one-dataset call's, node count included.
     cands : CandidateSet
 
     Returns
@@ -317,9 +432,5 @@ def _best_per_size(datas: list[Dataset], cands: CandidateSet) -> list[PerSizeBes
         raise LimitExceededError(
             f"exhaustive search over p={p} exceeds the limit of {SUBSET_LIMIT}"
         )
-    searches = []
-    for d in datas:
-        G, b, tss = _centered(d)
-        masks, skipped, nodes = _leaps_and_bounds(G, b, tss, p)
-        searches.append(([m for m in masks if m is not None], skipped, nodes))
-    return _fit_tables(datas, searches)
+    G, b, tss = (np.stack(a) for a in zip(*map(_centered, datas)))
+    return _fit_tables(datas, _leaps_and_bounds(G, b, tss, p))

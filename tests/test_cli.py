@@ -14,10 +14,14 @@ import pytest
 import cmcselect
 import cmcselect.subsets
 from cmcselect import (
+    InputError,
     MissingResponseError,
+    NumericalError,
     ParseError,
     PROSTATE_ENV,
+    RankDeficientError,
     TooFewRowsError,
+    cli,
 )
 from cmcselect.cli import (
     _round2,
@@ -251,6 +255,39 @@ def test_select_exit_codes(tmp_path, capsys, monkeypatch):
     monkeypatch.delenv(PROSTATE_ENV, raising=False)
     assert main(["select"]) == 2
     assert PROSTATE_ENV in capsys.readouterr().err
+
+
+def error_classes(base: type) -> list[type]:
+    """Every subclass of base, at any depth, so a new error class is covered unasked."""
+    found = []
+    for sub in base.__subclasses__():
+        found += [sub] + error_classes(sub)
+    return found
+
+
+# one command line per subcommand; its run_* function is replaced, so the
+# arguments only have to parse
+ERROR_ARGV = {
+    "run_select": ["select", "--data", "d.csv", "--response", "y"],
+    "run_simulate": ["simulate", "--n", "20", "--p", "3", "--p-active", "1"],
+    "run_tables": ["tables", "--table", "1"],
+}
+
+
+@pytest.mark.parametrize("runner", sorted(ERROR_ARGV))
+def test_every_error_maps_to_its_exit_code(runner, capsys, monkeypatch):
+    cases = [(cls, 2, "error") for cls in error_classes(InputError)]
+    cases += [(cls, 3, "numerical error") for cls in error_classes(NumericalError)]
+    assert {ParseError, TooFewRowsError, RankDeficientError} <= {cls for cls, _, _ in cases}
+    for cls, code, prefix in cases:
+        def fail(args, cls=cls):
+            raise cls(f"{cls.__name__} raised")
+
+        monkeypatch.setattr(cli, runner, fail)
+        assert main(ERROR_ARGV[runner]) == code, cls
+        out, err = capsys.readouterr()
+        assert out == "", cls
+        assert err == f"{prefix}: {cls.__name__} raised\n", cls
 
 
 def test_non_utf8_input_exits_2(tmp_path, capsys):

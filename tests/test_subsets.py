@@ -16,7 +16,7 @@ from cmcselect import (
     fit_subset,
     subsets,
 )
-from cmcselect.simulate import Scenario, gen_correlated_design, gen_response
+from cmcselect.simulate import Scenario, gen_correlated_design, gen_response, gen_weak_design
 from conftest import naive_best_per_size, random_dataset, spy_calls
 
 
@@ -45,7 +45,7 @@ def test_limit_guard(monkeypatch):
 
     def stub_search(G, b, tss, p):
         searched.append(p)
-        return [()], 0, 0
+        return [([()], 0, 0)] * len(tss)
 
     monkeypatch.setattr(subsets, "_leaps_and_bounds", stub_search)
     rng = np.random.default_rng(8)
@@ -150,7 +150,7 @@ def test_explicit_per_size_takes_min():
     assert table.entries[1].rss == min(rss0, rss3)
 
 
-def test_datasets_searched_together_match_lone_calls(monkeypatch):
+def test_datasets_fitted_together_stack_refits(monkeypatch):
     # a sequence of same-shape datasets fits its winners with one stacked QR
     # per size, and each table equals the one-dataset call's, bit for bit
     rng = np.random.default_rng(53)
@@ -166,15 +166,48 @@ def test_datasets_searched_together_match_lone_calls(monkeypatch):
         monkeypatch.undo()
         assert len(stacks) == len({len(e.mask) for t in lone for e in t.entries.values()})
         assert isinstance(together, list) and len(together) == len(datas)
-        for a, b in zip(lone, together):
-            assert (a.skipped, a.nodes, a.sizes()) == (b.skipped, b.nodes, b.sizes())
-            for s in a.sizes():
-                assert a.entries[s].mask == b.entries[s].mask
-                assert a.entries[s].rss == b.entries[s].rss
-                assert np.array_equal(a.entries[s].beta, b.entries[s].beta)
+        assert_same_tables(lone, together)
     assert together[2].skipped >= 1
     with pytest.raises(DimensionMismatchError):
         best_per_size([datas[0], random_dataset(rng, 31, 7)], CandidateSet.all_subsets())
+
+
+def assert_same_tables(lone, together) -> None:
+    """Masks, RSS and beta bits, skips and node counts all equal."""
+    for a, b in zip(lone, together, strict=True):
+        assert (a.skipped, a.nodes, a.sizes()) == (b.skipped, b.nodes, b.sizes())
+        for s in a.sizes():
+            assert a.entries[s].mask == b.entries[s].mask
+            assert a.entries[s].rss == b.entries[s].rss
+            assert np.array_equal(a.entries[s].beta, b.entries[s].beta)
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(K=st.integers(1, 8), p=st.integers(1, 12), data=st.data())
+def test_datasets_searched_together_match_lone_calls(K, p, data):
+    # a lockstep search over K datasets gives each the table of its lone
+    # search; block sizes 1 and 3 split the merged blocks at every level
+    n = data.draw(st.integers(p + 3, 3 * p + 5), label="n")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    datas = []
+    for k in range(K):
+        Z = rng.standard_normal((n, p))
+        j, c = rng.permutation(p)[:2] if p >= 2 else (0, 0)
+        kind = data.draw(st.sampled_from(["plain", "twin", "pair"]), label=f"design {k}")
+        if kind == "twin" and p >= 2:
+            # a collinear full design: the search takes fresh sweeps
+            Z[:, c] = Z[:, j]
+        elif kind == "pair" and p >= 2:
+            Z[:, c] = 0.9 * Z[:, j] + np.sqrt(1 - 0.81) * Z[:, c]
+        y = Z[:, : max(1, p // 2)].sum(axis=1) + rng.standard_normal(n)
+        datas.append(Dataset(X=Z, y=y))
+    cands = CandidateSet.all_subsets()
+    for block in (1, 3, subsets._BLOCK):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(subsets, "_BLOCK", block)
+            lone = [best_per_size(d, cands) for d in datas]
+            together = best_per_size(datas, cands)
+        assert_same_tables(lone, together)
 
 
 def masks_of(table) -> dict:
@@ -190,6 +223,59 @@ def test_node_count_repeats_exactly():
     # the unpruned tree would evaluate 2^p floors and ceilings
     assert 0 < first.nodes < 2**12
     assert best_per_size(data, CandidateSet.explicit([(0,), (1, 2)])).nodes == 0
+
+
+def weak_draw(r: int) -> Dataset:
+    """Replicate r of a weak (50, 10, 5) Monte Carlo run with seed 1."""
+    scen = Scenario("weak", n=50, p=10, p_active=5)
+    rng = np.random.default_rng([1, r])
+    X = gen_weak_design(scen.n, scen.p, rng)
+    return Dataset(X=X, y=gen_response(X, scen, rng))
+
+
+# (nodes, skipped) of the search on fixed designs at block sizes 128 and 3,
+# recorded from the one-dataset engine before the lockstep search: any change
+# to the visiting order, the prune test or the block cuts moves these counts
+PINNED_CORRELATED = {  # correlated_case(seed, p)
+    128: {(0, 12): (418, 0), (0, 13): (586, 0), (0, 14): (984, 0),
+          (1, 12): (502, 0), (1, 13): (598, 0), (1, 14): (882, 0),
+          (2, 12): (408, 0), (2, 13): (602, 0), (2, 14): (1022, 0)},
+    3: {(0, 12): (430, 0), (0, 13): (528, 0), (0, 14): (886, 0),
+        (1, 12): (440, 0), (1, 13): (538, 0), (1, 14): (820, 0),
+        (2, 12): (408, 0), (2, 13): (464, 0), (2, 14): (1098, 0)},
+}
+PINNED_WEAK = {  # weak_draw(0) .. weak_draw(11)
+    128: [(236, 0), (190, 0), (200, 0), (184, 0), (198, 0), (194, 0),
+          (194, 0), (200, 0), (206, 0), (188, 0), (254, 0), (206, 0)],
+    3: [(214, 0), (160, 0), (178, 0), (164, 0), (152, 0), (144, 0),
+        (154, 0), (176, 0), (176, 0), (178, 0), (254, 0), (176, 0)],
+}
+PINNED_TWIN = {  # twin_dataset(seed, p, col, copy): every full design is collinear
+    128: {(8, 8, 2, 7): (124, 2), (6, 6, 1, 3): (42, 4), (8, 8, 1, 5): (142, 4),
+          (10, 10, 1, 7): (254, 4), (12, 12, 1, 9): (628, 60), (14, 14, 3, 0): (924, 2)},
+    3: {(8, 8, 2, 7): (134, 2), (6, 6, 1, 3): (40, 4), (8, 8, 1, 5): (136, 4),
+        (10, 10, 1, 7): (266, 4), (12, 12, 1, 9): (542, 48), (14, 14, 3, 0): (680, 2)},
+}
+
+
+@pytest.mark.parametrize("block", [3, 128])
+def test_search_work_is_pinned(monkeypatch, block):
+    monkeypatch.setattr(subsets, "_BLOCK", block)
+    cands = CandidateSet.all_subsets()
+    for (seed, p), want in PINNED_CORRELATED[block].items():
+        table = best_per_size(correlated_case(seed, p)[0], cands)
+        assert (table.nodes, table.skipped) == want, (seed, p)
+    # searched together, so merged blocks split and interleave
+    weak = best_per_size([weak_draw(r) for r in range(12)], cands)
+    assert [(t.nodes, t.skipped) for t in weak] == PINNED_WEAK[block]
+    twins = list(PINNED_TWIN[block].items())
+    for args, want in twins:
+        table = best_per_size(twin_dataset(*args), cands)
+        assert (table.nodes, table.skipped) == want, args
+    # the two p = 8 twins share a shape: collinear designs searched together
+    pairs = [(twin_dataset(*args), want) for args, want in twins if args[1] == 8]
+    together = best_per_size([data for data, _ in pairs], cands)
+    assert [(t.nodes, t.skipped) for t in together] == [want for _, want in pairs]
 
 
 def assert_matches(table, expect) -> None:
