@@ -24,7 +24,6 @@ from .datasets import PROSTATE_ENV, PROSTATE_RESPONSE, _read_table, _read_text, 
 from .errors import ConfigError, InputError, MissingResponseError, NumericalError, ParseError
 from .linalg import Dataset, standardize
 from .simulate import MonteCarloResult, Scenario, run_monte_carlo
-from .subsets import CandidateSet
 
 _CRITERION_ALIASES = {
     "cmc": "cmc",
@@ -83,8 +82,12 @@ def load_csv(path: str, response_name: str) -> Dataset:
     return Dataset(X=table[:, :-1], y=table[:, -1], names=tuple(names))
 
 
-def read_candidate_list(path: str, names: tuple[str, ...]) -> CandidateSet:
-    """Parse a text file of comma-separated variable names, one model per line."""
+def read_candidate_list(path: str, names: tuple[str, ...]) -> list[list[int]]:
+    """Parse a text file of comma-separated variable names, one model per line.
+
+    Returns one list of column indices per model, as written: best_per_size
+    canonicalizes them.
+    """
     masks: list[list[int]] = []
     for ln, line in enumerate(_read_text(path)[1].splitlines(), start=1):
         line = line.strip()
@@ -99,7 +102,7 @@ def read_candidate_list(path: str, names: tuple[str, ...]) -> CandidateSet:
         masks.append(idx)
     if not masks:
         raise ParseError(f"{path}: no candidate models found")
-    return CandidateSet.explicit(masks)
+    return masks
 
 
 # ------------------------------------------------------------- serialization
@@ -198,9 +201,9 @@ def _parse_alphas(raw: str) -> list[float]:
     return alphas
 
 
-def _parse_candidates(raw: str, names: tuple[str, ...]) -> CandidateSet:
+def _parse_candidates(raw: str, names: tuple[str, ...]) -> list[list[int]] | None:
     if raw == "all":
-        return CandidateSet.all_subsets()
+        return None
     if raw.startswith("list:"):
         return read_candidate_list(raw[5:], names)
     raise ConfigError(
@@ -293,8 +296,8 @@ def run_select(args: argparse.Namespace) -> str:
         data = standardize(data)
     criteria = _parse_criteria(args.criteria)
     alphas = _parse_alphas(args.alphas)
-    cands = _parse_candidates(args.candidates, data.names)
-    reports = select_many(data, criteria, alphas, cands)
+    candidates = _parse_candidates(args.candidates, data.names)
+    reports = select_many(data, criteria, alphas, candidates)
     if args.format == "json":
         meta = {
             "command": "select",

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping
 
 from .errors import (
@@ -28,24 +28,12 @@ from .errors import (
 )
 from .fdist import FParams, f_cdf, f_quantile
 from .linalg import Dataset, FitSummary, FullFit, Mask, full_fit
-from .subsets import CandidateSet, PerSizeBest, best_per_size
+from .subsets import PerSizeBest, best_per_size
 
 CRITERIA = ("adjr2", "cp_aic", "bic", "cmc")
 
 # submodel RSS may undershoot the full-model RSS by at most this relative slack
 _LAMBDA_SLACK = 1e-9
-
-
-@dataclass(frozen=True)
-class CmcConfig:
-    """Selector settings: alpha level (default 0.9) and candidate set."""
-
-    alpha: float = 0.9
-    candidates: CandidateSet = field(default_factory=CandidateSet.all_subsets)
-
-    def __post_init__(self) -> None:
-        if not (isinstance(self.alpha, (int, float)) and 0.0 <= self.alpha <= 1.0):
-            raise DomainError(f"alpha must lie in [0, 1], got {self.alpha!r}")
 
 
 @dataclass(frozen=True)
@@ -225,7 +213,7 @@ def select_many(
     data: Dataset,
     criteria=CRITERIA,
     alphas=(0.9,),
-    candidates: CandidateSet | None = None,
+    candidates=None,
 ) -> list[SelectionReport]:
     """Every requested criterion on one dataset, from one search.
 
@@ -238,8 +226,9 @@ def select_many(
     data : Dataset
     criteria : sequence of {"adjr2", "cp_aic", "bic", "cmc"}
     alphas : sequence of floats in [0, 1], one cmc report per value
-    candidates : CandidateSet, optional
-        Defaults to all subsets.
+    candidates : None or iterable of masks
+        None (the default) searches every subset; a list is fitted as
+        listed.  See best_per_size.
 
     Returns
     -------
@@ -248,7 +237,7 @@ def select_many(
         order of labels_for(criteria, alphas), which validates the request.
     """
     labels_for(criteria, alphas)
-    per_size = best_per_size(data, candidates or CandidateSet.all_subsets())
+    per_size = best_per_size(data, candidates)
     return _reports(per_size, _full_from_table(data, per_size), criteria, alphas)
 
 
@@ -287,27 +276,29 @@ def _reports(per_size: PerSizeBest, full: FullFit, criteria, alphas) -> list[Sel
     return reports
 
 
-def cmc_select(data: Dataset, config: CmcConfig = CmcConfig()) -> SelectionReport:
-    """Constrained-minimum selection at the configured alpha level.
+def cmc_select(data: Dataset, alpha: float = 0.9, candidates=None) -> SelectionReport:
+    """Constrained-minimum selection at one alpha level.
 
     Returns the per-size best model at the smallest size whose lambda
     statistic is at or below kappa, with lambda_, kappa and the per-size
     lambda table filled in.  alpha=1 yields the full model, alpha=0 the
-    intercept-only model.
+    intercept-only model; an alpha outside [0, 1] raises ConfigError.
+    candidates is None (every subset) or a list of masks, as in
+    best_per_size.
     """
-    return select_many(data, ("cmc",), (config.alpha,), config.candidates)[0]
+    return select_many(data, ("cmc",), (alpha,), candidates)[0]
 
 
-def bic_select(data: Dataset, cands: CandidateSet | None = None) -> SelectionReport:
+def bic_select(data: Dataset, candidates=None) -> SelectionReport:
     """Minimize n*ln(RSS/n) + k*ln(n) with k = size + 1."""
-    return select_many(data, ("bic",), (), cands)[0]
+    return select_many(data, ("bic",), (), candidates)[0]
 
 
-def cp_select(data: Dataset, cands: CandidateSet | None = None) -> SelectionReport:
+def cp_select(data: Dataset, candidates=None) -> SelectionReport:
     """Minimize RSS/sigma2_hat - n + 2k (Mallows Cp, equivalent to AIC here)."""
-    return select_many(data, ("cp_aic",), (), cands)[0]
+    return select_many(data, ("cp_aic",), (), candidates)[0]
 
 
-def adjr2_select(data: Dataset, cands: CandidateSet | None = None) -> SelectionReport:
+def adjr2_select(data: Dataset, candidates=None) -> SelectionReport:
     """Maximize 1 - (RSS/(n-k)) / (TSS/(n-1))."""
-    return select_many(data, ("adjr2",), (), cands)[0]
+    return select_many(data, ("adjr2",), (), candidates)[0]

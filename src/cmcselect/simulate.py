@@ -30,7 +30,7 @@ import numpy as np
 from .criteria import CRITERIA, RatePair, _full_from_table, _reports, classify, labels_for
 from .errors import ConfigError, DomainError, RankDeficientError, TooFewRowsError
 from .linalg import Dataset
-from .subsets import CandidateSet, best_per_size
+from .subsets import best_per_size
 
 log = logging.getLogger(__name__)
 
@@ -175,7 +175,6 @@ def _run_chunk(args) -> list[tuple[int, list[float], list[float], int]]:
     again with the other redrawn reps.
     """
     scenario, criteria, alphas, seed, reps = args
-    cands = CandidateSet.all_subsets()
     rngs = {r: np.random.default_rng([seed, r]) for r in reps}
     regen = dict.fromkeys(reps, 0)
     out = []
@@ -186,7 +185,7 @@ def _run_chunk(args) -> list[tuple[int, list[float], list[float], int]]:
             X = _gen_design(scenario, rngs[r])
             datas.append(Dataset(X=X, y=gen_response(X, scenario, rngs[r])))
         redraw = []
-        for r, data, table in zip(pending, datas, best_per_size(datas, cands)):
+        for r, data, table in zip(pending, datas, best_per_size(datas)):
             try:
                 full = _full_from_table(data, table)
             except RankDeficientError:

@@ -1,4 +1,4 @@
-"""Candidate sets and the per-size minimum-RSS search.
+"""The per-size minimum-RSS search.
 
 The selectors only ever need, for each model size s, the size-s subset
 with minimum RSS.  One exact search produces that table over all 2^p
@@ -60,38 +60,6 @@ _PIVOT_TOL = 1e-10
 # tree nodes per block of the search, from one dataset or several: bounds its
 # memory and keeps the incumbents improving in near depth-first order
 _BLOCK = 128
-
-
-@dataclass(frozen=True)
-class CandidateSet:
-    """Which models to consider.
-
-    kind is "all" (every subset; best_per_size refuses it beyond
-    SUBSET_LIMIT predictors) or "explicit" (a fixed list of masks, e.g. a
-    lasso path, each sorted and deduplicated, duplicates dropped).
-    """
-
-    kind: str
-    masks: tuple[Mask, ...] | None = None
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("all", "explicit"):
-            raise DimensionMismatchError(f"unknown candidate kind {self.kind!r}")
-        if self.kind == "explicit":
-            if self.masks is None:
-                raise DimensionMismatchError("explicit candidate set needs masks")
-            masks = (tuple(sorted({int(i) for i in m})) for m in self.masks)
-            object.__setattr__(self, "masks", tuple(dict.fromkeys(masks)))
-        elif self.masks is not None:
-            raise DimensionMismatchError(f"kind {self.kind!r} does not take masks")
-
-    @classmethod
-    def all_subsets(cls) -> "CandidateSet":
-        return cls(kind="all")
-
-    @classmethod
-    def explicit(cls, masks) -> "CandidateSet":
-        return cls(kind="explicit", masks=tuple(tuple(m) for m in masks))
 
 
 @dataclass(frozen=True)
@@ -390,12 +358,9 @@ def _fit_tables(datas, searches) -> list[PerSizeBest]:
 
 
 def best_per_size(
-    data: Dataset | Sequence[Dataset], cands: CandidateSet
+    data: Dataset | Sequence[Dataset], candidates=None
 ) -> PerSizeBest | list[PerSizeBest]:
-    """The minimum-RSS subset at every size present in the candidate set.
-
-    "all" runs the leaps-and-bounds search, and raises LimitExceededError
-    beyond SUBSET_LIMIT predictors; "explicit" fits each listed mask.
+    """The minimum-RSS subset at every size present among the candidates.
 
     Parameters
     ----------
@@ -404,7 +369,14 @@ def best_per_size(
         at most _BLOCK nodes, and the winners of all of them are fitted
         together: one stacked QR per model size.  Each table equals the
         one-dataset call's, node count included.
-    cands : CandidateSet
+    candidates : None or iterable of masks
+        None considers every subset: the leaps-and-bounds search, which
+        raises LimitExceededError beyond SUBSET_LIMIT predictors.  An
+        iterable (e.g. a lasso path) is fitted as listed, with no limit:
+        each mask goes through as_mask (sorted, deduplicated, an index
+        outside [0, p) raises DimensionMismatchError before any fit),
+        and repeats are dropped in first-seen order.  An empty list
+        yields an empty table, not every subset.
 
     Returns
     -------
@@ -412,21 +384,21 @@ def best_per_size(
         Ties at equal RSS break to the lexicographically smallest sorted
         mask.  Rank-deficient masks are skipped and counted; each entry
         carries the bits fit_subset gives for its mask, and `nodes`
-        counts the search's work.
+        counts the search's work (0 for a list).
     """
     if isinstance(data, Dataset):
-        return _best_per_size([data], cands)[0]
-    return _best_per_size(list(data), cands)
+        return _best_per_size([data], candidates)[0]
+    return _best_per_size(list(data), candidates)
 
 
-def _best_per_size(datas: list[Dataset], cands: CandidateSet) -> list[PerSizeBest]:
+def _best_per_size(datas: list[Dataset], candidates) -> list[PerSizeBest]:
     if not datas:
         return []
     if len({d.X.shape for d in datas}) > 1:
         raise DimensionMismatchError("datasets fitted together must share one shape")
     p = datas[0].p
-    if cands.kind == "explicit":
-        masks = [as_mask(m, p) for m in cands.masks]
+    if candidates is not None:
+        masks = list(dict.fromkeys(as_mask(m, p) for m in candidates))
         return _fit_tables(datas, [(masks, 0, 0)] * len(datas))
     if p > SUBSET_LIMIT:
         raise LimitExceededError(

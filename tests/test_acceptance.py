@@ -16,8 +16,6 @@ import pytest
 
 from cmcselect import (
     CRITERIA,
-    CandidateSet,
-    CmcConfig,
     Dataset,
     FParams,
     Scenario,
@@ -93,7 +91,7 @@ def test_c3_subset_engine_oracle_equivalence():
         n = int(rng.integers(p + 4, p + 40))
         data = random_dataset(rng, n, p, sigma=float(rng.uniform(0.3, 3.0)))
         expect = naive_best_per_size(data)
-        table = best_per_size(data, CandidateSet.all_subsets())
+        table = best_per_size(data)
         for s in range(p + 1):
             mask_ref, rss_ref = expect[s]
             assert table.entries[s].mask == mask_ref, (trial, s)
@@ -162,8 +160,8 @@ def test_c8_prostate_case_study():
     expect = tuple(names.index(v) for v in ("lcavol", "lweight", "svi"))
 
     for report in (
-        cmc_select(data, CmcConfig(alpha=0.1)),
-        cmc_select(data, CmcConfig(alpha=0.5)),
+        cmc_select(data, alpha=0.1),
+        cmc_select(data, alpha=0.5),
         bic_select(data),
     ):
         assert report.chosen == expect
@@ -197,7 +195,7 @@ def test_c9_property_suite():
         naive = naive_best_per_size(data)
         for alpha in (0.9, 0.5, 0.1):
             kap = kappa(alpha, p + 1, n)
-            report = cmc_select(data, CmcConfig(alpha=alpha))
+            report = cmc_select(data, alpha=alpha)
             assert report.lambda_ <= kap + 1e-9
             smallest = min(
                 s for s in range(p + 1)
@@ -210,7 +208,7 @@ def test_c9_property_suite():
     for trial in range(4):
         data = random_dataset(rng, 45, 6)
         sizes = [
-            len(cmc_select(data, CmcConfig(alpha=a)).chosen)
+            len(cmc_select(data, alpha=a).chosen)
             for a in (1.0, 0.9, 0.6, 0.3, 0.1, 0.0)
         ]
         assert sizes == sorted(sizes, reverse=True)
@@ -225,7 +223,7 @@ def test_c9_property_suite():
         sigma2 = full_fit(data).sigma2
         q = p + 1
         for alpha in (0.9, 0.5, 0.1):
-            report = cmc_select(data, CmcConfig(alpha=alpha))
+            report = cmc_select(data, alpha=alpha)
             diff = report.fit.beta - beta_full
             quad = float(diff @ (A.T @ A) @ diff) / (q * sigma2)
             bound = f_quantile(1.0 - alpha, FParams(q, n - q))
@@ -253,8 +251,8 @@ def test_c9_property_suite():
         scaled = Dataset(X=data.X, y=data.y * scale, names=data.names)
         for alpha in (0.9, 0.5, 0.1):
             assert (
-                cmc_select(data, CmcConfig(alpha=alpha)).chosen
-                == cmc_select(scaled, CmcConfig(alpha=alpha)).chosen
+                cmc_select(data, alpha=alpha).chosen
+                == cmc_select(scaled, alpha=alpha).chosen
             )
 
     # shifting the response must not change any criterion's chosen mask; the

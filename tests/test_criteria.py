@@ -9,8 +9,6 @@ from hypothesis import strategies as st
 
 from cmcselect import (
     CRITERIA,
-    CandidateSet,
-    CmcConfig,
     ConfigError,
     Dataset,
     DomainError,
@@ -105,7 +103,7 @@ def test_classify_cases():
 
 def test_cmc_hand_dataset():
     # empty-model lambda 56.3 > kappa 2, so alpha 0.5 keeps the predictor
-    report = cmc_select(HAND, CmcConfig(alpha=0.5))
+    report = cmc_select(HAND, alpha=0.5)
     assert report.chosen == (0,)
     assert report.kappa == pytest.approx(2.0, abs=1e-9)
     assert report.lambda_ == 0.0
@@ -115,8 +113,8 @@ def test_cmc_hand_dataset():
 def test_cmc_alpha_extremes():
     rng = np.random.default_rng(13)
     data = random_dataset(rng, 30, 5)
-    assert cmc_select(data, CmcConfig(alpha=1.0)).chosen == full_mask(5)
-    assert cmc_select(data, CmcConfig(alpha=0.0)).chosen == ()
+    assert cmc_select(data, alpha=1.0).chosen == full_mask(5)
+    assert cmc_select(data, alpha=0.0).chosen == ()
 
 
 def test_cmc_default_alpha():
@@ -135,7 +133,7 @@ def test_cmc_feasibility_and_minimality():
         rss_full = fit_subset(data, full_mask(p)).rss
         sigma2 = full_fit(data).sigma2
         for alpha in (0.9, 0.5, 0.1):
-            report = cmc_select(data, CmcConfig(alpha=alpha))
+            report = cmc_select(data, alpha=alpha)
             kap = kappa(alpha, data.q, data.n)
             # feasibility at the chosen model
             lam = lambda_stat(report.fit, rss_full, sigma2)
@@ -150,7 +148,7 @@ def test_cmc_sparsity_monotone_in_alpha():
     for trial in range(5):
         data = random_dataset(rng, 50, 6)
         sizes = [
-            len(cmc_select(data, CmcConfig(alpha=a)).chosen)
+            len(cmc_select(data, alpha=a).chosen)
             for a in (1.0, 0.9, 0.5, 0.1, 0.0)
         ]
         assert sizes == sorted(sizes, reverse=True)
@@ -162,16 +160,15 @@ def test_cmc_scale_invariance():
     data = random_dataset(rng, 40, 5)
     scaled = Dataset(X=data.X, y=data.y * 37.5, names=data.names)
     for alpha in (0.9, 0.5, 0.1):
-        a = cmc_select(data, CmcConfig(alpha=alpha)).chosen
-        b = cmc_select(scaled, CmcConfig(alpha=alpha)).chosen
+        a = cmc_select(data, alpha=alpha).chosen
+        b = cmc_select(scaled, alpha=alpha).chosen
         assert a == b
 
 
 def test_cmc_single_candidate():
     rng = np.random.default_rng(109)
     data = random_dataset(rng, 30, 4)
-    config = CmcConfig(alpha=0.5, candidates=CandidateSet.explicit([(0, 1, 2, 3)]))
-    report = cmc_select(data, config)
+    report = cmc_select(data, alpha=0.5, candidates=[(0, 1, 2, 3)])
     assert report.chosen == (0, 1, 2, 3)
     assert report.lambda_ == 0.0
 
@@ -182,9 +179,8 @@ def test_cmc_infeasible_explicit_list():
     y = 1.0 + 10.0 * X[:, 0] + 0.1 * rng.standard_normal(60)
     data = Dataset(X=X, y=y)
     # candidates that all omit the dominant predictor
-    config = CmcConfig(alpha=0.5, candidates=CandidateSet.explicit([(1,), (2, 3)]))
     with pytest.raises(InfeasibleCandidatesError):
-        cmc_select(data, config)
+        cmc_select(data, alpha=0.5, candidates=[(1,), (2, 3)])
 
 
 def ic_oracle(data: Dataset, criterion: str) -> tuple:
@@ -230,7 +226,7 @@ def test_select_many_matches_single_selectors():
     data = random_dataset(rng, 35, 5)
     reports = select_many(data, CRITERIA, (0.9, 0.1))
     singles = [adjr2_select(data), cp_select(data), bic_select(data)] + [
-        cmc_select(data, CmcConfig(alpha=a)) for a in (0.9, 0.1)
+        cmc_select(data, alpha=a) for a in (0.9, 0.1)
     ]
     assert [(r.criterion, r.alpha) for r in reports] == [
         (s.criterion, s.alpha) for s in singles
@@ -257,6 +253,9 @@ def test_select_many_request_checks():
     ):
         with pytest.raises(ConfigError):
             select_many(data, criteria, alphas)
+    # the single-criterion selector applies the same alpha rule
+    with pytest.raises(ConfigError):
+        cmc_select(data, alpha=1.5)
 
 
 def test_near_noiseless_recovery():
@@ -270,7 +269,7 @@ def test_near_noiseless_recovery():
     assert bic.chosen == truth
     for report in (cp_select(data), adjr2_select(data)):
         assert set(truth) <= set(report.chosen)
-    assert cmc_select(data, CmcConfig(alpha=0.5)).chosen == truth
+    assert cmc_select(data, alpha=0.5).chosen == truth
 
 
 def test_scores_cover_all_sizes():
@@ -278,7 +277,7 @@ def test_scores_cover_all_sizes():
     data = random_dataset(rng, 30, 4)
     report = bic_select(data)
     assert sorted(report.scores) == [0, 1, 2, 3, 4]
-    report = cmc_select(data, CmcConfig(alpha=0.9))
+    report = cmc_select(data, alpha=0.9)
     assert sorted(report.scores) == [0, 1, 2, 3, 4]
 
 

@@ -8,7 +8,6 @@ import pytest
 
 from cmcselect import (
     CRITERIA,
-    CmcConfig,
     ConfigError,
     Dataset,
     DomainError,
@@ -310,7 +309,7 @@ def test_monte_carlo_near_noiseless_is_perfect():
     rng = np.random.default_rng([2, 0])
     X = gen_weak_design(50, 5, rng)
     y = gen_response(X, sc, rng)
-    report = cmc_select(Dataset(X=X, y=y), CmcConfig(alpha=0.5))
+    report = cmc_select(Dataset(X=X, y=y), alpha=0.5)
     assert report.chosen == sc.truth
 
 

@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cmcselect import (
-    CandidateSet,
     Dataset,
     DimensionMismatchError,
     LimitExceededError,
@@ -20,23 +19,25 @@ from cmcselect.simulate import Scenario, gen_correlated_design, gen_response, ge
 from conftest import naive_best_per_size, random_dataset, spy_calls
 
 
-def test_candidate_set_validation():
-    with pytest.raises(DimensionMismatchError):
-        CandidateSet(kind="greedy")
-    with pytest.raises(DimensionMismatchError):
-        CandidateSet(kind="explicit")
-    with pytest.raises(DimensionMismatchError):
-        CandidateSet(kind="all", masks=((0,),))
-    cands = CandidateSet.explicit([(1, 0), (0, 1), (2,)])
-    assert cands.masks == ((0, 1), (2,))
-
-
-def test_explicit_out_of_range_mask():
+def test_candidate_list_is_canonicalized():
+    # each mask is sorted and deduplicated, repeated masks drop in first-seen order
     rng = np.random.default_rng(4)
     data = random_dataset(rng, 15, 4)
-    cands = CandidateSet.explicit([(7,)])
+    messy = best_per_size(data, [(1, 0), (0, 1, 1), (2,)])
+    assert_same_tables([best_per_size(data, [(0, 1), (2,)])], [messy])
+    # a repeated rank-deficient mask is fitted and counted once
+    X = data.X.copy()
+    X[:, 1] = X[:, 0]
+    assert best_per_size(Dataset(X=X, y=data.y), [(1, 0), (0, 1, 1)]).skipped == 1
+
+
+def test_explicit_out_of_range_mask(monkeypatch):
+    rng = np.random.default_rng(4)
+    data = random_dataset(rng, 15, 4)
+    fits = spy_calls(monkeypatch, subsets._fit_stack)
     with pytest.raises(DimensionMismatchError):
-        best_per_size(data, cands)
+        best_per_size(data, [(0,), (7,)])
+    assert fits == []
 
 
 def test_limit_guard(monkeypatch):
@@ -50,14 +51,14 @@ def test_limit_guard(monkeypatch):
     monkeypatch.setattr(subsets, "_leaps_and_bounds", stub_search)
     rng = np.random.default_rng(8)
     limit = subsets.SUBSET_LIMIT
-    best_per_size(random_dataset(rng, limit + 9, limit), CandidateSet.all_subsets())
+    best_per_size(random_dataset(rng, limit + 9, limit))
     assert searched == [limit]
     data = random_dataset(rng, limit + 10, limit + 1)
     with pytest.raises(LimitExceededError, match=f"p={limit + 1}"):
-        best_per_size(data, CandidateSet.all_subsets())
+        best_per_size(data)
     assert searched == [limit]
     # the limit bounds the search, not the data: an explicit list still fits
-    table = best_per_size(data, CandidateSet.explicit([(0, 3), tuple(range(limit + 1))]))
+    table = best_per_size(data, [(0, 3), tuple(range(limit + 1))])
     assert table.sizes() == [2, limit + 1]
 
 
@@ -68,7 +69,7 @@ def test_matches_naive_oracle_both_paths():
         n = int(rng.integers(p + 5, p + 30))
         data = random_dataset(rng, n, p)
         expect = naive_best_per_size(data)
-        table = best_per_size(data, CandidateSet.all_subsets())
+        table = best_per_size(data)
         assert table.sizes() == list(range(p + 1))
         for s in range(p + 1):
             mask_ref, rss_ref = expect[s]
@@ -80,7 +81,7 @@ def test_matches_naive_oracle_both_paths():
 def test_per_size_rss_monotone():
     rng = np.random.default_rng(31)
     data = random_dataset(rng, 35, 7)
-    table = best_per_size(data, CandidateSet.all_subsets())
+    table = best_per_size(data)
     rss = [table.entries[s].rss for s in table.sizes()]
     for a, b in zip(rss, rss[1:]):
         assert b <= a + 1e-9 * max(a, 1.0)
@@ -89,7 +90,7 @@ def test_per_size_rss_monotone():
 def test_endpoints_are_trivial_fits():
     rng = np.random.default_rng(37)
     data = random_dataset(rng, 30, 5)
-    table = best_per_size(data, CandidateSet.all_subsets())
+    table = best_per_size(data)
     tss = float(((data.y - data.y.mean()) ** 2).sum())
     assert abs(table.entries[0].rss - tss) <= 1e-9 * tss
     assert table.entries[0].mask == ()
@@ -101,7 +102,7 @@ def test_endpoints_are_trivial_fits():
 def test_reported_rss_matches_refit():
     rng = np.random.default_rng(41)
     data = random_dataset(rng, 30, 6)
-    table = best_per_size(data, CandidateSet.all_subsets())
+    table = best_per_size(data)
     for s in table.sizes():
         entry = table.entries[s]
         refit = fit_subset(data, entry.mask)
@@ -122,7 +123,7 @@ def duplicate_column_dataset(seed: int = 5) -> Dataset:
 def test_collinear_subsets_skipped():
     data = duplicate_column_dataset()
     # the masks holding both copies, {0,2} and {0,1,2}, are collinear
-    table = best_per_size(data, CandidateSet.all_subsets())
+    table = best_per_size(data)
     assert table.skipped >= 1
     assert table.sizes() == [0, 1, 2]
     expect = naive_best_per_size(data)
@@ -134,7 +135,7 @@ def test_collinear_subsets_skipped():
 def test_exact_tie_breaks_lexicographically():
     data = duplicate_column_dataset()
     # columns 0 and 2 are identical, so the size-1 optimum is a tie
-    table = best_per_size(data, CandidateSet.all_subsets())
+    table = best_per_size(data)
     assert table.entries[1].mask == (0,)
     assert table.entries[2].mask in ((0, 1), (1, 2))
 
@@ -142,12 +143,14 @@ def test_exact_tie_breaks_lexicographically():
 def test_explicit_per_size_takes_min():
     rng = np.random.default_rng(47)
     data = random_dataset(rng, 25, 4)
-    cands = CandidateSet.explicit([(0,), (3,), (1, 2)])
-    table = best_per_size(data, cands)
+    table = best_per_size(data, [(0,), (3,), (1, 2)])
     assert table.sizes() == [1, 2]
     rss0 = fit_subset(data, (0,)).rss
     rss3 = fit_subset(data, (3,)).rss
     assert table.entries[1].rss == min(rss0, rss3)
+    # an empty list is an empty explicit list, not every subset
+    assert best_per_size(data, []).entries == {}
+    assert best_per_size(data, None).sizes() == [0, 1, 2, 3, 4]
 
 
 def test_datasets_fitted_together_stack_refits(monkeypatch):
@@ -158,18 +161,17 @@ def test_datasets_fitted_together_stack_refits(monkeypatch):
     X = datas[2].X.copy()
     X[:, 6] = X[:, 1]
     datas[2] = Dataset(X=X, y=datas[2].y)
-    for cands in (CandidateSet.all_subsets(),
-                  CandidateSet.explicit([(0,), (3,), (1, 6), (1, 2), tuple(range(7))])):
-        lone = [best_per_size(d, cands) for d in datas]
+    for candidates in (None, [(0,), (3,), (1, 6), (1, 2), tuple(range(7))]):
+        lone = [best_per_size(d, candidates) for d in datas]
         stacks = spy_calls(monkeypatch, subsets._fit_stack)
-        together = best_per_size(datas, cands)
+        together = best_per_size(datas, candidates)
         monkeypatch.undo()
         assert len(stacks) == len({len(e.mask) for t in lone for e in t.entries.values()})
         assert isinstance(together, list) and len(together) == len(datas)
         assert_same_tables(lone, together)
     assert together[2].skipped >= 1
     with pytest.raises(DimensionMismatchError):
-        best_per_size([datas[0], random_dataset(rng, 31, 7)], CandidateSet.all_subsets())
+        best_per_size([datas[0], random_dataset(rng, 31, 7)])
 
 
 def assert_same_tables(lone, together) -> None:
@@ -201,12 +203,11 @@ def test_datasets_searched_together_match_lone_calls(K, p, data):
             Z[:, c] = 0.9 * Z[:, j] + np.sqrt(1 - 0.81) * Z[:, c]
         y = Z[:, : max(1, p // 2)].sum(axis=1) + rng.standard_normal(n)
         datas.append(Dataset(X=Z, y=y))
-    cands = CandidateSet.all_subsets()
     for block in (1, 3, subsets._BLOCK):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(subsets, "_BLOCK", block)
-            lone = [best_per_size(d, cands) for d in datas]
-            together = best_per_size(datas, cands)
+            lone = [best_per_size(d) for d in datas]
+            together = best_per_size(datas)
         assert_same_tables(lone, together)
 
 
@@ -217,12 +218,12 @@ def masks_of(table) -> dict:
 def test_node_count_repeats_exactly():
     rng = np.random.default_rng(12)
     data = random_dataset(rng, 40, 12)
-    first = best_per_size(data, CandidateSet.all_subsets())
-    again = best_per_size(data, CandidateSet.all_subsets())
+    first = best_per_size(data)
+    again = best_per_size(data)
     assert (again.nodes, again.skipped) == (first.nodes, first.skipped)
     # the unpruned tree would evaluate 2^p floors and ceilings
     assert 0 < first.nodes < 2**12
-    assert best_per_size(data, CandidateSet.explicit([(0,), (1, 2)])).nodes == 0
+    assert best_per_size(data, [(0,), (1, 2)]).nodes == 0
 
 
 def weak_draw(r: int) -> Dataset:
@@ -261,20 +262,19 @@ PINNED_TWIN = {  # twin_dataset(seed, p, col, copy): every full design is collin
 @pytest.mark.parametrize("block", [3, 128])
 def test_search_work_is_pinned(monkeypatch, block):
     monkeypatch.setattr(subsets, "_BLOCK", block)
-    cands = CandidateSet.all_subsets()
     for (seed, p), want in PINNED_CORRELATED[block].items():
-        table = best_per_size(correlated_case(seed, p)[0], cands)
+        table = best_per_size(correlated_case(seed, p)[0])
         assert (table.nodes, table.skipped) == want, (seed, p)
     # searched together, so merged blocks split and interleave
-    weak = best_per_size([weak_draw(r) for r in range(12)], cands)
+    weak = best_per_size([weak_draw(r) for r in range(12)])
     assert [(t.nodes, t.skipped) for t in weak] == PINNED_WEAK[block]
     twins = list(PINNED_TWIN[block].items())
     for args, want in twins:
-        table = best_per_size(twin_dataset(*args), cands)
+        table = best_per_size(twin_dataset(*args))
         assert (table.nodes, table.skipped) == want, args
     # the two p = 8 twins share a shape: collinear designs searched together
     pairs = [(twin_dataset(*args), want) for args, want in twins if args[1] == 8]
-    together = best_per_size([data for data, _ in pairs], cands)
+    together = best_per_size([data for data, _ in pairs])
     assert [(t.nodes, t.skipped) for t in together] == [want for _, want in pairs]
 
 
@@ -304,7 +304,7 @@ def test_correlated_designs_match_scan(monkeypatch, block):
     for seed in range(3):
         for p in (12, 13, 14):
             data, expect = correlated_case(seed, p)
-            table = best_per_size(data, CandidateSet.all_subsets())
+            table = best_per_size(data)
             assert_matches(table, expect)
             assert table.skipped == 0
             assert table.nodes < 2**p
@@ -323,7 +323,7 @@ def test_rank_deficient_full_design_matches_oracle():
     # the full design is collinear, so the search has no ceiling chain and
     # bounds each subtree by a fresh projection sweep of its floor
     data = twin_dataset(8, 8, col=2, copy=7)
-    table = best_per_size(data, CandidateSet.all_subsets())
+    table = best_per_size(data)
     expect = naive_best_per_size(data)
     assert table.skipped >= 1
     assert table.sizes() == sorted(expect) == list(range(8))
@@ -344,7 +344,7 @@ def test_duplicate_column_tie_breaks_lexicographically(p):
     # ties exactly with its twin, and the twin holding column 1 sorts first
     copy = p - 3
     data = twin_dataset(p, p, col=1, copy=copy)
-    table = best_per_size(data, CandidateSet.all_subsets())
+    table = best_per_size(data)
     assert table.skipped >= 1
     for s in table.sizes():
         mask = table.entries[s].mask
@@ -364,10 +364,10 @@ def test_pruned_search_matches_oracle_property(p, data):
         Z[:, k] = 0.9 * Z[:, j] + np.sqrt(1 - 0.81) * Z[:, k]
     y = Z[:, : max(1, p // 2)].sum(axis=1) + rng.standard_normal(n)
     design = Dataset(X=Z * 10.0 ** np.asarray(scales), y=y)
-    table = best_per_size(design, CandidateSet.all_subsets())
+    table = best_per_size(design)
     assert_matches(table, naive_best_per_size(design))
     # permuting the columns permutes the winners and nothing else
     perm = data.draw(st.permutations(range(p)), label="column permutation")
-    permuted = best_per_size(Dataset(X=design.X[:, perm], y=y), CandidateSet.all_subsets())
+    permuted = best_per_size(Dataset(X=design.X[:, perm], y=y))
     mapped = {s: tuple(sorted(perm[i] for i in m)) for s, m in masks_of(permuted).items()}
     assert mapped == masks_of(table)
