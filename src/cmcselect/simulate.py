@@ -7,12 +7,12 @@ with weight w chosen so the within-group correlation is a requested rho.
 Each replication draws a fresh design and response from a child generator
 keyed by (seed, replication index), selects on it as select_many does
 (the selector a user runs on one dataset), and classifies each chosen
-mask against the true active set.  Replications run in chunks: a
-chunk's datasets get their per-size tables from one best_per_size call,
-which searches them in lockstep, sharing blocks of tree nodes, and stacks
-the QR refits of one model size into one call; masks, node counts and
-fits are bit-identical to lone calls.  Results are merged by replication
-index, so a run is
+mask against the true active set.  Replications run in chunks, as few
+and as even as keep every worker busy: a chunk's datasets get their
+per-size tables from one best_per_size call, which searches them in
+lockstep, sharing blocks of tree nodes, and stacks the QR refits of one
+model size into one call; masks, node counts and fits are bit-identical
+to lone calls.  Results are merged by replication index, so a run is
 bit-identical for a fixed (seed, reps) no matter how many worker
 processes are used.
 """
@@ -39,9 +39,9 @@ _REFERENCE_CORRELATED = (20, 10, 5)
 
 _MAX_REGEN = 10
 
-# most reps per chunk: a serial (400, 30) run then stacks about 3 MB per
-# array; the chunk's lockstep search holds blocks of at most subsets._BLOCK
-# nodes whatever the chunk size, so its memory is bounded as for one search
+# most reps per chunk: a (400, 30) chunk then stacks about 3 MB per array;
+# the chunk's lockstep search holds blocks of at most subsets._BLOCK_FLOATS
+# floats, so a block's memory does not grow with the chunk
 _MAX_CHUNK = 32
 
 # least seconds between two progress lines
@@ -202,6 +202,19 @@ def _run_chunk(args) -> list[tuple[int, list[float], list[float], int]]:
     return out
 
 
+def _chunks(reps: int, workers: int) -> list[range]:
+    """Cut reps 0..reps-1 into consecutive chunks, as few as keep every worker busy.
+
+    The chunk count is the least multiple of `workers` that keeps each
+    chunk within _MAX_CHUNK reps, and chunk sizes differ by at most one,
+    so the workers get equal shares and a chunk is as large as it can be:
+    its lockstep search amortizes the per-block numpy calls over more
+    datasets.
+    """
+    count = workers * -(-reps // (workers * _MAX_CHUNK))
+    return [range(i * reps // count, (i + 1) * reps // count) for i in range(count)]
+
+
 def run_monte_carlo(
     scenario: Scenario,
     criteria=CRITERIA,
@@ -212,10 +225,13 @@ def run_monte_carlo(
 ) -> MonteCarloResult:
     """Average classification rates of each criterion over seeded replications.
 
-    Replications run in chunks of up to 32, each chunk's tables fitted
-    together; a chunk's results are bit-identical to one-at-a-time
-    select_many runs.  Once a chunk completes, and at most every 10 s,
-    progress (reps done, elapsed time, ETA) is logged at INFO.
+    Replications run in the fewest chunks of at most 32 that give every
+    worker the same number, their sizes differing by at most one (100
+    reps: four chunks of 25 at one or two workers).  Each chunk's tables
+    are searched and fitted together, and its results are bit-identical
+    to one-at-a-time select_many runs.  Once a chunk completes, and at
+    most every 10 s, progress (reps done, elapsed time, ETA) is logged at
+    INFO.
 
     Parameters
     ----------
@@ -249,9 +265,7 @@ def run_monte_carlo(
     regenerated = 0
     # a pool starts all its workers at once, so never more than there are reps
     workers = min(threads, reps)
-    size = min(_MAX_CHUNK, max(1, reps // (workers * 8)))
-    tasks = [(scenario, criteria, alphas, seed, range(lo, min(lo + size, reps)))
-             for lo in range(0, reps, size)]
+    tasks = [(scenario, criteria, alphas, seed, chunk) for chunk in _chunks(reps, workers)]
     if workers == 1:
         results = map(_run_chunk, tasks)
     else:

@@ -14,19 +14,24 @@ swept blocks over its undecided variables plus y: the floor
 sweep with the variables decided out unswept).  Including a variable is
 one rank-1 sweep of the floor, excluding it one rank-1 unsweep of the
 ceiling, and a node's RSS is the [y, y] entry, so no node solves a
-linear system.  Nodes advance one tree level at a time, a block of up to
-_BLOCK nodes per numpy call, from a depth-first stack of blocks.
+linear system.  The tree decides the strongest variables first, those
+whose deletion from the full model costs the most RSS (the |t| order
+Furnival & Wilson recommend), so good incumbents come early and prune
+most of the tree.  Nodes advance one tree level at a time, a block of
+nodes per numpy call, from a depth-first stack of blocks.
 
 One call searches all its datasets in lockstep.  A block holds nodes of
 one depth from one dataset or from several, each tagged with its owner,
-so at small p, where one tree level is far below _BLOCK nodes, one set of
+so at small p, where one tree level is far below a block, one set of
 numpy calls advances a whole Monte Carlo chunk.  The owner rule keeps the
-results exact: each dataset's children are cut into _BLOCK chunks where
-its lone search cuts them, and the chunks are packed whole into blocks,
-so every dataset sees the sequence of blocks its lone search sees, and
-its masks, skips and node count are those of a one-dataset call.  Large
-trees fill their blocks alone.  _BLOCK is the one bound on a block,
-merged or not.
+results exact: each dataset's children are cut into block-sized chunks
+where its lone search cuts them, and the chunks are packed whole into
+blocks, so every dataset sees the sequence of blocks its lone search
+sees, and its masks, skips and node count are those of a one-dataset
+call.  Large trees fill their blocks alone, and a one-dataset block does
+no work over the other datasets.  _BLOCK_FLOATS is the one bound on a
+block, merged or not: it bounds the block's arrays, so a block holds
+more nodes at small p, where each node is small.
 
 Intercepts are handled exactly by centering: the RSS of a subset fitted
 with an intercept equals the RSS of the centered regression on the same
@@ -49,17 +54,20 @@ from .linalg import Dataset, FitSummary, Mask, _fit_stack, as_mask
 
 log = logging.getLogger(__name__)
 
-# most predictors for an exhaustive search: at p = 30 one takes 55 MB and ~1 s
-# on the paper's designs, 27 s with all 30 strongly active (2-core x86, numpy 2.4)
+# most predictors for an exhaustive search: at p = 30 one peaks at 46 MB of
+# process RSS and takes 0.1-0.4 s on the paper's weak designs, 25 s with all
+# 30 strongly active (2-core x86, numpy 2.4)
 SUBSET_LIMIT = 30
 
 # a sweep pivot at or below this fraction of its column's centered sum of
 # squares (1 - R^2 on the variables swept before it) marks a collinear subset
 _PIVOT_TOL = 1e-10
 
-# tree nodes per block of the search, from one dataset or several: bounds its
-# memory and keeps the incumbents improving in near depth-first order
-_BLOCK = 128
+# floats per swept array of a search block, from one dataset or several: a
+# node at depth 0 holds (p+1)^2, so a block holds _BLOCK_FLOATS // (p+1)^2
+# nodes (128 at p = 30, 1016 at p = 10), which bounds its memory and keeps
+# the incumbents improving in near depth-first order
+_BLOCK_FLOATS = 128 * 31**2
 
 
 @dataclass(frozen=True)
@@ -112,15 +120,20 @@ def _sweep(W: np.ndarray, diag: np.ndarray) -> np.ndarray:
     return clean
 
 
-def _split(own: np.ndarray, m: int, K: int):
+def _block_nodes(p: int) -> int:
+    """Nodes per search block at p predictors: _BLOCK_FLOATS // (p+1)^2, at least one."""
+    return max(1, _BLOCK_FLOATS // (p + 1) ** 2)
+
+
+def _split(own: np.ndarray, m: int, K: int, block: int):
     """Cut the children of a block holding several datasets into blocks.
 
     own tags each child with its dataset: the include-children (the first
     m) and then the exclude-children, each in node order, which for every
     dataset is the order of its lone search.  Each dataset's children are
-    cut into _BLOCK chunks where its lone search cuts them, and the chunks
-    are packed whole, in (chunk index, dataset) order, into blocks of at
-    most _BLOCK nodes.  Returns the permutation of the children into block
+    cut into `block`-node chunks where its lone search cuts them, and the
+    chunks are packed whole, in (chunk index, dataset) order, into blocks
+    of at most `block` nodes.  Returns the permutation of the children into block
     order, each block's (lo, mid, hi) with its include-children in lo:mid,
     and each block's owner: a dataset index, or None when it holds several.
     """
@@ -128,26 +141,26 @@ def _split(own: np.ndarray, m: int, K: int):
     count = np.bincount(own, minlength=K)
     start = np.cumsum(count) - count
     owner = own[by_owner]
-    chunk = (np.arange(len(own)) - start[owner]) // _BLOCK
-    chunks = -(-count // _BLOCK)
+    chunk = (np.arange(len(own)) - start[owner]) // block
+    chunks = -(-count // block)
     where = np.empty((int(chunks.max()), K), dtype=np.intp)
     owners: list[list[int]] = []
-    fill = _BLOCK
+    fill = block
     for c in range(where.shape[0]):
         for k in np.flatnonzero(chunks > c).tolist():
-            size = min(_BLOCK, int(count[k]) - c * _BLOCK)
-            if fill + size > _BLOCK:
+            size = min(block, int(count[k]) - c * block)
+            if fill + size > block:
                 owners.append([])
                 fill = 0
             owners[-1].append(k)
             fill += size
             where[c, k] = len(owners) - 1
-    block = where[chunk, owner]
+    dest = where[chunk, owner]
     inc = by_owner < m
     # within a block the include-children go first: each dataset keeps its order
-    perm = by_owner[np.argsort(2 * block + ~inc, kind="stable")]
-    hi = np.cumsum(np.bincount(block, minlength=len(owners))).tolist()
-    mid = np.bincount(block[inc], minlength=len(owners)).tolist()
+    perm = by_owner[np.argsort(2 * dest + ~inc, kind="stable")]
+    hi = np.cumsum(np.bincount(dest, minlength=len(owners))).tolist()
+    mid = np.bincount(dest[inc], minlength=len(owners)).tolist()
     lo = [0] + hi[:-1]
     cuts = [(a, a + b, c) for a, b, c in zip(lo, mid, hi)]
     return perm, cuts, [ks[0] if len(ks) == 1 else None for ks in owners]
@@ -176,11 +189,29 @@ def _leaps_and_bounds(G, b, tss, p: int) -> list[tuple[list[Mask], int, int]]:
     nodes evaluated.
     """
     K = len(tss)
+    block = _block_nodes(p)
     diag = np.diagonal(G, axis1=1, axis2=2)
+    M = np.empty((K, p + 1, p + 1))
+    M[:, :p, :p] = G
+    M[:, :p, p] = M[:, p, :p] = b
+    M[:, p, p] = tss
+    # one full-model sweep gives both the order and, permuted, the ceiling chain
+    T = M.copy()
+    full_ok = _sweep(T, diag)
+    # order by the RSS increase of deleting j from the full model,
+    # beta_j^2 / (G^-1)_jj = T[j, p]^2 / -T[j, j], strongest first (the |t|
+    # order of Furnival & Wilson); a collinear full design has no such
+    # increase and orders by the marginal drop b_j^2 / G_jj from the empty model
     score = np.divide(b * b, diag, out=np.zeros_like(b), where=diag > 0)
+    tp = T[:, :p, p]
+    np.divide(tp * tp, -np.diagonal(T, axis1=1, axis2=2)[:, :p], out=score, where=full_ok[:, None])
     order = np.argsort(-score, axis=1, kind="stable")
     ks = np.arange(K)[:, None]
     gdiag = diag[ks, order]
+    # both matrices' rows and columns in search order, y last
+    at = np.concatenate((order, np.full((K, 1), p)), axis=1)
+    M = M[ks[:, :, None], at[:, :, None], at[:, None, :]]
+    T = T[ks[:, :, None], at[:, :, None], at[:, None, :]]
     # a subset's key has bit p-1-j for column j, so at equal size the larger
     # key holds the first differing column: the lexicographically smaller mask
     first = np.left_shift(1, p - 1 - order)
@@ -214,12 +245,6 @@ def _leaps_and_bounds(G, b, tss, p: int) -> list[tuple[list[Mask], int, int]]:
                 flat_rss[s] = r
                 best_key[s] = k
 
-    M = np.empty((K, p + 1, p + 1))
-    M[:, :p, :p] = G[ks[:, :, None], order[:, :, None], order[:, None, :]]
-    M[:, :p, p] = M[:, p, :p] = b[ks, order]
-    M[:, p, p] = tss
-    T = M.copy()
-    full_ok = _sweep(T, gdiag)
     ceil = T[:, p, p].copy()
     skipped = (~full_ok).astype(np.int64)
     nodes = np.full(K, 2, dtype=np.int64)
@@ -232,8 +257,8 @@ def _leaps_and_bounds(G, b, tss, p: int) -> list[tuple[list[Mask], int, int]]:
         # ceilings are the projection RSS of fresh sweeps of its floors, so
         # it never shares a block with a clean one
         for group, chain in (((~full_ok).nonzero()[0], None), (full_ok.nonzero()[0], T)):
-            for lo in range(0, len(group), _BLOCK):
-                own = group[lo : lo + _BLOCK]
+            for lo in range(0, len(group), block):
+                own = group[lo : lo + block]
                 n = len(own)
                 stack.append((0, M[own], None if chain is None else chain[own],
                               np.zeros(n, dtype=np.int64), own * (p + 1),
@@ -282,7 +307,11 @@ def _leaps_and_bounds(G, b, tss, p: int) -> list[tuple[list[Mask], int, int]]:
             # the maxima of a sliding-window view of the incumbents
             window = np.ndarray((K, d + 2, p - d), best_rss.dtype, best_rss, 0,
                                 best_rss.strides + best_rss.strides[1:])
-            window.max(axis=2, out=reach[:, : d + 2])
+            if single:
+                # a one-dataset block reads only its own row
+                window[own].max(axis=1, out=reach[own, : d + 2])
+            else:
+                window.max(axis=2, out=reach[:, : d + 2])
             ki = (inc_ok & (ceil <= flat_reach[slot_in])).nonzero()[0]
             ke = (cex <= flat_reach[floor_slot]).nonzero()[0]
             idx = np.concatenate((ki, ke))
@@ -292,12 +321,12 @@ def _leaps_and_bounds(G, b, tss, p: int) -> list[tuple[list[Mask], int, int]]:
             key2 = np.concatenate((key_in[ki], key[ke]))
             slot2 = np.concatenate((slot_in[ki], floor_slot[ke]))
             ceil2 = np.concatenate((ceil[ki], cex[ke]))
-            if single or len(idx) <= _BLOCK:
+            if single or len(idx) <= block:
                 # each dataset's children are already in its lone order: cut in place
-                blocks = [(lo, min(max(m, lo), lo + _BLOCK), min(lo + _BLOCK, len(idx)),
-                           own if single else None) for lo in range(0, len(idx), _BLOCK)]
+                blocks = [(lo, min(max(m, lo), lo + block), min(lo + block, len(idx)),
+                           own if single else None) for lo in range(0, len(idx), block)]
             else:
-                perm, cuts, owners = _split(own[idx], m, K)
+                perm, cuts, owners = _split(own[idx], m, K, block)
                 idx, key2, slot2, ceil2 = idx[perm], key2[perm], slot2[perm], ceil2[perm]
                 blocks = [(lo, mid, hi, k) for (lo, mid, hi), k in zip(cuts, owners)]
             # each block gets arrays of its own, so a popped sibling frees its part;
@@ -366,7 +395,7 @@ def best_per_size(
     ----------
     data : Dataset, or a sequence of Datasets of one shape
         A sequence is searched in lockstep, its datasets sharing blocks of
-        at most _BLOCK nodes, and the winners of all of them are fitted
+        at most _BLOCK_FLOATS // (p+1)^2 nodes, and the winners of all of them are fitted
         together: one stacked QR per model size.  Each table equals the
         one-dataset call's, node count included.
     candidates : None or iterable of masks

@@ -196,8 +196,9 @@ def test_replicate_runs_select_many(monkeypatch):
 
 @pytest.mark.parametrize("reps", [13, 50])
 def test_chunking_does_not_change_results(monkeypatch, reps):
-    # 13 reps run as 13 chunks of one at any thread count; 50 run as uneven chunks
-    # (6+...+2 serially, 3+...+2 at two threads) and match unstacked one-rep chunks
+    # 13 reps run as one chunk serially, 6+7 at two threads and 4+4+5 at three;
+    # 50 run as 25+25 at one or two threads and 16+17+17 at three; all match
+    # unstacked one-rep chunks
     sc = Scenario(kind="weak", n=20, p=6, p_active=3, sigma=1.5)
     runs = [run_monte_carlo(sc, reps=reps, seed=7, threads=t) for t in (1, 2, 3)]
     monkeypatch.setattr(simulate, "_MAX_CHUNK", 1)
@@ -210,7 +211,7 @@ def test_chunking_does_not_change_results(monkeypatch, reps):
 
 
 def test_collinear_draw_is_redrawn_inside_its_chunk(monkeypatch):
-    # the first draws of reps 1 and 4 (both in the first chunk of 5) get a duplicated
+    # the first draws of reps 1 and 4 (both in the first chunk of 20) get a duplicated
     # column; only those reps redraw, from their own streams
     sc = Scenario(kind="weak", n=30, p=6, p_active=3, sigma=1.5)
     seed, reps = 3, 40
@@ -246,11 +247,37 @@ def test_progress_is_logged_per_chunk(monkeypatch, caplog):
     with caplog.at_level(logging.INFO, logger="cmcselect.simulate"):
         run_monte_carlo(sc, reps=20, seed=1)
     lines = [rec.getMessage() for rec in caplog.records]
-    # 20 reps in chunks of 20 // 8 = 2
-    assert len(lines) == 10
-    assert lines[0].startswith("2/20 reps done, ")
-    assert lines[-1].startswith("20/20 reps done, ") and lines[-1].endswith("ETA 0.0 s")
+    # 20 serial reps are one chunk
+    assert len(lines) == 1
+    assert lines[0].startswith("20/20 reps done, ") and lines[0].endswith("ETA 0.0 s")
+    caplog.clear()
+    monkeypatch.setattr(simulate, "_MAX_CHUNK", 8)
+    with caplog.at_level(logging.INFO, logger="cmcselect.simulate"):
+        run_monte_carlo(sc, reps=20, seed=1)
+    lines = [rec.getMessage() for rec in caplog.records]
+    # chunks of at most 8: 6 + 7 + 7
+    assert [line.split(" ")[0] for line in lines] == ["6/20", "13/20", "20/20"]
+    assert lines[-1].endswith("ETA 0.0 s")
     assert all(rec.levelno == logging.INFO for rec in caplog.records)
+
+
+def test_chunk_plan(monkeypatch):
+    # every worker gets the same number of chunks, as few as keep each
+    # within _MAX_CHUNK reps, with sizes that differ by at most one
+    assert [len(c) for c in simulate._chunks(100, 1)] == [25] * 4
+    assert [len(c) for c in simulate._chunks(100, 2)] == [25] * 4
+    for max_chunk in (1, 5, simulate._MAX_CHUNK):
+        monkeypatch.setattr(simulate, "_MAX_CHUNK", max_chunk)
+        for reps in (1, 2, 3, 7, 13, 20, 31, 32, 33, 64, 65, 100, 257):
+            for workers in range(1, min(reps, 5) + 1):
+                chunks = simulate._chunks(reps, workers)
+                sizes = [len(c) for c in chunks]
+                case = (max_chunk, reps, workers)
+                assert len(chunks) % workers == 0, case
+                assert max(sizes) - min(sizes) <= 1, case
+                assert max(sizes) <= max_chunk, case
+                assert len(chunks) == workers or reps > (len(chunks) - workers) * max_chunk, case
+                assert [r for c in chunks for r in c] == list(range(reps)), case
 
 
 def test_monte_carlo_reproducible():

@@ -184,11 +184,17 @@ def assert_same_tables(lone, together) -> None:
             assert np.array_equal(a.entries[s].beta, b.entries[s].beta)
 
 
+def bound_blocks(monkeypatch, nodes, p: int) -> None:
+    """Bound the search's blocks at p predictors to `nodes` nodes; None keeps the default."""
+    if nodes is not None:
+        monkeypatch.setattr(subsets, "_BLOCK_FLOATS", nodes * (p + 1) ** 2)
+
+
 @settings(max_examples=30, derandomize=True, deadline=None)
 @given(K=st.integers(1, 8), p=st.integers(1, 12), data=st.data())
 def test_datasets_searched_together_match_lone_calls(K, p, data):
     # a lockstep search over K datasets gives each the table of its lone
-    # search; block sizes 1 and 3 split the merged blocks at every level
+    # search; blocks of 1 and 3 nodes split the merged blocks at every level
     n = data.draw(st.integers(p + 3, 3 * p + 5), label="n")
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
     datas = []
@@ -203,9 +209,9 @@ def test_datasets_searched_together_match_lone_calls(K, p, data):
             Z[:, c] = 0.9 * Z[:, j] + np.sqrt(1 - 0.81) * Z[:, c]
         y = Z[:, : max(1, p // 2)].sum(axis=1) + rng.standard_normal(n)
         datas.append(Dataset(X=Z, y=y))
-    for block in (1, 3, subsets._BLOCK):
+    for block in (1, 3, None):
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(subsets, "_BLOCK", block)
+            bound_blocks(mp, block, p)
             lone = [best_per_size(d) for d in datas]
             together = best_per_size(datas)
         assert_same_tables(lone, together)
@@ -234,22 +240,24 @@ def weak_draw(r: int) -> Dataset:
     return Dataset(X=X, y=gen_response(X, scen, rng))
 
 
-# (nodes, skipped) of the search on fixed designs at block sizes 128 and 3,
-# recorded from the one-dataset engine before the lockstep search: any change
-# to the visiting order, the prune test or the block cuts moves these counts
+# (nodes, skipped) of the search on fixed designs in blocks of 128 and of 3
+# nodes: any change to the variable order, the prune test or the block cuts
+# moves these counts.  The correlated and weak counts are those of the
+# Furnival-Wilson order; the twins, whose full designs are collinear, keep
+# the marginal order and the counts recorded before the lockstep search
 PINNED_CORRELATED = {  # correlated_case(seed, p)
-    128: {(0, 12): (418, 0), (0, 13): (586, 0), (0, 14): (984, 0),
-          (1, 12): (502, 0), (1, 13): (598, 0), (1, 14): (882, 0),
-          (2, 12): (408, 0), (2, 13): (602, 0), (2, 14): (1022, 0)},
-    3: {(0, 12): (430, 0), (0, 13): (528, 0), (0, 14): (886, 0),
-        (1, 12): (440, 0), (1, 13): (538, 0), (1, 14): (820, 0),
-        (2, 12): (408, 0), (2, 13): (464, 0), (2, 14): (1098, 0)},
+    128: {(0, 12): (420, 0), (0, 13): (620, 0), (0, 14): (860, 0),
+          (1, 12): (406, 0), (1, 13): (618, 0), (1, 14): (824, 0),
+          (2, 12): (402, 0), (2, 13): (566, 0), (2, 14): (854, 0)},
+    3: {(0, 12): (318, 0), (0, 13): (514, 0), (0, 14): (750, 0),
+        (1, 12): (338, 0), (1, 13): (468, 0), (1, 14): (718, 0),
+        (2, 12): (318, 0), (2, 13): (410, 0), (2, 14): (772, 0)},
 }
 PINNED_WEAK = {  # weak_draw(0) .. weak_draw(11)
-    128: [(236, 0), (190, 0), (200, 0), (184, 0), (198, 0), (194, 0),
-          (194, 0), (200, 0), (206, 0), (188, 0), (254, 0), (206, 0)],
-    3: [(214, 0), (160, 0), (178, 0), (164, 0), (152, 0), (144, 0),
-        (154, 0), (176, 0), (176, 0), (178, 0), (254, 0), (176, 0)],
+    128: [(176, 0), (182, 0), (192, 0), (184, 0), (192, 0), (190, 0),
+          (194, 0), (206, 0), (206, 0), (204, 0), (234, 0), (198, 0)],
+    3: [(162, 0), (144, 0), (164, 0), (148, 0), (146, 0), (152, 0),
+        (166, 0), (208, 0), (208, 0), (164, 0), (230, 0), (160, 0)],
 }
 PINNED_TWIN = {  # twin_dataset(seed, p, col, copy): every full design is collinear
     128: {(8, 8, 2, 7): (124, 2), (6, 6, 1, 3): (42, 4), (8, 8, 1, 5): (142, 4),
@@ -261,21 +269,40 @@ PINNED_TWIN = {  # twin_dataset(seed, p, col, copy): every full design is collin
 
 @pytest.mark.parametrize("block", [3, 128])
 def test_search_work_is_pinned(monkeypatch, block):
-    monkeypatch.setattr(subsets, "_BLOCK", block)
     for (seed, p), want in PINNED_CORRELATED[block].items():
+        bound_blocks(monkeypatch, block, p)
         table = best_per_size(correlated_case(seed, p)[0])
         assert (table.nodes, table.skipped) == want, (seed, p)
     # searched together, so merged blocks split and interleave
+    bound_blocks(monkeypatch, block, 10)
     weak = best_per_size([weak_draw(r) for r in range(12)])
     assert [(t.nodes, t.skipped) for t in weak] == PINNED_WEAK[block]
     twins = list(PINNED_TWIN[block].items())
     for args, want in twins:
+        bound_blocks(monkeypatch, block, args[1])
         table = best_per_size(twin_dataset(*args))
         assert (table.nodes, table.skipped) == want, args
     # the two p = 8 twins share a shape: collinear designs searched together
+    bound_blocks(monkeypatch, block, 8)
     pairs = [(twin_dataset(*args), want) for args, want in twins if args[1] == 8]
     together = best_per_size([data for data, _ in pairs])
     assert [(t.nodes, t.skipped) for t in together] == [want for _, want in pairs]
+
+
+def test_block_bound_scales_with_p():
+    # a block's swept arrays hold at most the floats of a 128-node p = 30 block
+    assert [subsets._block_nodes(p) for p in (30, 20, 14, 10)] == [128, 278, 546, 1016]
+    assert subsets._block_nodes(10**4) == 1
+
+
+def test_p30_search_work_is_pinned():
+    # one weak (60, 30, 15) replicate: 1,109,658 nodes in the marginal order,
+    # so a lost variable order fails here as a count, not as a slow run
+    scen = Scenario("weak", n=60, p=30, p_active=15)
+    rng = np.random.default_rng([1, 0])
+    X = gen_weak_design(scen.n, scen.p, rng)
+    table = best_per_size(Dataset(X=X, y=gen_response(X, scen, rng)))
+    assert (table.nodes, table.skipped) == (278942, 0)
 
 
 def assert_matches(table, expect) -> None:
@@ -296,13 +323,13 @@ def correlated_case(seed: int, p: int) -> tuple[Dataset, dict]:
     return data, naive_best_per_size(data)
 
 
-@pytest.mark.parametrize("block", [1, 3, subsets._BLOCK])
+@pytest.mark.parametrize("block", [1, 3, 128])
 def test_correlated_designs_match_scan(monkeypatch, block):
     # factor-correlated groups keep many subtrees alive, so the blocks fill,
-    # split and stack up; block sizes 1 and 3 force a split at every level
-    monkeypatch.setattr(subsets, "_BLOCK", block)
+    # split and stack up; blocks of 1 and 3 nodes force a split at every level
     for seed in range(3):
         for p in (12, 13, 14):
+            bound_blocks(monkeypatch, block, p)
             data, expect = correlated_case(seed, p)
             table = best_per_size(data)
             assert_matches(table, expect)
