@@ -25,15 +25,7 @@ from .criteria import (
     lambda_stat,
     select_many,
 )
-from .datasets import (
-    FETCH_INSTRUCTION,
-    PROSTATE_ENV,
-    PROSTATE_PREDICTORS,
-    PROSTATE_RESPONSE,
-    PROSTATE_ROWS,
-    load_prostate,
-    locate_prostate,
-)
+from .datasets import PROSTATE_ENV, PROSTATE_RESPONSE, load_prostate
 from .errors import (
     CmcError,
     ConfigError,
@@ -51,7 +43,7 @@ from .errors import (
     RankDeficientError,
     TooFewRowsError,
 )
-from .fdist import FParams, f_cdf, f_quantile, reg_inc_beta
+from .fdist import FParams, f_cdf, f_quantile
 from .linalg import (
     Dataset,
     FitSummary,
@@ -60,18 +52,9 @@ from .linalg import (
     as_mask,
     fit_subset,
     full_fit,
-    full_mask,
     standardize,
 )
-from .simulate import (
-    MonteCarloResult,
-    Scenario,
-    gen_correlated_design,
-    gen_response,
-    gen_weak_design,
-    rho_to_w,
-    run_monte_carlo,
-)
+from .simulate import MonteCarloResult, Scenario, run_monte_carlo
 from .subsets import PerSizeBest, best_per_size
 
 __all__ = [
@@ -114,23 +97,13 @@ __all__ = [
     "f_quantile",
     "fit_subset",
     "full_fit",
-    "full_mask",
-    "gen_correlated_design",
-    "gen_response",
-    "gen_weak_design",
     "ic_from_table",
     "labels_for",
     "kappa",
     "lambda_stat",
     "load_prostate",
-    "locate_prostate",
-    "FETCH_INSTRUCTION",
     "PROSTATE_ENV",
-    "PROSTATE_PREDICTORS",
     "PROSTATE_RESPONSE",
-    "PROSTATE_ROWS",
-    "reg_inc_beta",
-    "rho_to_w",
     "run_monte_carlo",
     "select_many",
     "standardize",

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .criteria import CRITERIA, RatePair, _full_from_table, _reports, classify, labels_for
-from .errors import ConfigError, DomainError, RankDeficientError, TooFewRowsError
+from .errors import ConfigError, RankDeficientError, TooFewRowsError
 from .linalg import Dataset
 from .subsets import best_per_size
 
@@ -71,8 +71,8 @@ class Scenario:
     def __post_init__(self) -> None:
         if self.kind not in ("weak", "correlated"):
             raise ConfigError(f"scenario kind must be 'weak' or 'correlated', got {self.kind!r}")
-        if not (self.n >= 1 and self.p >= 1):
-            raise ConfigError(f"need n, p >= 1, got n={self.n}, p={self.p}")
+        if self.p < 1:
+            raise ConfigError(f"need p >= 1, got p={self.p}")
         if self.n <= self.p + 1:
             raise TooFewRowsError(f"need n > p+1, got n={self.n}, p={self.p}")
         if not (0 <= self.p_active <= self.p):
@@ -115,17 +115,8 @@ class MonteCarloResult:
     regenerated: int
 
 
-def gen_weak_design(n: int, p: int, rng: np.random.Generator) -> np.ndarray:
-    """n x p matrix of i.i.d. standard normals."""
-    if n < 1 or p < 1:
-        raise DomainError(f"need n, p >= 1, got n={n}, p={p}")
-    return rng.standard_normal((n, p))
-
-
-def rho_to_w(rho: float) -> float:
+def _rho_to_w(rho: float) -> float:
     """Mixing weight w with within-group correlation w**2 / ((1-w)**2 + w**2) = rho."""
-    if not (0.0 <= rho < 1.0):
-        raise DomainError(f"rho must lie in [0, 1), got {rho!r}")
     r = math.sqrt(rho / (1.0 - rho))
     return r / (1.0 + r)
 
@@ -134,12 +125,11 @@ def gen_correlated_design(scenario: Scenario, rng: np.random.Generator) -> np.nd
     """Factor-correlated design: one shared factor per correlated group.
 
     Columns keep the construction's variance (1-w)**2 + w**2; they are
-    deliberately not rescaled.
+    deliberately not rescaled.  Public because the benchmark draws its
+    inputs with it; the scenario must be of the correlated kind.
     """
-    if scenario.kind != "correlated":
-        raise ConfigError(f"scenario kind must be 'correlated', got {scenario.kind!r}")
     n, p, g = scenario.n, scenario.p, scenario.group_size
-    w = rho_to_w(scenario.rho)
+    w = _rho_to_w(scenario.rho)
     Z = rng.standard_normal((n, p))
     factor_a = rng.standard_normal(n)
     factor_b = rng.standard_normal(n)
@@ -151,17 +141,18 @@ def gen_correlated_design(scenario: Scenario, rng: np.random.Generator) -> np.nd
 
 
 def gen_response(X: np.ndarray, scenario: Scenario, rng: np.random.Generator) -> np.ndarray:
-    """beta0 + active_value * (sum of active columns) + sigma * noise."""
-    n, p = X.shape
-    if p != scenario.p or n != scenario.n:
-        raise ConfigError(f"design shape {X.shape} does not match scenario (n={scenario.n}, p={scenario.p})")
+    """beta0 + active_value * (sum of active columns) + sigma * noise.
+
+    Public because the benchmark draws its inputs with it; X must be the
+    scenario's (n, p) design.
+    """
     signal = X[:, : scenario.p_active].sum(axis=1) * scenario.active_value
-    return scenario.beta0 + signal + scenario.sigma * rng.standard_normal(n)
+    return scenario.beta0 + signal + scenario.sigma * rng.standard_normal(len(X))
 
 
 def _gen_design(scenario: Scenario, rng: np.random.Generator) -> np.ndarray:
     if scenario.kind == "weak":
-        return gen_weak_design(scenario.n, scenario.p, rng)
+        return rng.standard_normal((scenario.n, scenario.p))
     return gen_correlated_design(scenario, rng)
 
 

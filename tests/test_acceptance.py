@@ -28,16 +28,15 @@ from cmcselect import (
     f_quantile,
     fit_subset,
     full_fit,
-    full_mask,
     kappa,
     lambda_stat,
     load_prostate,
-    locate_prostate,
     run_monte_carlo,
     select_many,
     standardize,
-    FETCH_INSTRUCTION,
 )
+from cmcselect.datasets import FETCH_INSTRUCTION, locate_prostate
+from cmcselect.linalg import full_mask
 from conftest import naive_best_per_size, normal_eq_fit, random_dataset
 from test_fdist import oracle_cdf
 

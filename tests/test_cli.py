@@ -1,8 +1,11 @@
 """Command-line round trips: parsing, serialization, and exit codes."""
 
+import ast
+import csv
 import importlib
 import importlib.metadata
 import importlib.util
+import io
 import json
 import math
 import os
@@ -253,6 +256,12 @@ def test_select_exit_codes(tmp_path, capsys, monkeypatch):
                  "--candidates", "best-per-size"]) == 2
     assert "list:<path>" in capsys.readouterr().err
 
+    for flag, value, message in (("--criteria", ",", "no criteria requested"),
+                                 ("--alphas", "abc", "bad --alphas value"),
+                                 ("--alphas", ",", "no alphas given")):
+        assert main(["select", "--data", path, "--response", "y", flag, value]) == 2
+        assert message in capsys.readouterr().err
+
     monkeypatch.delenv(PROSTATE_ENV, raising=False)
     assert main(["select"]) == 2
     assert PROSTATE_ENV in capsys.readouterr().err
@@ -413,6 +422,36 @@ def test_tables_two_structure(capsys):
     assert to_canonical_json(doc) == out
 
 
+def test_tables_two_rate_writers(capsys):
+    # each Table 2 row runs its own alpha, so the table format takes the
+    # one-criterion-per-row layout; csv prints the repr of the json rates
+    argv = ["tables", "--table", "2", "--reps", "2", "--seed", "1", "--threads", "1", "--format"]
+    out = {}
+    for fmt in ("json", "csv", "table"):
+        assert main(argv + [fmt]) == 0
+        out[fmt] = capsys.readouterr().out
+    cells = [(res["scenario"]["n"], lab, rate)
+             for res in json.loads(out["json"])["results"] for lab, rate in res["rates"].items()]
+    assert [(n, lab) for n, lab, _ in cells] == [(40, "cmc_0.9"), (60, "cmc_0.5"), (100, "cmc_0.1")]
+    keys = ("fir", "far", "zero_fraction")
+
+    rows = list(csv.reader(io.StringIO(out["csv"])))
+    assert rows[0] == ["scenario", "kind", "n", "p", "p_active", "rho", "criterion", *keys]
+    assert len(rows) == 1 + len(cells)
+    for row, (n, lab, rate) in zip(rows[1:], cells):
+        assert row[0] == f"({n}, 20, 10) a={lab[4:]}"
+        assert row[1:7] == ["weak", str(n), "20", "10", "0", lab]
+        assert row[7:] == [repr(float(rate[k])) for k in keys]
+
+    lines = out["table"].splitlines()
+    assert lines[0].split() == ["scenario", "criterion", "(fir,", "far)", "zero_fraction"]
+    assert len(lines) == 1 + len(cells)
+    for line, row, (_, lab, rate) in zip(lines[1:], rows[1:], cells):
+        assert line.startswith(row[0] + " ")
+        assert line[len(row[0]):].split() == [
+            lab, f"({_round2(rate['fir'])},", f"{_round2(rate['far'])})", _round2(rate["zero_fraction"])]
+
+
 def test_tables_rejects_simulate_only_flags(capsys):
     # tables runs fixed criteria and alphas per grid, so it takes neither flag
     for flag, value in (("--criteria", "bic"), ("--alphas", "0.5")):
@@ -510,3 +549,16 @@ def test_benchmark_span_targets_exist():
     assert spans.SPAN_TARGETS
     for module, attr, _ in spans.SPAN_TARGETS:
         assert callable(getattr(importlib.import_module(module), attr, None)), (module, attr)
+
+
+def test_benchmark_imports_resolve():
+    # the benchmark imports these names from the package; a rename that
+    # misses one would only show when the benchmark runs
+    tree = ast.parse((REPO_ROOT / "perfbench" / "workloads.py").read_text(encoding="utf-8"))
+    imports = [node for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+               and node.module and node.module.split(".")[0] == "cmcselect"]
+    assert imports
+    for node in imports:
+        module = importlib.import_module(node.module)
+        for alias in node.names:
+            assert hasattr(module, alias.name), (node.module, alias.name)

@@ -15,6 +15,9 @@ from cmcselect import (
     InconsistentStatisticError,
     InfeasibleCandidatesError,
     FParams,
+    FitSummary,
+    FullFit,
+    PerSizeBest,
     adjr2_select,
     alpha_schedule,
     bic_select,
@@ -24,11 +27,12 @@ from cmcselect import (
     f_cdf,
     fit_subset,
     full_fit,
-    full_mask,
+    ic_from_table,
     kappa,
     lambda_stat,
     select_many,
 )
+from cmcselect.linalg import full_mask
 from conftest import random_dataset
 
 HAND = Dataset(X=np.array([[0.0], [1.0], [2.0], [3.0]]), y=np.array([0.0, 1.0, 2.0, 4.0]))
@@ -219,6 +223,17 @@ def test_information_criteria_match_direct_scan():
             assert report.chosen == mask_ref, (trial, name)
             assert report.criterion == name
             assert report.lambda_ is None and report.kappa is None
+
+
+def test_cross_size_score_tie_takes_the_smaller_mask():
+    # Cp = rss / sigma2 - n + 2(size + 1) is 3.0 at both sizes, so the
+    # lexicographically smaller mask (0, 1) wins over (2,)
+    beta = np.zeros(4)
+    table = PerSizeBest(entries={1: FitSummary((2,), beta, 9.0, 8), 2: FitSummary((0, 1), beta, 7.0, 7)})
+    full = FullFit(n=10, q=4, rss=6.0, sigma2=1.0, tss=20.0)
+    size, scores = ic_from_table(table, full, "cp_aic")
+    assert scores == {1: 3.0, 2: 3.0}
+    assert size == 2
 
 
 def test_select_many_matches_single_selectors():

@@ -3,13 +3,11 @@
 import numpy as np
 import pytest
 
-from cmcselect import (
+from cmcselect import PROSTATE_ENV, ParseError, load_prostate
+from cmcselect.datasets import (
     FETCH_INSTRUCTION,
-    PROSTATE_ENV,
     PROSTATE_PREDICTORS,
     PROSTATE_ROWS,
-    ParseError,
-    load_prostate,
     locate_prostate,
 )
 

@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from cmcselect import DomainError, FParams, f_cdf, f_quantile, reg_inc_beta
+from cmcselect import DomainError, FParams, f_cdf, f_quantile
+from cmcselect.fdist import reg_inc_beta
 
 
 def oracle_pdf(t: float, d1: float, d2: float) -> float:

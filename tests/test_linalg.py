@@ -13,10 +13,9 @@ from cmcselect import (
     as_mask,
     fit_subset,
     full_fit,
-    full_mask,
     standardize,
 )
-from cmcselect.linalg import _fit_stack
+from cmcselect.linalg import _fit_stack, full_mask
 from conftest import normal_eq_fit, random_dataset
 
 # hand-checkable instance: x = (0,1,2,3), y = (0,1,2,4)

@@ -10,21 +10,20 @@ from cmcselect import (
     CRITERIA,
     ConfigError,
     Dataset,
-    DomainError,
     MonteCarloResult,
+    RankDeficientError,
     Scenario,
+    TooFewRowsError,
     classify,
+    cli,
     cmc_select,
     criteria,
-    gen_correlated_design,
-    gen_response,
-    gen_weak_design,
     labels_for,
-    rho_to_w,
     run_monte_carlo,
     select_many,
     simulate,
 )
+from cmcselect.simulate import _gen_design, _rho_to_w, gen_correlated_design, gen_response
 from conftest import spy_calls
 
 
@@ -35,6 +34,12 @@ def test_scenario_validation():
         Scenario(kind="weak", n=40, p=10, p_active=11)
     with pytest.raises(ConfigError):
         Scenario(kind="correlated", n=40, p=20, p_active=10, rho=1.0)
+    with pytest.raises(ConfigError):
+        Scenario(kind="correlated", n=40, p=20, p_active=10, rho=-0.1)
+    with pytest.raises(ConfigError):
+        Scenario(kind="weak", n=40, p=0, p_active=0)
+    with pytest.raises(TooFewRowsError):
+        Scenario(kind="weak", n=0, p=1, p_active=0)
     with pytest.raises(ConfigError):
         Scenario(kind="weak", n=40, p=10, p_active=5, sigma=0.0)
     with pytest.raises(ConfigError):
@@ -54,13 +59,14 @@ def test_scenario_truth_and_extension():
 
 
 def test_weak_design_deterministic():
-    a = gen_weak_design(20, 4, np.random.default_rng(42))
-    b = gen_weak_design(20, 4, np.random.default_rng(42))
+    sc = Scenario(kind="weak", n=20, p=4, p_active=2)
+    a = _gen_design(sc, np.random.default_rng(42))
+    b = _gen_design(sc, np.random.default_rng(42))
     np.testing.assert_array_equal(a, b)
 
 
 def test_weak_design_moments():
-    X = gen_weak_design(10000, 3, np.random.default_rng(1))
+    X = _gen_design(Scenario(kind="weak", n=10000, p=3, p_active=1), np.random.default_rng(1))
     assert np.abs(X.mean(axis=0)).max() < 0.05
     assert np.abs(X.std(axis=0) - 1.0).max() < 0.05
     corr = np.corrcoef(X, rowvar=False)
@@ -69,17 +75,13 @@ def test_weak_design_moments():
 
 
 def test_rho_to_w_values():
-    assert rho_to_w(0.0) == 0.0
-    assert abs(rho_to_w(0.5) - 0.5) < 1e-15
-    assert abs(rho_to_w(0.8) - 2.0 / 3.0) < 1e-15
+    assert _rho_to_w(0.0) == 0.0
+    assert abs(_rho_to_w(0.5) - 0.5) < 1e-15
+    assert abs(_rho_to_w(0.8) - 2.0 / 3.0) < 1e-15
     for rho in (0.1, 0.3, 0.5, 0.8, 0.95):
-        w = rho_to_w(rho)
+        w = _rho_to_w(rho)
         back = w * w / ((1.0 - w) ** 2 + w * w)
         assert abs(back - rho) < 1e-12
-    with pytest.raises(DomainError):
-        rho_to_w(1.0)
-    with pytest.raises(DomainError):
-        rho_to_w(-0.1)
 
 
 def test_correlated_design_correlations():
@@ -104,30 +106,22 @@ def test_correlated_design_correlations():
 def test_correlated_rho_zero_matches_weak():
     sc = Scenario(kind="correlated", n=30, p=20, p_active=10, rho=0.0)
     X = gen_correlated_design(sc, np.random.default_rng(7))
-    Z = gen_weak_design(30, 20, np.random.default_rng(7))
+    Z = _gen_design(Scenario(kind="weak", n=30, p=20, p_active=10), np.random.default_rng(7))
     np.testing.assert_array_equal(X, Z)
-
-
-def test_correlated_requires_correlated_kind():
-    sc = Scenario(kind="weak", n=30, p=20, p_active=10)
-    with pytest.raises(ConfigError):
-        gen_correlated_design(sc, np.random.default_rng(0))
 
 
 def test_response_composition():
     sc = Scenario(kind="weak", n=50, p=4, p_active=2, sigma=1e-9, beta0=2.5)
     rng = np.random.default_rng(11)
-    X = gen_weak_design(50, 4, rng)
+    X = _gen_design(sc, rng)
     y = gen_response(X, sc, rng)
     expect = 2.5 + X[:, 0] + X[:, 1]
     assert np.abs(y - expect).max() < 1e-6
     none = Scenario(kind="weak", n=50, p=4, p_active=0, sigma=1e-9, beta0=-1.0)
     rng = np.random.default_rng(11)
-    X = gen_weak_design(50, 4, rng)
+    X = _gen_design(none, rng)
     y0 = gen_response(X, none, rng)
     assert np.abs(y0 + 1.0).max() < 1e-6
-    with pytest.raises(ConfigError):
-        gen_response(X[:, :3], sc, rng)
 
 
 def test_labels_for():
@@ -161,7 +155,7 @@ def _select_many_rates(sc: Scenario, seed: int, rep: int, draws: int = 1):
     """Per-label fir and far of select_many on draw `draws` of default_rng([seed, rep])."""
     rng = np.random.default_rng([seed, rep])
     for _ in range(draws):
-        X = gen_weak_design(sc.n, sc.p, rng)
+        X = _gen_design(sc, rng)
         y = gen_response(X, sc, rng)
     reports = select_many(Dataset(X=X, y=y), CRITERIA, (0.9, 0.5, 0.1))
     rates = [classify(r.chosen, sc.truth, sc.p) for r in reports]
@@ -236,6 +230,27 @@ def test_collinear_draw_is_redrawn_inside_its_chunk(monkeypatch):
     mean_fir, mean_far = fir.mean(axis=0), far.mean(axis=0)
     for i, label in enumerate(res.labels):
         assert tuple(res.rates[label]) == (mean_fir[i], mean_far[i])
+
+
+def test_redraws_stop_at_the_cap(monkeypatch, capsys):
+    # a design that stays collinear however often it is redrawn fails the run
+    draws = []
+    gen = simulate._gen_design
+
+    def always_collinear(scenario, rng):
+        X = gen(scenario, rng)
+        X[:, 3] = X[:, 0]
+        draws.append(1)
+        return X
+
+    monkeypatch.setattr(simulate, "_gen_design", always_collinear)
+    sc = Scenario(kind="weak", n=20, p=4, p_active=2)
+    with pytest.raises(RankDeficientError):
+        run_monte_carlo(sc, reps=1, seed=1)
+    assert len(draws) == 1 + simulate._MAX_REGEN
+    assert cli.main(["simulate", "--n", "20", "--p", "4", "--p-active", "2",
+                     "--reps", "2", "--threads", "1"]) == 3
+    assert capsys.readouterr().err.startswith("numerical error: ")
 
 
 def test_progress_is_logged_per_chunk(monkeypatch, caplog):
@@ -334,7 +349,7 @@ def test_monte_carlo_near_noiseless_is_perfect():
             assert res.zero_fraction[label] == 1.0
     # cross-check replication 0 by rebuilding its data stream directly
     rng = np.random.default_rng([2, 0])
-    X = gen_weak_design(50, 5, rng)
+    X = _gen_design(sc, rng)
     y = gen_response(X, sc, rng)
     report = cmc_select(Dataset(X=X, y=y), alpha=0.5)
     assert report.chosen == sc.truth

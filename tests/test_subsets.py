@@ -15,7 +15,7 @@ from cmcselect import (
     fit_subset,
     subsets,
 )
-from cmcselect.simulate import Scenario, gen_correlated_design, gen_response, gen_weak_design
+from cmcselect.simulate import Scenario, _gen_design, gen_correlated_design, gen_response
 from conftest import naive_best_per_size, random_dataset, spy_calls
 
 
@@ -236,7 +236,7 @@ def weak_draw(r: int) -> Dataset:
     """Replicate r of a weak (50, 10, 5) Monte Carlo run with seed 1."""
     scen = Scenario("weak", n=50, p=10, p_active=5)
     rng = np.random.default_rng([1, r])
-    X = gen_weak_design(scen.n, scen.p, rng)
+    X = _gen_design(scen, rng)
     return Dataset(X=X, y=gen_response(X, scen, rng))
 
 
@@ -300,7 +300,7 @@ def test_p30_search_work_is_pinned():
     # so a lost variable order fails here as a count, not as a slow run
     scen = Scenario("weak", n=60, p=30, p_active=15)
     rng = np.random.default_rng([1, 0])
-    X = gen_weak_design(scen.n, scen.p, rng)
+    X = _gen_design(scen, rng)
     table = best_per_size(Dataset(X=X, y=gen_response(X, scen, rng)))
     assert (table.nodes, table.skipped) == (278942, 0)
 
