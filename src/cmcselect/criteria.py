@@ -107,7 +107,12 @@ def alpha_schedule(n: int, delta: float, q: int) -> float:
         raise DomainError(f"schedule needs n > q, got n={n}, q={q}")
     if not (delta > 0.0 and math.isfinite(delta)):
         raise DomainError(f"delta must be positive and finite, got {delta!r}")
-    return 1.0 - f_cdf(float(n) ** delta, FParams(q, n - q))
+    try:
+        f = float(n) ** delta
+    except OverflowError:
+        # n**delta is beyond the float range, where the F tail is 0
+        return 0.0
+    return 1.0 - f_cdf(f, FParams(q, n - q))
 
 
 def labels_for(criteria, alphas) -> tuple[str, ...]:

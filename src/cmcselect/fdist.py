@@ -106,9 +106,10 @@ def f_cdf(f: float, params: FParams) -> float:
         raise DomainError(f"f must be >= 0, got {f!r}")
     if f == 0.0:
         return 0.0
-    if math.isinf(f):
-        return 1.0
     d1, d2 = params.d1, params.d2
+    # a finite f can overflow here too, where the cdf is 1 to double precision
+    if math.isinf(d1 * f):
+        return 1.0
     x = d1 * f / (d1 * f + d2)
     return reg_inc_beta(x, 0.5 * d1, 0.5 * d2)
 

@@ -233,7 +233,7 @@ def run_monte_carlo(
     alphas : sequence of floats, one cmc column per value
         Result labels come from labels_for, which validates the request.
     reps : int >= 1
-    seed : int
+    seed : int >= 0
         Replication r draws from default_rng([seed, r]); a collinear
         design is redrawn from the same stream (at most 10 times).
     threads : int
@@ -248,6 +248,8 @@ def run_monte_carlo(
         raise ConfigError(f"reps must be >= 1, got {reps}")
     if threads < 1:
         raise ConfigError(f"threads must be >= 1, got {threads}")
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     criteria = tuple(criteria)
     alphas = tuple(float(a) for a in alphas)
     labels = labels_for(criteria, alphas)

@@ -23,13 +23,14 @@ nodes per numpy call, from a depth-first stack of blocks.
 One call searches all its datasets in lockstep.  A block holds nodes of
 one depth from one dataset or from several, each tagged with its owner,
 so at small p, where one tree level is far below a block, one set of
-numpy calls advances a whole Monte Carlo chunk.  The owner rule keeps the
-results exact: each dataset's children are cut into block-sized chunks
-where its lone search cuts them, and the chunks are packed whole into
-blocks, so every dataset sees the sequence of blocks its lone search
-sees, and its masks, skips and node count are those of a one-dataset
-call.  Large trees fill their blocks alone, and a one-dataset block does
-no work over the other datasets.  _BLOCK_FLOATS is the one bound on a
+numpy calls advances a whole Monte Carlo chunk.  One cut rule keeps the
+results exact: the children of a block stay one block if they fit in
+one; otherwise each dataset's children become blocks of that dataset
+alone, cut at multiples of the block size as its lone search cuts them.
+So every dataset sees the sequence of blocks its lone search sees, and
+its masks, skips and node count are those of a one-dataset call.  Large
+trees soon run in blocks of their own, and a one-dataset block does no
+work over the other datasets.  _BLOCK_FLOATS is the one bound on a
 block, merged or not: it bounds the block's arrays, so a block holds
 more nodes at small p, where each node is small.
 
@@ -125,47 +126,6 @@ def _block_nodes(p: int) -> int:
     return max(1, _BLOCK_FLOATS // (p + 1) ** 2)
 
 
-def _split(own: np.ndarray, m: int, K: int, block: int):
-    """Cut the children of a block holding several datasets into blocks.
-
-    own tags each child with its dataset: the include-children (the first
-    m) and then the exclude-children, each in node order, which for every
-    dataset is the order of its lone search.  Each dataset's children are
-    cut into `block`-node chunks where its lone search cuts them, and the
-    chunks are packed whole, in (chunk index, dataset) order, into blocks
-    of at most `block` nodes.  Returns the permutation of the children into block
-    order, each block's (lo, mid, hi) with its include-children in lo:mid,
-    and each block's owner: a dataset index, or None when it holds several.
-    """
-    by_owner = np.argsort(own, kind="stable")
-    count = np.bincount(own, minlength=K)
-    start = np.cumsum(count) - count
-    owner = own[by_owner]
-    chunk = (np.arange(len(own)) - start[owner]) // block
-    chunks = -(-count // block)
-    where = np.empty((int(chunks.max()), K), dtype=np.intp)
-    owners: list[list[int]] = []
-    fill = block
-    for c in range(where.shape[0]):
-        for k in np.flatnonzero(chunks > c).tolist():
-            size = min(block, int(count[k]) - c * block)
-            if fill + size > block:
-                owners.append([])
-                fill = 0
-            owners[-1].append(k)
-            fill += size
-            where[c, k] = len(owners) - 1
-    dest = where[chunk, owner]
-    inc = by_owner < m
-    # within a block the include-children go first: each dataset keeps its order
-    perm = by_owner[np.argsort(2 * dest + ~inc, kind="stable")]
-    hi = np.cumsum(np.bincount(dest, minlength=len(owners))).tolist()
-    mid = np.bincount(dest[inc], minlength=len(owners)).tolist()
-    lo = [0] + hi[:-1]
-    cuts = [(a, a + b, c) for a, b, c in zip(lo, mid, hi)]
-    return perm, cuts, [ks[0] if len(ks) == 1 else None for ks in owners]
-
-
 def _leaps_and_bounds(G, b, tss, p: int) -> list[tuple[list[Mask], int, int]]:
     """Pruned exhaustive search over the inclusion/exclusion trees of K datasets.
 
@@ -182,9 +142,11 @@ def _leaps_and_bounds(G, b, tss, p: int) -> list[tuple[list[Mask], int, int]]:
 
     A block holds nodes of one depth, of one dataset or of several, each
     tagged with its owner, so one set of numpy calls advances every
-    dataset in it.  Each dataset's children are cut and packed as _split
-    says, so every dataset sees the blocks its lone search sees, and its
-    masks, skips and node count do not depend on the others.  Returns, per
+    dataset in it.  A block's children stay one block if they fit in one;
+    otherwise each dataset's children, include-children first, are cut
+    into blocks of their own at multiples of the block size.  So every
+    dataset sees the blocks its lone search sees, and its masks, skips
+    and node count do not depend on the others.  Returns, per
     dataset, its per-size masks, the collinear subsets skipped and the
     nodes evaluated.
     """
@@ -322,13 +284,19 @@ def _leaps_and_bounds(G, b, tss, p: int) -> list[tuple[list[Mask], int, int]]:
             slot2 = np.concatenate((slot_in[ki], floor_slot[ke]))
             ceil2 = np.concatenate((ceil[ki], cex[ke]))
             if single or len(idx) <= block:
-                # each dataset's children are already in its lone order: cut in place
-                blocks = [(lo, min(max(m, lo), lo + block), min(lo + block, len(idx)),
-                           own if single else None) for lo in range(0, len(idx), block)]
+                # each dataset's children are already in its lone order
+                parts = [(0, m, len(idx), own if single else None)]
             else:
-                perm, cuts, owners = _split(own[idx], m, K, block)
-                idx, key2, slot2, ceil2 = idx[perm], key2[perm], slot2[perm], ceil2[perm]
-                blocks = [(lo, mid, hi, k) for (lo, mid, hi), k in zip(cuts, owners)]
+                # one part per dataset, its include- then its exclude-children
+                by = np.argsort(own[idx], kind="stable")
+                idx, key2, slot2, ceil2 = idx[by], key2[by], slot2[by], ceil2[by]
+                count = np.bincount(own[idx], minlength=K)
+                m_k = np.bincount(own[ki], minlength=K).tolist()
+                start = (np.cumsum(count) - count).tolist()
+                parts = [(start[k], m_k[k], int(count[k]), k) for k in count.nonzero()[0].tolist()]
+            # a part is cut at multiples of the block size, where a lone search cuts it
+            blocks = [(lo, min(max(a + m_a, lo), lo + block), min(lo + block, a + n_a), own_a)
+                      for a, m_a, n_a, own_a in parts for lo in range(a, a + n_a, block)]
             # each block gets arrays of its own, so a popped sibling frees its part;
             # its include-children lo:mid sweep order[d] in, the rest unsweep it
             for lo, mid, hi, own_b in reversed(blocks):

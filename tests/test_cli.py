@@ -397,6 +397,13 @@ def test_simulate_exit_codes(capsys):
     assert main(["simulate", "--scenario", "correlated", "--n", "40", "--p", "8",
                  "--p-active", "4", "--rho", "0.5", "--threads", "1"]) == 2
     assert "p_active" in capsys.readouterr().err
+    # numpy refuses a negative seed; both commands report it as a bad option
+    assert main(["simulate", "--n", "30", "--p", "4", "--p-active", "2",
+                 "--reps", "2", "--seed", "-1", "--threads", "1"]) == 2
+    assert "seed" in capsys.readouterr().err
+    assert main(["tables", "--table", "2", "--reps", "1", "--seed", "-1",
+                 "--threads", "1"]) == 2
+    assert "seed" in capsys.readouterr().err
 
 
 def test_simulate_at_the_subset_limit(capsys):

@@ -92,6 +92,9 @@ def test_alpha_schedule_decays():
         alpha_schedule(100, 0.0, 6)
     with pytest.raises(DomainError):
         alpha_schedule(5, 0.5, 6)
+    # n**delta near the float maximum, and beyond it
+    assert alpha_schedule(400, 118.0, 21) == 0.0
+    assert alpha_schedule(400, 200.0, 21) == 0.0
 
 
 def test_classify_cases():

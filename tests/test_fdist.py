@@ -47,6 +47,8 @@ def test_cdf_boundaries():
     params = FParams(d1=3.0, d2=7.0)
     assert f_cdf(0.0, params) == 0.0
     assert f_cdf(math.inf, params) == 1.0
+    # d1 * f overflows on a large finite f
+    assert f_cdf(1e308, FParams(d1=10.0, d2=5.0)) == 1.0
     with pytest.raises(DomainError):
         f_cdf(-0.5, params)
 

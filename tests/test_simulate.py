@@ -142,6 +142,8 @@ def test_monte_carlo_validation():
         run_monte_carlo(sc, reps=2, threads=0)
     with pytest.raises(ConfigError):
         run_monte_carlo(sc, criteria=("cmc",), alphas=(), reps=1)
+    with pytest.raises(ConfigError, match="seed"):
+        run_monte_carlo(sc, reps=1, seed=-1)
 
 
 def test_monte_carlo_rejects_duplicate_labels():

@@ -289,6 +289,18 @@ def test_search_work_is_pinned(monkeypatch, block):
     assert [(t.nodes, t.skipped) for t in together] == [want for _, want in pairs]
 
 
+def test_overflowing_merged_blocks_match_lone_calls():
+    # at the default block size, 25 weak (60, 20, 10) draws searched together
+    # overflow their merged blocks and fall apart into one-dataset blocks
+    scen = Scenario("weak", n=60, p=20, p_active=10)
+    datas = []
+    for r in range(25):
+        rng = np.random.default_rng([1, r])
+        X = _gen_design(scen, rng)
+        datas.append(Dataset(X=X, y=gen_response(X, scen, rng)))
+    assert_same_tables([best_per_size(d) for d in datas], best_per_size(datas))
+
+
 def test_block_bound_scales_with_p():
     # a block's swept arrays hold at most the floats of a 128-node p = 30 block
     assert [subsets._block_nodes(p) for p in (30, 20, 14, 10)] == [128, 278, 546, 1016]
