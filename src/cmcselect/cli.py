@@ -19,7 +19,7 @@ import os
 import sys
 
 from . import __version__
-from .criteria import CRITERIA, SelectionReport, labels_for, select_many
+from .criteria import CRITERIA, SelectionReport, select_many
 from .datasets import PROSTATE_ENV, PROSTATE_RESPONSE, _read_table, _read_text, load_prostate
 from .errors import ConfigError, InputError, MissingResponseError, NumericalError, ParseError
 from .linalg import Dataset, standardize
@@ -66,8 +66,8 @@ def load_csv(path: str, response_name: str) -> Dataset:
     """Read a numeric, comma-separated, header-first file into a Dataset.
 
     The response column is pulled out by name; remaining columns become
-    predictors in file order.  Any non-numeric or missing cell is an
-    error naming its 1-based row and column.
+    predictors in file order.  Any non-numeric, non-finite or missing
+    cell is an error naming its 1-based row and column.
     """
     def pick(names: list[str]) -> list[int]:
         if response_name not in names:
@@ -423,7 +423,7 @@ def run_simulate(args: argparse.Namespace) -> str:
         "threads": args.threads,
         "criteria": criteria,
         "alphas": alphas,
-        "labels": list(labels_for(criteria, alphas)),
+        "labels": list(res.labels),
     }
     return _serialize_runs([(label, res)], meta, args.format)
 

@@ -89,22 +89,22 @@ def lambda_stat(fit: FitSummary, rss_full: float, sigma2: float) -> float:
 # cached: every Monte Carlo replicate asks its worker for the same few thresholds
 @functools.lru_cache
 def kappa(alpha: float, q: int, n: int) -> float:
-    """Threshold q * F(1 - alpha; q, n - q); 0 at alpha=1, +inf at alpha=0."""
-    if not (0.0 <= alpha <= 1.0):
-        raise DomainError(f"alpha must lie in [0, 1], got {alpha!r}")
-    if n <= q:
-        raise DomainError(f"threshold needs n > q, got n={n}, q={q}")
-    if alpha == 1.0:
-        return 0.0
-    if alpha == 0.0:
-        return math.inf
+    """Threshold q * F(1 - alpha; q, n - q); 0 at alpha=1, +inf at alpha=0.
+
+    Each rule has one owner.  FParams raises DomainError for n <= q.
+    f_quantile raises it for a NaN alpha or one outside [0, 1], and maps
+    1 - alpha = 0 and 1 to 0 and +inf; an alpha at most 2**-53 below 0
+    rounds to 1 - alpha = 1 and so gets +inf.
+    """
     return q * f_quantile(1.0 - alpha, FParams(q, n - q))
 
 
 def alpha_schedule(n: int, delta: float, q: int) -> float:
-    """The decaying alpha level with 1 - alpha_n = P(F(q, n-q) <= n**delta)."""
-    if n <= q:
-        raise DomainError(f"schedule needs n > q, got n={n}, q={q}")
+    """The decaying alpha level with 1 - alpha_n = P(F(q, n-q) <= n**delta).
+
+    n <= q raises DomainError from FParams, before any overflow shortcut.
+    """
+    params = FParams(q, n - q)
     if not (delta > 0.0 and math.isfinite(delta)):
         raise DomainError(f"delta must be positive and finite, got {delta!r}")
     try:
@@ -112,7 +112,7 @@ def alpha_schedule(n: int, delta: float, q: int) -> float:
     except OverflowError:
         # n**delta is beyond the float range, where the F tail is 0
         return 0.0
-    return 1.0 - f_cdf(f, FParams(q, n - q))
+    return 1.0 - f_cdf(f, params)
 
 
 def labels_for(criteria, alphas) -> tuple[str, ...]:
@@ -172,22 +172,6 @@ def cmc_from_table(
     return chosen_size, lambdas
 
 
-def _pick_by_score(per_size: PerSizeBest, scores: dict[int, float], minimize: bool) -> int:
-    best_size = -1
-    best_val = math.inf if minimize else -math.inf
-    for s in sorted(scores):
-        v = scores[s]
-        better = v < best_val if minimize else v > best_val
-        if better:
-            best_val = v
-            best_size = s
-        elif v == best_val and best_size >= 0:
-            # exact score tie across sizes: fall back to the mask rule
-            if per_size.entries[s].mask < per_size.entries[best_size].mask:
-                best_size = s
-    return best_size
-
-
 def ic_from_table(
     per_size: PerSizeBest, full: FullFit, criterion: str
 ) -> tuple[int, dict[int, float]]:
@@ -195,6 +179,9 @@ def ic_from_table(
 
     BIC is n*ln(RSS/n) + k*ln(n), Cp is RSS/sigma2_hat - n + 2k, adjusted
     R-squared is 1 - (RSS/(n-k)) / (TSS/(n-1)), with k = size + 1.
+    Adjusted R-squared is maximized, the others minimized.  An exact score
+    tie across sizes goes to the lexicographically smaller mask, the rule
+    best_per_size applies within a size.
     """
     if not per_size.entries:
         raise InfeasibleCandidatesError("candidate set produced no usable model")
@@ -210,7 +197,8 @@ def ic_from_table(
             scores[s] = entry.rss / full.sigma2 - n + 2.0 * k
         else:
             scores[s] = 1.0 - (entry.rss / (n - k)) / (full.tss / (n - 1))
-    size = _pick_by_score(per_size, scores, minimize=criterion != "adjr2")
+    sign = -1.0 if criterion == "adjr2" else 1.0
+    size = min(scores, key=lambda s: (sign * scores[s], per_size.entries[s].mask))
     return size, scores
 
 
@@ -242,20 +230,17 @@ def select_many(
         order of labels_for(criteria, alphas), which validates the request.
     """
     labels_for(criteria, alphas)
-    per_size = best_per_size(data, candidates)
-    return _reports(per_size, _full_from_table(data, per_size), criteria, alphas)
+    return _reports(data, best_per_size(data, candidates), criteria, alphas)
 
 
-def _full_from_table(data: Dataset, per_size: PerSizeBest) -> FullFit:
-    """full_fit of the data, reusing the table's size-p entry when there is one."""
-    return full_fit(data, per_size.entries.get(data.p))
-
-
-def _reports(per_size: PerSizeBest, full: FullFit, criteria, alphas) -> list[SelectionReport]:
+def _reports(data: Dataset, per_size: PerSizeBest, criteria, alphas) -> list[SelectionReport]:
     """One report per criterion and cmc alpha, in labels_for order, from one table.
 
-    The request is not validated here; select_many and run_monte_carlo do that.
+    The full-model statistics reuse the table's size-p entry when it has
+    one; a collinear full design raises RankDeficientError.  The request
+    is not validated here; select_many and run_monte_carlo do that.
     """
+    full = full_fit(data, per_size.entries.get(data.p))
 
     def report(criterion, alpha, kap, size, scores) -> SelectionReport:
         fit = per_size.entries[size]

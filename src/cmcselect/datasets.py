@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import logging
+import math
 import os
 from pathlib import Path
 
@@ -50,7 +51,8 @@ def _read_table(path, text: str, delimiter: str | None, pick) -> tuple[list[str]
     A None delimiter is a tab if the header line holds one, else a comma.
     pick(names) gets the stripped, unique header names and returns the k
     column indices to parse, in array order.  Blank rows are skipped; a
-    ragged row or an empty or non-numeric cell names its 1-based row and column.
+    ragged row or an empty, non-numeric or non-finite (nan, inf) cell
+    names its 1-based row and column.
     """
     lines = text.splitlines()
     if not lines:
@@ -72,12 +74,13 @@ def _read_table(path, text: str, delimiter: str | None, pick) -> tuple[list[str]
         for c in cols:
             cell = cells[c].strip()
             try:
-                row.append(float(cell))
+                v = float(cell)
+                what = None if math.isfinite(v) else f"not finite: {cell!r}"
             except ValueError:
                 what = f"not numeric: {cell!r}" if cell else "missing value"
-                raise ParseError(
-                    f"{path}: row {r}, column {names[c]!r}: {what}", row=r, col=c + 1
-                ) from None
+            if what:
+                raise ParseError(f"{path}: row {r}, column {names[c]!r}: {what}", row=r, col=c + 1)
+            row.append(v)
         rows.append(row)
     return names, np.array(rows, dtype=np.float64).reshape(len(rows), len(cols))
 

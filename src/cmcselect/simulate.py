@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .criteria import CRITERIA, RatePair, _full_from_table, _reports, classify, labels_for
+from .criteria import CRITERIA, RatePair, _reports, classify, labels_for
 from .errors import ConfigError, RankDeficientError, TooFewRowsError
 from .linalg import Dataset
 from .subsets import best_per_size
@@ -178,7 +178,7 @@ def _run_chunk(args) -> list[tuple[int, list[float], list[float], int]]:
         redraw = []
         for r, data, table in zip(pending, datas, best_per_size(datas)):
             try:
-                full = _full_from_table(data, table)
+                reports = _reports(data, table, criteria, alphas)
             except RankDeficientError:
                 # the full design is collinear: redraw
                 regen[r] += 1
@@ -186,8 +186,7 @@ def _run_chunk(args) -> list[tuple[int, list[float], list[float], int]]:
                     raise
                 redraw.append(r)
                 continue
-            rates = [classify(rep.chosen, scenario.truth, scenario.p)
-                     for rep in _reports(table, full, criteria, alphas)]
+            rates = [classify(rep.chosen, scenario.truth, scenario.p) for rep in reports]
             out.append((r, [x.fir for x in rates], [x.far for x in rates], regen[r]))
         pending = redraw
     return out

@@ -208,11 +208,9 @@ def _leaps_and_bounds(G, b, tss, p: int) -> list[tuple[list[Mask], int, int]]:
                 best_key[s] = k
 
     ceil = T[:, p, p].copy()
-    skipped = (~full_ok).astype(np.int64)
+    skipped = np.zeros(K, dtype=np.int64)
     nodes = np.full(K, 2, dtype=np.int64)
-    if p:
-        hit = (full_ok & (ceil <= best_rss[:, p])).nonzero()[0]
-        register((hit * (p + 1) + p).tolist(), ceil[hit].tolist(), tail[hit, 0].tolist())
+    best_rss[full_ok, p] = ceil[full_ok]
     stack = []
     if p >= 2:
         # a collinear full design has no ceiling chain to unsweep: its
@@ -316,6 +314,9 @@ def _leaps_and_bounds(G, b, tss, p: int) -> list[tuple[list[Mask], int, int]]:
                     own_b = own[rows]
                 # the first block ends up on top of the stack
                 stack.append((d + 1, S2, T2, key2[lo:hi], slot2[lo:hi], ceil2[lo:hi], own_b))
+    # size p holds only the full set: its QR refit alone decides whether it is
+    # usable, so a near-collinear full design the sweep rejects keeps it
+    best_key[p :: p + 1] = [(1 << p) - 1] * K
     bits = [(1 << (p - 1 - j), j) for j in range(p)]
     masks = [tuple([j for bit, j in bits if key & bit]) if key >= 0 else None for key in best_key]
     return [([m for m in masks[k * (p + 1) : (k + 1) * (p + 1)] if m is not None],

@@ -14,6 +14,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import cmcselect
@@ -27,6 +28,8 @@ from cmcselect import (
     RankDeficientError,
     TooFewRowsError,
     cli,
+    select_many,
+    standardize,
 )
 from cmcselect.cli import (
     _round2,
@@ -82,6 +85,14 @@ def test_load_csv_errors(tmp_path):
     short = write(tmp_path, "s.csv", "y,a,b\n1,2,3\n4,5,6\n7,8,9\n")
     with pytest.raises(TooFewRowsError):
         load_csv(short, "y")
+
+    for cell in ("nan", "inf", "-inf"):
+        # float() accepts these, but a model cannot be fitted to them
+        path = write(tmp_path, "f.csv", f"y,a,b\n1,2,3\n4,5,6\n7,8,{cell}\n")
+        with pytest.raises(ParseError) as err:
+            load_csv(path, "y")
+        assert err.value.row == 4 and err.value.col == 3
+        assert f"not finite: {cell!r}" in str(err.value)
 
     with pytest.raises(ParseError):
         load_csv(write(tmp_path, "0.csv", ""), "y")
@@ -168,6 +179,29 @@ def test_select_json_round_trip(tmp_path, capsys):
     assert doc["results"][0]["chosen"] == ["x"]
     assert doc["results"][0]["coefficients"]["intercept"] == pytest.approx(-0.2)
     assert to_canonical_json(doc) == out
+
+
+def test_select_standardize(tmp_path, capsys):
+    rng = np.random.default_rng(11)
+    X = rng.standard_normal((25, 4)) * [1.0, 10.0, 0.1, 3.0] + [0.0, 5.0, -2.0, 1.0]
+    y = 1.0 + X[:, 0] + 0.1 * X[:, 1] + rng.standard_normal(25)
+    path = write(tmp_path, "s.csv", "a,b,c,d,y\n" + "".join(
+        ",".join(map(repr, row)) + "\n" for row in np.column_stack([X, y]).tolist()))
+    argv = ["select", "--data", path, "--response", "y", "--criteria", "cmc,bic,cp,adjr2",
+            "--alphas", "0.9,0.1", "--format", "json"]
+    docs = []
+    for extra in ([], ["--standardize"]):
+        assert main(argv + extra) == 0
+        docs.append(json.loads(capsys.readouterr().out))
+    plain, std = docs
+    assert plain["meta"]["standardize"] is False and std["meta"]["standardize"] is True
+    reports = select_many(standardize(load_csv(path, "y")), ("cmc", "bic", "cp_aic", "adjr2"), (0.9, 0.1))
+    assert [(r["criterion"], r["alpha"]) for r in std["results"]] == [(r.criterion, r.alpha) for r in reports]
+    for res, rep in zip(std["results"], reports):
+        assert list(res["coefficients"].values()) == rep.fit.beta.tolist()
+    # selection is invariant to rescaling and shifting the predictors
+    assert [r["chosen"] for r in std["results"]] == [r["chosen"] for r in plain["results"]]
+    assert [r["coefficients"] for r in std["results"]] != [r["coefficients"] for r in plain["results"]]
 
 
 def test_select_alpha_zero_serializes_inf(tmp_path, capsys):

@@ -68,8 +68,10 @@ def test_kappa_values():
     assert abs(kappa(0.5, 2, 4) - 2.0) < 1e-9
     with pytest.raises(DomainError):
         kappa(1.5, 2, 10)
-    with pytest.raises(DomainError):
-        kappa(0.5, 5, 5)
+    # the endpoints and NaN are refused by FParams and f_quantile, not skipped past
+    for alpha, q, n in ((0.5, 5, 5), (math.nan, 2, 10), (1.0, 3, 3), (0.0, 3, 3)):
+        with pytest.raises(DomainError):
+            kappa(alpha, q, n)
 
 
 def test_kappa_decreasing_in_alpha():
@@ -90,8 +92,10 @@ def test_alpha_schedule_decays():
     assert alpha_schedule(10**6, 0.5, 6) < 1e-6
     with pytest.raises(DomainError):
         alpha_schedule(100, 0.0, 6)
-    with pytest.raises(DomainError):
-        alpha_schedule(5, 0.5, 6)
+    # n <= q raises even where n**delta overflows
+    for n, delta in ((5, 0.5), (5, 1000.0)):
+        with pytest.raises(DomainError):
+            alpha_schedule(n, delta, 6)
     # n**delta near the float maximum, and beyond it
     assert alpha_schedule(400, 118.0, 21) == 0.0
     assert alpha_schedule(400, 200.0, 21) == 0.0
@@ -236,6 +240,14 @@ def test_cross_size_score_tie_takes_the_smaller_mask():
     full = FullFit(n=10, q=4, rss=6.0, sigma2=1.0, tss=20.0)
     size, scores = ic_from_table(table, full, "cp_aic")
     assert scores == {1: 3.0, 2: 3.0}
+    assert size == 2
+    # adjusted R-squared is 0.5 at sizes 1 and 2 and 0 at size 0: maximized,
+    # the tie again goes to (0, 1), and a minimizing sign would pick size 0
+    table = PerSizeBest(entries={0: FitSummary((), beta, 18.0, 9), 1: FitSummary((2,), beta, 8.0, 8),
+                                 2: FitSummary((0, 1), beta, 7.0, 7)})
+    full = FullFit(n=10, q=4, rss=6.0, sigma2=1.0, tss=18.0)
+    size, scores = ic_from_table(table, full, "adjr2")
+    assert scores == {0: 0.0, 1: 0.5, 2: 0.5}
     assert size == 2
 
 

@@ -11,7 +11,7 @@ import pytest
 from scipy import integrate
 
 from cmcselect import DomainError, FParams, f_cdf, f_quantile
-from cmcselect.fdist import reg_inc_beta
+from cmcselect.fdist import _reg_inc_beta
 
 
 def oracle_pdf(t: float, d1: float, d2: float) -> float:
@@ -54,11 +54,11 @@ def test_cdf_boundaries():
 
 
 def test_reg_inc_beta_trivial():
-    assert reg_inc_beta(0.0, 2.0, 3.0) == 0.0
-    assert reg_inc_beta(1.0, 2.0, 3.0) == 1.0
+    assert _reg_inc_beta(0.0, 2.0, 3.0) == 0.0
+    assert _reg_inc_beta(1.0, 2.0, 3.0) == 1.0
     # a = b = 1 reduces to the identity on [0, 1]
     for x in (0.1, 0.25, 0.5, 0.9):
-        assert abs(reg_inc_beta(x, 1.0, 1.0) - x) < 1e-14
+        assert abs(_reg_inc_beta(x, 1.0, 1.0) - x) < 1e-14
 
 
 def test_cdf_against_quadrature():

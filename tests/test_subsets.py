@@ -12,6 +12,7 @@ from cmcselect import (
     DimensionMismatchError,
     LimitExceededError,
     best_per_size,
+    cmc_select,
     fit_subset,
     subsets,
 )
@@ -375,6 +376,22 @@ def test_rank_deficient_full_design_matches_oracle():
         assert canonical(table.entries[s].mask) == canonical(mask), s
         assert 7 not in table.entries[s].mask or 2 in table.entries[s].mask
         assert abs(table.entries[s].rss - rss) <= 1e-9 * rss
+
+
+def test_near_collinear_full_model_is_in_the_table():
+    # column 4 is column 1 plus 1e-7 noise: the sweep rejects the full set,
+    # but its QR fit succeeds, so the table keeps size p and alpha=1 picks it
+    rng = np.random.default_rng(0)
+    X = rng.standard_normal((30, 5))
+    X[:, 4] = X[:, 1] + 1e-7 * rng.standard_normal(30)
+    data = Dataset(X=X, y=X[:, 0] + rng.standard_normal(30))
+    table = best_per_size(data)
+    full = fit_subset(data, range(5))
+    assert table.sizes() == [0, 1, 2, 3, 4, 5]
+    assert table.entries[5].mask == full.mask
+    np.testing.assert_array_equal(table.entries[5].beta, full.beta)
+    assert (table.skipped, table.nodes) == (7, 28)
+    assert cmc_select(data, alpha=1.0).chosen == full.mask
 
 
 @pytest.mark.parametrize("p", [6, 8, 10, 12])
