@@ -25,13 +25,8 @@ from .errors import ConfigError, InputError, MissingResponseError, NumericalErro
 from .linalg import Dataset, standardize
 from .simulate import MonteCarloResult, Scenario, run_monte_carlo
 
-_CRITERION_ALIASES = {
-    "cmc": "cmc",
-    "bic": "bic",
-    "cp": "cp_aic",
-    "cp_aic": "cp_aic",
-    "adjr2": "adjr2",
-}
+# command-line spellings that are not CRITERIA names; labels_for refuses unknown ones
+_CRITERION_ALIASES = {"cp": "cp_aic"}
 
 _ALPHAS = (0.9, 0.5, 0.1)
 
@@ -179,11 +174,7 @@ def _parse_criteria(raw: str) -> list[str]:
         tok = tok.strip().lower()
         if not tok:
             continue
-        if tok not in _CRITERION_ALIASES:
-            raise ConfigError(
-                f"unknown criterion {tok!r}; expected cmc, bic, cp, or adjr2"
-            )
-        label = _CRITERION_ALIASES[tok]
+        label = _CRITERION_ALIASES.get(tok, tok)
         if label not in out:
             out.append(label)
     if not out:
@@ -244,8 +235,7 @@ def _select_table(reports: list[SelectionReport], names: tuple[str, ...]) -> str
         chosen = "+".join(names[i] for i in rep.chosen) or "(intercept only)"
         print(f"chosen ({len(rep.chosen)} of {len(names)}): {chosen}", file=buf)
         if rep.criterion == "cmc":
-            kap = f"{rep.kappa:.6g}" if math.isfinite(rep.kappa) else "inf"
-            print(f"lambda = {rep.lambda_:.6g}   kappa = {kap}", file=buf)
+            print(f"lambda = {rep.lambda_:.6g}   kappa = {rep.kappa:.6g}", file=buf)
         print("coefficients:", file=buf)
         width = max(map(len, ("intercept", *names))) + 2
         print(f"  {'intercept':<{width}}{rep.fit.beta[0]: .4f}", file=buf)
@@ -255,9 +245,7 @@ def _select_table(reports: list[SelectionReport], names: tuple[str, ...]) -> str
         for s in rep.per_size.sizes():
             entry = rep.per_size.entries[s]
             label = "+".join(names[i] for i in entry.mask) or "-"
-            score = rep.scores.get(s)
-            tail = f"  score={score:.6g}" if score is not None else ""
-            print(f"  size {s:>2}: rss={entry.rss:.6g}{tail}  {label}", file=buf)
+            print(f"  size {s:>2}: rss={entry.rss:.6g}  score={rep.scores[s]:.6g}  {label}", file=buf)
         print(file=buf)
     return buf.getvalue()
 
@@ -475,7 +463,9 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--format", choices=("table", "json", "csv"), default="table")
 
     pm = sub.add_parser("simulate", help="Monte Carlo rates for one scenario")
-    pm.add_argument("--scenario", choices=("weak", "correlated"), default="weak")
+    pm.add_argument("--scenario", choices=("weak", "correlated"), default="weak",
+                    help="correlated uses two groups of 5 columns: needs --p-active >= 5 "
+                         "and --p minus --p-active >= 5")
     pm.add_argument("--n", type=int, required=True)
     pm.add_argument("--p", type=int, required=True)
     pm.add_argument("--p-active", dest="p_active", type=int, required=True)

@@ -181,8 +181,10 @@ def ic_from_table(
     R-squared is 1 - (RSS/(n-k)) / (TSS/(n-1)), with k = size + 1.
     Adjusted R-squared is maximized, the others minimized.  An exact score
     tie across sizes goes to the lexicographically smaller mask, the rule
-    best_per_size applies within a size.
+    best_per_size applies within a size.  Any other name raises ConfigError.
     """
+    if criterion not in ("bic", "cp_aic", "adjr2"):
+        raise ConfigError(f"no information criterion {criterion!r}; expected bic, cp_aic or adjr2")
     if not per_size.entries:
         raise InfeasibleCandidatesError("candidate set produced no usable model")
     n = full.n

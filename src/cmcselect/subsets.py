@@ -384,12 +384,8 @@ def best_per_size(
         carries the bits fit_subset gives for its mask, and `nodes`
         counts the search's work (0 for a list).
     """
-    if isinstance(data, Dataset):
-        return _best_per_size([data], candidates)[0]
-    return _best_per_size(list(data), candidates)
-
-
-def _best_per_size(datas: list[Dataset], candidates) -> list[PerSizeBest]:
+    lone = isinstance(data, Dataset)
+    datas = [data] if lone else list(data)
     if not datas:
         return []
     if len({d.X.shape for d in datas}) > 1:
@@ -397,10 +393,12 @@ def _best_per_size(datas: list[Dataset], candidates) -> list[PerSizeBest]:
     p = datas[0].p
     if candidates is not None:
         masks = list(dict.fromkeys(as_mask(m, p) for m in candidates))
-        return _fit_tables(datas, [(masks, 0, 0)] * len(datas))
-    if p > SUBSET_LIMIT:
+        tables = _fit_tables(datas, [(masks, 0, 0)] * len(datas))
+    elif p > SUBSET_LIMIT:
         raise LimitExceededError(
             f"exhaustive search over p={p} exceeds the limit of {SUBSET_LIMIT}"
         )
-    G, b, tss = (np.stack(a) for a in zip(*map(_centered, datas)))
-    return _fit_tables(datas, _leaps_and_bounds(G, b, tss, p))
+    else:
+        G, b, tss = (np.stack(a) for a in zip(*map(_centered, datas)))
+        tables = _fit_tables(datas, _leaps_and_bounds(G, b, tss, p))
+    return tables[0] if lone else tables

@@ -146,11 +146,14 @@ def test_rounding_is_half_even():
 def test_select_table_output(tmp_path, capsys):
     path = write(tmp_path, "d1.csv", D1_CSV)
     code = main(["select", "--data", path, "--response", "y",
-                 "--criteria", "cmc", "--alphas", "0.5"])
+                 "--criteria", "cmc", "--alphas", "0.5,0,1"])
     out = capsys.readouterr().out
     assert code == 0
     assert "chosen (1 of 1): x" in out
-    assert "kappa" in out
+    kappas = [line.split("kappa = ")[1] for line in out.splitlines() if "kappa = " in line]
+    assert kappas[1:] == ["inf", "0"]
+    sizes = [line for line in out.splitlines() if line.lstrip().startswith("size ")]
+    assert len(sizes) == 6 and all("score=" in line for line in sizes)
 
 
 def test_select_without_predictors(tmp_path, capsys):
@@ -234,6 +237,11 @@ def test_select_criterion_aliases(tmp_path, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert json.loads(out)["results"][0]["criterion"] == "cp_aic"
+    # names are case-free, and a repeat under another spelling is dropped
+    code = main(["select", "--data", path, "--response", "y",
+                 "--criteria", "CP,cp_aic,Cmc", "--format", "json"])
+    assert code == 0
+    assert json.loads(capsys.readouterr().out)["meta"]["criteria"] == ["cp_aic", "cmc"]
 
 
 def test_select_candidate_list(tmp_path, capsys):
@@ -276,7 +284,7 @@ def test_select_exit_codes(tmp_path, capsys, monkeypatch):
 
     assert main(["select", "--data", path, "--response", "y",
                  "--criteria", "lasso"]) == 2
-    capsys.readouterr()
+    assert "unknown criterion 'lasso'" in capsys.readouterr().err
 
     assert main(["select", "--data", path, "--response", "y",
                  "--alphas", "1.5"]) == 2
@@ -405,6 +413,9 @@ def test_simulate_table_format(capsys):
 
 
 def test_simulate_exit_codes(capsys):
+    assert main(["simulate", "--n", "25", "--p", "4", "--p-active", "2",
+                 "--criteria", "lasso", "--reps", "2", "--threads", "1"]) == 2
+    assert "unknown criterion 'lasso'" in capsys.readouterr().err
     assert main(["simulate", "--n", "25", "--p", "4", "--p-active", "9",
                  "--reps", "2", "--threads", "1"]) == 2
     capsys.readouterr()

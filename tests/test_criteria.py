@@ -20,6 +20,7 @@ from cmcselect import (
     PerSizeBest,
     adjr2_select,
     alpha_schedule,
+    best_per_size,
     bic_select,
     classify,
     cmc_select,
@@ -249,6 +250,19 @@ def test_cross_size_score_tie_takes_the_smaller_mask():
     size, scores = ic_from_table(table, full, "adjr2")
     assert scores == {0: 0.0, 1: 0.5, 2: 0.5}
     assert size == 2
+
+
+def test_ic_from_table_refuses_names_it_cannot_score():
+    # adjr2 picks size 3 here; scoring a name as adjr2 and minimizing it picks size 0
+    rng = np.random.default_rng(0)
+    X = rng.standard_normal((40, 5))
+    data = Dataset(X=X, y=X[:, 0] + rng.standard_normal(40))
+    table = best_per_size(data)
+    full = full_fit(data)
+    assert ic_from_table(table, full, "adjr2")[0] == 3
+    for name in ("cmc", "bogus", "BIC"):
+        with pytest.raises(ConfigError, match=repr(name)):
+            ic_from_table(table, full, name)
 
 
 def test_select_many_matches_single_selectors():
