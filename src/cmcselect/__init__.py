@@ -13,7 +13,6 @@ from .criteria import (
     RatePair,
     SelectionReport,
     adjr2_select,
-    alpha_schedule,
     bic_select,
     classify,
     cmc_from_table,
@@ -22,7 +21,6 @@ from .criteria import (
     ic_from_table,
     kappa,
     labels_for,
-    lambda_stat,
     select_many,
 )
 from .datasets import PROSTATE_ENV, PROSTATE_RESPONSE, load_prostate
@@ -85,7 +83,6 @@ __all__ = [
     "SelectionReport",
     "TooFewRowsError",
     "adjr2_select",
-    "alpha_schedule",
     "as_mask",
     "best_per_size",
     "bic_select",
@@ -100,7 +97,6 @@ __all__ = [
     "ic_from_table",
     "labels_for",
     "kappa",
-    "lambda_stat",
     "load_prostate",
     "PROSTATE_ENV",
     "PROSTATE_RESPONSE",

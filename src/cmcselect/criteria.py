@@ -22,11 +22,10 @@ from typing import Mapping
 from .errors import (
     ConfigError,
     DegenerateFitError,
-    DomainError,
     InconsistentStatisticError,
     InfeasibleCandidatesError,
 )
-from .fdist import FParams, f_cdf, f_quantile
+from .fdist import FParams, f_quantile
 from .linalg import Dataset, FitSummary, FullFit, Mask, full_fit
 from .subsets import PerSizeBest, best_per_size
 
@@ -75,17 +74,6 @@ def _lambda(rss: float, rss_full: float, sigma2: float, what: str) -> float:
     return max(0.0, (rss - rss_full) / sigma2)
 
 
-def lambda_stat(fit: FitSummary, rss_full: float, sigma2: float) -> float:
-    """Likelihood-ratio statistic of a submodel fit against the full model.
-
-    Tiny negative values from rounding clamp to zero; a submodel RSS
-    genuinely below the full-model RSS is a consistency violation.
-    """
-    if sigma2 <= 0.0:
-        raise DegenerateFitError(f"sigma2 must be positive, got {sigma2}")
-    return _lambda(fit.rss, rss_full, sigma2, "submodel")
-
-
 # cached: every Monte Carlo replicate asks its worker for the same few thresholds
 @functools.lru_cache
 def kappa(alpha: float, q: int, n: int) -> float:
@@ -97,22 +85,6 @@ def kappa(alpha: float, q: int, n: int) -> float:
     rounds to 1 - alpha = 1 and so gets +inf.
     """
     return q * f_quantile(1.0 - alpha, FParams(q, n - q))
-
-
-def alpha_schedule(n: int, delta: float, q: int) -> float:
-    """The decaying alpha level with 1 - alpha_n = P(F(q, n-q) <= n**delta).
-
-    n <= q raises DomainError from FParams, before any overflow shortcut.
-    """
-    params = FParams(q, n - q)
-    if not (delta > 0.0 and math.isfinite(delta)):
-        raise DomainError(f"delta must be positive and finite, got {delta!r}")
-    try:
-        f = float(n) ** delta
-    except OverflowError:
-        # n**delta is beyond the float range, where the F tail is 0
-        return 0.0
-    return 1.0 - f_cdf(f, params)
 
 
 def labels_for(criteria, alphas) -> tuple[str, ...]:
@@ -150,17 +122,21 @@ def classify(chosen, truth, p: int) -> RatePair:
 
 
 def cmc_from_table(
-    per_size: PerSizeBest, full: FullFit, kap: float
+    table: Mapping[int, tuple[Mask, float]], full: FullFit, kap: float
 ) -> tuple[int, dict[int, float]]:
     """Smallest size whose best subset has lambda <= kap; returns (size, per-size lambdas).
 
-    Raises InfeasibleCandidatesError when no size is feasible (possible
-    only for explicit candidate lists that omit an adequate model).
+    table maps each model size to its best subset's (mask, rss).  A
+    lambda below 0 by rounding clamps to 0; an RSS below the full-model
+    RSS by more than _LAMBDA_SLACK relative raises
+    InconsistentStatisticError.  Raises InfeasibleCandidatesError when no
+    size is feasible (possible only for explicit candidate lists that
+    omit an adequate model).
     """
     lambdas: dict[int, float] = {}
     chosen_size = -1
-    for s in sorted(per_size.entries):
-        lam = _lambda(per_size.entries[s].rss, full.rss, full.sigma2, f"size-{s}")
+    for s in sorted(table):
+        lam = _lambda(table[s][1], full.rss, full.sigma2, f"size-{s}")
         lambdas[s] = lam
         if chosen_size < 0 and lam <= kap:
             chosen_size = s
@@ -173,11 +149,12 @@ def cmc_from_table(
 
 
 def ic_from_table(
-    per_size: PerSizeBest, full: FullFit, criterion: str
+    table: Mapping[int, tuple[Mask, float]], full: FullFit, criterion: str
 ) -> tuple[int, dict[int, float]]:
     """Best size under "bic", "cp_aic" or "adjr2"; returns (size, per-size scores).
 
-    BIC is n*ln(RSS/n) + k*ln(n), Cp is RSS/sigma2_hat - n + 2k, adjusted
+    table maps each model size to its best subset's (mask, rss).  BIC is
+    n*ln(RSS/n) + k*ln(n), Cp is RSS/sigma2_hat - n + 2k, adjusted
     R-squared is 1 - (RSS/(n-k)) / (TSS/(n-1)), with k = size + 1.
     Adjusted R-squared is maximized, the others minimized.  An exact score
     tie across sizes goes to the lexicographically smaller mask, the rule
@@ -185,22 +162,22 @@ def ic_from_table(
     """
     if criterion not in ("bic", "cp_aic", "adjr2"):
         raise ConfigError(f"no information criterion {criterion!r}; expected bic, cp_aic or adjr2")
-    if not per_size.entries:
+    if not table:
         raise InfeasibleCandidatesError("candidate set produced no usable model")
     n = full.n
     scores: dict[int, float] = {}
-    for s, entry in per_size.entries.items():
+    for s, (_, rss) in table.items():
         k = s + 1
         if criterion == "bic":
-            if entry.rss <= 0.0:
+            if rss <= 0.0:
                 raise DegenerateFitError("zero residual sum of squares; BIC undefined")
-            scores[s] = n * math.log(entry.rss / n) + k * math.log(n)
+            scores[s] = n * math.log(rss / n) + k * math.log(n)
         elif criterion == "cp_aic":
-            scores[s] = entry.rss / full.sigma2 - n + 2.0 * k
+            scores[s] = rss / full.sigma2 - n + 2.0 * k
         else:
-            scores[s] = 1.0 - (entry.rss / (n - k)) / (full.tss / (n - 1))
+            scores[s] = 1.0 - (rss / (n - k)) / (full.tss / (n - 1))
     sign = -1.0 if criterion == "adjr2" else 1.0
-    size = min(scores, key=lambda s: (sign * scores[s], per_size.entries[s].mask))
+    size = min(scores, key=lambda s: (sign * scores[s], table[s][0]))
     return size, scores
 
 
@@ -243,6 +220,7 @@ def _reports(data: Dataset, per_size: PerSizeBest, criteria, alphas) -> list[Sel
     is not validated here; select_many and run_monte_carlo do that.
     """
     full = full_fit(data, per_size.entries.get(data.p))
+    table = {s: (fit.mask, fit.rss) for s, fit in per_size.entries.items()}
 
     def report(criterion, alpha, kap, size, scores) -> SelectionReport:
         fit = per_size.entries[size]
@@ -262,9 +240,9 @@ def _reports(data: Dataset, per_size: PerSizeBest, criteria, alphas) -> list[Sel
         if c == "cmc":
             for a in alphas:
                 kap = kappa(a, full.q, full.n)
-                reports.append(report(c, a, kap, *cmc_from_table(per_size, full, kap)))
+                reports.append(report(c, a, kap, *cmc_from_table(table, full, kap)))
         else:
-            reports.append(report(c, None, None, *ic_from_table(per_size, full, c)))
+            reports.append(report(c, None, None, *ic_from_table(table, full, c)))
     return reports
 
 

@@ -22,6 +22,7 @@ from cmcselect import (
     adjr2_select,
     best_per_size,
     bic_select,
+    cmc_from_table,
     cmc_select,
     cp_select,
     f_cdf,
@@ -29,7 +30,6 @@ from cmcselect import (
     fit_subset,
     full_fit,
     kappa,
-    lambda_stat,
     load_prostate,
     run_monte_carlo,
     select_many,
@@ -60,7 +60,7 @@ def test_c1_hand_oracle_fit():
     _, rss_empty_ref = normal_eq_fit(HAND, ())
     assert abs(empty.rss - 8.75) < 1e-10
     assert abs(empty.rss - rss_empty_ref) < 1e-10
-    lam = lambda_stat(empty, rss_full=full.rss, sigma2=0.15)
+    lam = cmc_from_table({0: (empty.mask, empty.rss)}, full_fit(HAND), math.inf)[1][0]
     assert abs(lam - (56.0 + 1.0 / 3.0)) < 1e-10
 
 
@@ -239,7 +239,7 @@ def test_c9_property_suite():
         size = int(rng.integers(0, p + 1))
         mask = tuple(sorted(rng.choice(p, size=size, replace=False).tolist()))
         sub = fit_subset(data, mask)
-        lam = lambda_stat(sub, full.rss, sigma2)
+        lam = cmc_from_table({size: (mask, sub.rss)}, full_fit(data), math.inf)[1][size]
         diff = sub.beta - full.beta
         quad = float(diff @ (A.T @ A) @ diff) / sigma2
         assert abs(lam - quad) <= 1e-7 * max(quad, 1.0)

@@ -14,23 +14,18 @@ from cmcselect import (
     DomainError,
     InconsistentStatisticError,
     InfeasibleCandidatesError,
-    FParams,
-    FitSummary,
     FullFit,
-    PerSizeBest,
     adjr2_select,
-    alpha_schedule,
     best_per_size,
     bic_select,
     classify,
+    cmc_from_table,
     cmc_select,
     cp_select,
-    f_cdf,
     fit_subset,
     full_fit,
     ic_from_table,
     kappa,
-    lambda_stat,
     select_many,
 )
 from cmcselect.linalg import full_mask
@@ -42,24 +37,30 @@ HAND = Dataset(X=np.array([[0.0], [1.0], [2.0], [3.0]]), y=np.array([0.0, 1.0, 2
 def test_lambda_hand_value():
     # (8.75 - 0.30) / 0.15 = 56.333...
     fit = fit_subset(HAND, ())
-    lam = lambda_stat(fit, rss_full=0.30, sigma2=0.15)
-    assert abs(lam - 56.0 - 1.0 / 3.0) < 1e-10
+    full = FullFit(n=4, q=2, rss=0.30, sigma2=0.15, tss=8.75)
+    size, lambdas = cmc_from_table({0: (fit.mask, fit.rss)}, full, math.inf)
+    assert size == 0
+    assert abs(lambdas[0] - 56.0 - 1.0 / 3.0) < 1e-10
+
+
+def one_entry_lambda(rss_full: float) -> float:
+    """The lambda of the hand dataset's full fit, as the one entry of a table, against rss_full."""
+    fit = fit_subset(HAND, (0,))
+    full = FullFit(n=4, q=2, rss=rss_full, sigma2=0.15, tss=8.75)
+    return cmc_from_table({1: (fit.mask, fit.rss)}, full, math.inf)[1][1]
 
 
 def test_lambda_full_model_is_zero():
-    fit = fit_subset(HAND, (0,))
-    assert lambda_stat(fit, rss_full=fit.rss, sigma2=0.15) == 0.0
+    assert one_entry_lambda(fit_subset(HAND, (0,)).rss) == 0.0
 
 
 def test_lambda_clamps_rounding_noise():
-    fit = fit_subset(HAND, (0,))
-    assert lambda_stat(fit, rss_full=fit.rss * (1.0 + 1e-12), sigma2=0.15) == 0.0
+    assert one_entry_lambda(fit_subset(HAND, (0,)).rss * (1.0 + 1e-12)) == 0.0
 
 
 def test_lambda_rejects_impossible_rss():
-    fit = fit_subset(HAND, (0,))
     with pytest.raises(InconsistentStatisticError):
-        lambda_stat(fit, rss_full=fit.rss * 2.0, sigma2=0.15)
+        one_entry_lambda(fit_subset(HAND, (0,)).rss * 2.0)
 
 
 def test_kappa_values():
@@ -78,28 +79,6 @@ def test_kappa_values():
 def test_kappa_decreasing_in_alpha():
     vals = [kappa(a, 3, 30) for a in (0.9, 0.5, 0.1, 0.01)]
     assert all(b > a for a, b in zip(vals, vals[1:]))
-
-
-def test_alpha_schedule_round_trip():
-    a = alpha_schedule(50, 1.0 / 3.0, 11)
-    assert 0.0 < a < 1.0
-    assert abs((1.0 - a) - f_cdf(50.0 ** (1.0 / 3.0), FParams(11, 39))) < 1e-15
-
-
-def test_alpha_schedule_decays():
-    # delta small enough that nothing underflows, so decrease is strict
-    vals = [alpha_schedule(n, 0.2, 6) for n in (20, 100, 1000, 10**6)]
-    assert all(b < a for a, b in zip(vals, vals[1:]))
-    assert alpha_schedule(10**6, 0.5, 6) < 1e-6
-    with pytest.raises(DomainError):
-        alpha_schedule(100, 0.0, 6)
-    # n <= q raises even where n**delta overflows
-    for n, delta in ((5, 0.5), (5, 1000.0)):
-        with pytest.raises(DomainError):
-            alpha_schedule(n, delta, 6)
-    # n**delta near the float maximum, and beyond it
-    assert alpha_schedule(400, 118.0, 21) == 0.0
-    assert alpha_schedule(400, 200.0, 21) == 0.0
 
 
 def test_classify_cases():
@@ -142,14 +121,11 @@ def test_cmc_feasibility_and_minimality():
     for trial in range(10):
         p = int(rng.integers(3, 8))
         data = random_dataset(rng, int(rng.integers(p + 6, p + 25)), p)
-        rss_full = fit_subset(data, full_mask(p)).rss
-        sigma2 = full_fit(data).sigma2
         for alpha in (0.9, 0.5, 0.1):
             report = cmc_select(data, alpha=alpha)
             kap = kappa(alpha, data.q, data.n)
             # feasibility at the chosen model
-            lam = lambda_stat(report.fit, rss_full, sigma2)
-            assert lam <= kap + 1e-9
+            assert report.lambda_ <= kap + 1e-9
             # no strictly smaller size is feasible
             for s in range(len(report.chosen)):
                 assert report.scores[s] > kap
@@ -236,16 +212,14 @@ def test_information_criteria_match_direct_scan():
 def test_cross_size_score_tie_takes_the_smaller_mask():
     # Cp = rss / sigma2 - n + 2(size + 1) is 3.0 at both sizes, so the
     # lexicographically smaller mask (0, 1) wins over (2,)
-    beta = np.zeros(4)
-    table = PerSizeBest(entries={1: FitSummary((2,), beta, 9.0, 8), 2: FitSummary((0, 1), beta, 7.0, 7)})
+    table = {1: ((2,), 9.0), 2: ((0, 1), 7.0)}
     full = FullFit(n=10, q=4, rss=6.0, sigma2=1.0, tss=20.0)
     size, scores = ic_from_table(table, full, "cp_aic")
     assert scores == {1: 3.0, 2: 3.0}
     assert size == 2
     # adjusted R-squared is 0.5 at sizes 1 and 2 and 0 at size 0: maximized,
     # the tie again goes to (0, 1), and a minimizing sign would pick size 0
-    table = PerSizeBest(entries={0: FitSummary((), beta, 18.0, 9), 1: FitSummary((2,), beta, 8.0, 8),
-                                 2: FitSummary((0, 1), beta, 7.0, 7)})
+    table = {0: ((), 18.0), 1: ((2,), 8.0), 2: ((0, 1), 7.0)}
     full = FullFit(n=10, q=4, rss=6.0, sigma2=1.0, tss=18.0)
     size, scores = ic_from_table(table, full, "adjr2")
     assert scores == {0: 0.0, 1: 0.5, 2: 0.5}
@@ -257,7 +231,7 @@ def test_ic_from_table_refuses_names_it_cannot_score():
     rng = np.random.default_rng(0)
     X = rng.standard_normal((40, 5))
     data = Dataset(X=X, y=X[:, 0] + rng.standard_normal(40))
-    table = best_per_size(data)
+    table = {s: (fit.mask, fit.rss) for s, fit in best_per_size(data).entries.items()}
     full = full_fit(data)
     assert ic_from_table(table, full, "adjr2")[0] == 3
     for name in ("cmc", "bogus", "BIC"):

@@ -166,7 +166,8 @@ def _select_many_rates(sc: Scenario, seed: int, rep: int, draws: int = 1):
 
 def test_replicate_runs_select_many(monkeypatch):
     # each rep's rates are select_many's on the data drawn from default_rng([seed, rep]),
-    # and the chunk builds its reports with the code select_many uses
+    # and the chunk builds its reports with the code select_many uses, on a small
+    # weak shape, a correlated one and one at p = 20
     chunks = []
     run_chunk = simulate._run_chunk
 
@@ -177,17 +178,22 @@ def test_replicate_runs_select_many(monkeypatch):
 
     monkeypatch.setattr(simulate, "_run_chunk", recorded)
     built = spy_calls(monkeypatch, criteria._reports)
-    sc = Scenario(kind="weak", n=30, p=6, p_active=3, sigma=1.5)
-    for seed in (1, 2, 3):
-        chunks.clear()
-        built.clear()
-        res = run_monte_carlo(sc, reps=5, seed=seed)
-        assert len(built) == 5
-        per_rep = {rep: (firs, fars) for chunk in chunks for rep, firs, fars, _ in chunk}
-        assert sorted(per_rep) == list(range(5))
-        for rep, got in per_rep.items():
-            assert got == _select_many_rates(sc, seed, rep)
-        assert len(res.labels) == 6
+    scenarios = (
+        Scenario(kind="weak", n=30, p=6, p_active=3, sigma=1.5),
+        Scenario(kind="correlated", n=80, p=14, p_active=7, rho=0.8),
+        Scenario(kind="weak", n=60, p=20, p_active=10),
+    )
+    for sc in scenarios:
+        for seed in (1, 2, 3):
+            chunks.clear()
+            built.clear()
+            res = run_monte_carlo(sc, reps=5, seed=seed)
+            assert len(built) == 5
+            per_rep = {rep: (firs, fars) for chunk in chunks for rep, firs, fars, _ in chunk}
+            assert sorted(per_rep) == list(range(5))
+            for rep, got in per_rep.items():
+                assert got == _select_many_rates(sc, seed, rep), (sc, seed, rep)
+            assert len(res.labels) == 6
 
 
 @pytest.mark.parametrize("reps", [13, 50])
