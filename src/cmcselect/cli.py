@@ -24,6 +24,7 @@ from .datasets import PROSTATE_ENV, PROSTATE_RESPONSE, _read_table, _read_text, 
 from .errors import ConfigError, InputError, MissingResponseError, NumericalError, ParseError
 from .linalg import Dataset, standardize
 from .simulate import MonteCarloResult, Scenario, run_monte_carlo
+from .subsets import PerSizeBest
 
 # command-line spellings that are not CRITERIA names; labels_for refuses unknown ones
 _CRITERION_ALIASES = {"cp": "cp_aic"}
@@ -107,55 +108,73 @@ def to_canonical_json(obj) -> str:
 
     Non-finite floats become the strings "inf"/"-inf"/"nan" (JSON has no
     literals for them).  Output re-serializes to the identical document.
+    A container that occurs more than once at one depth, such as the
+    per-size table that select's reports share, is written once and its
+    text reused; the bytes are those of writing it out each time.
     """
-    out: list[str] = []
-    _write_json(obj, out, 0)
-    out.append("\n")
-    return "".join(out)
+    # one call's memos: container text by (identity, depth), quoted text by string;
+    # kept holds each memoized container, so that no id is reused within the call
+    # (a container subclass may yield fresh containers as it iterates)
+    written: dict[tuple[int, int], str] = {}
+    quoted: dict[str, str] = {}
+    kept: list = []
+
+    def write(o, depth: int) -> str:
+        # exact types first; None, bools and subclasses (np.float64, str
+        # subclasses) take the isinstance order None, bool, str, int, float
+        t = type(o)
+        if t is str:
+            text = quoted.get(o)
+            if text is None:
+                text = quoted[o] = json.dumps(o)
+            return text
+        if t is float:
+            return _float_json(o)
+        if t is int:
+            return str(o)
+        if not (t is dict or t is list or t is tuple):
+            if o is None:
+                return "null"
+            if o is True or o is False:
+                return "true" if o else "false"
+            if isinstance(o, str):
+                return json.dumps(o)
+            if isinstance(o, int):
+                return str(o)
+            if isinstance(o, float):
+                return _float_json(o)
+            if not isinstance(o, (dict, list, tuple)):
+                raise TypeError(f"cannot serialize {type(o).__name__}")
+        key = (id(o), depth)
+        text = written.get(key)
+        if text is None:
+            pad = "  " * (depth + 1)
+            if isinstance(o, dict):
+                items = [f"{pad}{write(str(k), 0)}: {write(v, depth + 1)}" for k, v in o.items()]
+                ends = "{}"
+            else:
+                items = [pad + write(v, depth + 1) for v in o]
+                ends = "[]"
+            if items:
+                text = ends[0] + "\n" + ",\n".join(items) + "\n" + "  " * depth + ends[1]
+            else:
+                text = ends
+            written[key] = text
+            kept.append(o)
+        return text
+
+    doc = write(obj, 0) + "\n"
+    del write  # write refers to itself: dropping it frees the memos now, not at a later gc pass
+    return doc
 
 
-def _write_json(o, out: list[str], depth: int) -> None:
-    pad = "  " * (depth + 1)
-    if o is None:
-        out.append("null")
-    elif o is True or o is False:
-        out.append("true" if o else "false")
-    elif isinstance(o, str):
-        out.append(json.dumps(o))
-    elif isinstance(o, int):
-        out.append(str(o))
-    elif isinstance(o, float):
-        if math.isnan(o):
-            out.append('"nan"')
-        elif math.isinf(o):
-            out.append('"inf"' if o > 0 else '"-inf"')
-        else:
-            # negative zero would re-parse as int 0 and break round-tripping
-            out.append(format(o if o != 0.0 else 0.0, ".17g"))
-    elif isinstance(o, dict):
-        if not o:
-            out.append("{}")
-            return
-        out.append("{\n")
-        for i, (k, v) in enumerate(o.items()):
-            out.append(pad)
-            out.append(json.dumps(str(k)))
-            out.append(": ")
-            _write_json(v, out, depth + 1)
-            out.append(",\n" if i < len(o) - 1 else "\n")
-        out.append("  " * depth + "}")
-    elif isinstance(o, (list, tuple)):
-        if not o:
-            out.append("[]")
-            return
-        out.append("[\n")
-        for i, v in enumerate(o):
-            out.append(pad)
-            _write_json(v, out, depth + 1)
-            out.append(",\n" if i < len(o) - 1 else "\n")
-        out.append("  " * depth + "]")
-    else:
-        raise TypeError(f"cannot serialize {type(o).__name__}")
+def _float_json(o: float) -> str:
+    if math.isnan(o):
+        return '"nan"'
+    if math.isinf(o):
+        return '"inf"' if o > 0 else '"-inf"'
+    # negative zero would re-parse as int 0 and break round-tripping
+    return format(o if o != 0.0 else 0.0, ".17g")
 
 
 def _round2(x: float) -> str:
@@ -202,18 +221,22 @@ def _parse_candidates(raw: str, names: tuple[str, ...]) -> list[list[int]] | Non
     )
 
 
-def _report_dict(rep: SelectionReport, names: tuple[str, ...]) -> dict:
+def _per_size_list(per_size: PerSizeBest, names: tuple[str, ...]) -> list[dict]:
+    return [
+        {
+            "size": s,
+            "variables": [names[i] for i in per_size.entries[s].mask],
+            "rss": per_size.entries[s].rss,
+        }
+        for s in per_size.sizes()
+    ]
+
+
+def _report_dict(rep: SelectionReport, names: tuple[str, ...], per_size: list[dict]) -> dict:
+    """One result object; per_size is the JSON list of rep.per_size, shared by its reports."""
     coef = {"intercept": float(rep.fit.beta[0])}
     for i, nm in enumerate(names):
         coef[nm] = float(rep.fit.beta[i + 1])
-    per_size = [
-        {
-            "size": s,
-            "variables": [names[i] for i in rep.per_size.entries[s].mask],
-            "rss": rep.per_size.entries[s].rss,
-        }
-        for s in rep.per_size.sizes()
-    ]
     return {
         "criterion": rep.criterion,
         "alpha": rep.alpha,
@@ -299,9 +322,13 @@ def run_select(args: argparse.Namespace) -> str:
             "alphas": alphas,
             "candidates": args.candidates,
         }
-        return to_canonical_json(
-            {"meta": meta, "results": [_report_dict(r, data.names) for r in reports]}
-        )
+        # one list per search: the reports share their PerSizeBest
+        tables: dict[int, list[dict]] = {}
+        for r in reports:
+            if id(r.per_size) not in tables:
+                tables[id(r.per_size)] = _per_size_list(r.per_size, data.names)
+        results = [_report_dict(r, data.names, tables[id(r.per_size)]) for r in reports]
+        return to_canonical_json({"meta": meta, "results": results})
     if args.format == "csv":
         return _select_csv(reports, data.names)
     return _select_table(reports, data.names)

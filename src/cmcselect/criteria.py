@@ -87,6 +87,11 @@ def kappa(alpha: float, q: int, n: int) -> float:
     return q * f_quantile(1.0 - alpha, FParams(q, n - q))
 
 
+def _alpha(a: float) -> float:
+    """An alpha as labels and reports carry it: -0.0 is alpha 0, so it prints and labels as 0."""
+    return a + 0.0
+
+
 def labels_for(criteria, alphas) -> tuple[str, ...]:
     """One result label per report: the criterion name, or cmc_<alpha:g> for each cmc alpha.
 
@@ -101,7 +106,7 @@ def labels_for(criteria, alphas) -> tuple[str, ...]:
         if c == "cmc":
             if not alphas:
                 raise ConfigError("cmc requested but no alphas given")
-            out.extend(f"cmc_{a:g}" for a in alphas)
+            out.extend(f"cmc_{_alpha(a):g}" for a in alphas)
         else:
             out.append(c)
     for a in alphas:
@@ -240,7 +245,7 @@ def _reports(data: Dataset, per_size: PerSizeBest, criteria, alphas) -> list[Sel
         if c == "cmc":
             for a in alphas:
                 kap = kappa(a, full.q, full.n)
-                reports.append(report(c, a, kap, *cmc_from_table(table, full, kap)))
+                reports.append(report(c, _alpha(a), kap, *cmc_from_table(table, full, kap)))
         else:
             reports.append(report(c, None, None, *ic_from_table(table, full, c)))
     return reports

@@ -83,6 +83,9 @@ class Scenario:
             raise ConfigError(f"rho applies only to the correlated kind, got {self.rho} for weak")
         if not (self.sigma > 0.0 and math.isfinite(self.sigma)):
             raise ConfigError(f"sigma must be positive, got {self.sigma}")
+        for name in ("beta0", "active_value"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
         if self.kind == "correlated":
             g = self.group_size
             if not (1 <= g <= min(self.p_active, self.p - self.p_active)):

@@ -4,12 +4,16 @@ The oracles here are deliberately independent of the package's fitting
 path: least squares is solved through the raw normal equations, and the
 per-size search QR-factors every subset's design on its own, with no
 Gram matrix, no centering and no pruning, so agreement is evidence
-rather than tautology.
+rather than tautology.  The canonical-JSON oracle writes every container
+it meets, with no memo, so it checks the package writer's reuse of
+repeated containers.
 """
 
 from __future__ import annotations
 
 import itertools
+import json
+import math
 import sys
 
 import numpy as np
@@ -54,6 +58,60 @@ def naive_best_per_size(data: Dataset) -> dict[int, tuple[tuple[int, ...], float
         if np.isfinite(rss[k]):
             best[s] = (tuple(combos[k].tolist()), float(rss[k]))
     return best
+
+
+def naive_canonical_json(obj) -> str:
+    """Canonical-JSON oracle: one recursive pass that writes every container it meets.
+
+    No memo and no exact-type dispatch: the isinstance order None, bool,
+    str, int, float, dict, list/tuple.  Keys are str(k); non-finite floats
+    are the strings "inf"/"-inf"/"nan"; other floats print at 17
+    significant digits, with -0.0 as 0.
+    """
+    out: list[str] = []
+
+    def write(o, depth: int) -> None:
+        pad = "  " * (depth + 1)
+        if o is None:
+            out.append("null")
+        elif o is True or o is False:
+            out.append("true" if o else "false")
+        elif isinstance(o, str):
+            out.append(json.dumps(o))
+        elif isinstance(o, int):
+            out.append(str(o))
+        elif isinstance(o, float):
+            if math.isnan(o):
+                out.append('"nan"')
+            elif math.isinf(o):
+                out.append('"inf"' if o > 0 else '"-inf"')
+            else:
+                out.append(format(o if o != 0.0 else 0.0, ".17g"))
+        elif isinstance(o, dict):
+            if not o:
+                out.append("{}")
+                return
+            out.append("{\n")
+            for i, (k, v) in enumerate(o.items()):
+                out.append(pad + json.dumps(str(k)) + ": ")
+                write(v, depth + 1)
+                out.append(",\n" if i < len(o) - 1 else "\n")
+            out.append("  " * depth + "}")
+        elif isinstance(o, (list, tuple)):
+            if not o:
+                out.append("[]")
+                return
+            out.append("[\n")
+            for i, v in enumerate(o):
+                out.append(pad)
+                write(v, depth + 1)
+                out.append(",\n" if i < len(o) - 1 else "\n")
+            out.append("  " * depth + "]")
+        else:
+            raise TypeError(f"cannot serialize {type(o).__name__}")
+
+    write(obj, 0)
+    return "".join(out) + "\n"
 
 
 def random_dataset(rng: np.random.Generator, n: int, p: int, sigma: float = 1.0) -> Dataset:

@@ -16,6 +16,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cmcselect
 import cmcselect.subsets
@@ -27,6 +29,7 @@ from cmcselect import (
     PROSTATE_ENV,
     RankDeficientError,
     TooFewRowsError,
+    best_per_size,
     cli,
     select_many,
     standardize,
@@ -38,7 +41,7 @@ from cmcselect.cli import (
     read_candidate_list,
     to_canonical_json,
 )
-from conftest import spy_calls
+from conftest import naive_canonical_json, spy_calls
 
 D1_CSV = "y,x\n0,0\n1,1\n2,2\n4,3\n"
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -135,6 +138,75 @@ def test_canonical_json_non_finite():
     assert to_canonical_json(json.loads(s)) == s
 
 
+class _Str(str):
+    pass
+
+
+class _FreshRows(list):
+    """A list whose iteration builds a new row each time, so that a freed row's id can recur."""
+
+    def __iter__(self):
+        for i in range(len(self)):
+            yield [i]
+
+
+def test_canonical_json_edge_document_matches_oracle():
+    shared = [1.5, "x", {"k": []}]
+    doc = {
+        "zeros": [-0.0, 0.0, 0, False],
+        "non_finite": (math.inf, -math.inf, math.nan),
+        "tiny": [5e-324, 2.2250738585072014e-308 / 3, 1e308],
+        "empty": [{}, [], ()],
+        "text": ["é€😀", 'quo"te', "back\\slash", "ctl\x00\x1f\n\t"],
+        1: {2: "int keys", None: "none key", 1.5: "float key"},
+        "same_depth": [shared, shared, (shared,)],
+        "two_depths": {"a": shared, "b": [[shared]]},
+        "subclasses": [np.float64(0.1), np.float64(-0.0), _Str("sub"), {_Str("k"): 1}],
+        "fresh_rows": _FreshRows(range(4)),
+    }
+    assert to_canonical_json(doc) == naive_canonical_json(doc)
+    for bad in (np.int64(1), {1, 2}, [b"bytes"]):
+        with pytest.raises(TypeError):
+            to_canonical_json(bad)
+
+
+_JSON_LEAVES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.sampled_from([True, 1, False, 0, -0.0, 5e-324, 1e-310, math.inf, -math.inf, math.nan]),
+    st.floats(),
+    st.text(),
+    st.sampled_from(['"', "\\", "\n", "\x00", "\x7f", "é", "€", "😀", "\u2028"]),
+)
+
+
+def _json_trees(leaves):
+    return st.recursive(
+        leaves,
+        lambda kids: st.one_of(
+            st.lists(kids, max_size=4),
+            st.lists(kids, max_size=4).map(tuple),
+            st.dictionaries(st.one_of(st.text(max_size=3), st.integers(-3, 3)), kids, max_size=4),
+        ),
+        max_leaves=16,
+    )
+
+
+@st.composite
+def _json_docs(draw):
+    # a container drawn once, then placed at random depths and at one depth twice
+    shared = draw(_json_trees(_JSON_LEAVES).filter(lambda o: isinstance(o, (dict, list, tuple))))
+    body = draw(_json_trees(st.one_of(_JSON_LEAVES, st.just(shared))))
+    return {"twice": [shared, shared], "deeper": [[shared]], "body": body}
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(_json_docs())
+def test_canonical_json_matches_oracle(doc):
+    assert to_canonical_json(doc) == naive_canonical_json(doc)
+
+
 def test_rounding_is_half_even():
     # exact binary halves land on the even digit
     assert _round2(0.125) == "0.12"
@@ -181,7 +253,7 @@ def test_select_json_round_trip(tmp_path, capsys):
     assert [r["criterion"] for r in doc["results"]] == ["cmc", "bic"]
     assert doc["results"][0]["chosen"] == ["x"]
     assert doc["results"][0]["coefficients"]["intercept"] == pytest.approx(-0.2)
-    assert to_canonical_json(doc) == out
+    assert to_canonical_json(doc) == naive_canonical_json(doc) == out
 
 
 def test_select_standardize(tmp_path, capsys):
@@ -216,7 +288,7 @@ def test_select_alpha_zero_serializes_inf(tmp_path, capsys):
     doc = json.loads(out)
     assert doc["results"][0]["kappa"] == "inf"
     assert doc["results"][0]["chosen"] == []
-    assert to_canonical_json(doc) == out
+    assert to_canonical_json(doc) == naive_canonical_json(doc) == out
 
 
 def test_select_csv_format(tmp_path, capsys):
@@ -255,6 +327,56 @@ def test_select_candidate_list(tmp_path, capsys):
     doc = json.loads(out)
     assert doc["results"][0]["chosen"] == ["x"]
     assert [e["size"] for e in doc["results"][0]["per_size"]] == [1]
+
+
+def test_select_json_per_size_is_the_search_table(tmp_path, capsys):
+    rng = np.random.default_rng(17)
+    X = rng.standard_normal((30, 5))
+    y = 1.0 + X[:, 0] - X[:, 2] + 0.5 * rng.standard_normal(30)
+    path = write(tmp_path, "d5.csv", "a,b,c,d,e,y\n" + "".join(
+        ",".join(map(repr, row)) + "\n" for row in np.column_stack([X, y]).tolist()))
+    # the list's sizes are 1, 3 and 5: sizes 0, 2 and 4 are gaps
+    cands = write(tmp_path, "cands.txt", "c\na,c,e\nb\na,b,c,d,e\n")
+    data = load_csv(path, "y")
+    for candidates, masks in (("all", None), (f"list:{cands}", [[2], [0, 2, 4], [1], list(range(5))])):
+        code = main(["select", "--data", path, "--response", "y", "--criteria", "cmc,bic,cp,adjr2",
+                     "--alphas", "0.9,0.1", "--candidates", candidates, "--format", "json"])
+        assert code == 0
+        results = json.loads(capsys.readouterr().out)["results"]
+        table = best_per_size(data, masks)
+        want = [
+            {"size": s, "variables": [data.names[i] for i in table.entries[s].mask],
+             "rss": table.entries[s].rss}
+            for s in table.sizes()
+        ]
+        assert len(results) == 5
+        assert all(r["per_size"] == want for r in results), candidates
+    assert [e["size"] for e in want] == [1, 3, 5]
+
+
+def test_select_negative_zero_alpha_is_alpha_zero(tmp_path, capsys):
+    path = write(tmp_path, "d1.csv", D1_CSV)
+    argv = ["select", "--data", path, "--response", "y", "--criteria", "cmc"]
+    outs = {}
+    for alphas in ("0", "-0"):
+        for fmt in ("table", "json", "csv"):
+            assert main(argv + ["--alphas", alphas, "--format", fmt]) == 0
+            outs[alphas, fmt] = capsys.readouterr().out
+    for fmt in ("table", "json", "csv"):
+        assert outs["-0", fmt] == outs["0", fmt], fmt
+    assert "== cmc (alpha=0) ==" in outs["-0", "table"]
+    assert "cmc,0,intercept," in outs["-0", "csv"]
+
+    # 0 and -0 are one alpha, so they ask for the same report twice
+    assert main(argv + ["--alphas", "0,-0"]) == 2
+    assert "duplicate result labels in ['cmc_0', 'cmc_0']" in capsys.readouterr().err
+    assert main(["simulate", "--n", "20", "--p", "3", "--p-active", "1", "--reps", "1",
+                 "--threads", "1", "--alphas", "0,-0"]) == 2
+    assert "duplicate result labels" in capsys.readouterr().err
+    assert main(["simulate", "--n", "20", "--p", "3", "--p-active", "1", "--reps", "1",
+                 "--threads", "1", "--criteria", "cmc", "--alphas=-0,0.5", "--format", "csv"]) == 0
+    assert [row[6] for row in csv.reader(io.StringIO(capsys.readouterr().out))][1:] == [
+        "cmc_0", "cmc_0.5"]
 
 
 def test_select_searches_once(tmp_path, capsys, monkeypatch):

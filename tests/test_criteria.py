@@ -106,6 +106,9 @@ def test_cmc_alpha_extremes():
     data = random_dataset(rng, 30, 5)
     assert cmc_select(data, alpha=1.0).chosen == full_mask(5)
     assert cmc_select(data, alpha=0.0).chosen == ()
+    # -0.0 is alpha 0, and the report carries it as +0.0
+    report = cmc_select(data, alpha=-0.0)
+    assert report.chosen == () and math.copysign(1.0, report.alpha) == 1.0
 
 
 def test_cmc_default_alpha():

@@ -47,6 +47,11 @@ def test_scenario_validation():
     with pytest.raises(ConfigError):
         # a weak design has no groups to correlate
         Scenario(kind="weak", n=40, p=10, p_active=5, rho=0.5)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ConfigError, match="beta0"):
+            Scenario(kind="weak", n=40, p=10, p_active=5, beta0=bad)
+        with pytest.raises(ConfigError, match="active_value"):
+            Scenario(kind="weak", n=40, p=10, p_active=5, active_value=bad)
 
 
 def test_scenario_truth_and_extension():
@@ -128,6 +133,10 @@ def test_labels_for():
     assert labels_for(("bic", "cmc"), (0.9, 0.5)) == ("bic", "cmc_0.9", "cmc_0.5")
     assert labels_for(("adjr2",), ()) == ("adjr2",)
     assert labels_for(("cmc",), (0.25,)) == ("cmc_0.25",)
+    # -0.0 is alpha 0: one label, so asking for both is a duplicate
+    assert labels_for(("cmc",), (-0.0,)) == ("cmc_0",)
+    with pytest.raises(ConfigError, match="duplicate"):
+        labels_for(("cmc",), (0.0, -0.0))
 
 
 def test_monte_carlo_validation():
