@@ -169,21 +169,26 @@ def ic_from_table(
         raise ConfigError(f"no information criterion {criterion!r}; expected bic, cp_aic or adjr2")
     if not table:
         raise InfeasibleCandidatesError("candidate set produced no usable model")
-    n = full.n
-    scores: dict[int, float] = {}
-    for s, (_, rss) in table.items():
-        k = s + 1
-        if criterion == "bic":
-            if rss <= 0.0:
-                raise DegenerateFitError("zero residual sum of squares; BIC undefined")
-            scores[s] = n * math.log(rss / n) + k * math.log(n)
-        elif criterion == "cp_aic":
-            scores[s] = rss / full.sigma2 - n + 2.0 * k
-        else:
-            scores[s] = 1.0 - (rss / (n - k)) / (full.tss / (n - 1))
+    scores = {s: _score(criterion, rss, s + 1, full) for s, (_, rss) in table.items()}
     sign = -1.0 if criterion == "adjr2" else 1.0
     size = min(scores, key=lambda s: (sign * scores[s], table[s][0]))
     return size, scores
+
+
+def _score(criterion: str, rss: float, k: int, full: FullFit) -> float:
+    """One information criterion at one RSS with k coefficients; each formula is stated once.
+
+    Every formula is monotone in rss, also as rounded, so scores at the
+    ends of an RSS interval bound the score at any RSS inside it.
+    """
+    n = full.n
+    if criterion == "bic":
+        if rss <= 0.0:
+            raise DegenerateFitError("zero residual sum of squares; BIC undefined")
+        return n * math.log(rss / n) + k * math.log(n)
+    if criterion == "cp_aic":
+        return rss / full.sigma2 - n + 2.0 * k
+    return 1.0 - (rss / (n - k)) / (full.tss / (n - 1))
 
 
 def select_many(
@@ -220,12 +225,12 @@ def select_many(
 def _reports(data: Dataset, per_size: PerSizeBest, criteria, alphas) -> list[SelectionReport]:
     """One report per criterion and cmc alpha, in labels_for order, from one table.
 
-    The full-model statistics reuse the table's size-p entry when it has
-    one; a collinear full design raises RankDeficientError.  The request
-    is not validated here; select_many and run_monte_carlo do that.
+    The full-model statistics reuse the table's full fit; a collinear
+    full design raises RankDeficientError.  The request is not validated
+    here; select_many and run_monte_carlo do that.
     """
-    full = full_fit(data, per_size.entries.get(data.p))
     table = {s: (fit.mask, fit.rss) for s, fit in per_size.entries.items()}
+    full = full_fit(data, per_size.full)
 
     def report(criterion, alpha, kap, size, scores) -> SelectionReport:
         fit = per_size.entries[size]
@@ -249,6 +254,62 @@ def _reports(data: Dataset, per_size: PerSizeBest, criteria, alphas) -> list[Sel
         else:
             reports.append(report(c, None, None, *ic_from_table(table, full, c)))
     return reports
+
+
+def _choices(data: Dataset, per_size: PerSizeBest, criteria, alphas) -> tuple[list[Mask], bool]:
+    """The masks _reports chooses, in its order, and whether the search's own RSS proved them.
+
+    A table with rss_bounds is scored on its RSS intervals first; when
+    every decision holds across them, the QR refits would make the same
+    ones, so none is made.  Otherwise the masks come from _reports.
+    """
+    bounds = per_size.rss_bounds()
+    if bounds is not None:
+        chosen = _certain_choices(bounds, full_fit(data, per_size.full), criteria, alphas)
+        if chosen is not None:
+            return chosen, True
+    return [rep.chosen for rep in _reports(data, per_size, criteria, alphas)], False
+
+
+def _certain_choices(bounds, full: FullFit, criteria, alphas) -> list[Mask] | None:
+    """Each criterion's choice when it holds for any RSS in each size's [lo, hi]; else None.
+
+    bounds maps each size to (mask, lo, hi).  _score (sign-adjusted so
+    that lower wins) and _lambda rise with rss, also as rounded, so a QR
+    RSS inside [lo, hi] scores between the scores of lo and hi.  An
+    information criterion's winner must score strictly better at hi than
+    every other size at lo.  For cmc, lambda at lo must exceed kappa at
+    every size below the chosen one, and lambda at hi must be at most
+    kappa at the chosen one.  A lo that _lambda refuses or BIC cannot
+    score returns None, as does any exact tie.
+    """
+    chosen: list[Mask] = []
+    try:
+        for c in criteria:
+            if c == "cmc":
+                low = {s: _lambda(lo, full.rss, full.sigma2, "lower end")
+                       for s, (_, lo, _) in sorted(bounds.items())}
+                for a in alphas:
+                    kap = kappa(a, full.q, full.n)
+                    # the only size that can pass: the first whose lower end is feasible
+                    size = next((s for s, lam in low.items() if lam <= kap), None)
+                    if size is None:
+                        return None
+                    if _lambda(bounds[size][2], full.rss, full.sigma2, "upper end") > kap:
+                        return None
+                    chosen.append(bounds[size][0])
+            else:
+                sign = -1.0 if c == "adjr2" else 1.0
+                low = {s: sign * _score(c, lo, s + 1, full) for s, (_, lo, _) in bounds.items()}
+                # the only size that can win: the best at its lower end
+                best = min(low, key=low.__getitem__)
+                top = sign * _score(c, bounds[best][2], best + 1, full)
+                if any(v <= top for s, v in low.items() if s != best):
+                    return None
+                chosen.append(bounds[best][0])
+    except (InconsistentStatisticError, DegenerateFitError):
+        return None
+    return chosen
 
 
 def cmc_select(data: Dataset, alpha: float = 0.9, candidates=None) -> SelectionReport:

@@ -69,6 +69,28 @@ def _beta_cf(a: float, b: float, x: float) -> float:
     raise DomainError(f"incomplete beta continued fraction failed to converge (a={a}, b={b}, x={x})")
 
 
+def _ln_inv_beta(a: float, b: float) -> float:
+    """ln(Gamma(a + b) / (Gamma(a) Gamma(b))) for positive, finite a and b.
+
+    Past lgamma's range (an argument above about 2.5e305) the larger of
+    a and b, g, exceeds 1e305, and Stirling's series gives the value from
+    the smaller, s.  Below s = 1e8 it is s ln g - lgamma(s), the next
+    term s (s - 1) / (2g) being under 1e-289.  Above, it is
+    a log1p(b/a) + b log1p(a/b) + (ln s - log1p(s/g) - ln 2pi) / 2, plus
+    1/(12(a+b)) - 1/(12a) - 1/(12b), with an error under 1e-25.
+    """
+    try:
+        return math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
+    except OverflowError:
+        pass
+    s, g = min(a, b), max(a, b)
+    if s < 1e8:
+        return s * math.log(g) - math.lgamma(s)
+    return (a * math.log1p(b / a) + b * math.log1p(a / b)
+            + 0.5 * (math.log(s) - math.log1p(s / g) - math.log(2.0 * math.pi))
+            + 1.0 / (12.0 * (a + b)) - 1.0 / (12.0 * a) - 1.0 / (12.0 * b))
+
+
 def _reg_inc_beta(x: float, a: float, b: float) -> float:
     """Regularized incomplete beta function I_x(a, b), absolute error below 1e-12.
 
@@ -79,13 +101,13 @@ def _reg_inc_beta(x: float, a: float, b: float) -> float:
         return 0.0
     if x == 1.0:
         return 1.0
-    ln_front = (
-        math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
-        + a * math.log(x) + b * math.log1p(-x)
-    )
-    front = math.exp(ln_front)
+    front = math.exp(_ln_inv_beta(a, b) + a * math.log(x) + b * math.log1p(-x))
     # symmetry switch keeps the continued fraction in its fast-convergence region
-    if x < (a + 1.0) / (a + b + 2.0):
+    lower = x < (a + 1.0) / (a + b + 2.0)
+    if front == 0.0:
+        # the fraction is not needed, and at a or b near 1e308 it need not converge
+        return 0.0 if lower else 1.0
+    if lower:
         return front * _beta_cf(a, b, x) / a
     return 1.0 - front * _beta_cf(b, a, 1.0 - x) / b
 
@@ -100,7 +122,8 @@ def f_cdf(f: float, params: FParams) -> float:
     # a finite f can overflow here too, where the cdf is 1 to double precision
     if math.isinf(d1 * f):
         return 1.0
-    x = d1 * f / (d1 * f + d2)
+    # so can the sum, so only then divide by d1 * f instead
+    x = d1 * f / (d1 * f + d2) if math.isfinite(d1 * f + d2) else 1.0 / (1.0 + d2 / (d1 * f))
     return _reg_inc_beta(x, 0.5 * d1, 0.5 * d2)
 
 

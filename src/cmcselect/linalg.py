@@ -119,7 +119,7 @@ class FitSummary:
         object.__setattr__(self, "beta", beta)
 
 
-def _fit_stack(datas, masks) -> list[FitSummary | None]:
+def _fit_stack(datas, masks) -> tuple[list[FitSummary | None], np.ndarray]:
     """QR-fit K (dataset, mask) pairs of one shape and one mask size as one stack.
 
     The (K, n, k+1) designs go through one batched QR, one solve and
@@ -127,7 +127,7 @@ def _fit_stack(datas, masks) -> list[FitSummary | None]:
     stack axis, and they run per matrix, so each member's beta and rss
     carry the same bits at any K and any stack position.  A member whose
     R diagonal fails the RANK_TOL ratio test comes back as None; the
-    others are unaffected.
+    others are unaffected.  Also returns the (K, k+1) |R| diagonals.
     """
     n = datas[0].n
     k = len(masks[0])
@@ -158,7 +158,7 @@ def _fit_stack(datas, masks) -> list[FitSummary | None]:
         if k:
             beta[np.asarray(mask) + 1] = coef[i, 1:, 0]
         fits.append(FitSummary(mask=mask, beta=beta, rss=float(rss[i]), df_resid=n - (k + 1)))
-    return fits
+    return fits, diag
 
 
 def fit_subset(data: Dataset, mask) -> FitSummary:
@@ -183,7 +183,7 @@ def fit_subset(data: Dataset, mask) -> FitSummary:
         RANK_TOL (relative, on the QR diagonal).
     """
     mask = as_mask(mask, data.p)
-    fit = _fit_stack([data], [mask])[0]
+    fit = _fit_stack([data], [mask])[0][0]
     if fit is None:
         raise RankDeficientError(f"columns for mask {mask} are collinear beyond tolerance")
     return fit

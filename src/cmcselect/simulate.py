@@ -10,15 +10,19 @@ keyed by (seed, replication index), selects on it as select_many does
 mask against the true active set.  Replications run in chunks, as few
 and as even as keep every worker busy: a chunk's datasets get their
 per-size tables from one best_per_size call, which searches them in
-lockstep, sharing blocks of tree nodes, and stacks the QR refits of one
-model size into one call; masks, node counts and fits are bit-identical
-to lone calls.  Results are merged by replication index, so a run is
-bit-identical for a fixed (seed, reps) no matter how many worker
-processes are used.
+lockstep, sharing blocks of tree nodes, and fits their full models with
+one stacked QR; masks, node counts and fits are bit-identical to lone
+calls.  A replication scores the search's own per-size RSS, with no
+refit, when a certificate proves that every choice equals select_many's
+(criteria._choices); any other takes select_many's QR-refit path, so
+the choices are select_many's either way.  Results are merged by
+replication index, so a run is bit-identical for a fixed (seed, reps)
+no matter how many worker processes are used.
 """
 
 from __future__ import annotations
 
+import importlib
 import logging
 import math
 import time
@@ -27,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .criteria import CRITERIA, RatePair, _reports, classify, labels_for
+from .criteria import CRITERIA, RatePair, _choices, classify, labels_for
 from .errors import ConfigError, RankDeficientError, TooFewRowsError
 from .linalg import Dataset
 from .subsets import best_per_size
@@ -159,14 +163,17 @@ def _gen_design(scenario: Scenario, rng: np.random.Generator) -> np.ndarray:
     return gen_correlated_design(scenario, rng)
 
 
-def _run_chunk(args) -> list[tuple[int, list[float], list[float], int]]:
+def _run_chunk(args) -> list[tuple[int, list[float], list[float], int, bool]]:
     """A chunk of replications: fresh data per rep, one table search call, classification.
 
     Each rep draws from its own stream.  The chunk's datasets get their
-    tables from one best_per_size call, searched in lockstep, and each
-    table becomes reports through the code select_many uses.  A rep whose
+    tables from one best_per_size call, searched in lockstep.  A rep's
+    choices are select_many's: a table whose search RSS certifies every
+    choice is scored on it with no refit (criteria._choices), any other
+    goes through the QR refits select_many itself makes.  A rep whose
     full design is collinear is redrawn from its stream and searched
-    again with the other redrawn reps.
+    again with the other redrawn reps.  Each row is (rep, firs, fars,
+    redraws, whether the search RSS certified the choices).
     """
     scenario, criteria, alphas, seed, reps = args
     rngs = {r: np.random.default_rng([seed, r]) for r in reps}
@@ -181,7 +188,7 @@ def _run_chunk(args) -> list[tuple[int, list[float], list[float], int]]:
         redraw = []
         for r, data, table in zip(pending, datas, best_per_size(datas)):
             try:
-                reports = _reports(data, table, criteria, alphas)
+                chosen, certified = _choices(data, table, criteria, alphas)
             except RankDeficientError:
                 # the full design is collinear: redraw
                 regen[r] += 1
@@ -189,8 +196,8 @@ def _run_chunk(args) -> list[tuple[int, list[float], list[float], int]]:
                     raise
                 redraw.append(r)
                 continue
-            rates = [classify(rep.chosen, scenario.truth, scenario.p) for rep in reports]
-            out.append((r, [x.fir for x in rates], [x.far for x in rates], regen[r]))
+            rates = [classify(mask, scenario.truth, scenario.p) for mask in chosen]
+            out.append((r, [x.fir for x in rates], [x.far for x in rates], regen[r], certified))
         pending = redraw
     return out
 
@@ -221,10 +228,14 @@ def run_monte_carlo(
     Replications run in the fewest chunks of at most 32 that give every
     worker the same number, their sizes differing by at most one (100
     reps: four chunks of 25 at one or two workers).  Each chunk's tables
-    are searched and fitted together, and its results are bit-identical
-    to one-at-a-time select_many runs.  Once a chunk completes, and at
-    most every 10 s, progress (reps done, elapsed time, ETA) is logged at
-    INFO.
+    are searched together.  A replication's choices are select_many's:
+    the search's own RSS certifies them or select_many's QR refits make
+    them, so results are bit-identical to one-at-a-time select_many
+    runs.  Once a chunk completes, and at most every 10 s, progress (reps
+    done, elapsed time, ETA) is logged at INFO; at the end one INFO line
+    counts the reps certified and those refit, the same for a fixed seed
+    at any thread count.  The pool's workers fork after numpy.random is
+    imported, so none imports it on its first chunk.
 
     Parameters
     ----------
@@ -264,16 +275,20 @@ def run_monte_carlo(
     if workers == 1:
         results = map(_run_chunk, tasks)
     else:
+        # numpy imports numpy.random lazily; a worker forked after this import
+        # draws its first replicate without paying for it
+        importlib.import_module("numpy.random")
         pool = ProcessPoolExecutor(max_workers=workers)
         results = pool.map(_run_chunk, tasks)
     start = last = time.monotonic()
-    done = 0
+    done = certified = 0
     try:
         for chunk in results:
-            for rep, firs, fars, regen in chunk:
+            for rep, firs, fars, regen, cert in chunk:
                 fir[rep] = firs
                 far[rep] = fars
                 regenerated += regen
+                certified += cert
             done += len(chunk)
             now = time.monotonic()
             if now - last >= _PROGRESS_EVERY_S:
@@ -284,6 +299,7 @@ def run_monte_carlo(
     finally:
         if workers != 1:
             pool.shutdown()
+    log.info("%d rep(s) scored on the search's RSS, %d QR-refit", certified, reps - certified)
     mean_fir = fir.mean(axis=0)
     mean_far = far.mean(axis=0)
     zero = ((fir == 0.0) & (far == 0.0)).mean(axis=0)

@@ -37,21 +37,26 @@ more nodes at small p, where each node is small.
 Intercepts are handled exactly by centering: the RSS of a subset fitted
 with an intercept equals the RSS of the centered regression on the same
 columns, so the search runs on the centered Gram matrix and winners are
-re-fit by QR; those fits are the table's entries.  The refits of one
-call are stacked by model size, across its datasets when it is given
-several of one shape, and each carries the bits a lone fit_subset gives.
+re-fit by QR; those fits are the table's entries, made the first time
+they are read, each with the bits a lone fit_subset gives.  Size p is the
+full model's QR fit (_full_fits), stacked across the datasets of a call.
+A table also keeps the search's own RSS per size, with a bound on how far
+it can lie from the QR RSS (_rss_error), so a caller that needs only the
+choices can score it without any refit.
 """
 
 from __future__ import annotations
 
+import functools
 import logging
+import math
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DimensionMismatchError, LimitExceededError
-from .linalg import Dataset, FitSummary, Mask, _fit_stack, as_mask
+from .linalg import RANK_TOL, Dataset, FitSummary, Mask, _fit_stack, as_mask, full_mask
 
 log = logging.getLogger(__name__)
 
@@ -71,18 +76,86 @@ _PIVOT_TOL = 1e-10
 _BLOCK_FLOATS = 128 * 31**2
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PerSizeBest:
-    """The QR fit of the minimum-RSS subset per size; sizes with no usable candidate are missing."""
+    """The QR fit of the minimum-RSS subset per size; sizes with no usable candidate are missing.
 
-    entries: dict[int, FitSummary]
-    skipped: int = 0
+    entries maps each size to its FitSummary, and skipped counts the
+    rank-deficient masks, refused by the search's sweep or by the QR rank
+    test.  Both come from QR refits of `masks`, made the first time either
+    is read; the full mask's fit is `full` (see _full_fits).
+
+    A search also keeps its own table, `search`: each size's (mask, rss),
+    the sweep RSS below size p and full.rss at p.  rss_error bounds
+    |sweep RSS - QR RSS| below size p (see _rss_error).  It is inf where
+    no bound is certified: the search skipped a subset, some refit could
+    fail the QR rank test, or the design is too ill-conditioned for the
+    bound; and for an explicit list, which has no search table.
+    """
+
+    data: Dataset = field(repr=False)
+    # every mask to fit, the full mask included when it is a candidate
+    masks: tuple[Mask, ...] = field(repr=False)
+    # the full mask's QR fit; None when its design is collinear or it is not a candidate
+    full: FitSummary | None
     # search tree nodes evaluated, floors plus ceilings (0 for an explicit
     # list): the search's work, independent of the machine
     nodes: int = 0
+    search: dict[int, tuple[Mask, float]] = field(default_factory=dict)
+    rss_error: float = math.inf
+    # collinear subsets the sweep skipped; the refits add the ones QR refuses
+    sweep_skipped: int = field(default=0, repr=False)
+
+    @functools.cached_property
+    def _refits(self) -> tuple[dict[int, FitSummary], int]:
+        # one stacked QR per size; lowest RSS per size, ties to the smaller mask
+        p = self.data.p
+        by_size: dict[int, list[Mask]] = {}
+        for mask in self.masks:
+            if len(mask) < p:
+                by_size.setdefault(len(mask), []).append(mask)
+        fits = {full_mask(p): self.full}
+        for masks in by_size.values():
+            fits.update(zip(masks, _fit_stack([self.data] * len(masks), masks)[0]))
+        entries: dict[int, FitSummary] = {}
+        skipped = self.sweep_skipped
+        for mask in self.masks:
+            fit = fits[mask]
+            if fit is None:
+                skipped += 1
+                continue
+            s = len(fit.mask)
+            cur = entries.get(s)
+            if cur is None or fit.rss < cur.rss or (fit.rss == cur.rss and fit.mask < cur.mask):
+                entries[s] = fit
+        if skipped:
+            log.info("skipped %d rank-deficient subset(s)", skipped)
+        log.debug("search evaluated %d node(s), skipped %d subset(s)", self.nodes, skipped)
+        return entries, skipped
+
+    @property
+    def entries(self) -> dict[int, FitSummary]:
+        return self._refits[0]
+
+    @property
+    def skipped(self) -> int:
+        return self._refits[1]
 
     def sizes(self) -> list[int]:
         return sorted(self.entries)
+
+    def rss_bounds(self) -> dict[int, tuple[Mask, float, float]] | None:
+        """Each size's (mask, lo, hi), with the QR RSS of entries[size] in [lo, hi].
+
+        entries then has exactly these sizes and masks.  None when
+        rss_error is inf.  Size p is the QR fit itself, so lo = hi there.
+        """
+        e = self.rss_error
+        if math.isinf(e):
+            return None
+        p = self.data.p
+        return {s: (mask, rss, rss) if s == p else (mask, rss - e, rss + e)
+                for s, (mask, rss) in self.search.items()}
 
 
 def _centered(data: Dataset):
@@ -126,7 +199,7 @@ def _block_nodes(p: int) -> int:
     return max(1, _BLOCK_FLOATS // (p + 1) ** 2)
 
 
-def _leaps_and_bounds(G, b, tss, p: int) -> list[tuple[list[Mask], int, int]]:
+def _leaps_and_bounds(G, b, tss, p: int) -> list[tuple[dict[int, tuple[Mask, float]], int, int]]:
     """Pruned exhaustive search over the inclusion/exclusion trees of K datasets.
 
     G (K, p, p), b (K, p) and tss (K,) are the centered Gram matrices,
@@ -147,8 +220,8 @@ def _leaps_and_bounds(G, b, tss, p: int) -> list[tuple[list[Mask], int, int]]:
     into blocks of their own at multiples of the block size.  So every
     dataset sees the blocks its lone search sees, and its masks, skips
     and node count do not depend on the others.  Returns, per
-    dataset, its per-size masks, the collinear subsets skipped and the
-    nodes evaluated.
+    dataset, its {size: (mask, sweep rss)} below size p, the collinear
+    subsets skipped and the nodes evaluated.
     """
     K = len(tss)
     block = _block_nodes(p)
@@ -314,45 +387,93 @@ def _leaps_and_bounds(G, b, tss, p: int) -> list[tuple[list[Mask], int, int]]:
                     own_b = own[rows]
                 # the first block ends up on top of the stack
                 stack.append((d + 1, S2, T2, key2[lo:hi], slot2[lo:hi], ceil2[lo:hi], own_b))
-    # size p holds only the full set: its QR refit alone decides whether it is
-    # usable, so a near-collinear full design the sweep rejects keeps it
-    best_key[p :: p + 1] = [(1 << p) - 1] * K
     bits = [(1 << (p - 1 - j), j) for j in range(p)]
-    masks = [tuple([j for bit, j in bits if key & bit]) if key >= 0 else None for key in best_key]
-    return [([m for m in masks[k * (p + 1) : (k + 1) * (p + 1)] if m is not None],
-             int(skipped[k]), int(nodes[k])) for k in range(K)]
+    rows = []
+    for k in range(K):
+        # sizes below p; size p belongs to _full_fits
+        keys = best_key[k * (p + 1) : k * (p + 1) + p]
+        rows.append({s: (tuple([j for bit, j in bits if key & bit]), float(best_rss[k, s]))
+                     for s, key in enumerate(keys) if key >= 0})
+    return [(rows[k], int(skipped[k]), int(nodes[k])) for k in range(K)]
 
 
-def _fit_tables(datas, searches) -> list[PerSizeBest]:
-    """QR-fit each dataset's masks, stacking same-size masks across datasets.
+def _full_fits(datas) -> tuple[list[FitSummary | None], np.ndarray]:
+    """The size-p row of every table: the full mask at its QR fit, one stacked QR for all.
 
-    searches holds one (masks, skipped, nodes) per dataset.  Per dataset,
-    keeps the lowest RSS per size, ties to the smaller mask.
+    Size p holds only the full set, and its fit and RSS are the full
+    model's QR fit, never a sweep's: a near-collinear full design the
+    sweep rejects keeps size p, and a collinear one the QR refuses (None)
+    has none.  Also returns the fits' (K, p+1) |R| diagonals.
     """
-    by_size: dict[int, list[tuple[int, Mask]]] = {}
-    for d, (masks, _, _) in enumerate(searches):
-        for mask in masks:
-            by_size.setdefault(len(mask), []).append((d, mask))
-    fits: dict[tuple[int, Mask], FitSummary | None] = {}
-    for pairs in by_size.values():
-        fits.update(zip(pairs, _fit_stack([datas[d] for d, _ in pairs], [m for _, m in pairs])))
-    tables = []
-    for d, (masks, skipped, nodes) in enumerate(searches):
-        entries: dict[int, FitSummary] = {}
-        for mask in masks:
-            fit = fits[d, mask]
-            if fit is None:
-                skipped += 1
-                continue
-            s = len(fit.mask)
-            cur = entries.get(s)
-            if cur is None or fit.rss < cur.rss or (fit.rss == cur.rss and fit.mask < cur.mask):
-                entries[s] = fit
-        if skipped:
-            log.info("skipped %d rank-deficient subset(s)", skipped)
-        log.debug("search evaluated %d node(s), skipped %d subset(s)", nodes, skipped)
-        tables.append(PerSizeBest(entries=entries, skipped=skipped, nodes=nodes))
-    return tables
+    return _fit_stack(datas, [full_mask(datas[0].p)] * len(datas))
+
+
+def _rss_error(datas, G, tss, rdiag) -> np.ndarray:
+    """Per dataset, a bound e on |sweep RSS - QR RSS| over every subset; inf where none holds.
+
+    None holds unless the full fit's |R| diagonal, rdiag, shows that
+    every subset passes fit_subset's RANK_TOL test, so that a refit keeps
+    every size.  A column's distance from the span of some of the columns
+    before it is at least its distance from the span of all of them, so
+    every subset's smallest |R_jj| is at least the full one's, and its
+    largest is at most the largest column norm, intercept included; the
+    factor 2 covers the rounding of the two QRs.
+
+    The bound is first order in the unit roundoff u (Higham, *Accuracy
+    and Stability of Numerical Algorithms*, 2002, chapters 3, 10, 19 and
+    20).  Take a subset S of k <= p columns, its centered coefficients
+    beta and residual r, with ||r||^2 <= tss.  Let xc_j be the centered
+    columns, lam the least eigenvalue of the correlation matrix
+    C = D^-1 G D^-1, D = diag(||xc_j||), and rho = max_j ||x_j|| / ||xc_j||
+    for the uncentered x_j.  D beta = C_S^-1 D^-1 b_S, and C_S's least
+    eigenvalue is at least lam (interlacing), so ||D beta||^2 <= tss / lam
+    and B = sum_j |beta_j| ||xc_j|| <= sqrt(p tss / lam).
+
+    - Sweep.  G, b and tss are sums of n products, off by at most gamma_n
+      times sqrt(M_ii M_jj) in M = [[G, b], [b', tss]] (Cauchy-Schwarz);
+      the sweep of a positive definite M is backward stable with an error
+      of the same form, since |L| |D| |L'| <= sqrt(M_ii M_jj).  With
+      v = (-beta, 1), d RSS = v' dM v, so |d RSS| <= gamma (sqrt(tss) + B)^2.
+      Centering moves each xc_j by at most 2u ||x_j|| and yc by 2u ||y||,
+      uncentered norms, which moves the RSS by at most
+      4u sqrt(tss) (||y|| + rho B).
+    - QR.  Householder least squares is columnwise backward stable: the
+      computed coefficients c = (c0, beta) solve the problem with each
+      column of A = [1 | X_S] and y moved by gamma~ = gamma_{n(k+1)} times
+      its norm, and sqrt(n) |c0| <= ||y|| + rho B (c0 = ybar - sum beta_j
+      xbar_j).  d RSS = 2 r' (dy - dA c) is then at most
+      4 gamma~ sqrt(tss) (||y|| + rho B); the explicit residual y - A c
+      adds as much again, its dot product gamma_n tss.
+
+    Hence e = gamma~ [2 (sqrt(tss) + B)^2 + 12 sqrt(tss) (||y|| + rho B)],
+    with gamma~ = n (p+2) u above every gamma used.  It grows with the
+    uncentered ||y|| (a large intercept) and with the design's conditioning
+    through 1 / lam.  The second-order terms stay below 1% of e while
+    gamma~ (p+1) rho^2 / lam, an estimate of the squared condition of the
+    column-scaled [1 | X], is at most 1e-3; past that, or with a constant
+    column, e is inf.
+    """
+    n, p = datas[0].n, datas[0].p
+    X = np.stack([data.X for data in datas])
+    Y = np.stack([data.y for data in datas])
+    colsq = np.einsum("kij,kij->kj", X, X)
+    rank_ok = rdiag.min(axis=1) > 2.0 * RANK_TOL * np.sqrt(colsq.max(axis=1, initial=n))
+    if p == 0:
+        # size 0 is size p: no sweep row to bound
+        return np.where(rank_ok, 0.0, np.inf)
+    d = np.sqrt(np.diagonal(G, axis1=1, axis2=2))
+    if not (d > 0).all():
+        return np.full(len(datas), np.inf)
+    lam = np.linalg.eigvalsh(G / (d[:, :, None] * d[:, None, :]))[:, 0]
+    # nan where lam is not positive, so every comparison below fails there
+    lam = np.where(lam > 0, lam, np.nan)
+    rho = (np.sqrt(colsq) / d).max(axis=1)
+    root = np.sqrt(tss)
+    B = root * np.sqrt(p / lam)
+    gamma = n * (p + 2) * 2.0**-53
+    ynorm = np.sqrt(np.einsum("ki,ki->k", Y, Y))
+    e = gamma * (2.0 * (root + B) ** 2 + 12.0 * root * (ynorm + rho * B))
+    return np.where(rank_ok & (gamma * (p + 1) * rho**2 / lam <= 1e-3), e, np.inf)
 
 
 def best_per_size(
@@ -364,9 +485,9 @@ def best_per_size(
     ----------
     data : Dataset, or a sequence of Datasets of one shape
         A sequence is searched in lockstep, its datasets sharing blocks of
-        at most _BLOCK_FLOATS // (p+1)^2 nodes, and the winners of all of them are fitted
-        together: one stacked QR per model size.  Each table equals the
-        one-dataset call's, node count included.
+        at most _BLOCK_FLOATS // (p+1)^2 nodes, and their full models are
+        fitted by one stacked QR.  Each table equals the one-dataset
+        call's, node count included.
     candidates : None or iterable of masks
         None considers every subset: the leaps-and-bounds search, which
         raises LimitExceededError beyond SUBSET_LIMIT predictors.  An
@@ -392,13 +513,25 @@ def best_per_size(
         raise DimensionMismatchError("datasets fitted together must share one shape")
     p = datas[0].p
     if candidates is not None:
-        masks = list(dict.fromkeys(as_mask(m, p) for m in candidates))
-        tables = _fit_tables(datas, [(masks, 0, 0)] * len(datas))
+        masks = tuple(dict.fromkeys(as_mask(m, p) for m in candidates))
+        fulls = _full_fits(datas)[0] if full_mask(p) in masks else [None] * len(datas)
+        tables = [PerSizeBest(d, masks, full) for d, full in zip(datas, fulls)]
     elif p > SUBSET_LIMIT:
         raise LimitExceededError(
             f"exhaustive search over p={p} exceeds the limit of {SUBSET_LIMIT}"
         )
     else:
         G, b, tss = (np.stack(a) for a in zip(*map(_centered, datas)))
-        tables = _fit_tables(datas, _leaps_and_bounds(G, b, tss, p))
+        searches = _leaps_and_bounds(G, b, tss, p)
+        fulls, rdiag = _full_fits(datas)
+        errors = _rss_error(datas, G, tss, rdiag)
+        tables = []
+        for i, (rows, skipped, nodes) in enumerate(searches):
+            full = fulls[i]
+            masks = tuple(mask for mask, _ in rows.values()) + (full_mask(p),)
+            if full is not None:
+                rows = {**rows, p: (full.mask, full.rss)}
+            certified = skipped == 0 and full is not None
+            tables.append(PerSizeBest(datas[i], masks, full, nodes, rows,
+                                      float(errors[i]) if certified else math.inf, skipped))
     return tables[0] if lone else tables

@@ -18,7 +18,7 @@ import sys
 
 import numpy as np
 
-from cmcselect import Dataset
+from cmcselect import Dataset, Scenario
 from cmcselect.linalg import RANK_TOL
 
 
@@ -112,6 +112,26 @@ def naive_canonical_json(obj) -> str:
 
     write(obj, 0)
     return "".join(out) + "\n"
+
+
+# scenarios whose search RSS strays furthest from the QR RSS: near-collinear
+# groups, a response almost free of noise (sigma 1e-6 with a signal small
+# enough for the full fit to stay above DEGENERATE_TOL), a large intercept
+# and a large signal
+STRESS = (
+    Scenario("correlated", n=80, p=14, p_active=7, rho=0.99),
+    Scenario("correlated", n=80, p=14, p_active=7, rho=0.999),
+    Scenario("weak", n=60, p=20, p_active=10, sigma=1e-4),
+    Scenario("weak", n=50, p=10, p_active=1, sigma=1e-6, active_value=0.5),
+    Scenario("weak", n=50, p=10, p_active=5, beta0=1e6),
+    Scenario("weak", n=50, p=10, p_active=5, active_value=1e3),
+)
+# the benchmark's shape and two Table 1 shapes
+ORDINARY = (
+    Scenario("weak", n=50, p=10, p_active=5),
+    Scenario("weak", n=20, p=10, p_active=5),
+    Scenario("weak", n=60, p=20, p_active=10),
+)
 
 
 def random_dataset(rng: np.random.Generator, n: int, p: int, sigma: float = 1.0) -> Dataset:

@@ -336,3 +336,40 @@ def test_power_of_two_column_scaling_changes_nothing_property(p, data):
     for s in ta.sizes():
         assert ta.entries[s].mask == tb.entries[s].mask
         assert ta.entries[s].rss == tb.entries[s].rss
+
+
+def test_certain_choices_hold_only_where_every_decision_does():
+    # a hand table with n = 20, q = 4, full rss 10 and sigma2 = 10 / 16: lambda is
+    # 144, 32, 3.2 and 0 at sizes 0..3, BIC -1.23 at size 2 and -1.88 at size 3
+    from cmcselect.criteria import _certain_choices
+
+    full = FullFit(n=20, q=4, rss=10.0, sigma2=10.0 / 16.0, tss=100.0)
+    table = {0: ((), 100.0), 1: ((0,), 30.0), 2: ((0, 1), 12.0), 3: ((0, 1, 2), 10.0)}
+    exact = {s: (mask, rss, rss) for s, (mask, rss) in table.items()}
+
+    def widened(size, lo, hi):
+        return {**exact, size: (table[size][0], lo, hi)}
+
+    kap = kappa(0.5, 4, 20)
+    assert 3.2 < kap < 32.0
+    want = [table[cmc_from_table(table, full, kap)[0]][0]]
+    want += [table[ic_from_table(table, full, c)[0]][0] for c in ("bic", "cp_aic", "adjr2")]
+    request = (("cmc", "bic", "cp_aic", "adjr2"), (0.5,))
+    assert _certain_choices(exact, full, *request) == want == [(0, 1)] + [(0, 1, 2)] * 3
+    # BIC at size 2 reaches size 3's below rss 11.61
+    assert _certain_choices(widened(2, 11.7, 12.3), full, ("bic",), ()) == [(0, 1, 2)]
+    assert _certain_choices(widened(2, 11.6, 12.3), full, ("bic",), ()) is None
+    # Cp is 6 exactly at rss 11.25 for size 3 and at 12.5 for size 2: a possible tie
+    tie = {**widened(2, 12.5, 13.0), 3: (table[3][0], 10.0, 11.25)}
+    assert _certain_choices(tie, full, ("cp_aic",), ()) is None
+    tie[2] = (table[2][0], 12.6, 13.0)
+    assert _certain_choices(tie, full, ("cp_aic",), ()) == [(0, 1, 2)]
+    # cmc: the chosen size's upper end must stay feasible, a smaller size's lower end infeasible
+    below, above = (10.0 + full.sigma2 * (kap + d) for d in (-0.1, 0.1))
+    cmc = (("cmc",), (0.5,))
+    assert _certain_choices(widened(2, 11.9, below), full, *cmc) == [(0, 1)]
+    assert _certain_choices(widened(2, 11.9, above), full, *cmc) is None
+    assert _certain_choices(widened(1, below, 30.0), full, *cmc) is None
+    # a lower end below the full rss by more than _LAMBDA_SLACK could make select_many raise
+    assert _certain_choices(widened(2, 9.0, 12.0), full, *cmc) is None
+    assert _certain_choices(widened(2, 0.0, 12.0), full, ("bic",), ()) is None

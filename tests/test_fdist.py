@@ -11,7 +11,7 @@ import pytest
 from scipy import integrate
 
 from cmcselect import DomainError, FParams, f_cdf, f_quantile
-from cmcselect.fdist import _reg_inc_beta
+from cmcselect.fdist import _ln_inv_beta, _reg_inc_beta
 
 
 def oracle_pdf(t: float, d1: float, d2: float) -> float:
@@ -51,6 +51,24 @@ def test_cdf_boundaries():
     assert f_cdf(1e308, FParams(d1=10.0, d2=5.0)) == 1.0
     with pytest.raises(DomainError):
         f_cdf(-0.5, params)
+
+
+def test_cdf_where_the_sum_of_its_terms_overflows():
+    # d1 * f is finite but d1 * f + d2 is not: F is then chi-square(1) to
+    # double precision, and the cdf at 1e307 is 1
+    assert f_cdf(1e307, FParams(d1=1.0, d2=1.7e308)) == 1.0
+    # b = 1e306 past lgamma's range: I_x(3, b) is the chi-square(6) cdf at
+    # 2 b x = 4, 1 - 5 exp(-2)
+    assert abs(_reg_inc_beta(2e-306, 3.0, 1e306) - (1.0 - 5.0 * math.exp(-2.0))) < 1e-12
+
+
+def test_ln_inv_beta_past_lgamma_range():
+    from scipy.special import betaln
+
+    for a, b in [(2.5, 3.5), (0.5, 8.5e307), (5.0, 1e306), (1e8, 1e306), (1.5e8, 1e306)]:
+        want = -betaln(a, b)
+        assert abs(_ln_inv_beta(a, b) - want) <= 1e-14 * abs(want), (a, b)
+        assert _ln_inv_beta(b, a) == _ln_inv_beta(a, b)
 
 
 def test_reg_inc_beta_trivial():

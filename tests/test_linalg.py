@@ -155,7 +155,7 @@ def test_stacked_fits_match_lone_fits_bit_for_bit(K):
                     X[:, mask[1]] = 3.0 * X[:, mask[0]]
                 datas.append(Dataset(X=X, y=rng.standard_normal(n) + 2.0))
                 masks.append(mask)
-            fits = _fit_stack(datas, masks)
+            fits, _ = _fit_stack(datas, masks)
             assert len(fits) == K
             for i, (data, mask, fit) in enumerate(zip(datas, masks, fits)):
                 if i == bad and s >= 2:

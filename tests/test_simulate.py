@@ -2,29 +2,36 @@
 
 import logging
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import cmcselect
 from cmcselect import (
     CRITERIA,
     ConfigError,
     Dataset,
+    InconsistentStatisticError,
     MonteCarloResult,
     RankDeficientError,
     Scenario,
     TooFewRowsError,
+    best_per_size,
     classify,
     cli,
     cmc_select,
     criteria,
+    full_fit,
     labels_for,
     run_monte_carlo,
     select_many,
     simulate,
 )
 from cmcselect.simulate import _gen_design, _rho_to_w, gen_correlated_design, gen_response
-from conftest import spy_calls
+from conftest import ORDINARY, STRESS, spy_calls
 
 
 def test_scenario_validation():
@@ -173,19 +180,25 @@ def _select_many_rates(sc: Scenario, seed: int, rep: int, draws: int = 1):
     return [r.fir for r in rates], [r.far for r in rates]
 
 
-def test_replicate_runs_select_many(monkeypatch):
-    # each rep's rates are select_many's on the data drawn from default_rng([seed, rep]),
-    # and the chunk builds its reports with the code select_many uses, on a small
-    # weak shape, a correlated one and one at p = 20
-    chunks = []
+def record_rows(monkeypatch) -> list:
+    """Route _run_chunk through a recorder; returns the list its rows are appended to."""
+    rows: list = []
     run_chunk = simulate._run_chunk
 
     def recorded(args):
         out = run_chunk(args)
-        chunks.append(out)
+        rows.extend(out)
         return out
 
     monkeypatch.setattr(simulate, "_run_chunk", recorded)
+    return rows
+
+
+def test_replicate_runs_select_many(monkeypatch):
+    # each rep's rates are select_many's on the data drawn from default_rng([seed, rep]),
+    # on a small weak shape, a correlated one and one at p = 20; a rep the search RSS
+    # certifies builds no report, any other builds them with the code select_many uses
+    rows = record_rows(monkeypatch)
     built = spy_calls(monkeypatch, criteria._reports)
     scenarios = (
         Scenario(kind="weak", n=30, p=6, p_active=3, sigma=1.5),
@@ -194,15 +207,101 @@ def test_replicate_runs_select_many(monkeypatch):
     )
     for sc in scenarios:
         for seed in (1, 2, 3):
-            chunks.clear()
+            rows.clear()
             built.clear()
             res = run_monte_carlo(sc, reps=5, seed=seed)
-            assert len(built) == 5
-            per_rep = {rep: (firs, fars) for chunk in chunks for rep, firs, fars, _ in chunk}
+            assert len(built) == sum(not certified for *_, certified in rows)
+            per_rep = {rep: (firs, fars) for rep, firs, fars, _, _ in rows}
             assert sorted(per_rep) == list(range(5))
             for rep, got in per_rep.items():
                 assert got == _select_many_rates(sc, seed, rep), (sc, seed, rep)
             assert len(res.labels) == 6
+
+
+def test_certified_replicates_choose_what_select_many_chooses(monkeypatch):
+    # on scenarios whose search RSS strays furthest from the QR RSS, every rep
+    # still gets select_many's rates: the certificate holds or the rep is
+    # QR-refit; on the benchmark's shape and two Table 1 shapes no rep needs it
+    rows = record_rows(monkeypatch)
+    refits = {}
+    for sc in STRESS + ORDINARY:
+        rows.clear()
+        run_monte_carlo(sc, reps=12, seed=1)
+        assert sorted(row[0] for row in rows) == list(range(12))
+        for rep, firs, fars, _, _ in rows:
+            assert (firs, fars) == _select_many_rates(sc, 1, rep), (sc, rep)
+        refits[sc] = sum(not certified for *_, certified in rows)
+    assert sum(refits[sc] for sc in STRESS) >= 1
+    assert [refits[sc] for sc in ORDINARY] == [0] * len(ORDINARY)
+
+
+def test_choices_are_select_many_where_the_search_rss_misleads():
+    # at an intercept of 1e10 the search's RSS, scored as if exact, chooses
+    # other masks than select_many on some draws, and select_many itself
+    # refuses others; every rep gets select_many's masks or its error
+    sc = Scenario(kind="weak", n=50, p=10, p_active=5, sigma=1e-4, beta0=1e10)
+    request = (CRITERIA, (0.9, 0.5, 0.1))
+    outcomes, misled = set(), 0
+    for r in range(40):
+        rng = np.random.default_rng([1, r])
+        X = _gen_design(sc, rng)
+        data = Dataset(X=X, y=gen_response(X, sc, rng))
+        table = best_per_size(data)
+        try:
+            want = [rep.chosen for rep in select_many(data, *request)]
+        except InconsistentStatisticError:
+            with pytest.raises(InconsistentStatisticError):
+                criteria._choices(data, table, *request)
+            outcomes.add("refused")
+            continue
+        got, certified = criteria._choices(data, table, *request)
+        assert got == want, r
+        outcomes.add(certified)
+        exact = {s: (mask, rss, rss) for s, (mask, rss) in table.search.items()}
+        misled += criteria._certain_choices(exact, full_fit(data, table.full), *request) not in (
+            None, want)
+    assert misled >= 1
+    assert outcomes == {"refused", False}
+
+
+def test_certified_count_is_logged_once_and_repeats(caplog):
+    sc = STRESS[1]
+    lines = []
+    for threads in (1, 2, 1):
+        caplog.clear()
+        with caplog.at_level(logging.INFO, logger="cmcselect.simulate"):
+            run_monte_carlo(sc, reps=20, seed=4, threads=threads)
+        lines.append([rec.getMessage() for rec in caplog.records if "QR-refit" in rec.getMessage()])
+    assert lines[0] == ["18 rep(s) scored on the search's RSS, 2 QR-refit"]
+    assert lines[0] == lines[1] == lines[2]
+
+
+def test_pool_workers_start_with_numpy_random_imported():
+    # importing the package leaves numpy.random unimported; run_monte_carlo
+    # imports it before its pool forks, so a worker's first chunk finds it
+    script = """if True:
+        import os, sys
+        import cmcselect
+        from cmcselect import Scenario, run_monte_carlo, simulate
+        assert "numpy.random" not in sys.modules
+        parent = os.getpid()
+        run_chunk = simulate._run_chunk
+
+        def probe(args):
+            if os.getpid() != parent and "numpy.random" not in sys.modules:
+                raise RuntimeError("a worker imported numpy.random itself")
+            return run_chunk(args)
+
+        simulate._run_chunk = probe
+        run_monte_carlo(Scenario("weak", 30, 4, 2), reps=4, threads=2)
+        print("ok")
+    """
+    src = os.path.dirname(os.path.dirname(cmcselect.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "ok\n"
 
 
 @pytest.mark.parametrize("reps", [13, 50])
@@ -272,13 +371,19 @@ def test_redraws_stop_at_the_cap(monkeypatch, capsys):
 
 def test_progress_is_logged_per_chunk(monkeypatch, caplog):
     sc = Scenario(kind="weak", n=20, p=4, p_active=2)
+    # besides progress, each run logs one line: how many reps the search RSS certified
+    summary = ["20 rep(s) scored on the search's RSS, 0 QR-refit"]
     with caplog.at_level(logging.INFO, logger="cmcselect.simulate"):
         run_monte_carlo(sc, reps=20, seed=1)
-    assert not caplog.records  # a run shorter than the interval stays quiet
+    # a run shorter than the interval logs no progress
+    assert [rec.getMessage() for rec in caplog.records] == summary
+    caplog.clear()
     monkeypatch.setattr(simulate, "_PROGRESS_EVERY_S", 0.0)
     with caplog.at_level(logging.INFO, logger="cmcselect.simulate"):
         run_monte_carlo(sc, reps=20, seed=1)
     lines = [rec.getMessage() for rec in caplog.records]
+    assert lines[-1:] == summary
+    lines = lines[:-1]
     # 20 serial reps are one chunk
     assert len(lines) == 1
     assert lines[0].startswith("20/20 reps done, ") and lines[0].endswith("ETA 0.0 s")
@@ -287,6 +392,8 @@ def test_progress_is_logged_per_chunk(monkeypatch, caplog):
     with caplog.at_level(logging.INFO, logger="cmcselect.simulate"):
         run_monte_carlo(sc, reps=20, seed=1)
     lines = [rec.getMessage() for rec in caplog.records]
+    assert lines[-1:] == summary
+    lines = lines[:-1]
     # chunks of at most 8: 6 + 7 + 7
     assert [line.split(" ")[0] for line in lines] == ["6/20", "13/20", "20/20"]
     assert lines[-1].endswith("ETA 0.0 s")

@@ -1,6 +1,7 @@
 """Exhaustive-search checks against the batched-QR per-size oracle."""
 
 import functools
+import itertools
 
 import numpy as np
 import pytest
@@ -17,7 +18,8 @@ from cmcselect import (
     subsets,
 )
 from cmcselect.simulate import Scenario, _gen_design, gen_correlated_design, gen_response
-from conftest import naive_best_per_size, random_dataset, spy_calls
+from cmcselect.linalg import RANK_TOL
+from conftest import ORDINARY, STRESS, naive_best_per_size, random_dataset, spy_calls
 
 
 def test_candidate_list_is_canonicalized():
@@ -47,7 +49,7 @@ def test_limit_guard(monkeypatch):
 
     def stub_search(G, b, tss, p):
         searched.append(p)
-        return [([()], 0, 0)] * len(tss)
+        return [({0: ((), 0.0)}, 0, 0)] * len(tss)
 
     monkeypatch.setattr(subsets, "_leaps_and_bounds", stub_search)
     rng = np.random.default_rng(8)
@@ -155,8 +157,10 @@ def test_explicit_per_size_takes_min():
 
 
 def test_datasets_fitted_together_stack_refits(monkeypatch):
-    # a sequence of same-shape datasets fits its winners with one stacked QR
-    # per size, and each table equals the one-dataset call's, bit for bit
+    # a sequence of same-shape datasets fits its full models with one stacked
+    # QR; the other refits wait until a table's entries are read, one stacked
+    # QR per size of that table, and each table equals the one-dataset call's,
+    # bit for bit
     rng = np.random.default_rng(53)
     datas = [random_dataset(rng, 30, 7) for _ in range(6)]
     X = datas[2].X.copy()
@@ -166,8 +170,10 @@ def test_datasets_fitted_together_stack_refits(monkeypatch):
         lone = [best_per_size(d, candidates) for d in datas]
         stacks = spy_calls(monkeypatch, subsets._fit_stack)
         together = best_per_size(datas, candidates)
+        assert [len(datas_) for datas_, _ in stacks] == [len(datas)]
+        assert together[0].sizes()
+        assert len(stacks) == 1 + len({len(m) for m in together[0].masks if len(m) < 7})
         monkeypatch.undo()
-        assert len(stacks) == len({len(e.mask) for t in lone for e in t.entries.values()})
         assert isinstance(together, list) and len(together) == len(datas)
         assert_same_tables(lone, together)
     assert together[2].skipped >= 1
@@ -427,3 +433,69 @@ def test_pruned_search_matches_oracle_property(p, data):
     permuted = best_per_size(Dataset(X=design.X[:, perm], y=y))
     mapped = {s: tuple(sorted(perm[i] for i in m)) for s, m in masks_of(permuted).items()}
     assert mapped == masks_of(table)
+
+
+def scenario_draws(sc: Scenario, reps: int) -> list[Dataset]:
+    """Replicates 0..reps-1 of a Monte Carlo run of sc with seed 1."""
+    datas = []
+    for r in range(reps):
+        rng = np.random.default_rng([1, r])
+        X = _gen_design(sc, rng)
+        datas.append(Dataset(X=X, y=gen_response(X, sc, rng)))
+    return datas
+
+
+def test_rss_error_bounds_the_sweep_to_qr_gap():
+    # wherever a table carries a finite bound, its QR entries have the search's
+    # sizes and masks, and every search RSS lies within 1% of the bound of its
+    # QR RSS; the bound is finite on every draw of these scenarios
+    worst = 0.0
+    for sc in STRESS + ORDINARY:
+        for table in best_per_size(scenario_draws(sc, 12)):
+            assert np.isfinite(table.rss_error), sc
+            bounds = table.rss_bounds()
+            assert sorted(bounds) == table.sizes() == list(range(sc.p + 1))
+            for s, (mask, lo, hi) in bounds.items():
+                entry = table.entries[s]
+                assert entry.mask == mask == table.search[s][0]
+                assert lo <= entry.rss <= hi
+                worst = max(worst, abs(table.search[s][1] - entry.rss) / table.rss_error)
+            assert bounds[sc.p][1:] == (table.full.rss, table.full.rss)
+    assert 0.0 < worst <= 1e-2
+
+
+def subsets_pass_rank_test(data: Dataset) -> bool:
+    """Whether fit_subset's RANK_TOL test accepts every subset of data's columns."""
+    for s in range(1, data.p + 1):
+        combos = np.array(list(itertools.combinations(range(data.p), s)))
+        A = np.ones((len(combos), data.n, s + 1))
+        A[:, :, 1:] = data.X[:, combos].transpose(1, 0, 2)
+        diag = np.abs(np.diagonal(np.linalg.qr(A, mode="r"), axis1=1, axis2=2))
+        if not (diag.min(axis=1) > RANK_TOL * diag.max(axis=1)).all():
+            return False
+    return True
+
+
+def test_r_diagonal_certificate_implies_the_rank_test():
+    # a design gets a finite bound only where the full fit's R diagonal shows
+    # that every subset passes the QR rank test, and then every subset does;
+    # designs with near-twin columns and column scales apart by up to 1e12
+    # land on both sides of the certificate and of the test
+    rng = np.random.default_rng(2718)
+    seen = {(True, True): 0, (False, True): 0, (False, False): 0}
+    for trial in range(120):
+        p = int(rng.integers(2, 7))
+        n = p + int(rng.integers(3, 20))
+        X = rng.standard_normal((n, p))
+        if trial % 2:
+            j, k = rng.permutation(p)[:2]
+            X[:, k] = X[:, j] + 10.0 ** rng.uniform(-16, -4) * rng.standard_normal(n)
+        X *= 10.0 ** rng.uniform(-6, 6, p)
+        data = Dataset(X=X, y=rng.standard_normal(n))
+        G, _, tss = subsets._centered(data)
+        error = subsets._rss_error([data], G[None], np.array([tss]), subsets._full_fits([data])[1])
+        certified = bool(np.isfinite(error[0]))
+        passes = subsets_pass_rank_test(data)
+        assert passes or not certified, trial
+        seen[certified, passes] += 1
+    assert min(seen.values()) >= 5, seen
