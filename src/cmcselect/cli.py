@@ -322,12 +322,9 @@ def run_select(args: argparse.Namespace) -> str:
             "alphas": alphas,
             "candidates": args.candidates,
         }
-        # one list per search: the reports share their PerSizeBest
-        tables: dict[int, list[dict]] = {}
-        for r in reports:
-            if id(r.per_size) not in tables:
-                tables[id(r.per_size)] = _per_size_list(r.per_size, data.names)
-        results = [_report_dict(r, data.names, tables[id(r.per_size)]) for r in reports]
+        # select_many searches once, so every report shares one table
+        per_size = _per_size_list(reports[0].per_size, data.names)
+        results = [_report_dict(r, data.names, per_size) for r in reports]
         return to_canonical_json({"meta": meta, "results": results})
     if args.format == "csv":
         return _select_csv(reports, data.names)

@@ -10,6 +10,9 @@ ties by lowest RSS.  Raising alpha tightens kappa and enlarges the chosen
 model.  BIC, Mallows Cp (AIC-equivalent here), and adjusted R-squared are
 provided for comparison; all four need only the per-size minimum-RSS
 table, since each is monotone in RSS at fixed size.
+
+Each rule is stated once, in cmc_from_table and ic_from_table, which
+_decisions runs for select_many and for the replicates' certificate.
 """
 
 from __future__ import annotations
@@ -222,6 +225,20 @@ def select_many(
     return _reports(data, best_per_size(data, candidates), criteria, alphas)
 
 
+def _decisions(table: Mapping[int, tuple[Mask, float]], full: FullFit, criteria, alphas):
+    """Each report's (criterion, alpha, kappa, size, scores), in labels_for order, from one table.
+
+    alpha and kappa are None for the non-cmc criteria.
+    """
+    for c in criteria:
+        if c == "cmc":
+            for a in alphas:
+                kap = kappa(a, full.q, full.n)
+                yield (c, _alpha(a), kap, *cmc_from_table(table, full, kap))
+        else:
+            yield (c, None, None, *ic_from_table(table, full, c))
+
+
 def _reports(data: Dataset, per_size: PerSizeBest, criteria, alphas) -> list[SelectionReport]:
     """One report per criterion and cmc alpha, in labels_for order, from one table.
 
@@ -229,84 +246,73 @@ def _reports(data: Dataset, per_size: PerSizeBest, criteria, alphas) -> list[Sel
     full design raises RankDeficientError.  The request is not validated
     here; select_many and run_monte_carlo do that.
     """
-    table = {s: (fit.mask, fit.rss) for s, fit in per_size.entries.items()}
-    full = full_fit(data, per_size.full)
-
-    def report(criterion, alpha, kap, size, scores) -> SelectionReport:
-        fit = per_size.entries[size]
-        return SelectionReport(
-            criterion=criterion,
-            alpha=alpha,
-            chosen=fit.mask,
-            fit=fit,
+    entries = per_size.entries
+    table = {s: (fit.mask, fit.rss) for s, fit in entries.items()}
+    return [
+        SelectionReport(
+            criterion=c,
+            alpha=a,
+            chosen=entries[size].mask,
+            fit=entries[size],
             lambda_=None if kap is None else scores[size],
             kappa=kap,
             scores=scores,
             per_size=per_size,
         )
-
-    reports: list[SelectionReport] = []
-    for c in criteria:
-        if c == "cmc":
-            for a in alphas:
-                kap = kappa(a, full.q, full.n)
-                reports.append(report(c, _alpha(a), kap, *cmc_from_table(table, full, kap)))
-        else:
-            reports.append(report(c, None, None, *ic_from_table(table, full, c)))
-    return reports
+        for c, a, kap, size, scores in _decisions(
+            table, full_fit(data, per_size.full), criteria, alphas)
+    ]
 
 
 def _choices(data: Dataset, per_size: PerSizeBest, criteria, alphas) -> tuple[list[Mask], bool]:
     """The masks _reports chooses, in its order, and whether the search's own RSS proved them.
 
-    A table with rss_bounds is scored on its RSS intervals first; when
-    every decision holds across them, the QR refits would make the same
-    ones, so none is made.  Otherwise the masks come from _reports.
+    A table with a finite rss_error is scored on its search RSS first;
+    where _certain_choices certifies every decision, no QR refit is made.
+    Otherwise the masks come from _reports.
     """
-    bounds = per_size.rss_bounds()
-    if bounds is not None:
-        chosen = _certain_choices(bounds, full_fit(data, per_size.full), criteria, alphas)
+    if math.isfinite(per_size.rss_error):
+        full = full_fit(data, per_size.full)
+        chosen = _certain_choices(per_size.search, per_size.rss_error, full, criteria, alphas)
         if chosen is not None:
             return chosen, True
     return [rep.chosen for rep in _reports(data, per_size, criteria, alphas)], False
 
 
-def _certain_choices(bounds, full: FullFit, criteria, alphas) -> list[Mask] | None:
-    """Each criterion's choice when it holds for any RSS in each size's [lo, hi]; else None.
+def _certain_choices(
+    search: Mapping[int, tuple[Mask, float]], e: float, full: FullFit, criteria, alphas
+) -> list[Mask] | None:
+    """Each decision's mask if it holds for every RSS within e of the search's; else None.
 
-    bounds maps each size to (mask, lo, hi).  _score (sign-adjusted so
-    that lower wins) and _lambda rise with rss, also as rounded, so a QR
-    RSS inside [lo, hi] scores between the scores of lo and hi.  An
-    information criterion's winner must score strictly better at hi than
-    every other size at lo.  For cmc, lambda at lo must exceed kappa at
-    every size below the chosen one, and lambda at hi must be at most
-    kappa at the chosen one.  A lo that _lambda refuses or BIC cannot
-    score returns None, as does any exact tie.
+    search maps each size to its (mask, rss); the QR RSS of each size
+    below p = full.q - 1 lies within e of it, and size p is exact.
+    _decisions runs on the lower ends, rss - e.  _lambda and the
+    sign-adjusted _score rise with rss, also as rounded, so at any RSS
+    within the bounds a cmc size below the chosen one stays infeasible,
+    and every other size orders no earlier than at its lower end in the
+    (sign * score, mask) order ic_from_table minimizes.  A decision then
+    holds when the chosen size's upper end, rss + e, still has lambda <=
+    kappa (cmc), or still orders strictly before every other size's lower
+    end (an information criterion; so an exact tie holds where
+    ic_from_table gives it to the chosen mask).  A lower end that _lambda
+    refuses or BIC cannot score returns None.
     """
+    p = full.q - 1
+    low = {s: (mask, rss if s == p else rss - e) for s, (mask, rss) in search.items()}
     chosen: list[Mask] = []
     try:
-        for c in criteria:
+        for c, _, kap, size, scores in _decisions(low, full, criteria, alphas):
+            mask, rss = search[size]
+            hi = rss if size == p else rss + e
             if c == "cmc":
-                low = {s: _lambda(lo, full.rss, full.sigma2, "lower end")
-                       for s, (_, lo, _) in sorted(bounds.items())}
-                for a in alphas:
-                    kap = kappa(a, full.q, full.n)
-                    # the only size that can pass: the first whose lower end is feasible
-                    size = next((s for s, lam in low.items() if lam <= kap), None)
-                    if size is None:
-                        return None
-                    if _lambda(bounds[size][2], full.rss, full.sigma2, "upper end") > kap:
-                        return None
-                    chosen.append(bounds[size][0])
+                if _lambda(hi, full.rss, full.sigma2, "upper end") > kap:
+                    return None
             else:
                 sign = -1.0 if c == "adjr2" else 1.0
-                low = {s: sign * _score(c, lo, s + 1, full) for s, (_, lo, _) in bounds.items()}
-                # the only size that can win: the best at its lower end
-                best = min(low, key=low.__getitem__)
-                top = sign * _score(c, bounds[best][2], best + 1, full)
-                if any(v <= top for s, v in low.items() if s != best):
+                top = (sign * _score(c, hi, size + 1, full), mask)
+                if any((sign * v, low[s][0]) <= top for s, v in scores.items() if s != size):
                     return None
-                chosen.append(bounds[best][0])
+            chosen.append(mask)
     except (InconsistentStatisticError, DegenerateFitError):
         return None
     return chosen

@@ -134,7 +134,7 @@ def _f_pdf(f: float, d1: float, d2: float) -> float:
     a = 0.5 * d1
     b = 0.5 * d2
     ln_pdf = (
-        math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
+        _ln_inv_beta(a, b)
         + a * math.log(d1 / d2) + (a - 1.0) * math.log(f)
         - (a + b) * math.log1p(d1 * f / d2)
     )

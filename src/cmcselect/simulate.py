@@ -13,11 +13,11 @@ per-size tables from one best_per_size call, which searches them in
 lockstep, sharing blocks of tree nodes, and fits their full models with
 one stacked QR; masks, node counts and fits are bit-identical to lone
 calls.  A replication scores the search's own per-size RSS, with no
-refit, when a certificate proves that every choice equals select_many's
-(criteria._choices); any other takes select_many's QR-refit path, so
-the choices are select_many's either way.  Results are merged by
-replication index, so a run is bit-identical for a fixed (seed, reps)
-no matter how many worker processes are used.
+refit, when select_many's decisions at the RSS bounds' lower ends hold
+at each chosen size's upper end (criteria._certain_choices); any other
+takes select_many's QR-refit path, so the choices are select_many's.
+Results are merged by replication index, so a run is bit-identical for
+a fixed (seed, reps) no matter how many worker processes are used.
 """
 
 from __future__ import annotations

@@ -87,10 +87,11 @@ class PerSizeBest:
 
     A search also keeps its own table, `search`: each size's (mask, rss),
     the sweep RSS below size p and full.rss at p.  rss_error bounds
-    |sweep RSS - QR RSS| below size p (see _rss_error).  It is inf where
-    no bound is certified: the search skipped a subset, some refit could
-    fail the QR rank test, or the design is too ill-conditioned for the
-    bound; and for an explicit list, which has no search table.
+    |sweep RSS - QR RSS| below size p (see _rss_error); where it is
+    finite, entries has exactly the search's sizes and masks.  It is inf
+    where no bound is certified: the search skipped a subset, some refit
+    could fail the QR rank test, or the design is too ill-conditioned for
+    the bound; and for an explicit list, which has no search table.
     """
 
     data: Dataset = field(repr=False)
@@ -143,19 +144,6 @@ class PerSizeBest:
 
     def sizes(self) -> list[int]:
         return sorted(self.entries)
-
-    def rss_bounds(self) -> dict[int, tuple[Mask, float, float]] | None:
-        """Each size's (mask, lo, hi), with the QR RSS of entries[size] in [lo, hi].
-
-        entries then has exactly these sizes and masks.  None when
-        rss_error is inf.  Size p is the QR fit itself, so lo = hi there.
-        """
-        e = self.rss_error
-        if math.isinf(e):
-            return None
-        p = self.data.p
-        return {s: (mask, rss, rss) if s == p else (mask, rss - e, rss + e)
-                for s, (mask, rss) in self.search.items()}
 
 
 def _centered(data: Dataset):

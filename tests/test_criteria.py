@@ -1,5 +1,6 @@
 """Selection-criterion checks: hand-derived values, extremes, and properties."""
 
+import itertools
 import math
 
 import numpy as np
@@ -340,36 +341,71 @@ def test_power_of_two_column_scaling_changes_nothing_property(p, data):
 
 def test_certain_choices_hold_only_where_every_decision_does():
     # a hand table with n = 20, q = 4, full rss 10 and sigma2 = 10 / 16: lambda is
-    # 144, 32, 3.2 and 0 at sizes 0..3, BIC -1.23 at size 2 and -1.88 at size 3
+    # 144, 32, 3.2 and 0 at sizes 0..3, BIC -1.23 at size 2 and -1.88 at size 3;
+    # every size below p = 3 may lie within e of its search rss, size 3 is exact
     from cmcselect.criteria import _certain_choices
 
     full = FullFit(n=20, q=4, rss=10.0, sigma2=10.0 / 16.0, tss=100.0)
     table = {0: ((), 100.0), 1: ((0,), 30.0), 2: ((0, 1), 12.0), 3: ((0, 1, 2), 10.0)}
-    exact = {s: (mask, rss, rss) for s, (mask, rss) in table.items()}
 
-    def widened(size, lo, hi):
-        return {**exact, size: (table[size][0], lo, hi)}
+    def moved(size, rss):
+        return {**table, size: (table[size][0], rss)}
 
     kap = kappa(0.5, 4, 20)
     assert 3.2 < kap < 32.0
     want = [table[cmc_from_table(table, full, kap)[0]][0]]
     want += [table[ic_from_table(table, full, c)[0]][0] for c in ("bic", "cp_aic", "adjr2")]
     request = (("cmc", "bic", "cp_aic", "adjr2"), (0.5,))
-    assert _certain_choices(exact, full, *request) == want == [(0, 1)] + [(0, 1, 2)] * 3
+    assert _certain_choices(table, 0.0, full, *request) == want == [(0, 1)] + [(0, 1, 2)] * 3
     # BIC at size 2 reaches size 3's below rss 11.61
-    assert _certain_choices(widened(2, 11.7, 12.3), full, ("bic",), ()) == [(0, 1, 2)]
-    assert _certain_choices(widened(2, 11.6, 12.3), full, ("bic",), ()) is None
-    # Cp is 6 exactly at rss 11.25 for size 3 and at 12.5 for size 2: a possible tie
-    tie = {**widened(2, 12.5, 13.0), 3: (table[3][0], 10.0, 11.25)}
-    assert _certain_choices(tie, full, ("cp_aic",), ()) is None
-    tie[2] = (table[2][0], 12.6, 13.0)
-    assert _certain_choices(tie, full, ("cp_aic",), ()) == [(0, 1, 2)]
+    assert _certain_choices(table, 0.3, full, ("bic",), ()) == [(0, 1, 2)]
+    assert _certain_choices(table, 0.4, full, ("bic",), ()) is None
+    # Cp is 4 exactly at size 3 and at rss 11.25 for size 2, where ic_from_table
+    # gives the tie to size 2's smaller mask: a lower end at 11.25 could choose
+    # either size, an upper end at 11.25 only size 2
+    assert ic_from_table(moved(2, 11.25), full, "cp_aic")[0] == 2
+    assert _certain_choices(table, 0.75, full, ("cp_aic",), ()) is None
+    assert _certain_choices(table, 0.7, full, ("cp_aic",), ()) == [(0, 1, 2)]
+    assert _certain_choices(moved(2, 11.0), 0.25, full, ("cp_aic",), ()) == [(0, 1)]
+    # Cp is 3 exactly at rss 11.875 for size 1 and 10.625 for size 2: size 2's
+    # upper end ties size 1's lower end, and the tie would go to size 1's mask
+    tie = {**moved(1, 12.125), 2: (table[2][0], 10.375)}
+    assert ic_from_table({**tie, 1: ((0,), 11.875), 2: ((0, 1), 10.625)}, full, "cp_aic")[0] == 1
+    assert _certain_choices(tie, 0.25, full, ("cp_aic",), ()) is None
+    assert _certain_choices(tie, 0.2, full, ("cp_aic",), ()) == [(0, 1)]
     # cmc: the chosen size's upper end must stay feasible, a smaller size's lower end infeasible
-    below, above = (10.0 + full.sigma2 * (kap + d) for d in (-0.1, 0.1))
     cmc = (("cmc",), (0.5,))
-    assert _certain_choices(widened(2, 11.9, below), full, *cmc) == [(0, 1)]
-    assert _certain_choices(widened(2, 11.9, above), full, *cmc) is None
-    assert _certain_choices(widened(1, below, 30.0), full, *cmc) is None
+    edge = 10.0 + full.sigma2 * kap
+    assert _certain_choices(moved(2, edge - 0.2), 0.1, full, *cmc) == [(0, 1)]
+    assert _certain_choices(moved(2, edge - 0.05), 0.1, full, *cmc) is None
+    assert _certain_choices(moved(1, edge + 0.15), 0.1, full, *cmc) == [(0, 1)]
+    assert _certain_choices(moved(1, edge + 0.05), 0.1, full, *cmc) is None
     # a lower end below the full rss by more than _LAMBDA_SLACK could make select_many raise
-    assert _certain_choices(widened(2, 9.0, 12.0), full, *cmc) is None
-    assert _certain_choices(widened(2, 0.0, 12.0), full, ("bic",), ()) is None
+    assert _certain_choices(table, 3.0, full, *cmc) is None
+    assert _certain_choices(table, 12.0, full, ("bic",), ()) is None
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(p=st.integers(2, 4), data=st.data())
+def test_certain_choices_are_the_decisions_at_every_corner_property(p, data):
+    # tables on a coarse grid with sigma2 = 1, so Cp ties exactly across sizes;
+    # wherever the certificate holds, every table whose sizes below p sit at
+    # rss - e, rss or rss + e decides the same masks
+    from cmcselect.criteria import _certain_choices, _decisions
+
+    n = data.draw(st.integers(p + 3, 3 * p + 8), label="n")
+    full = FullFit(n=n, q=p + 1, rss=float(n - p - 1), sigma2=1.0, tss=float(4 * n))
+    search = {p: (full_mask(p), full.rss)}
+    for s in range(p):
+        mask = tuple(sorted(data.draw(st.sets(st.integers(0, p - 1), min_size=s, max_size=s))))
+        search[s] = (mask, full.rss + data.draw(st.integers(-1, 6), label=f"rss step {s}"))
+    e = 0.5 * data.draw(st.integers(1, 3), label="e steps")
+    alphas = (0.9, 0.5, 0.1)
+    for request in [((c,), alphas) for c in CRITERIA] + [(CRITERIA, alphas)]:
+        got = _certain_choices(search, e, full, *request)
+        if got is None:
+            continue
+        for shift in itertools.product((-e, 0.0, e), repeat=p):
+            corner = {s: (mask, rss + shift[s] if s < p else rss)
+                      for s, (mask, rss) in search.items()}
+            assert [corner[d[3]][0] for d in _decisions(corner, full, *request)] == got, shift

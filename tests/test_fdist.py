@@ -152,3 +152,9 @@ def test_quantile_monotone_in_prob():
     params = FParams(d1=6.0, d2=14.0)
     qs = [f_quantile(p, params) for p in np.linspace(0.01, 0.99, 50)]
     assert all(b > a for a, b in zip(qs, qs[1:]))
+
+
+def test_quantile_where_the_density_needs_ln_beta_past_lgamma_range():
+    # at d2 = 1e306, lgamma(d1/2 + d2/2) overflows; F(2, d2) tends to chi2(2) / 2,
+    # whose median is ln 2
+    assert abs(f_quantile(0.5, FParams(2, 1e306)) - math.log(2.0)) < 1e-12

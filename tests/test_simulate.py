@@ -257,9 +257,8 @@ def test_choices_are_select_many_where_the_search_rss_misleads():
         got, certified = criteria._choices(data, table, *request)
         assert got == want, r
         outcomes.add(certified)
-        exact = {s: (mask, rss, rss) for s, (mask, rss) in table.search.items()}
-        misled += criteria._certain_choices(exact, full_fit(data, table.full), *request) not in (
-            None, want)
+        full = full_fit(data, table.full)
+        misled += criteria._certain_choices(table.search, 0.0, full, *request) not in (None, want)
     assert misled >= 1
     assert outcomes == {"refused", False}
 

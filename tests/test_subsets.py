@@ -447,20 +447,21 @@ def scenario_draws(sc: Scenario, reps: int) -> list[Dataset]:
 
 def test_rss_error_bounds_the_sweep_to_qr_gap():
     # wherever a table carries a finite bound, its QR entries have the search's
-    # sizes and masks, and every search RSS lies within 1% of the bound of its
-    # QR RSS; the bound is finite on every draw of these scenarios
+    # sizes and masks, every search RSS lies within 1% of the bound of its QR
+    # RSS, and size p is the QR fit itself; the bound is finite on every draw
+    # of these scenarios
     worst = 0.0
     for sc in STRESS + ORDINARY:
         for table in best_per_size(scenario_draws(sc, 12)):
-            assert np.isfinite(table.rss_error), sc
-            bounds = table.rss_bounds()
-            assert sorted(bounds) == table.sizes() == list(range(sc.p + 1))
-            for s, (mask, lo, hi) in bounds.items():
+            e = table.rss_error
+            assert np.isfinite(e), sc
+            assert sorted(table.search) == table.sizes() == list(range(sc.p + 1))
+            for s, (mask, rss) in table.search.items():
                 entry = table.entries[s]
-                assert entry.mask == mask == table.search[s][0]
-                assert lo <= entry.rss <= hi
-                worst = max(worst, abs(table.search[s][1] - entry.rss) / table.rss_error)
-            assert bounds[sc.p][1:] == (table.full.rss, table.full.rss)
+                assert entry.mask == mask
+                assert abs(rss - entry.rss) <= e
+                worst = max(worst, abs(rss - entry.rss) / e)
+            assert table.search[sc.p][1] == table.entries[sc.p].rss == table.full.rss
     assert 0.0 < worst <= 1e-2
 
 
