@@ -12,7 +12,9 @@ provided for comparison; all four need only the per-size minimum-RSS
 table, since each is monotone in RSS at fixed size.
 
 Each rule is stated once, in cmc_from_table and ic_from_table, which
-_decisions runs for select_many and for the replicates' certificate.
+_decisions runs for select_many and for the replicates' certificate;
+it runs cmc_from_table's two parts, _lambdas and _smallest_feasible, so
+that one table's lambdas serve every alpha.
 """
 
 from __future__ import annotations
@@ -69,11 +71,11 @@ class SelectionReport:
     per_size: PerSizeBest
 
 
-def _lambda(rss: float, rss_full: float, sigma2: float, what: str) -> float:
+def _lambda(rss: float, rss_full: float, sigma2: float, size: int) -> float:
     # tiny negative values from rounding clamp to zero; a submodel RSS
     # genuinely below the full-model RSS is a consistency violation
     if rss < rss_full - _LAMBDA_SLACK * rss_full:
-        raise InconsistentStatisticError(f"{what} rss {rss} fell below full-model rss {rss_full}")
+        raise InconsistentStatisticError(f"size-{size} rss {rss} fell below full-model rss {rss_full}")
     return max(0.0, (rss - rss_full) / sigma2)
 
 
@@ -141,19 +143,24 @@ def cmc_from_table(
     size is feasible (possible only for explicit candidate lists that
     omit an adequate model).
     """
-    lambdas: dict[int, float] = {}
-    chosen_size = -1
-    for s in sorted(table):
-        lam = _lambda(table[s][1], full.rss, full.sigma2, f"size-{s}")
-        lambdas[s] = lam
-        if chosen_size < 0 and lam <= kap:
-            chosen_size = s
-    if chosen_size < 0:
-        raise InfeasibleCandidatesError(
-            "no candidate model satisfies lambda <= kappa; "
-            "explicit candidate lists must include an adequate model"
-        )
-    return chosen_size, lambdas
+    lambdas = _lambdas(table, full)
+    return _smallest_feasible(lambdas, kap), lambdas
+
+
+def _lambdas(table: Mapping[int, tuple[Mask, float]], full: FullFit) -> dict[int, float]:
+    """cmc's per-size lambda table, in size order; it does not depend on alpha."""
+    return {s: _lambda(table[s][1], full.rss, full.sigma2, s) for s in sorted(table)}
+
+
+def _smallest_feasible(lambdas: Mapping[int, float], kap: float) -> int:
+    """cmc's rule: the first size, in lambdas' size order, with lambda <= kap."""
+    for s, lam in lambdas.items():
+        if lam <= kap:
+            return s
+    raise InfeasibleCandidatesError(
+        "no candidate model satisfies lambda <= kappa; "
+        "explicit candidate lists must include an adequate model"
+    )
 
 
 def ic_from_table(
@@ -228,13 +235,15 @@ def select_many(
 def _decisions(table: Mapping[int, tuple[Mask, float]], full: FullFit, criteria, alphas):
     """Each report's (criterion, alpha, kappa, size, scores), in labels_for order, from one table.
 
-    alpha and kappa are None for the non-cmc criteria.
+    alpha and kappa are None for the non-cmc criteria.  The cmc reports
+    share one lambda table, computed once for all alphas.
     """
     for c in criteria:
         if c == "cmc":
+            lambdas = _lambdas(table, full)
             for a in alphas:
                 kap = kappa(a, full.q, full.n)
-                yield (c, _alpha(a), kap, *cmc_from_table(table, full, kap))
+                yield (c, _alpha(a), kap, _smallest_feasible(lambdas, kap), lambdas)
         else:
             yield (c, None, None, *ic_from_table(table, full, c))
 
@@ -305,7 +314,7 @@ def _certain_choices(
             mask, rss = search[size]
             hi = rss if size == p else rss + e
             if c == "cmc":
-                if _lambda(hi, full.rss, full.sigma2, "upper end") > kap:
+                if _lambda(hi, full.rss, full.sigma2, size) > kap:
                     return None
             else:
                 sign = -1.0 if c == "adjr2" else 1.0

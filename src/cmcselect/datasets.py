@@ -15,6 +15,7 @@ import hashlib
 import logging
 import math
 import os
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -53,6 +54,13 @@ def _read_table(path, text: str, delimiter: str | None, pick) -> tuple[list[str]
     column indices to parse, in array order.  Blank rows are skipped; a
     ragged row or an empty, non-numeric or non-finite (nan, inf) cell
     names its 1-based row and column.
+
+    The data lines are parsed in one numpy pass, kept only when every
+    line gives exactly one finite value per header name.  numpy splits a
+    line with no quote character as csv.reader does, and accepts a subset
+    of float()'s spellings with the same bits; any other text goes
+    through _read_cells, the one owner of blank-row skipping and of
+    every error.
     """
     lines = text.splitlines()
     if not lines:
@@ -64,6 +72,23 @@ def _read_table(path, text: str, delimiter: str | None, pick) -> tuple[list[str]
     if len(set(names)) != len(names):
         raise ParseError(f"{path}: duplicate column names in header")
     cols = pick(names)
+    try:
+        with warnings.catch_warnings():
+            # an all-blank body warns instead of raising
+            warnings.simplefilter("error")
+            table = np.loadtxt(lines[reader.line_num :], delimiter=delimiter, comments=None, ndmin=2)
+        if table.shape[1] == len(names) and np.isfinite(table).all():
+            # take keeps the cell loop's C order, which fancy indexing does not
+            return names, table.take(cols, axis=1)
+    except (ValueError, Warning):
+        # numpy refuses a text it cannot read with a ValueError, or here a warning;
+        # the cell loop reports it
+        pass
+    return names, _read_cells(path, reader, names, cols)
+
+
+def _read_cells(path, reader, names: list[str], cols: list[int]) -> np.ndarray:
+    """The cell-by-cell parse of the data rows left in a csv reader, as _read_table defines it."""
     rows: list[list[float]] = []
     for r, cells in enumerate(reader, start=2):
         if not cells or all(not c.strip() for c in cells):
@@ -82,7 +107,7 @@ def _read_table(path, text: str, delimiter: str | None, pick) -> tuple[list[str]
                 raise ParseError(f"{path}: row {r}, column {names[c]!r}: {what}", row=r, col=c + 1)
             row.append(v)
         rows.append(row)
-    return names, np.array(rows, dtype=np.float64).reshape(len(rows), len(cols))
+    return np.array(rows, dtype=np.float64).reshape(len(rows), len(cols))
 
 
 def locate_prostate(path: str | os.PathLike | None = None) -> Path | None:

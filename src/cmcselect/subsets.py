@@ -41,8 +41,8 @@ re-fit by QR; those fits are the table's entries, made the first time
 they are read, each with the bits a lone fit_subset gives.  Size p is the
 full model's QR fit (_full_fits), stacked across the datasets of a call.
 A table also keeps the search's own RSS per size, with a bound on how far
-it can lie from the QR RSS (_rss_error), so a caller that needs only the
-choices can score it without any refit.
+it can lie from the QR RSS (_rss_error, computed only when read), so a
+caller that needs only the choices can score it without any refit.
 """
 
 from __future__ import annotations
@@ -76,6 +76,22 @@ _PIVOT_TOL = 1e-10
 _BLOCK_FLOATS = 128 * 31**2
 
 
+@dataclass(eq=False)
+class _SharedBound:
+    """_rss_error's arguments for the datasets of one searched call.
+
+    errors is computed the first time it is read, so a call whose
+    tables never read rss_error (select) makes no eigvalsh, and a Monte
+    Carlo chunk makes one for all of its datasets.
+    """
+
+    args: tuple = field(repr=False)
+
+    @functools.cached_property
+    def errors(self) -> np.ndarray:
+        return _rss_error(*self.args)
+
+
 @dataclass(frozen=True, eq=False)
 class PerSizeBest:
     """The QR fit of the minimum-RSS subset per size; sizes with no usable candidate are missing.
@@ -91,7 +107,9 @@ class PerSizeBest:
     finite, entries has exactly the search's sizes and masks.  It is inf
     where no bound is certified: the search skipped a subset, some refit
     could fail the QR rank test, or the design is too ill-conditioned for
-    the bound; and for an explicit list, which has no search table.
+    the bound; and for an explicit list, which has no search table.  It
+    is computed the first time any table of the call reads it, for all of
+    the call's datasets at once (_SharedBound).
     """
 
     data: Dataset = field(repr=False)
@@ -103,9 +121,17 @@ class PerSizeBest:
     # list): the search's work, independent of the machine
     nodes: int = 0
     search: dict[int, tuple[Mask, float]] = field(default_factory=dict)
-    rss_error: float = math.inf
+    # the call's shared bound and this table's index in it; None where none is certified
+    bound: tuple[_SharedBound, int] | None = field(default=None, repr=False)
     # collinear subsets the sweep skipped; the refits add the ones QR refuses
     sweep_skipped: int = field(default=0, repr=False)
+
+    @functools.cached_property
+    def rss_error(self) -> float:
+        if self.bound is None:
+            return math.inf
+        shared, i = self.bound
+        return float(shared.errors[i])
 
     @functools.cached_property
     def _refits(self) -> tuple[dict[int, FitSummary], int]:
@@ -512,7 +538,7 @@ def best_per_size(
         G, b, tss = (np.stack(a) for a in zip(*map(_centered, datas)))
         searches = _leaps_and_bounds(G, b, tss, p)
         fulls, rdiag = _full_fits(datas)
-        errors = _rss_error(datas, G, tss, rdiag)
+        shared = _SharedBound((datas, G, tss, rdiag))
         tables = []
         for i, (rows, skipped, nodes) in enumerate(searches):
             full = fulls[i]
@@ -521,5 +547,5 @@ def best_per_size(
                 rows = {**rows, p: (full.mask, full.rss)}
             certified = skipped == 0 and full is not None
             tables.append(PerSizeBest(datas[i], masks, full, nodes, rows,
-                                      float(errors[i]) if certified else math.inf, skipped))
+                                      (shared, i) if certified else None, skipped))
     return tables[0] if lone else tables

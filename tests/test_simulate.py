@@ -218,6 +218,14 @@ def test_replicate_runs_select_many(monkeypatch):
             assert len(res.labels) == 6
 
 
+def test_a_chunk_computes_its_rss_bound_once(monkeypatch):
+    # the bound is computed when the chunk's first replicate reads it, once
+    # for the chunk's 25 datasets, not once per replicate
+    bounds = spy_calls(monkeypatch, cmcselect.subsets._rss_error)
+    run_monte_carlo(Scenario("weak", 50, 10, 5), reps=100, seed=1, threads=1)
+    assert [len(datas) for datas, *_ in bounds] == [25] * 4
+
+
 def test_certified_replicates_choose_what_select_many_chooses(monkeypatch):
     # on scenarios whose search RSS strays furthest from the QR RSS, every rep
     # still gets select_many's rates: the certificate holds or the rep is

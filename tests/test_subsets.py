@@ -2,6 +2,7 @@
 
 import functools
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -15,8 +16,10 @@ from cmcselect import (
     best_per_size,
     cmc_select,
     fit_subset,
+    select_many,
     subsets,
 )
+from cmcselect.cli import main
 from cmcselect.simulate import Scenario, _gen_design, gen_correlated_design, gen_response
 from cmcselect.linalg import RANK_TOL
 from conftest import ORDINARY, STRESS, naive_best_per_size, random_dataset, spy_calls
@@ -463,6 +466,40 @@ def test_rss_error_bounds_the_sweep_to_qr_gap():
                 worst = max(worst, abs(rss - entry.rss) / e)
             assert table.search[sc.p][1] == table.entries[sc.p].rss == table.full.rss
     assert 0.0 < worst <= 1e-2
+
+
+def test_select_never_computes_the_rss_bound(tmp_path, capsys, monkeypatch):
+    # only Monte Carlo replicates read rss_error, so select_many and the
+    # select command make no _rss_error call
+    data = random_dataset(np.random.default_rng(5), 40, 6)
+    bounds = spy_calls(monkeypatch, subsets._rss_error)
+    reports = select_many(data, ("cmc", "bic", "cp_aic", "adjr2"), (0.9, 0.5, 0.1))
+    assert len(reports) == 6
+    path = tmp_path / "d.csv"
+    rows = [",".join(f"x{j}" for j in range(data.p)) + ",y"]
+    rows += [",".join(map(repr, row)) for row in np.column_stack([data.X, data.y]).tolist()]
+    path.write_text("\n".join(rows) + "\n")
+    assert main(["select", "--data", str(path), "--response", "y", "--criteria", "cmc,bic,cp,adjr2",
+                 "--alphas", "0.9,0.5,0.1", "--format", "json"]) == 0
+    assert len(json.loads(capsys.readouterr().out)["results"]) == 6
+    assert bounds == []
+
+
+def test_a_searched_call_computes_its_rss_bound_once(monkeypatch):
+    # the bound is made the first time any table of the call reads it, for
+    # all of the call's datasets, and each table reads its own row of it
+    rng = np.random.default_rng(6)
+    datas = [random_dataset(rng, 30, 5) for _ in range(4)]
+    rss_error = subsets._rss_error
+    bounds = spy_calls(monkeypatch, rss_error)
+    tables = best_per_size(datas)
+    assert bounds == []
+    errors = [table.rss_error for table in tables + tables[::-1]]
+    assert len(bounds) == 1
+    G, _, tss = (np.stack(a) for a in zip(*map(subsets._centered, datas)))
+    direct = rss_error(datas, G, tss, subsets._full_fits(datas)[1])
+    assert np.isfinite(direct).all()
+    assert errors[:4] == direct.tolist() == errors[4:][::-1]
 
 
 def subsets_pass_rank_test(data: Dataset) -> bool:
