@@ -223,12 +223,8 @@ def _parse_candidates(raw: str, names: tuple[str, ...]) -> list[list[int]] | Non
 
 def _per_size_list(per_size: PerSizeBest, names: tuple[str, ...]) -> list[dict]:
     return [
-        {
-            "size": s,
-            "variables": [names[i] for i in per_size.entries[s].mask],
-            "rss": per_size.entries[s].rss,
-        }
-        for s in per_size.sizes()
+        {"size": s, "variables": [names[i] for i in mask], "rss": rss}
+        for s, (mask, rss) in sorted(per_size.table.items())
     ]
 
 
@@ -265,10 +261,9 @@ def _select_table(reports: list[SelectionReport], names: tuple[str, ...]) -> str
         for i in rep.chosen:
             print(f"  {names[i]:<{width}}{rep.fit.beta[i + 1]: .4f}", file=buf)
         print("per-size best models:", file=buf)
-        for s in rep.per_size.sizes():
-            entry = rep.per_size.entries[s]
-            label = "+".join(names[i] for i in entry.mask) or "-"
-            print(f"  size {s:>2}: rss={entry.rss:.6g}  score={rep.scores[s]:.6g}  {label}", file=buf)
+        for s, (mask, rss) in sorted(rep.per_size.table.items()):
+            label = "+".join(names[i] for i in mask) or "-"
+            print(f"  size {s:>2}: rss={rss:.6g}  score={rep.scores[s]:.6g}  {label}", file=buf)
         print(file=buf)
     return buf.getvalue()
 

@@ -12,9 +12,9 @@ provided for comparison; all four need only the per-size minimum-RSS
 table, since each is monotone in RSS at fixed size.
 
 Each rule is stated once, in cmc_from_table and ic_from_table, which
-_decisions runs for select_many and for the replicates' certificate;
-it runs cmc_from_table's two parts, _lambdas and _smallest_feasible, so
-that one table's lambdas serve every alpha.
+_decisions runs on a per-size table for select_many's reports and for
+each Monte Carlo replicate; it runs cmc_from_table's two parts, _lambdas
+and _smallest_feasible, so that one table's lambdas serve every alpha.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from .errors import (
     InfeasibleCandidatesError,
 )
 from .fdist import FParams, f_quantile
-from .linalg import Dataset, FitSummary, FullFit, Mask, full_fit
+from .linalg import Dataset, FitSummary, FullFit, Mask, _full_stats, full_fit
 from .subsets import PerSizeBest, best_per_size
 
 CRITERIA = ("adjr2", "cp_aic", "bic", "cmc")
@@ -79,8 +79,10 @@ def _lambda(rss: float, rss_full: float, sigma2: float, size: int) -> float:
     return max(0.0, (rss - rss_full) / sigma2)
 
 
-# cached: every Monte Carlo replicate asks its worker for the same few thresholds
-@functools.lru_cache
+# cached with no bound: every Monte Carlo replicate asks its worker for the
+# same thresholds, and a bounded cache evicts each of them once a request
+# has more alphas than the bound
+@functools.cache
 def kappa(alpha: float, q: int, n: int) -> float:
     """Threshold q * F(1 - alpha; q, n - q); 0 at alpha=1, +inf at alpha=0.
 
@@ -186,11 +188,7 @@ def ic_from_table(
 
 
 def _score(criterion: str, rss: float, k: int, full: FullFit) -> float:
-    """One information criterion at one RSS with k coefficients; each formula is stated once.
-
-    Every formula is monotone in rss, also as rounded, so scores at the
-    ends of an RSS interval bound the score at any RSS inside it.
-    """
+    """One information criterion at one RSS with k coefficients; each formula is stated once."""
     n = full.n
     if criterion == "bic":
         if rss <= 0.0:
@@ -210,8 +208,8 @@ def select_many(
     """Every requested criterion on one dataset, from one search.
 
     One per-size table serves all criteria, and the full-model
-    statistics come from its size-p entry when it has one; each
-    report's fit is the table entry of its chosen size.
+    statistics come from its size-p RSS when it has one; each report's
+    fit is the table entry of its chosen size.
 
     Parameters
     ----------
@@ -229,7 +227,7 @@ def select_many(
         order of labels_for(criteria, alphas), which validates the request.
     """
     labels_for(criteria, alphas)
-    return _reports(data, best_per_size(data, candidates), criteria, alphas)
+    return _reports(best_per_size(data, candidates), criteria, alphas)
 
 
 def _decisions(table: Mapping[int, tuple[Mask, float]], full: FullFit, criteria, alphas):
@@ -248,15 +246,26 @@ def _decisions(table: Mapping[int, tuple[Mask, float]], full: FullFit, criteria,
             yield (c, None, None, *ic_from_table(table, full, c))
 
 
-def _reports(data: Dataset, per_size: PerSizeBest, criteria, alphas) -> list[SelectionReport]:
+def _full(per_size: PerSizeBest) -> FullFit:
+    """The full-model statistics of a table's dataset, from its size-p RSS.
+
+    A table with no size p (an explicit list without the full mask, or a
+    collinear full design) fits the full model with full_fit, which
+    raises RankDeficientError for a collinear one.
+    """
+    data = per_size.data
+    if data.p in per_size.table:
+        return _full_stats(data, per_size.table[data.p][1])
+    return full_fit(data)
+
+
+def _reports(per_size: PerSizeBest, criteria, alphas) -> list[SelectionReport]:
     """One report per criterion and cmc alpha, in labels_for order, from one table.
 
-    The full-model statistics reuse the table's full fit; a collinear
-    full design raises RankDeficientError.  The request is not validated
-    here; select_many and run_monte_carlo do that.
+    The request is not validated here; select_many does that.
     """
+    decisions = list(_decisions(per_size.table, _full(per_size), criteria, alphas))
     entries = per_size.entries
-    table = {s: (fit.mask, fit.rss) for s, fit in entries.items()}
     return [
         SelectionReport(
             criterion=c,
@@ -268,63 +277,8 @@ def _reports(data: Dataset, per_size: PerSizeBest, criteria, alphas) -> list[Sel
             scores=scores,
             per_size=per_size,
         )
-        for c, a, kap, size, scores in _decisions(
-            table, full_fit(data, per_size.full), criteria, alphas)
+        for c, a, kap, size, scores in decisions
     ]
-
-
-def _choices(data: Dataset, per_size: PerSizeBest, criteria, alphas) -> tuple[list[Mask], bool]:
-    """The masks _reports chooses, in its order, and whether the search's own RSS proved them.
-
-    A table with a finite rss_error is scored on its search RSS first;
-    where _certain_choices certifies every decision, no QR refit is made.
-    Otherwise the masks come from _reports.
-    """
-    if math.isfinite(per_size.rss_error):
-        full = full_fit(data, per_size.full)
-        chosen = _certain_choices(per_size.search, per_size.rss_error, full, criteria, alphas)
-        if chosen is not None:
-            return chosen, True
-    return [rep.chosen for rep in _reports(data, per_size, criteria, alphas)], False
-
-
-def _certain_choices(
-    search: Mapping[int, tuple[Mask, float]], e: float, full: FullFit, criteria, alphas
-) -> list[Mask] | None:
-    """Each decision's mask if it holds for every RSS within e of the search's; else None.
-
-    search maps each size to its (mask, rss); the QR RSS of each size
-    below p = full.q - 1 lies within e of it, and size p is exact.
-    _decisions runs on the lower ends, rss - e.  _lambda and the
-    sign-adjusted _score rise with rss, also as rounded, so at any RSS
-    within the bounds a cmc size below the chosen one stays infeasible,
-    and every other size orders no earlier than at its lower end in the
-    (sign * score, mask) order ic_from_table minimizes.  A decision then
-    holds when the chosen size's upper end, rss + e, still has lambda <=
-    kappa (cmc), or still orders strictly before every other size's lower
-    end (an information criterion; so an exact tie holds where
-    ic_from_table gives it to the chosen mask).  A lower end that _lambda
-    refuses or BIC cannot score returns None.
-    """
-    p = full.q - 1
-    low = {s: (mask, rss if s == p else rss - e) for s, (mask, rss) in search.items()}
-    chosen: list[Mask] = []
-    try:
-        for c, _, kap, size, scores in _decisions(low, full, criteria, alphas):
-            mask, rss = search[size]
-            hi = rss if size == p else rss + e
-            if c == "cmc":
-                if _lambda(hi, full.rss, full.sigma2, size) > kap:
-                    return None
-            else:
-                sign = -1.0 if c == "adjr2" else 1.0
-                top = (sign * _score(c, hi, size + 1, full), mask)
-                if any((sign * v, low[s][0]) <= top for s, v in scores.items() if s != size):
-                    return None
-            chosen.append(mask)
-    except (InconsistentStatisticError, DegenerateFitError):
-        return None
-    return chosen
 
 
 def cmc_select(data: Dataset, alpha: float = 0.9, candidates=None) -> SelectionReport:

@@ -1,10 +1,13 @@
 """Least-squares fitting of predictor subsets with an always-present intercept.
 
 Every model is identified by a mask of predictor indices; the intercept is
-implicit and never part of the mask.  Fits go through a Householder QR of
-the selected columns, stacked over fits of one shape, and coefficient
-vectors come back dense (length p+1, exact zeros at excluded positions)
-so downstream consumers never need to know which columns were dropped.
+implicit and never part of the mask.  Each dataset's [1 | X | y] is
+factored once by a Householder QR, and a subset's fit is the small QR of
+its columns of that (p+2)x(p+2) R factor, stacked over fits of one size,
+so a fit's cost does not grow with n.  The empty mask is the exact mean
+fit.  Coefficient vectors come back dense (length p+1, exact zeros at
+excluded positions) so downstream consumers never need to know which
+columns were dropped.
 """
 
 from __future__ import annotations
@@ -119,53 +122,84 @@ class FitSummary:
         object.__setattr__(self, "beta", beta)
 
 
-def _fit_stack(datas, masks) -> tuple[list[FitSummary | None], np.ndarray]:
-    """QR-fit K (dataset, mask) pairs of one shape and one mask size as one stack.
+def _mean_fits(Y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The intercept-only fit of each row of a (K, n) stack of responses: its mean and centered TSS.
 
-    The (K, n, k+1) designs go through one batched QR, one solve and
-    one batch of products.  These are the calls a lone fit makes, with a
-    stack axis, and they run per matrix, so each member's beta and rss
-    carry the same bits at any K and any stack position.  A member whose
-    R diagonal fails the RANK_TOL ratio test comes back as None; the
-    others are unaffected.  Also returns the (K, k+1) |R| diagonals.
+    Size 0's fit and FullFit.tss both come from here, so adjusted
+    R-squared is exactly 0 at size 0.  numpy reduces each row on its
+    own, so a row's bits do not depend on K.
     """
-    n = datas[0].n
-    k = len(masks[0])
-    A = np.empty((len(datas), n, k + 1))
+    mean = Y.mean(axis=1)
+    return mean, np.square(Y - mean[:, None]).sum(axis=1)
+
+
+def _factor(datas) -> tuple[np.ndarray, np.ndarray]:
+    """The (K, p+2, p+2) R factors of K same-shape datasets' [1 | X | y], and their TSS.
+
+    One batched QR, run per matrix, so a dataset's R has the same bits
+    at any K.  Q'[1 | X_S | y] is R's columns 0, S+1 and p+1, so every
+    subset's fit is in R (Miller, *Subset Selection in Regression*, 2002,
+    ch. 2; Golub & Van Loan, *Matrix Computations*, 5.3).  The TSS are
+    _mean_fits' (size 0's RSS).
+    """
+    n, p = datas[0].X.shape
+    A = np.empty((len(datas), n, p + 2))
     A[:, :, 0] = 1.0
     Y = np.empty((len(datas), n))
-    for i, (data, mask) in enumerate(zip(datas, masks)):
-        if k:
-            A[i, :, 1:] = data.X[:, mask]
+    for i, data in enumerate(datas):
+        A[i, :, 1:-1] = data.X
         Y[i] = data.y
-    Q, R = np.linalg.qr(A)
-    diag = np.abs(np.diagonal(R, axis1=1, axis2=2))
+    A[:, :, -1] = Y
+    return np.linalg.qr(A, mode="r"), _mean_fits(Y)[1]
+
+
+def _fit_masks(R, tss, rows, masks) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """Fit K' masks of one size s, masks[i] on the dataset with R factor R[rows[i]] and TSS tss[rows[i]].
+
+    Above size 0 this is one stacked QR of the (K', p+2, s+2) columns
+    0, mask+1 and p+1 of R: the small R factor of [1 | X_S | y].  The
+    RSS is its last diagonal entry squared, and a member whose leading
+    (s+1) |R| diagonal fails the RANK_TOL ratio test is collinear.  Each
+    member's bits do not depend on K' or its position.  Size 0 is the
+    mean fit, with no QR.  Returns the (K',) RSS, the (K',) rank tests
+    and the (K', s+2, s+2) small R factors (None at size 0).
+    """
+    rows = np.asarray(rows, dtype=np.intp)
+    s = len(masks[0])
+    if not s:
+        return tss[rows], np.ones(len(rows), dtype=bool), None
+    p = R.shape[-1] - 2
+    cols = np.empty((len(rows), s + 2), dtype=np.intp)
+    cols[:, 0] = 0
+    cols[:, 1:-1] = np.asarray(masks) + 1
+    cols[:, -1] = p + 1
+    small = np.linalg.qr(R[rows[:, None, None], np.arange(p + 2)[:, None], cols[:, None, :]], mode="r")
+    diag = np.abs(np.diagonal(small, axis1=1, axis2=2)[:, :-1])
     ok = diag.min(axis=1) > RANK_TOL * diag.max(axis=1)
-    if not ok.all():
-        # a collinear member's R may be singular; solve it against the identity
-        # instead, so it cannot fail the others' solve, and drop its result
-        R[~ok] = np.eye(k + 1)
-    coef = np.linalg.solve(R, Q.transpose(0, 2, 1) @ Y[:, :, None])
-    resid = Y - (A @ coef)[:, :, 0]
-    rss = (resid[:, None, :] @ resid[:, :, None])[:, 0, 0]
-    fits: list[FitSummary | None] = []
-    for i, (data, mask) in enumerate(zip(datas, masks)):
-        if not ok[i]:
-            fits.append(None)
-            continue
-        beta = np.zeros(data.q)
-        beta[0] = coef[i, 0, 0]
-        if k:
-            beta[np.asarray(mask) + 1] = coef[i, 1:, 0]
-        fits.append(FitSummary(mask=mask, beta=beta, rss=float(rss[i]), df_resid=n - (k + 1)))
-    return fits, diag
+    return small[:, -1, -1] ** 2, ok, small
+
+
+def _summary(data: Dataset, mask: Mask, rss: float, small: np.ndarray | None) -> FitSummary:
+    """The FitSummary of one _fit_masks member: beta solved from its small R factor, no second QR.
+
+    small is None at size 0, whose intercept is _mean_fits' mean.
+    """
+    beta = np.zeros(data.q)
+    if small is None:
+        beta[0] = _mean_fits(data.y[None])[0][0]
+    else:
+        coef = np.linalg.solve(small[:-1, :-1], small[:-1, -1])
+        beta[0] = coef[0]
+        beta[np.asarray(mask) + 1] = coef[1:]
+    return FitSummary(mask=mask, beta=beta, rss=rss, df_resid=data.n - len(mask) - 1)
 
 
 def fit_subset(data: Dataset, mask) -> FitSummary:
     """Exact least squares over the selected columns plus intercept.
 
-    This is the one-member stack of the fitter that also fits the
-    per-size tables, so it gives the same bits as a table entry.
+    The fit comes from the R factor of [1 | X | y] through _fit_masks,
+    the path that fits the per-size tables, so it gives the same bits as
+    a table entry.  The empty mask is the mean fit.
 
     Parameters
     ----------
@@ -183,10 +217,11 @@ def fit_subset(data: Dataset, mask) -> FitSummary:
         RANK_TOL (relative, on the QR diagonal).
     """
     mask = as_mask(mask, data.p)
-    fit = _fit_stack([data], [mask])[0][0]
-    if fit is None:
+    R, tss = _factor([data])
+    rss, ok, small = _fit_masks(R, tss, [0], [mask])
+    if not ok[0]:
         raise RankDeficientError(f"columns for mask {mask} are collinear beyond tolerance")
-    return fit
+    return _summary(data, mask, float(rss[0]), None if small is None else small[0])
 
 
 @dataclass(frozen=True)
@@ -223,8 +258,12 @@ def full_fit(data: Dataset, fit: FitSummary | None = None) -> FullFit:
         fit = fit_subset(data, full_mask(data.p))
     elif fit.mask != full_mask(data.p):
         raise DimensionMismatchError(f"full_fit needs the full mask's fit, got mask {fit.mask}")
-    rss = fit.rss
-    tss = float(np.square(data.y - data.y.mean()).sum())
+    return _full_stats(data, fit.rss)
+
+
+def _full_stats(data: Dataset, rss: float) -> FullFit:
+    """full_fit's statistics and checks, from the full model's fit_subset RSS."""
+    tss = float(_mean_fits(data.y[None])[1][0])
     if np.ptp(data.y) == 0.0 or rss <= DEGENERATE_TOL * tss:
         raise DegenerateFitError("full-model residual sum of squares is numerically zero")
     return FullFit(n=data.n, q=data.q, rss=rss, sigma2=rss / (data.n - data.q), tss=tss)

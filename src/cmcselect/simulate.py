@@ -10,14 +10,14 @@ keyed by (seed, replication index), selects on it as select_many does
 mask against the true active set.  Replications run in chunks, as few
 and as even as keep every worker busy: a chunk's datasets get their
 per-size tables from one best_per_size call, which searches them in
-lockstep, sharing blocks of tree nodes, and fits their full models with
-one stacked QR; masks, node counts and fits are bit-identical to lone
-calls.  A replication scores the search's own per-size RSS, with no
-refit, when select_many's decisions at the RSS bounds' lower ends hold
-at each chosen size's upper end (criteria._certain_choices); any other
-takes select_many's QR-refit path, so the choices are select_many's.
-Results are merged by replication index, so a run is bit-identical for
-a fixed (seed, reps) no matter how many worker processes are used.
+lockstep, sharing blocks of tree nodes, and fits each size's winners
+with one stacked small QR from the datasets' R factors; masks, node
+counts and RSS are bit-identical to lone calls.  A replication scores
+its table through criteria._decisions, the rules select_many's reports
+come from, with no report and no coefficient solve, so the choices are
+select_many's.  Results are merged by replication index, so a run is
+bit-identical for a fixed (seed, reps) no matter how many worker
+processes are used.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .criteria import CRITERIA, RatePair, _choices, classify, labels_for
+from .criteria import CRITERIA, RatePair, _decisions, _full, classify, labels_for
 from .errors import ConfigError, RankDeficientError, TooFewRowsError
 from .linalg import Dataset
 from .subsets import best_per_size
@@ -163,17 +163,15 @@ def _gen_design(scenario: Scenario, rng: np.random.Generator) -> np.ndarray:
     return gen_correlated_design(scenario, rng)
 
 
-def _run_chunk(args) -> list[tuple[int, list[float], list[float], int, bool]]:
+def _run_chunk(args) -> list[tuple[int, list[float], list[float], int]]:
     """A chunk of replications: fresh data per rep, one table search call, classification.
 
     Each rep draws from its own stream.  The chunk's datasets get their
-    tables from one best_per_size call, searched in lockstep.  A rep's
-    choices are select_many's: a table whose search RSS certifies every
-    choice is scored on it with no refit (criteria._choices), any other
-    goes through the QR refits select_many itself makes.  A rep whose
-    full design is collinear is redrawn from its stream and searched
-    again with the other redrawn reps.  Each row is (rep, firs, fars,
-    redraws, whether the search RSS certified the choices).
+    tables from one best_per_size call, searched in lockstep, and each
+    rep's choices are its table's decisions (criteria._decisions).  A rep
+    whose full design is collinear is redrawn from its stream and
+    searched again with the other redrawn reps.  Each row is (rep, firs,
+    fars, redraws).
     """
     scenario, criteria, alphas, seed, reps = args
     rngs = {r: np.random.default_rng([seed, r]) for r in reps}
@@ -186,9 +184,9 @@ def _run_chunk(args) -> list[tuple[int, list[float], list[float], int, bool]]:
             X = _gen_design(scenario, rngs[r])
             datas.append(Dataset(X=X, y=gen_response(X, scenario, rngs[r])))
         redraw = []
-        for r, data, table in zip(pending, datas, best_per_size(datas)):
+        for r, per_size in zip(pending, best_per_size(datas)):
             try:
-                chosen, certified = _choices(data, table, criteria, alphas)
+                full = _full(per_size)
             except RankDeficientError:
                 # the full design is collinear: redraw
                 regen[r] += 1
@@ -196,8 +194,10 @@ def _run_chunk(args) -> list[tuple[int, list[float], list[float], int, bool]]:
                     raise
                 redraw.append(r)
                 continue
-            rates = [classify(mask, scenario.truth, scenario.p) for mask in chosen]
-            out.append((r, [x.fir for x in rates], [x.far for x in rates], regen[r], certified))
+            table = per_size.table
+            rates = [classify(table[size][0], scenario.truth, scenario.p)
+                     for _, _, _, size, _ in _decisions(table, full, criteria, alphas)]
+            out.append((r, [x.fir for x in rates], [x.far for x in rates], regen[r]))
         pending = redraw
     return out
 
@@ -228,14 +228,12 @@ def run_monte_carlo(
     Replications run in the fewest chunks of at most 32 that give every
     worker the same number, their sizes differing by at most one (100
     reps: four chunks of 25 at one or two workers).  Each chunk's tables
-    are searched together.  A replication's choices are select_many's:
-    the search's own RSS certifies them or select_many's QR refits make
-    them, so results are bit-identical to one-at-a-time select_many
-    runs.  Once a chunk completes, and at most every 10 s, progress (reps
-    done, elapsed time, ETA) is logged at INFO; at the end one INFO line
-    counts the reps certified and those refit, the same for a fixed seed
-    at any thread count.  The pool's workers fork after numpy.random is
-    imported, so none imports it on its first chunk.
+    are searched together.  A replication's choices are select_many's,
+    made by the same rules on the same table, so results are
+    bit-identical to one-at-a-time select_many runs.  Once a chunk
+    completes, and at most every 10 s, progress (reps done, elapsed time,
+    ETA) is logged at INFO.  The pool's workers fork after numpy.random
+    is imported, so none imports it on its first chunk.
 
     Parameters
     ----------
@@ -281,14 +279,13 @@ def run_monte_carlo(
         pool = ProcessPoolExecutor(max_workers=workers)
         results = pool.map(_run_chunk, tasks)
     start = last = time.monotonic()
-    done = certified = 0
+    done = 0
     try:
         for chunk in results:
-            for rep, firs, fars, regen, cert in chunk:
+            for rep, firs, fars, regen in chunk:
                 fir[rep] = firs
                 far[rep] = fars
                 regenerated += regen
-                certified += cert
             done += len(chunk)
             now = time.monotonic()
             if now - last >= _PROGRESS_EVERY_S:
@@ -299,7 +296,6 @@ def run_monte_carlo(
     finally:
         if workers != 1:
             pool.shutdown()
-    log.info("%d rep(s) scored on the search's RSS, %d QR-refit", certified, reps - certified)
     mean_fir = fir.mean(axis=0)
     mean_far = far.mean(axis=0)
     zero = ((fir == 0.0) & (far == 0.0)).mean(axis=0)

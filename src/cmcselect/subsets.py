@@ -36,27 +36,25 @@ more nodes at small p, where each node is small.
 
 Intercepts are handled exactly by centering: the RSS of a subset fitted
 with an intercept equals the RSS of the centered regression on the same
-columns, so the search runs on the centered Gram matrix and winners are
-re-fit by QR; those fits are the table's entries, made the first time
-they are read, each with the bits a lone fit_subset gives.  Size p is the
-full model's QR fit (_full_fits), stacked across the datasets of a call.
-A table also keeps the search's own RSS per size, with a bound on how far
-it can lie from the QR RSS (_rss_error, computed only when read), so a
-caller that needs only the choices can score it without any refit.
+columns, so the search runs on the centered Gram matrix and keeps only
+its winning masks.  A table's entries are those masks fitted from the R
+factor of their dataset's [1 | X | y] (linalg._factor, one batched QR
+for all of a call's datasets), one stacked small QR per size across the
+call, so each RSS has the bits a lone fit_subset gives.  Size p is the
+full mask, fitted the same way.
 """
 
 from __future__ import annotations
 
 import functools
 import logging
-import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DimensionMismatchError, LimitExceededError
-from .linalg import RANK_TOL, Dataset, FitSummary, Mask, _fit_stack, as_mask, full_mask
+from .linalg import Dataset, FitSummary, Mask, _factor, _fit_masks, _summary, as_mask, full_mask
 
 log = logging.getLogger(__name__)
 
@@ -76,100 +74,36 @@ _PIVOT_TOL = 1e-10
 _BLOCK_FLOATS = 128 * 31**2
 
 
-@dataclass(eq=False)
-class _SharedBound:
-    """_rss_error's arguments for the datasets of one searched call.
-
-    errors is computed the first time it is read, so a call whose
-    tables never read rss_error (select) makes no eigvalsh, and a Monte
-    Carlo chunk makes one for all of its datasets.
-    """
-
-    args: tuple = field(repr=False)
-
-    @functools.cached_property
-    def errors(self) -> np.ndarray:
-        return _rss_error(*self.args)
-
-
 @dataclass(frozen=True, eq=False)
 class PerSizeBest:
-    """The QR fit of the minimum-RSS subset per size; sizes with no usable candidate are missing.
+    """The minimum-RSS subset per size; sizes with no usable candidate are missing.
 
-    entries maps each size to its FitSummary, and skipped counts the
-    rank-deficient masks, refused by the search's sweep or by the QR rank
-    test.  Both come from QR refits of `masks`, made the first time either
-    is read; the full mask's fit is `full` (see _full_fits).
-
-    A search also keeps its own table, `search`: each size's (mask, rss),
-    the sweep RSS below size p and full.rss at p.  rss_error bounds
-    |sweep RSS - QR RSS| below size p (see _rss_error); where it is
-    finite, entries has exactly the search's sizes and masks.  It is inf
-    where no bound is certified: the search skipped a subset, some refit
-    could fail the QR rank test, or the design is too ill-conditioned for
-    the bound; and for an explicit list, which has no search table.  It
-    is computed the first time any table of the call reads it, for all of
-    the call's datasets at once (_SharedBound).
+    table maps each size to its best (mask, rss), fitted from the R
+    factor of the dataset's [1 | X | y] (linalg._fit_masks), and skipped
+    counts the rank-deficient masks, refused by the search's sweep or by
+    the QR rank test.  entries gives each size's FitSummary, its beta
+    solved from the same small R factor the first time it is read.
     """
 
     data: Dataset = field(repr=False)
-    # every mask to fit, the full mask included when it is a candidate
-    masks: tuple[Mask, ...] = field(repr=False)
-    # the full mask's QR fit; None when its design is collinear or it is not a candidate
-    full: FitSummary | None
+    table: dict[int, tuple[Mask, float]]
+    skipped: int = 0
     # search tree nodes evaluated, floors plus ceilings (0 for an explicit
     # list): the search's work, independent of the machine
     nodes: int = 0
-    search: dict[int, tuple[Mask, float]] = field(default_factory=dict)
-    # the call's shared bound and this table's index in it; None where none is certified
-    bound: tuple[_SharedBound, int] | None = field(default=None, repr=False)
-    # collinear subsets the sweep skipped; the refits add the ones QR refuses
-    sweep_skipped: int = field(default=0, repr=False)
+    # each size's small R factor, None at size 0 (linalg._summary)
+    factors: dict[int, np.ndarray | None] = field(default_factory=dict, repr=False)
 
     @functools.cached_property
-    def rss_error(self) -> float:
-        if self.bound is None:
-            return math.inf
-        shared, i = self.bound
-        return float(shared.errors[i])
-
-    @functools.cached_property
-    def _refits(self) -> tuple[dict[int, FitSummary], int]:
-        # one stacked QR per size; lowest RSS per size, ties to the smaller mask
-        p = self.data.p
-        by_size: dict[int, list[Mask]] = {}
-        for mask in self.masks:
-            if len(mask) < p:
-                by_size.setdefault(len(mask), []).append(mask)
-        fits = {full_mask(p): self.full}
-        for masks in by_size.values():
-            fits.update(zip(masks, _fit_stack([self.data] * len(masks), masks)[0]))
-        entries: dict[int, FitSummary] = {}
-        skipped = self.sweep_skipped
-        for mask in self.masks:
-            fit = fits[mask]
-            if fit is None:
-                skipped += 1
-                continue
-            s = len(fit.mask)
-            cur = entries.get(s)
-            if cur is None or fit.rss < cur.rss or (fit.rss == cur.rss and fit.mask < cur.mask):
-                entries[s] = fit
-        if skipped:
-            log.info("skipped %d rank-deficient subset(s)", skipped)
-        log.debug("search evaluated %d node(s), skipped %d subset(s)", self.nodes, skipped)
-        return entries, skipped
-
-    @property
     def entries(self) -> dict[int, FitSummary]:
-        return self._refits[0]
-
-    @property
-    def skipped(self) -> int:
-        return self._refits[1]
+        if self.skipped:
+            log.info("skipped %d rank-deficient subset(s)", self.skipped)
+        log.debug("search evaluated %d node(s), skipped %d subset(s)", self.nodes, self.skipped)
+        return {s: _summary(self.data, mask, rss, self.factors[s])
+                for s, (mask, rss) in self.table.items()}
 
     def sizes(self) -> list[int]:
-        return sorted(self.entries)
+        return sorted(self.table)
 
 
 def _centered(data: Dataset):
@@ -404,90 +338,43 @@ def _leaps_and_bounds(G, b, tss, p: int) -> list[tuple[dict[int, tuple[Mask, flo
     bits = [(1 << (p - 1 - j), j) for j in range(p)]
     rows = []
     for k in range(K):
-        # sizes below p; size p belongs to _full_fits
+        # sizes below p; size p is the full mask's fit
         keys = best_key[k * (p + 1) : k * (p + 1) + p]
         rows.append({s: (tuple([j for bit, j in bits if key & bit]), float(best_rss[k, s]))
                      for s, key in enumerate(keys) if key >= 0})
     return [(rows[k], int(skipped[k]), int(nodes[k])) for k in range(K)]
 
 
-def _full_fits(datas) -> tuple[list[FitSummary | None], np.ndarray]:
-    """The size-p row of every table: the full mask at its QR fit, one stacked QR for all.
+def _fit_tables(datas, searches) -> list[PerSizeBest]:
+    """Fit every dataset's masks from its R factor and keep the least RSS per size.
 
-    Size p holds only the full set, and its fit and RSS are the full
-    model's QR fit, never a sweep's: a near-collinear full design the
-    sweep rejects keeps size p, and a collinear one the QR refuses (None)
-    has none.  Also returns the fits' (K, p+1) |R| diagonals.
+    searches holds, per dataset, its masks, the subsets its search
+    skipped and its node count.  One batched QR factors the datasets,
+    then each size is one stacked small QR across all of them; ties at
+    equal RSS go to the smaller mask, and a mask failing the rank test
+    is skipped and counted.  With no mask at all, nothing is factored.
     """
-    return _fit_stack(datas, [full_mask(datas[0].p)] * len(datas))
-
-
-def _rss_error(datas, G, tss, rdiag) -> np.ndarray:
-    """Per dataset, a bound e on |sweep RSS - QR RSS| over every subset; inf where none holds.
-
-    None holds unless the full fit's |R| diagonal, rdiag, shows that
-    every subset passes fit_subset's RANK_TOL test, so that a refit keeps
-    every size.  A column's distance from the span of some of the columns
-    before it is at least its distance from the span of all of them, so
-    every subset's smallest |R_jj| is at least the full one's, and its
-    largest is at most the largest column norm, intercept included; the
-    factor 2 covers the rounding of the two QRs.
-
-    The bound is first order in the unit roundoff u (Higham, *Accuracy
-    and Stability of Numerical Algorithms*, 2002, chapters 3, 10, 19 and
-    20).  Take a subset S of k <= p columns, its centered coefficients
-    beta and residual r, with ||r||^2 <= tss.  Let xc_j be the centered
-    columns, lam the least eigenvalue of the correlation matrix
-    C = D^-1 G D^-1, D = diag(||xc_j||), and rho = max_j ||x_j|| / ||xc_j||
-    for the uncentered x_j.  D beta = C_S^-1 D^-1 b_S, and C_S's least
-    eigenvalue is at least lam (interlacing), so ||D beta||^2 <= tss / lam
-    and B = sum_j |beta_j| ||xc_j|| <= sqrt(p tss / lam).
-
-    - Sweep.  G, b and tss are sums of n products, off by at most gamma_n
-      times sqrt(M_ii M_jj) in M = [[G, b], [b', tss]] (Cauchy-Schwarz);
-      the sweep of a positive definite M is backward stable with an error
-      of the same form, since |L| |D| |L'| <= sqrt(M_ii M_jj).  With
-      v = (-beta, 1), d RSS = v' dM v, so |d RSS| <= gamma (sqrt(tss) + B)^2.
-      Centering moves each xc_j by at most 2u ||x_j|| and yc by 2u ||y||,
-      uncentered norms, which moves the RSS by at most
-      4u sqrt(tss) (||y|| + rho B).
-    - QR.  Householder least squares is columnwise backward stable: the
-      computed coefficients c = (c0, beta) solve the problem with each
-      column of A = [1 | X_S] and y moved by gamma~ = gamma_{n(k+1)} times
-      its norm, and sqrt(n) |c0| <= ||y|| + rho B (c0 = ybar - sum beta_j
-      xbar_j).  d RSS = 2 r' (dy - dA c) is then at most
-      4 gamma~ sqrt(tss) (||y|| + rho B); the explicit residual y - A c
-      adds as much again, its dot product gamma_n tss.
-
-    Hence e = gamma~ [2 (sqrt(tss) + B)^2 + 12 sqrt(tss) (||y|| + rho B)],
-    with gamma~ = n (p+2) u above every gamma used.  It grows with the
-    uncentered ||y|| (a large intercept) and with the design's conditioning
-    through 1 / lam.  The second-order terms stay below 1% of e while
-    gamma~ (p+1) rho^2 / lam, an estimate of the squared condition of the
-    column-scaled [1 | X], is at most 1e-3; past that, or with a constant
-    column, e is inf.
-    """
-    n, p = datas[0].n, datas[0].p
-    X = np.stack([data.X for data in datas])
-    Y = np.stack([data.y for data in datas])
-    colsq = np.einsum("kij,kij->kj", X, X)
-    rank_ok = rdiag.min(axis=1) > 2.0 * RANK_TOL * np.sqrt(colsq.max(axis=1, initial=n))
-    if p == 0:
-        # size 0 is size p: no sweep row to bound
-        return np.where(rank_ok, 0.0, np.inf)
-    d = np.sqrt(np.diagonal(G, axis1=1, axis2=2))
-    if not (d > 0).all():
-        return np.full(len(datas), np.inf)
-    lam = np.linalg.eigvalsh(G / (d[:, :, None] * d[:, None, :]))[:, 0]
-    # nan where lam is not positive, so every comparison below fails there
-    lam = np.where(lam > 0, lam, np.nan)
-    rho = (np.sqrt(colsq) / d).max(axis=1)
-    root = np.sqrt(tss)
-    B = root * np.sqrt(p / lam)
-    gamma = n * (p + 2) * 2.0**-53
-    ynorm = np.sqrt(np.einsum("ki,ki->k", Y, Y))
-    e = gamma * (2.0 * (root + B) ** 2 + 12.0 * root * (ynorm + rho * B))
-    return np.where(rank_ok & (gamma * (p + 1) * rho**2 / lam <= 1e-3), e, np.inf)
+    by_size: dict[int, list[tuple[int, Mask]]] = {}
+    for k, (masks, _, _) in enumerate(searches):
+        for mask in masks:
+            by_size.setdefault(len(mask), []).append((k, mask))
+    if by_size:
+        R, tss = _factor(datas)
+    tables: list[dict[int, tuple[Mask, float]]] = [{} for _ in datas]
+    factors: list[dict[int, np.ndarray | None]] = [{} for _ in datas]
+    skipped = [skip for _, skip, _ in searches]
+    for s in sorted(by_size):
+        pairs = by_size[s]
+        rss, ok, small = _fit_masks(R, tss, [k for k, _ in pairs], [mask for _, mask in pairs])
+        for i, ((k, mask), r, good) in enumerate(zip(pairs, rss.tolist(), ok.tolist())):
+            cur = tables[k].get(s)
+            if not good:
+                skipped[k] += 1
+            elif cur is None or (r, mask) < (cur[1], cur[0]):
+                tables[k][s] = (mask, r)
+                factors[k][s] = None if small is None else small[i]
+    return [PerSizeBest(d, table, skip, nodes, f)
+            for d, table, skip, (_, _, nodes), f in zip(datas, tables, skipped, searches, factors)]
 
 
 def best_per_size(
@@ -499,9 +386,9 @@ def best_per_size(
     ----------
     data : Dataset, or a sequence of Datasets of one shape
         A sequence is searched in lockstep, its datasets sharing blocks of
-        at most _BLOCK_FLOATS // (p+1)^2 nodes, and their full models are
-        fitted by one stacked QR.  Each table equals the one-dataset
-        call's, node count included.
+        at most _BLOCK_FLOATS // (p+1)^2 nodes, and fitted together: one
+        batched QR factors them, one stacked small QR fits each size.
+        Each table equals the one-dataset call's, node count included.
     candidates : None or iterable of masks
         None considers every subset: the leaps-and-bounds search, which
         raises LimitExceededError beyond SUBSET_LIMIT predictors.  An
@@ -515,9 +402,9 @@ def best_per_size(
     -------
     PerSizeBest, or for a sequence a list of them in its order
         Ties at equal RSS break to the lexicographically smallest sorted
-        mask.  Rank-deficient masks are skipped and counted; each entry
-        carries the bits fit_subset gives for its mask, and `nodes`
-        counts the search's work (0 for a list).
+        mask.  Rank-deficient masks are skipped and counted; each table
+        RSS and entry carries the bits fit_subset gives for its mask, and
+        `nodes` counts the search's work (0 for a list).
     """
     lone = isinstance(data, Dataset)
     datas = [data] if lone else list(data)
@@ -528,24 +415,15 @@ def best_per_size(
     p = datas[0].p
     if candidates is not None:
         masks = tuple(dict.fromkeys(as_mask(m, p) for m in candidates))
-        fulls = _full_fits(datas)[0] if full_mask(p) in masks else [None] * len(datas)
-        tables = [PerSizeBest(d, masks, full) for d, full in zip(datas, fulls)]
+        searches = [(masks, 0, 0)] * len(datas)
     elif p > SUBSET_LIMIT:
         raise LimitExceededError(
             f"exhaustive search over p={p} exceeds the limit of {SUBSET_LIMIT}"
         )
     else:
         G, b, tss = (np.stack(a) for a in zip(*map(_centered, datas)))
-        searches = _leaps_and_bounds(G, b, tss, p)
-        fulls, rdiag = _full_fits(datas)
-        shared = _SharedBound((datas, G, tss, rdiag))
-        tables = []
-        for i, (rows, skipped, nodes) in enumerate(searches):
-            full = fulls[i]
-            masks = tuple(mask for mask, _ in rows.values()) + (full_mask(p),)
-            if full is not None:
-                rows = {**rows, p: (full.mask, full.rss)}
-            certified = skipped == 0 and full is not None
-            tables.append(PerSizeBest(datas[i], masks, full, nodes, rows,
-                                      (shared, i) if certified else None, skipped))
+        # the search's winners below size p, then the full mask
+        searches = [(tuple(mask for mask, _ in rows.values()) + (full_mask(p),), skipped, nodes)
+                    for rows, skipped, nodes in _leaps_and_bounds(G, b, tss, p)]
+    tables = _fit_tables(datas, searches)
     return tables[0] if lone else tables

@@ -114,10 +114,10 @@ def naive_canonical_json(obj) -> str:
     return "".join(out) + "\n"
 
 
-# scenarios whose search RSS strays furthest from the QR RSS: near-collinear
-# groups, a response almost free of noise (sigma 1e-6 with a signal small
-# enough for the full fit to stay above DEGENERATE_TOL), a large intercept
-# and a large signal
+# scenarios hardest on the search and the fits: near-collinear groups, a
+# response almost free of noise (sigma 1e-6 with a signal small enough for
+# the full fit to stay above DEGENERATE_TOL), a large intercept and a large
+# signal
 STRESS = (
     Scenario("correlated", n=80, p=14, p_active=7, rho=0.99),
     Scenario("correlated", n=80, p=14, p_active=7, rho=0.999),

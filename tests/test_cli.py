@@ -383,15 +383,17 @@ def test_select_searches_once(tmp_path, capsys, monkeypatch):
     path = write(tmp_path, "d4.csv",
                  "y,a,b,c\n1,0,2,1\n3,1,0,2\n4,2,1,0\n8,3,3,1\n9,4,2,2\n13,5,4,0\n")
     searches = spy_calls(monkeypatch, cmcselect.subsets.best_per_size)
-    stacks = spy_calls(monkeypatch, cmcselect.linalg._fit_stack)
+    factors = spy_calls(monkeypatch, cmcselect.linalg._factor)
+    fits = spy_calls(monkeypatch, cmcselect.linalg._fit_masks)
     code = main(["select", "--data", path, "--response", "y", "--criteria", "cmc,bic,cp,adjr2",
                  "--alphas", "0.9,0.5,0.1", "--format", "json"])
     assert code == 0
     assert len(json.loads(capsys.readouterr().out)["results"]) == 6
     assert len(searches) == 1
-    # p + 1 per-size table entries, one stacked fit per size; the full-model
-    # statistics and the reports reuse the table's fits
-    assert sum(len(datas) for datas, _ in stacks) == 3 + 1
+    # one R factor, and one fit per size of the p + 1 per-size table entries;
+    # the full-model statistics and the reports reuse the table's fits
+    assert [len(datas) for datas, in factors] == [1]
+    assert [len(masks[0]) for _, _, _, masks in fits] == [0, 1, 2, 3]
 
 
 def test_select_exit_codes(tmp_path, capsys, monkeypatch):

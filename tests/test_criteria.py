@@ -1,6 +1,5 @@
 """Selection-criterion checks: hand-derived values, extremes, and properties."""
 
-import itertools
 import math
 
 import numpy as np
@@ -30,9 +29,20 @@ from cmcselect import (
     select_many,
 )
 from cmcselect.linalg import full_mask
+from cmcselect.simulate import Scenario, gen_correlated_design, gen_response
 from conftest import random_dataset
 
 HAND = Dataset(X=np.array([[0.0], [1.0], [2.0], [3.0]]), y=np.array([0.0, 1.0, 2.0, 4.0]))
+
+
+def test_adjr2_is_exactly_zero_at_size_zero():
+    # size 0 is the exact mean fit, whose RSS is the TSS adjusted R-squared divides by
+    sc = Scenario("correlated", n=80, p=14, p_active=7, rho=0.8)
+    for seed in range(6):
+        rng = np.random.default_rng([11, seed])
+        X = gen_correlated_design(sc, rng)
+        rep = select_many(Dataset(X=X, y=gen_response(X, sc, rng)), ("adjr2",), ())[0]
+        assert rep.scores[0] == 0.0
 
 
 def test_lambda_hand_value():
@@ -75,6 +85,21 @@ def test_kappa_values():
     for alpha, q, n in ((0.5, 5, 5), (math.nan, 2, 10), (1.0, 3, 3), (0.0, 3, 3)):
         with pytest.raises(DomainError):
             kappa(alpha, q, n)
+
+
+def test_kappa_cache_keeps_every_alpha_of_a_long_request():
+    # an unbounded cache: a second pass over 129 distinct alphas, one more than
+    # a default lru_cache holds, is all hits
+    kappa.cache_clear()
+    alphas = [i / 130 for i in range(1, 130)]
+    for a in alphas:
+        kappa(a, 11, 50)
+    before = kappa.cache_info()
+    assert (before.hits, before.misses) == (0, 129)
+    for a in alphas:
+        kappa(a, 11, 50)
+    after = kappa.cache_info()
+    assert (after.hits, after.misses) == (129, 129)
 
 
 def test_kappa_decreasing_in_alpha():
@@ -337,75 +362,3 @@ def test_power_of_two_column_scaling_changes_nothing_property(p, data):
     for s in ta.sizes():
         assert ta.entries[s].mask == tb.entries[s].mask
         assert ta.entries[s].rss == tb.entries[s].rss
-
-
-def test_certain_choices_hold_only_where_every_decision_does():
-    # a hand table with n = 20, q = 4, full rss 10 and sigma2 = 10 / 16: lambda is
-    # 144, 32, 3.2 and 0 at sizes 0..3, BIC -1.23 at size 2 and -1.88 at size 3;
-    # every size below p = 3 may lie within e of its search rss, size 3 is exact
-    from cmcselect.criteria import _certain_choices
-
-    full = FullFit(n=20, q=4, rss=10.0, sigma2=10.0 / 16.0, tss=100.0)
-    table = {0: ((), 100.0), 1: ((0,), 30.0), 2: ((0, 1), 12.0), 3: ((0, 1, 2), 10.0)}
-
-    def moved(size, rss):
-        return {**table, size: (table[size][0], rss)}
-
-    kap = kappa(0.5, 4, 20)
-    assert 3.2 < kap < 32.0
-    want = [table[cmc_from_table(table, full, kap)[0]][0]]
-    want += [table[ic_from_table(table, full, c)[0]][0] for c in ("bic", "cp_aic", "adjr2")]
-    request = (("cmc", "bic", "cp_aic", "adjr2"), (0.5,))
-    assert _certain_choices(table, 0.0, full, *request) == want == [(0, 1)] + [(0, 1, 2)] * 3
-    # BIC at size 2 reaches size 3's below rss 11.61
-    assert _certain_choices(table, 0.3, full, ("bic",), ()) == [(0, 1, 2)]
-    assert _certain_choices(table, 0.4, full, ("bic",), ()) is None
-    # Cp is 4 exactly at size 3 and at rss 11.25 for size 2, where ic_from_table
-    # gives the tie to size 2's smaller mask: a lower end at 11.25 could choose
-    # either size, an upper end at 11.25 only size 2
-    assert ic_from_table(moved(2, 11.25), full, "cp_aic")[0] == 2
-    assert _certain_choices(table, 0.75, full, ("cp_aic",), ()) is None
-    assert _certain_choices(table, 0.7, full, ("cp_aic",), ()) == [(0, 1, 2)]
-    assert _certain_choices(moved(2, 11.0), 0.25, full, ("cp_aic",), ()) == [(0, 1)]
-    # Cp is 3 exactly at rss 11.875 for size 1 and 10.625 for size 2: size 2's
-    # upper end ties size 1's lower end, and the tie would go to size 1's mask
-    tie = {**moved(1, 12.125), 2: (table[2][0], 10.375)}
-    assert ic_from_table({**tie, 1: ((0,), 11.875), 2: ((0, 1), 10.625)}, full, "cp_aic")[0] == 1
-    assert _certain_choices(tie, 0.25, full, ("cp_aic",), ()) is None
-    assert _certain_choices(tie, 0.2, full, ("cp_aic",), ()) == [(0, 1)]
-    # cmc: the chosen size's upper end must stay feasible, a smaller size's lower end infeasible
-    cmc = (("cmc",), (0.5,))
-    edge = 10.0 + full.sigma2 * kap
-    assert _certain_choices(moved(2, edge - 0.2), 0.1, full, *cmc) == [(0, 1)]
-    assert _certain_choices(moved(2, edge - 0.05), 0.1, full, *cmc) is None
-    assert _certain_choices(moved(1, edge + 0.15), 0.1, full, *cmc) == [(0, 1)]
-    assert _certain_choices(moved(1, edge + 0.05), 0.1, full, *cmc) is None
-    # a lower end below the full rss by more than _LAMBDA_SLACK could make select_many raise
-    assert _certain_choices(table, 3.0, full, *cmc) is None
-    assert _certain_choices(table, 12.0, full, ("bic",), ()) is None
-
-
-@settings(max_examples=400, derandomize=True, deadline=None)
-@given(p=st.integers(2, 4), data=st.data())
-def test_certain_choices_are_the_decisions_at_every_corner_property(p, data):
-    # tables on a coarse grid with sigma2 = 1, so Cp ties exactly across sizes;
-    # wherever the certificate holds, every table whose sizes below p sit at
-    # rss - e, rss or rss + e decides the same masks
-    from cmcselect.criteria import _certain_choices, _decisions
-
-    n = data.draw(st.integers(p + 3, 3 * p + 8), label="n")
-    full = FullFit(n=n, q=p + 1, rss=float(n - p - 1), sigma2=1.0, tss=float(4 * n))
-    search = {p: (full_mask(p), full.rss)}
-    for s in range(p):
-        mask = tuple(sorted(data.draw(st.sets(st.integers(0, p - 1), min_size=s, max_size=s))))
-        search[s] = (mask, full.rss + data.draw(st.integers(-1, 6), label=f"rss step {s}"))
-    e = 0.5 * data.draw(st.integers(1, 3), label="e steps")
-    alphas = (0.9, 0.5, 0.1)
-    for request in [((c,), alphas) for c in CRITERIA] + [(CRITERIA, alphas)]:
-        got = _certain_choices(search, e, full, *request)
-        if got is None:
-            continue
-        for shift in itertools.product((-e, 0.0, e), repeat=p):
-            corner = {s: (mask, rss + shift[s] if s < p else rss)
-                      for s, (mask, rss) in search.items()}
-            assert [corner[d[3]][0] for d in _decisions(corner, full, *request)] == got, shift

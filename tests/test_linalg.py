@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cmcselect import (
     ConstantColumnError,
@@ -15,7 +17,7 @@ from cmcselect import (
     full_fit,
     standardize,
 )
-from cmcselect.linalg import _fit_stack, full_mask
+from cmcselect.linalg import _factor, _fit_masks, _summary, full_mask
 from conftest import normal_eq_fit, random_dataset
 
 # hand-checkable instance: x = (0,1,2,3), y = (0,1,2,4)
@@ -129,7 +131,7 @@ def test_rank_deficient_subset_rejected():
 
 
 def _lone_qr_fit(data: Dataset, mask) -> tuple[np.ndarray, float]:
-    """One unstacked fit: the 2-D numpy calls fit_subset made before fits were stacked."""
+    """The n-row fit: one Householder QR of [1 | X_S], a solve and the explicit residual."""
     A = np.column_stack([np.ones(data.n)] + [data.X[:, i] for i in mask])
     Q, R = np.linalg.qr(A)
     coef = np.linalg.solve(R, Q.T @ data.y)
@@ -140,8 +142,17 @@ def _lone_qr_fit(data: Dataset, mask) -> tuple[np.ndarray, float]:
     return beta, float(resid @ resid)
 
 
+# largest gaps from the n-row fit over 6000 fits of the test below's kind
+# (n = 25, p = 6, column scales 10^U(-2, 2)): RSS 1.5e-15 relative, beta
+# 7.2e-16 scaled by column norms over ||y||; the bound leaves a margin
+LONE_RTOL = 1e-14
+
+
 @pytest.mark.parametrize("K", [1, 2, 7])
 def test_stacked_fits_match_lone_fits_bit_for_bit(K):
+    # K datasets factored together, one stacked small QR per size: each member
+    # has fit_subset's bits at any K and stack position, and stays within
+    # LONE_RTOL of the n-row QR fit
     rng = np.random.default_rng(100 + K)
     n, p = 25, 6
     for s in range(p + 1):
@@ -155,20 +166,64 @@ def test_stacked_fits_match_lone_fits_bit_for_bit(K):
                     X[:, mask[1]] = 3.0 * X[:, mask[0]]
                 datas.append(Dataset(X=X, y=rng.standard_normal(n) + 2.0))
                 masks.append(mask)
-            fits, _ = _fit_stack(datas, masks)
-            assert len(fits) == K
-            for i, (data, mask, fit) in enumerate(zip(datas, masks, fits)):
+            R, tss = _factor(datas)
+            rss, ok, small = _fit_masks(R, tss, range(K), masks)
+            assert rss.shape == ok.shape == (K,)
+            for i, (data, mask) in enumerate(zip(datas, masks)):
                 if i == bad and s >= 2:
-                    assert fit is None
+                    assert not ok[i]
                     with pytest.raises(RankDeficientError):
                         fit_subset(data, mask)
                     continue
+                assert ok[i]
+                fit = _summary(data, mask, float(rss[i]), None if small is None else small[i])
                 lone = fit_subset(data, mask)
-                beta, rss = _lone_qr_fit(data, mask)
                 assert fit.mask == lone.mask == mask
-                assert fit.rss == lone.rss == rss
-                assert np.array_equal(fit.beta, lone.beta) and np.array_equal(fit.beta, beta)
+                assert fit.rss == lone.rss
+                assert np.array_equal(fit.beta, lone.beta)
                 assert fit.df_resid == lone.df_resid == n - s - 1
+                beta, rss_qr = _lone_qr_fit(data, mask)
+                assert abs(fit.rss - rss_qr) <= LONE_RTOL * rss_qr
+                norms = np.linalg.norm(np.column_stack([np.ones(n), data.X]), axis=0)
+                gap = np.abs(fit.beta - beta) * norms
+                assert gap.max() <= LONE_RTOL * np.linalg.norm(data.y)
+
+
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(p=st.integers(1, 8), data=st.data())
+def test_fits_from_r_match_the_lstsq_oracle_property(p, data):
+    # an SVD least-squares oracle, with no QR, on designs whose column scales
+    # span 10^-3 .. 10^3 and up to 2000 rows; over 600 such fits the largest
+    # gaps were 2.3e-15 ||y||^2 in RSS and 2.8e-12 ||y|| in column-scaled
+    # coefficients, and the bounds leave a margin
+    n = data.draw(st.integers(p + 2, 2000), label="n")
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((n, p)) * 10.0 ** rng.uniform(-3, 3, p)
+    y = 1.0 + X[:, : (p + 1) // 2] @ rng.uniform(-2, 2, (p + 1) // 2) + rng.standard_normal(n)
+    design = Dataset(X=X, y=y)
+    mask = tuple(sorted(data.draw(st.sets(st.integers(0, p - 1)), label="mask")))
+    fit = fit_subset(design, mask)
+    A = np.column_stack([np.ones(n)] + [X[:, j] for j in mask])
+    coef = np.linalg.lstsq(A, y, rcond=None)[0]
+    resid = y - A @ coef
+    ysq = float(y @ y)
+    assert abs(fit.rss - resid @ resid) <= 1e-13 * ysq
+    cols = np.array((0,) + tuple(j + 1 for j in mask))
+    gap = np.abs(fit.beta[cols] - coef) * np.linalg.norm(A, axis=0)
+    assert gap.max() <= 1e-10 * np.sqrt(ysq)
+    assert not np.any(np.delete(fit.beta, cols))
+
+
+def test_size_zero_is_the_exact_mean_fit():
+    # the empty mask's fit is the mean and the centered TSS, the TSS full_fit
+    # reports, so adjusted R-squared is exactly 0 at size 0
+    rng = np.random.default_rng(12)
+    for _ in range(10):
+        data = random_dataset(rng, 40, 5)
+        fit = fit_subset(data, ())
+        assert fit.beta[0] == data.y.mean() and not np.any(fit.beta[1:])
+        assert fit.rss == full_fit(data).tss == float(np.square(data.y - data.y.mean()).sum())
 
 
 def test_full_fit_reuses_the_full_mask_fit():

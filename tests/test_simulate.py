@@ -14,17 +14,14 @@ from cmcselect import (
     CRITERIA,
     ConfigError,
     Dataset,
-    InconsistentStatisticError,
     MonteCarloResult,
     RankDeficientError,
     Scenario,
     TooFewRowsError,
-    best_per_size,
     classify,
     cli,
     cmc_select,
     criteria,
-    full_fit,
     labels_for,
     run_monte_carlo,
     select_many,
@@ -196,8 +193,8 @@ def record_rows(monkeypatch) -> list:
 
 def test_replicate_runs_select_many(monkeypatch):
     # each rep's rates are select_many's on the data drawn from default_rng([seed, rep]),
-    # on a small weak shape, a correlated one and one at p = 20; a rep the search RSS
-    # certifies builds no report, any other builds them with the code select_many uses
+    # on a small weak shape, a correlated one and one at p = 20; a rep scores its
+    # table with the rules select_many's reports come from, and builds no report
     rows = record_rows(monkeypatch)
     built = spy_calls(monkeypatch, criteria._reports)
     scenarios = (
@@ -208,79 +205,66 @@ def test_replicate_runs_select_many(monkeypatch):
     for sc in scenarios:
         for seed in (1, 2, 3):
             rows.clear()
-            built.clear()
             res = run_monte_carlo(sc, reps=5, seed=seed)
-            assert len(built) == sum(not certified for *_, certified in rows)
-            per_rep = {rep: (firs, fars) for rep, firs, fars, _, _ in rows}
+            assert built == []
+            per_rep = {rep: (firs, fars) for rep, firs, fars, _ in rows}
             assert sorted(per_rep) == list(range(5))
             for rep, got in per_rep.items():
                 assert got == _select_many_rates(sc, seed, rep), (sc, seed, rep)
+            built.clear()
             assert len(res.labels) == 6
 
 
-def test_a_chunk_computes_its_rss_bound_once(monkeypatch):
-    # the bound is computed when the chunk's first replicate reads it, once
-    # for the chunk's 25 datasets, not once per replicate
-    bounds = spy_calls(monkeypatch, cmcselect.subsets._rss_error)
-    run_monte_carlo(Scenario("weak", 50, 10, 5), reps=100, seed=1, threads=1)
-    assert [len(datas) for datas, *_ in bounds] == [25] * 4
+def test_a_chunk_makes_one_small_qr_per_size_and_no_beta_solve(monkeypatch):
+    # a 25-rep (50, 10, 5) chunk factors its datasets' [1 | X | y] with one
+    # batched QR, fits each size above 0 with one stacked small QR across the
+    # chunk, and solves no coefficients: no FitSummary, no report
+    qr_shapes, solves = [], []
+    qr, solve = np.linalg.qr, np.linalg.solve
+
+    def spy_qr(a, *args, **kwargs):
+        qr_shapes.append(np.shape(a))
+        return qr(a, *args, **kwargs)
+
+    def spy_solve(*args, **kwargs):
+        solves.append(args)
+        return solve(*args, **kwargs)
+
+    summaries = spy_calls(monkeypatch, cmcselect.linalg._summary)
+    built = spy_calls(monkeypatch, criteria._reports)
+    monkeypatch.setattr(np.linalg, "qr", spy_qr)
+    monkeypatch.setattr(np.linalg, "solve", spy_solve)
+    sc = Scenario("weak", 50, 10, 5)
+    rows = simulate._run_chunk((sc, CRITERIA, (0.9, 0.5, 0.1), 1, range(25)))
+    monkeypatch.undo()
+    assert sorted(row[0] for row in rows) == list(range(25))
+    assert qr_shapes == [(25, 50, 12)] + [(25, 12, s + 2) for s in range(1, 11)]
+    assert solves == summaries == built == []
 
 
-def test_certified_replicates_choose_what_select_many_chooses(monkeypatch):
-    # on scenarios whose search RSS strays furthest from the QR RSS, every rep
-    # still gets select_many's rates: the certificate holds or the rep is
-    # QR-refit; on the benchmark's shape and two Table 1 shapes no rep needs it
+def test_replicates_choose_what_select_many_chooses_on_stress_scenarios(monkeypatch):
+    # near-collinear groups, an almost noise-free response, a large intercept
+    # and a large signal, and the benchmark's and two Table 1 shapes: every
+    # rep gets select_many's rates
     rows = record_rows(monkeypatch)
-    refits = {}
     for sc in STRESS + ORDINARY:
         rows.clear()
         run_monte_carlo(sc, reps=12, seed=1)
         assert sorted(row[0] for row in rows) == list(range(12))
-        for rep, firs, fars, _, _ in rows:
+        for rep, firs, fars, _ in rows:
             assert (firs, fars) == _select_many_rates(sc, 1, rep), (sc, rep)
-        refits[sc] = sum(not certified for *_, certified in rows)
-    assert sum(refits[sc] for sc in STRESS) >= 1
-    assert [refits[sc] for sc in ORDINARY] == [0] * len(ORDINARY)
 
 
-def test_choices_are_select_many_where_the_search_rss_misleads():
-    # at an intercept of 1e10 the search's RSS, scored as if exact, chooses
-    # other masks than select_many on some draws, and select_many itself
-    # refuses others; every rep gets select_many's masks or its error
+def test_replicates_are_select_many_at_a_large_intercept(monkeypatch):
+    # at an intercept of 1e10 and noise of 1e-4 every fit loses most of its
+    # digits to the uncentered [1 | X | y]; a chunk's reps still choose what
+    # select_many chooses on each rep alone, fitted from the same R factor
     sc = Scenario(kind="weak", n=50, p=10, p_active=5, sigma=1e-4, beta0=1e10)
-    request = (CRITERIA, (0.9, 0.5, 0.1))
-    outcomes, misled = set(), 0
-    for r in range(40):
-        rng = np.random.default_rng([1, r])
-        X = _gen_design(sc, rng)
-        data = Dataset(X=X, y=gen_response(X, sc, rng))
-        table = best_per_size(data)
-        try:
-            want = [rep.chosen for rep in select_many(data, *request)]
-        except InconsistentStatisticError:
-            with pytest.raises(InconsistentStatisticError):
-                criteria._choices(data, table, *request)
-            outcomes.add("refused")
-            continue
-        got, certified = criteria._choices(data, table, *request)
-        assert got == want, r
-        outcomes.add(certified)
-        full = full_fit(data, table.full)
-        misled += criteria._certain_choices(table.search, 0.0, full, *request) not in (None, want)
-    assert misled >= 1
-    assert outcomes == {"refused", False}
-
-
-def test_certified_count_is_logged_once_and_repeats(caplog):
-    sc = STRESS[1]
-    lines = []
-    for threads in (1, 2, 1):
-        caplog.clear()
-        with caplog.at_level(logging.INFO, logger="cmcselect.simulate"):
-            run_monte_carlo(sc, reps=20, seed=4, threads=threads)
-        lines.append([rec.getMessage() for rec in caplog.records if "QR-refit" in rec.getMessage()])
-    assert lines[0] == ["18 rep(s) scored on the search's RSS, 2 QR-refit"]
-    assert lines[0] == lines[1] == lines[2]
+    rows = record_rows(monkeypatch)
+    run_monte_carlo(sc, reps=40, seed=1)
+    assert sorted(row[0] for row in rows) == list(range(40))
+    for rep, firs, fars, _ in rows:
+        assert (firs, fars) == _select_many_rates(sc, 1, rep), rep
 
 
 def test_pool_workers_start_with_numpy_random_imported():
@@ -378,19 +362,15 @@ def test_redraws_stop_at_the_cap(monkeypatch, capsys):
 
 def test_progress_is_logged_per_chunk(monkeypatch, caplog):
     sc = Scenario(kind="weak", n=20, p=4, p_active=2)
-    # besides progress, each run logs one line: how many reps the search RSS certified
-    summary = ["20 rep(s) scored on the search's RSS, 0 QR-refit"]
     with caplog.at_level(logging.INFO, logger="cmcselect.simulate"):
         run_monte_carlo(sc, reps=20, seed=1)
-    # a run shorter than the interval logs no progress
-    assert [rec.getMessage() for rec in caplog.records] == summary
+    # a run shorter than the interval logs nothing
+    assert caplog.records == []
     caplog.clear()
     monkeypatch.setattr(simulate, "_PROGRESS_EVERY_S", 0.0)
     with caplog.at_level(logging.INFO, logger="cmcselect.simulate"):
         run_monte_carlo(sc, reps=20, seed=1)
     lines = [rec.getMessage() for rec in caplog.records]
-    assert lines[-1:] == summary
-    lines = lines[:-1]
     # 20 serial reps are one chunk
     assert len(lines) == 1
     assert lines[0].startswith("20/20 reps done, ") and lines[0].endswith("ETA 0.0 s")
@@ -399,8 +379,6 @@ def test_progress_is_logged_per_chunk(monkeypatch, caplog):
     with caplog.at_level(logging.INFO, logger="cmcselect.simulate"):
         run_monte_carlo(sc, reps=20, seed=1)
     lines = [rec.getMessage() for rec in caplog.records]
-    assert lines[-1:] == summary
-    lines = lines[:-1]
     # chunks of at most 8: 6 + 7 + 7
     assert [line.split(" ")[0] for line in lines] == ["6/20", "13/20", "20/20"]
     assert lines[-1].endswith("ETA 0.0 s")

@@ -1,7 +1,6 @@
 """Exhaustive-search checks against the batched-QR per-size oracle."""
 
 import functools
-import itertools
 import json
 
 import numpy as np
@@ -21,8 +20,7 @@ from cmcselect import (
 )
 from cmcselect.cli import main
 from cmcselect.simulate import Scenario, _gen_design, gen_correlated_design, gen_response
-from cmcselect.linalg import RANK_TOL
-from conftest import ORDINARY, STRESS, naive_best_per_size, random_dataset, spy_calls
+from conftest import naive_best_per_size, random_dataset, spy_calls
 
 
 def test_candidate_list_is_canonicalized():
@@ -40,10 +38,10 @@ def test_candidate_list_is_canonicalized():
 def test_explicit_out_of_range_mask(monkeypatch):
     rng = np.random.default_rng(4)
     data = random_dataset(rng, 15, 4)
-    fits = spy_calls(monkeypatch, subsets._fit_stack)
+    factors = spy_calls(monkeypatch, subsets._factor)
     with pytest.raises(DimensionMismatchError):
         best_per_size(data, [(0,), (7,)])
-    assert fits == []
+    assert factors == []
 
 
 def test_limit_guard(monkeypatch):
@@ -160,23 +158,26 @@ def test_explicit_per_size_takes_min():
 
 
 def test_datasets_fitted_together_stack_refits(monkeypatch):
-    # a sequence of same-shape datasets fits its full models with one stacked
-    # QR; the other refits wait until a table's entries are read, one stacked
-    # QR per size of that table, and each table equals the one-dataset call's,
-    # bit for bit
+    # a sequence of same-shape datasets is factored by one batched QR, and each
+    # size is fitted by one stacked small QR across all of them; each table
+    # equals the one-dataset call's, bit for bit
     rng = np.random.default_rng(53)
     datas = [random_dataset(rng, 30, 7) for _ in range(6)]
     X = datas[2].X.copy()
     X[:, 6] = X[:, 1]
     datas[2] = Dataset(X=X, y=datas[2].y)
-    for candidates in (None, [(0,), (3,), (1, 6), (1, 2), tuple(range(7))]):
+    lists = [(0,), (3,), (1, 6), (1, 2), tuple(range(7))]
+    for candidates, sizes in ((None, range(8)), (lists, (1, 2, 7))):
         lone = [best_per_size(d, candidates) for d in datas]
-        stacks = spy_calls(monkeypatch, subsets._fit_stack)
+        factors = spy_calls(monkeypatch, subsets._factor)
+        fits = spy_calls(monkeypatch, subsets._fit_masks)
         together = best_per_size(datas, candidates)
-        assert [len(datas_) for datas_, _ in stacks] == [len(datas)]
-        assert together[0].sizes()
-        assert len(stacks) == 1 + len({len(m) for m in together[0].masks if len(m) < 7})
         monkeypatch.undo()
+        assert [len(datas_) for datas_, in factors] == [len(datas)]
+        assert [len(masks[0]) for _, _, _, masks in fits] == list(sizes)
+        per_size = len(datas) if candidates is None else len(datas) * 2
+        assert [len(masks) for _, _, _, masks in fits] == [
+            len(datas) if candidates is None or s == 7 else per_size for s in sizes]
         assert isinstance(together, list) and len(together) == len(datas)
         assert_same_tables(lone, together)
     assert together[2].skipped >= 1
@@ -438,41 +439,18 @@ def test_pruned_search_matches_oracle_property(p, data):
     assert mapped == masks_of(table)
 
 
-def scenario_draws(sc: Scenario, reps: int) -> list[Dataset]:
-    """Replicates 0..reps-1 of a Monte Carlo run of sc with seed 1."""
-    datas = []
-    for r in range(reps):
-        rng = np.random.default_rng([1, r])
-        X = _gen_design(sc, rng)
-        datas.append(Dataset(X=X, y=gen_response(X, sc, rng)))
-    return datas
-
-
-def test_rss_error_bounds_the_sweep_to_qr_gap():
-    # wherever a table carries a finite bound, its QR entries have the search's
-    # sizes and masks, every search RSS lies within 1% of the bound of its QR
-    # RSS, and size p is the QR fit itself; the bound is finite on every draw
-    # of these scenarios
-    worst = 0.0
-    for sc in STRESS + ORDINARY:
-        for table in best_per_size(scenario_draws(sc, 12)):
-            e = table.rss_error
-            assert np.isfinite(e), sc
-            assert sorted(table.search) == table.sizes() == list(range(sc.p + 1))
-            for s, (mask, rss) in table.search.items():
-                entry = table.entries[s]
-                assert entry.mask == mask
-                assert abs(rss - entry.rss) <= e
-                worst = max(worst, abs(rss - entry.rss) / e)
-            assert table.search[sc.p][1] == table.entries[sc.p].rss == table.full.rss
-    assert 0.0 < worst <= 1e-2
-
-
-def test_select_never_computes_the_rss_bound(tmp_path, capsys, monkeypatch):
-    # only Monte Carlo replicates read rss_error, so select_many and the
-    # select command make no _rss_error call
+def test_select_factors_its_dataset_once(tmp_path, capsys, monkeypatch):
+    # select_many and the select command make one n-row QR, the R factor of
+    # [1 | X | y]; every other QR is a small one of R's columns
     data = random_dataset(np.random.default_rng(5), 40, 6)
-    bounds = spy_calls(monkeypatch, subsets._rss_error)
+    shapes = []
+    qr = np.linalg.qr
+
+    def spy_qr(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return qr(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "qr", spy_qr)
     reports = select_many(data, ("cmc", "bic", "cp_aic", "adjr2"), (0.9, 0.5, 0.1))
     assert len(reports) == 6
     path = tmp_path / "d.csv"
@@ -482,58 +460,37 @@ def test_select_never_computes_the_rss_bound(tmp_path, capsys, monkeypatch):
     assert main(["select", "--data", str(path), "--response", "y", "--criteria", "cmc,bic,cp,adjr2",
                  "--alphas", "0.9,0.5,0.1", "--format", "json"]) == 0
     assert len(json.loads(capsys.readouterr().out)["results"]) == 6
-    assert bounds == []
+    small = [(1, 8, s + 2) for s in range(1, 7)]
+    assert shapes == ([(1, 40, 8)] + small) * 2
 
 
-def test_a_searched_call_computes_its_rss_bound_once(monkeypatch):
-    # the bound is made the first time any table of the call reads it, for
-    # all of the call's datasets, and each table reads its own row of it
+def test_entries_solve_beta_when_read_with_no_second_qr(monkeypatch):
+    # a table's coefficients are solved the first time its entries are read,
+    # one solve per size above 0 from the small R factors the table's RSS came
+    # from, and each table solves only its own
     rng = np.random.default_rng(6)
     datas = [random_dataset(rng, 30, 5) for _ in range(4)]
-    rss_error = subsets._rss_error
-    bounds = spy_calls(monkeypatch, rss_error)
     tables = best_per_size(datas)
-    assert bounds == []
-    errors = [table.rss_error for table in tables + tables[::-1]]
-    assert len(bounds) == 1
-    G, _, tss = (np.stack(a) for a in zip(*map(subsets._centered, datas)))
-    direct = rss_error(datas, G, tss, subsets._full_fits(datas)[1])
-    assert np.isfinite(direct).all()
-    assert errors[:4] == direct.tolist() == errors[4:][::-1]
+    qrs, solves = [], []
+    solve = np.linalg.solve
+
+    def spy_solve(*args, **kwargs):
+        solves.append(args)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "qr", lambda *args, **kwargs: qrs.append(args))
+    monkeypatch.setattr(np.linalg, "solve", spy_solve)
+    for i, table in enumerate(tables):
+        assert len(solves) == 5 * i
+        entries = table.entries
+        assert table.entries is entries
+        assert len(solves) == 5 * (i + 1)
+    monkeypatch.undo()
+    assert qrs == []
+    for data, table in zip(datas, tables):
+        for s, (mask, rss) in table.table.items():
+            fit = fit_subset(data, mask)
+            assert (table.entries[s].mask, table.entries[s].rss) == (mask, rss) == (fit.mask, fit.rss)
+            assert np.array_equal(table.entries[s].beta, fit.beta)
 
 
-def subsets_pass_rank_test(data: Dataset) -> bool:
-    """Whether fit_subset's RANK_TOL test accepts every subset of data's columns."""
-    for s in range(1, data.p + 1):
-        combos = np.array(list(itertools.combinations(range(data.p), s)))
-        A = np.ones((len(combos), data.n, s + 1))
-        A[:, :, 1:] = data.X[:, combos].transpose(1, 0, 2)
-        diag = np.abs(np.diagonal(np.linalg.qr(A, mode="r"), axis1=1, axis2=2))
-        if not (diag.min(axis=1) > RANK_TOL * diag.max(axis=1)).all():
-            return False
-    return True
-
-
-def test_r_diagonal_certificate_implies_the_rank_test():
-    # a design gets a finite bound only where the full fit's R diagonal shows
-    # that every subset passes the QR rank test, and then every subset does;
-    # designs with near-twin columns and column scales apart by up to 1e12
-    # land on both sides of the certificate and of the test
-    rng = np.random.default_rng(2718)
-    seen = {(True, True): 0, (False, True): 0, (False, False): 0}
-    for trial in range(120):
-        p = int(rng.integers(2, 7))
-        n = p + int(rng.integers(3, 20))
-        X = rng.standard_normal((n, p))
-        if trial % 2:
-            j, k = rng.permutation(p)[:2]
-            X[:, k] = X[:, j] + 10.0 ** rng.uniform(-16, -4) * rng.standard_normal(n)
-        X *= 10.0 ** rng.uniform(-6, 6, p)
-        data = Dataset(X=X, y=rng.standard_normal(n))
-        G, _, tss = subsets._centered(data)
-        error = subsets._rss_error([data], G[None], np.array([tss]), subsets._full_fits([data])[1])
-        certified = bool(np.isfinite(error[0]))
-        passes = subsets_pass_rank_test(data)
-        assert passes or not certified, trial
-        seen[certified, passes] += 1
-    assert min(seen.values()) >= 5, seen
