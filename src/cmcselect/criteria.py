@@ -31,7 +31,7 @@ from .errors import (
     InfeasibleCandidatesError,
 )
 from .fdist import FParams, f_quantile
-from .linalg import Dataset, FitSummary, FullFit, Mask, _full_stats, full_fit
+from .linalg import Dataset, FitSummary, FullFit, Mask, _full_stats
 from .subsets import PerSizeBest, best_per_size
 
 CRITERIA = ("adjr2", "cp_aic", "bic", "cmc")
@@ -247,16 +247,11 @@ def _decisions(table: Mapping[int, tuple[Mask, float]], full: FullFit, criteria,
 
 
 def _full(per_size: PerSizeBest) -> FullFit:
-    """The full-model statistics of a table's dataset, from its size-p RSS.
+    """The full-model statistics of a table's dataset, from the full mask's RSS its fit kept.
 
-    A table with no size p (an explicit list without the full mask, or a
-    collinear full design) fits the full model with full_fit, which
-    raises RankDeficientError for a collinear one.
+    A collinear full design raises RankDeficientError, as full_fit does.
     """
-    data = per_size.data
-    if data.p in per_size.table:
-        return _full_stats(data, per_size.table[data.p][1])
-    return full_fit(data)
+    return _full_stats(per_size.data, per_size.full_rss)
 
 
 def _reports(per_size: PerSizeBest, criteria, alphas) -> list[SelectionReport]:

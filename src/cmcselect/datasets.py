@@ -11,7 +11,6 @@ logs the file's sha256 so runs are attributable to an exact input.
 from __future__ import annotations
 
 import csv
-import hashlib
 import logging
 import math
 import os
@@ -138,6 +137,8 @@ def load_prostate(path: str | os.PathLike | None = None) -> Dataset:
             "prostate fixture not found; fetch it and point "
             f"{PROSTATE_ENV} at it:\n{FETCH_INSTRUCTION}"
         )
+    import hashlib  # its one use; importing the package does not load it
+
     raw, text = _read_text(resolved)
     log.info("prostate fixture %s sha256=%s", resolved, hashlib.sha256(raw).hexdigest())
     columns = (*PROSTATE_PREDICTORS, PROSTATE_RESPONSE)

@@ -194,6 +194,10 @@ def _summary(data: Dataset, mask: Mask, rss: float, small: np.ndarray | None) ->
     return FitSummary(mask=mask, beta=beta, rss=rss, df_resid=data.n - len(mask) - 1)
 
 
+def _collinear(mask: Mask) -> RankDeficientError:
+    return RankDeficientError(f"columns for mask {mask} are collinear beyond tolerance")
+
+
 def fit_subset(data: Dataset, mask) -> FitSummary:
     """Exact least squares over the selected columns plus intercept.
 
@@ -220,7 +224,7 @@ def fit_subset(data: Dataset, mask) -> FitSummary:
     R, tss = _factor([data])
     rss, ok, small = _fit_masks(R, tss, [0], [mask])
     if not ok[0]:
-        raise RankDeficientError(f"columns for mask {mask} are collinear beyond tolerance")
+        raise _collinear(mask)
     return _summary(data, mask, float(rss[0]), None if small is None else small[0])
 
 
@@ -261,8 +265,10 @@ def full_fit(data: Dataset, fit: FitSummary | None = None) -> FullFit:
     return _full_stats(data, fit.rss)
 
 
-def _full_stats(data: Dataset, rss: float) -> FullFit:
-    """full_fit's statistics and checks, from the full model's fit_subset RSS."""
+def _full_stats(data: Dataset, rss: float | None) -> FullFit:
+    """full_fit's statistics and checks, from the full model's fit_subset RSS (None: collinear)."""
+    if rss is None:
+        raise _collinear(full_mask(data.p))
     tss = float(_mean_fits(data.y[None])[1][0])
     if np.ptp(data.y) == 0.0 or rss <= DEGENERATE_TOL * tss:
         raise DegenerateFitError("full-model residual sum of squares is numerically zero")

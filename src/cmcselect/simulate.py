@@ -18,15 +18,23 @@ come from, with no report and no coefficient solve, so the choices are
 select_many's.  Results are merged by replication index, so a run is
 bit-identical for a fixed (seed, reps) no matter how many worker
 processes are used.
+
+At more than one worker, the workers are plain multiprocessing
+processes of the default start method (fork on Linux), started at once.
+Each takes the next chunk index from one lock-protected shared counter,
+so a slow chunk holds up one worker only, and sends each chunk's rows on
+its own one-way pipe, then a sentinel.  The parent waits on the pipes,
+merges rows as they come, and terminates and joins every worker before
+it returns or raises.  A chunk's exception is raised in the parent with
+its own type; a worker that dies before its sentinel raises
+RuntimeError naming its exit code.
 """
 
 from __future__ import annotations
 
-import importlib
 import logging
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -215,6 +223,73 @@ def _chunks(reps: int, workers: int) -> list[range]:
     return [range(i * reps // count, (i + 1) * reps // count) for i in range(count)]
 
 
+def _work(tasks, counter, conn) -> None:
+    """A worker's loop: take the next chunk index from the shared counter, run it, send its rows.
+
+    Sends each chunk's rows, then None once no chunk is left, or the
+    exception a chunk raised; the pipe closes when the process exits.
+    """
+    try:
+        while True:
+            with counter.get_lock():
+                i = counter.value
+                counter.value = i + 1
+            if i >= len(tasks):
+                break
+            conn.send(_run_chunk(tasks[i]))
+        conn.send(None)
+    except Exception as exc:
+        conn.send(exc)
+
+
+def _pooled(tasks, workers: int):
+    """Yield the rows of every chunk from `workers` processes, in the order chunks finish.
+
+    A worker's exception is raised here with its own type; a worker
+    whose pipe closes before it said it was done raises RuntimeError.
+    Every worker is terminated and joined when the generator finishes,
+    raises or is closed.
+    """
+    import multiprocessing
+    from multiprocessing.connection import wait
+
+    # numpy imports numpy.random lazily; a worker forked after this import
+    # draws its first replicate without paying for it
+    import numpy.random  # noqa: F401
+    counter = multiprocessing.Value("i", 0)
+    procs = {}
+    try:
+        for _ in range(workers):
+            recv, send = multiprocessing.Pipe(duplex=False)
+            proc = multiprocessing.Process(target=_work, args=(tasks, counter, send))
+            proc.start()
+            # closed before the next fork, so a worker holds no write end but
+            # its own and its pipe reads EOF once it exits
+            send.close()
+            procs[recv] = proc
+        pending = list(procs)
+        while pending:
+            for conn in wait(pending):
+                try:
+                    msg = conn.recv()
+                except EOFError:
+                    procs[conn].join()
+                    raise RuntimeError(f"a Monte Carlo worker exited with code "
+                                       f"{procs[conn].exitcode} before its chunks were done") from None
+                if msg is None:
+                    pending.remove(conn)
+                elif isinstance(msg, Exception):
+                    raise msg
+                else:
+                    yield msg
+    finally:
+        for proc in procs.values():
+            proc.terminate()
+        for conn, proc in procs.items():
+            proc.join()
+            conn.close()
+
+
 def run_monte_carlo(
     scenario: Scenario,
     criteria=CRITERIA,
@@ -232,8 +307,10 @@ def run_monte_carlo(
     made by the same rules on the same table, so results are
     bit-identical to one-at-a-time select_many runs.  Once a chunk
     completes, and at most every 10 s, progress (reps done, elapsed time,
-    ETA) is logged at INFO.  The pool's workers fork after numpy.random
-    is imported, so none imports it on its first chunk.
+    ETA) is logged at INFO.  At threads > 1 the workers are processes of
+    the default start method that take chunks from one shared counter;
+    they fork after numpy.random is imported, so none imports it on its
+    first chunk, and none outlives the call.
 
     Parameters
     ----------
@@ -254,6 +331,12 @@ def run_monte_carlo(
     Returns
     -------
     MonteCarloResult
+
+    Raises
+    ------
+    RuntimeError
+        If a worker process exits before its chunks are done (killed, or
+        out of memory); any error a chunk raises keeps its type.
     """
     if reps < 1:
         raise ConfigError(f"reps must be >= 1, got {reps}")
@@ -267,17 +350,10 @@ def run_monte_carlo(
     fir = np.empty((reps, len(labels)))
     far = np.empty((reps, len(labels)))
     regenerated = 0
-    # a pool starts all its workers at once, so never more than there are reps
+    # every worker starts at once, so never more than there are reps
     workers = min(threads, reps)
     tasks = [(scenario, criteria, alphas, seed, chunk) for chunk in _chunks(reps, workers)]
-    if workers == 1:
-        results = map(_run_chunk, tasks)
-    else:
-        # numpy imports numpy.random lazily; a worker forked after this import
-        # draws its first replicate without paying for it
-        importlib.import_module("numpy.random")
-        pool = ProcessPoolExecutor(max_workers=workers)
-        results = pool.map(_run_chunk, tasks)
+    results = map(_run_chunk, tasks) if workers == 1 else _pooled(tasks, workers)
     start = last = time.monotonic()
     done = 0
     try:
@@ -295,7 +371,7 @@ def run_monte_carlo(
                          done, reps, elapsed, elapsed / done * (reps - done))
     finally:
         if workers != 1:
-            pool.shutdown()
+            results.close()
     mean_fir = fir.mean(axis=0)
     mean_far = far.mean(axis=0)
     zero = ((fir == 0.0) & (far == 0.0)).mean(axis=0)

@@ -81,12 +81,15 @@ class PerSizeBest:
     table maps each size to its best (mask, rss), fitted from the R
     factor of the dataset's [1 | X | y] (linalg._fit_masks), and skipped
     counts the rank-deficient masks, refused by the search's sweep or by
-    the QR rank test.  entries gives each size's FitSummary, its beta
-    solved from the same small R factor the first time it is read.
+    the QR rank test.  full_rss is the full mask's RSS, fitted the same
+    way whether or not the full mask is a candidate, and None when the
+    full design is collinear.  entries gives each size's FitSummary, its
+    beta solved from the same small R factor the first time it is read.
     """
 
     data: Dataset = field(repr=False)
     table: dict[int, tuple[Mask, float]]
+    full_rss: float | None
     skipped: int = 0
     # search tree nodes evaluated, floors plus ceilings (0 for an explicit
     # list): the search's work, independent of the machine
@@ -352,29 +355,40 @@ def _fit_tables(datas, searches) -> list[PerSizeBest]:
     skipped and its node count.  One batched QR factors the datasets,
     then each size is one stacked small QR across all of them; ties at
     equal RSS go to the smaller mask, and a mask failing the rank test
-    is skipped and counted.  With no mask at all, nothing is factored.
+    is skipped and counted.  The full mask is fitted for every dataset
+    and kept as full_rss; it enters the table and the skip count only
+    where it is one of the dataset's masks.
     """
+    p = datas[0].p
     by_size: dict[int, list[tuple[int, Mask]]] = {}
     for k, (masks, _, _) in enumerate(searches):
         for mask in masks:
             by_size.setdefault(len(mask), []).append((k, mask))
-    if by_size:
-        R, tss = _factor(datas)
+    # size p holds the full mask alone
+    listed = {k for k, _ in by_size.get(p, ())}
+    by_size[p] = [(k, full_mask(p)) for k in range(len(datas))]
+    R, tss = _factor(datas)
     tables: list[dict[int, tuple[Mask, float]]] = [{} for _ in datas]
     factors: list[dict[int, np.ndarray | None]] = [{} for _ in datas]
+    full_rss: list[float | None] = [None] * len(datas)
     skipped = [skip for _, skip, _ in searches]
     for s in sorted(by_size):
         pairs = by_size[s]
         rss, ok, small = _fit_masks(R, tss, [k for k, _ in pairs], [mask for _, mask in pairs])
         for i, ((k, mask), r, good) in enumerate(zip(pairs, rss.tolist(), ok.tolist())):
+            if s == p:
+                full_rss[k] = r if good else None
+                if k not in listed:
+                    continue
             cur = tables[k].get(s)
             if not good:
                 skipped[k] += 1
             elif cur is None or (r, mask) < (cur[1], cur[0]):
                 tables[k][s] = (mask, r)
                 factors[k][s] = None if small is None else small[i]
-    return [PerSizeBest(d, table, skip, nodes, f)
-            for d, table, skip, (_, _, nodes), f in zip(datas, tables, skipped, searches, factors)]
+    return [PerSizeBest(d, table, full, skip, nodes, f)
+            for d, table, full, skip, (_, _, nodes), f
+            in zip(datas, tables, full_rss, skipped, searches, factors)]
 
 
 def best_per_size(

@@ -561,6 +561,10 @@ def test_simulate_exit_codes(capsys):
     assert main(["simulate", "--n", "40", "--p", "31", "--p-active", "5",
                  "--reps", "1", "--threads", "1"]) == 2
     assert "p=31" in capsys.readouterr().err
+    # raised in a worker process, the error keeps its type and exit code
+    assert main(["simulate", "--n", "40", "--p", "31", "--p-active", "5",
+                 "--reps", "2", "--threads", "2"]) == 2
+    assert "p=31" in capsys.readouterr().err
     # the default groups of 5 do not fit 4 active columns; the error names
     # what the command line can change
     assert main(["simulate", "--scenario", "correlated", "--n", "40", "--p", "8",

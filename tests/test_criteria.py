@@ -15,6 +15,7 @@ from cmcselect import (
     InconsistentStatisticError,
     InfeasibleCandidatesError,
     FullFit,
+    RankDeficientError,
     adjr2_select,
     best_per_size,
     bic_select,
@@ -28,9 +29,10 @@ from cmcselect import (
     kappa,
     select_many,
 )
+from cmcselect import criteria, linalg
 from cmcselect.linalg import full_mask
 from cmcselect.simulate import Scenario, gen_correlated_design, gen_response
-from conftest import random_dataset
+from conftest import random_dataset, spy_calls
 
 HAND = Dataset(X=np.array([[0.0], [1.0], [2.0], [3.0]]), y=np.array([0.0, 1.0, 2.0, 4.0]))
 
@@ -188,6 +190,29 @@ def test_cmc_single_candidate():
     report = cmc_select(data, alpha=0.5, candidates=[(0, 1, 2, 3)])
     assert report.chosen == (0, 1, 2, 3)
     assert report.lambda_ == 0.0
+
+
+def test_a_list_without_the_full_mask_factors_its_dataset_once(monkeypatch):
+    # the full mask is fitted beside the listed masks, from the same R factor,
+    # and stays out of the table and the skip count
+    data = random_dataset(np.random.default_rng(5), 30, 4)
+    factors = spy_calls(monkeypatch, linalg._factor)
+    select_many(data, ("bic",), (), candidates=[(0,), (1, 2)])
+    assert len(factors) == 1
+    per_size = best_per_size(data, [(0,), (1, 2)])
+    monkeypatch.undo()
+    assert (per_size.sizes(), per_size.skipped) == ([1, 2], 0)
+    assert criteria._full(per_size) == full_fit(data)
+    # a collinear full design raises as full_fit does
+    X = data.X.copy()
+    X[:, 3] = X[:, 0]
+    collinear = Dataset(X=X, y=data.y)
+    with pytest.raises(RankDeficientError) as listed:
+        select_many(collinear, ("bic",), (), candidates=[(0,), (1, 2)])
+    with pytest.raises(RankDeficientError) as fitted:
+        full_fit(collinear)
+    assert str(listed.value) == str(fitted.value)
+    assert best_per_size(collinear, [(0,), (1, 2)]).skipped == 0
 
 
 def test_cmc_infeasible_explicit_list():

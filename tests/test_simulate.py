@@ -2,9 +2,12 @@
 
 import logging
 import math
+import multiprocessing
 import os
+import signal
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -29,6 +32,12 @@ from cmcselect import (
 )
 from cmcselect.simulate import _gen_design, _rho_to_w, gen_correlated_design, gen_response
 from conftest import ORDINARY, STRESS, spy_calls
+
+
+@pytest.fixture(autouse=True)
+def no_worker_outlives_its_test():
+    yield
+    assert multiprocessing.active_children() == []
 
 
 def test_scenario_validation():
@@ -287,12 +296,28 @@ def test_pool_workers_start_with_numpy_random_imported():
         run_monte_carlo(Scenario("weak", 30, 4, 2), reps=4, threads=2)
         print("ok")
     """
+    assert run_fresh(script) == "ok\n"
+
+
+def test_importing_the_package_loads_no_process_or_hash_module():
+    # multiprocessing is imported by a pooled run, hashlib by load_prostate
+    script = """if True:
+        import sys
+        import cmcselect, cmcselect.cli
+        print(sorted(m for m in ("multiprocessing", "concurrent.futures", "hashlib")
+                     if m in sys.modules))
+    """
+    assert run_fresh(script) == "[]\n"
+
+
+def run_fresh(script: str) -> str:
+    """The stdout of `script` run in a fresh interpreter that imports the package from source."""
     src = os.path.dirname(os.path.dirname(cmcselect.__file__))
     env = {**os.environ, "PYTHONPATH": src}
     done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                           text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert done.stdout == "ok\n"
+    return done.stdout
 
 
 @pytest.mark.parametrize("reps", [13, 50])
@@ -309,6 +334,15 @@ def test_chunking_does_not_change_results(monkeypatch, reps):
         assert res.rates == first.rates
         assert res.zero_fraction == first.zero_fraction
         assert res.regenerated == first.regenerated
+
+
+def test_every_chunk_runs_once_with_more_workers_than_cores():
+    # the shared counter hands out each chunk index to exactly one worker
+    sc = Scenario(kind="weak", n=20, p=4, p_active=2)
+    tasks = [(sc, ("bic",), (), 3, range(r, r + 1)) for r in range(64)]
+    workers = (os.cpu_count() or 1) + 1
+    reps = [row[0] for rows in simulate._pooled(tasks, workers) for row in rows]
+    assert sorted(reps) == list(range(64))
 
 
 def test_collinear_draw_is_redrawn_inside_its_chunk(monkeypatch):
@@ -358,6 +392,39 @@ def test_redraws_stop_at_the_cap(monkeypatch, capsys):
     assert cli.main(["simulate", "--n", "20", "--p", "4", "--p-active", "2",
                      "--reps", "2", "--threads", "1"]) == 3
     assert capsys.readouterr().err.startswith("numerical error: ")
+    # raised in a worker process, the error reaches the caller with its type
+    with pytest.raises(RankDeficientError):
+        run_monte_carlo(sc, reps=2, seed=1, threads=2)
+    assert cli.main(["simulate", "--n", "20", "--p", "4", "--p-active", "2",
+                     "--reps", "2", "--threads", "2"]) == 3
+    assert capsys.readouterr().err.startswith("numerical error: ")
+
+
+def test_a_dead_worker_fails_the_run(monkeypatch):
+    # a worker that exits without a word fails the run at once; the alarm
+    # turns a hang into an error
+    parent = os.getpid()
+    run_chunk = simulate._run_chunk
+
+    def dies(args):
+        if os.getpid() != parent:
+            os._exit(7)
+        return run_chunk(args)
+
+    def hung(signum, frame):
+        raise TimeoutError("run_monte_carlo hung on a dead worker")
+
+    monkeypatch.setattr(simulate, "_run_chunk", dies)
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(30)
+    try:
+        start = time.monotonic()
+        with pytest.raises(RuntimeError, match="exited with code 7"):
+            run_monte_carlo(Scenario(kind="weak", n=20, p=4, p_active=2), reps=4, threads=2)
+        assert time.monotonic() - start < 1.0
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def test_progress_is_logged_per_chunk(monkeypatch, caplog):
@@ -383,6 +450,13 @@ def test_progress_is_logged_per_chunk(monkeypatch, caplog):
     assert [line.split(" ")[0] for line in lines] == ["6/20", "13/20", "20/20"]
     assert lines[-1].endswith("ETA 0.0 s")
     assert all(rec.levelno == logging.INFO for rec in caplog.records)
+    caplog.clear()
+    with caplog.at_level(logging.INFO, logger="cmcselect.simulate"):
+        run_monte_carlo(sc, reps=20, seed=1, threads=2)
+    lines = [rec.getMessage() for rec in caplog.records]
+    # two workers share four chunks of 5; the parent logs each as it arrives
+    assert [line.split(" ")[0] for line in lines] == ["5/20", "10/20", "15/20", "20/20"]
+    assert lines[-1].endswith("ETA 0.0 s")
 
 
 def test_chunk_plan(monkeypatch):
@@ -419,26 +493,21 @@ def test_monte_carlo_reproducible():
 
 
 def test_pool_starts_at_most_reps_workers(monkeypatch):
-    # a pool forks all of its workers up front; a serial stand-in records how many
-    sizes = []
+    # every worker forks up front; count the starts
+    started = []
+    start = multiprocessing.Process.start
 
-    class SerialPool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
+    def counted(proc):
+        started.append(proc)
+        start(proc)
 
-        def map(self, fn, tasks, chunksize=1):
-            return map(fn, tasks)
-
-        def shutdown(self):
-            pass
-
-    monkeypatch.setattr(simulate, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(multiprocessing.Process, "start", counted)
     sc = Scenario(kind="weak", n=20, p=4, p_active=2)
     pooled = run_monte_carlo(sc, reps=3, seed=4, threads=64)
-    assert sizes == [3]
+    assert len(started) == 3
     assert pooled.rates == run_monte_carlo(sc, reps=3, seed=4, threads=1).rates
     run_monte_carlo(sc, reps=1, seed=4, threads=8)
-    assert sizes == [3]
+    assert len(started) == 3
 
 
 def test_monte_carlo_seed_changes_rates():

@@ -186,9 +186,9 @@ def test_datasets_fitted_together_stack_refits(monkeypatch):
 
 
 def assert_same_tables(lone, together) -> None:
-    """Masks, RSS and beta bits, skips and node counts all equal."""
+    """Masks, RSS and beta bits, skips, node counts and full-model RSS all equal."""
     for a, b in zip(lone, together, strict=True):
-        assert (a.skipped, a.nodes, a.sizes()) == (b.skipped, b.nodes, b.sizes())
+        assert (a.skipped, a.nodes, a.sizes(), a.full_rss) == (b.skipped, b.nodes, b.sizes(), b.full_rss)
         for s in a.sizes():
             assert a.entries[s].mask == b.entries[s].mask
             assert a.entries[s].rss == b.entries[s].rss
