@@ -242,11 +242,8 @@ class FullFit:
     tss: float
 
 
-def full_fit(data: Dataset, fit: FitSummary | None = None) -> FullFit:
+def full_fit(data: Dataset) -> FullFit:
     """Validated full-model statistics; sigma2 = rss / (n - q), tss is the centered TSS.
-
-    fit, when given, is the full mask's fit_subset fit (a per-size
-    table's size-p entry), which is then not fitted again.
 
     Raises
     ------
@@ -255,14 +252,8 @@ def full_fit(data: Dataset, fit: FitSummary | None = None) -> FullFit:
     DegenerateFitError
         If the response is constant, or the full-model RSS is zero up to
         DEGENERATE_TOL relative to the centered TSS.
-    DimensionMismatchError
-        If fit is not a fit of the full mask.
     """
-    if fit is None:
-        fit = fit_subset(data, full_mask(data.p))
-    elif fit.mask != full_mask(data.p):
-        raise DimensionMismatchError(f"full_fit needs the full mask's fit, got mask {fit.mask}")
-    return _full_stats(data, fit.rss)
+    return _full_stats(data, fit_subset(data, full_mask(data.p)).rss)
 
 
 def _full_stats(data: Dataset, rss: float | None) -> FullFit:

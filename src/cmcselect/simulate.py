@@ -148,11 +148,11 @@ def gen_correlated_design(scenario: Scenario, rng: np.random.Generator) -> np.nd
     Z = rng.standard_normal((n, p))
     factor_a = rng.standard_normal(n)
     factor_b = rng.standard_normal(n)
-    X = Z.copy()
     pa = scenario.p_active
-    X[:, :g] = (1.0 - w) * Z[:, :g] + w * factor_a[:, None]
-    X[:, pa : pa + g] = (1.0 - w) * Z[:, pa : pa + g] + w * factor_b[:, None]
-    return X
+    # the groups do not overlap (group_size <= p_active), so each mixes in place
+    Z[:, :g] = (1.0 - w) * Z[:, :g] + w * factor_a[:, None]
+    Z[:, pa : pa + g] = (1.0 - w) * Z[:, pa : pa + g] + w * factor_b[:, None]
+    return Z
 
 
 def gen_response(X: np.ndarray, scenario: Scenario, rng: np.random.Generator) -> np.ndarray:

@@ -150,7 +150,7 @@ def _block_nodes(p: int) -> int:
     return max(1, _BLOCK_FLOATS // (p + 1) ** 2)
 
 
-def _leaps_and_bounds(G, b, tss, p: int) -> list[tuple[dict[int, tuple[Mask, float]], int, int]]:
+def _leaps_and_bounds(G, b, tss, p: int) -> list[tuple[tuple[Mask, ...], int, int]]:
     """Pruned exhaustive search over the inclusion/exclusion trees of K datasets.
 
     G (K, p, p), b (K, p) and tss (K,) are the centered Gram matrices,
@@ -171,7 +171,7 @@ def _leaps_and_bounds(G, b, tss, p: int) -> list[tuple[dict[int, tuple[Mask, flo
     into blocks of their own at multiples of the block size.  So every
     dataset sees the blocks its lone search sees, and its masks, skips
     and node count do not depend on the others.  Returns, per
-    dataset, its {size: (mask, sweep rss)} below size p, the collinear
+    dataset, its winner masks below size p in size order, the collinear
     subsets skipped and the nodes evaluated.
     """
     K = len(tss)
@@ -339,13 +339,13 @@ def _leaps_and_bounds(G, b, tss, p: int) -> list[tuple[dict[int, tuple[Mask, flo
                 # the first block ends up on top of the stack
                 stack.append((d + 1, S2, T2, key2[lo:hi], slot2[lo:hi], ceil2[lo:hi], own_b))
     bits = [(1 << (p - 1 - j), j) for j in range(p)]
-    rows = []
+    out = []
     for k in range(K):
-        # sizes below p; size p is the full mask's fit
+        # sizes below p, in size order; size p is the full mask's fit
         keys = best_key[k * (p + 1) : k * (p + 1) + p]
-        rows.append({s: (tuple([j for bit, j in bits if key & bit]), float(best_rss[k, s]))
-                     for s, key in enumerate(keys) if key >= 0})
-    return [(rows[k], int(skipped[k]), int(nodes[k])) for k in range(K)]
+        masks = tuple(tuple([j for bit, j in bits if key & bit]) for key in keys if key >= 0)
+        out.append((masks, int(skipped[k]), int(nodes[k])))
+    return out
 
 
 def _fit_tables(datas, searches) -> list[PerSizeBest]:
@@ -437,7 +437,7 @@ def best_per_size(
     else:
         G, b, tss = (np.stack(a) for a in zip(*map(_centered, datas)))
         # the search's winners below size p, then the full mask
-        searches = [(tuple(mask for mask, _ in rows.values()) + (full_mask(p),), skipped, nodes)
-                    for rows, skipped, nodes in _leaps_and_bounds(G, b, tss, p)]
+        searches = [(masks + (full_mask(p),), skipped, nodes)
+                    for masks, skipped, nodes in _leaps_and_bounds(G, b, tss, p)]
     tables = _fit_tables(datas, searches)
     return tables[0] if lone else tables

@@ -6,7 +6,8 @@ per-size search QR-factors every subset's design on its own, with no
 Gram matrix, no centering and no pruning, so agreement is evidence
 rather than tautology.  The canonical-JSON oracle writes every container
 it meets, with no memo, so it checks the package writer's reuse of
-repeated containers.
+repeated containers.  An autouse fixture checks that no pool worker
+outlives the test that started it.
 """
 
 from __future__ import annotations
@@ -14,12 +15,20 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import multiprocessing
 import sys
 
 import numpy as np
+import pytest
 
 from cmcselect import Dataset, Scenario
 from cmcselect.linalg import RANK_TOL
+
+
+@pytest.fixture(autouse=True)
+def no_worker_outlives_its_test():
+    yield
+    assert multiprocessing.active_children() == []
 
 
 def normal_eq_fit(data: Dataset, mask) -> tuple[np.ndarray, float]:

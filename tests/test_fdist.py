@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from cmcselect import DomainError, FParams, f_cdf, f_quantile
+from cmcselect import DomainError, FParams, f_cdf, f_quantile, kappa
 from cmcselect.fdist import _ln_inv_beta, _reg_inc_beta
 
 
@@ -158,3 +158,46 @@ def test_quantile_where_the_density_needs_ln_beta_past_lgamma_range():
     # at d2 = 1e306, lgamma(d1/2 + d2/2) overflows; F(2, d2) tends to chi2(2) / 2,
     # whose median is ln 2
     assert abs(f_quantile(0.5, FParams(2, 1e306)) - math.log(2.0)) < 1e-12
+
+
+# exact bits of f_cdf, f_quantile and kappa: a change to the continued fraction
+# or the Newton iteration that moves one bit can move a printed kappa or a
+# lambda <= kappa decision, which the tolerance checks above would not see
+PINNED_F = (0.05, 0.5, 1.0, 2.5, 10.0)
+PINNED_CDF = {
+    (1, 1): ("0x1.1ed1d9cc89dcfp-3", "0x1.913afacab41ecp-2", "0x1.0000000000004p-1",
+             "0x1.482eeb4797989p-1", "0x1.9c2b4a0decf99p-1"),
+    (3, 7): ("0x1.060a5fcf00f9dp-6", "0x1.394e8674a1c15p-2", "0x1.1b186182e39b2p-1",
+             "0x1.b685edb53afd7p-1", "0x1.fcc21aa403ffdp-1"),
+    (11, 39): ("0x1.012e0d7d1e86fp-18", "0x1.bc47596187f19p-4", "0x1.12839c296000ep-1",
+               "0x1.f7165a16d05ddp-1", "0x1.ffffff184c973p-1"),
+    (15, 65): ("0x1.071833455e95dp-24", "0x1.166722fc63d22p-4", "0x1.114daf7acd9e2p-1",
+               "0x1.fd16d8ba999c8p-1", "0x1.ffffffffea318p-1"),
+    (30, 5): ("0x1.4934e6f5e3079p-27", "0x1.b7a53d0f76fe3p-4", "0x1.bd1498547ddfcp-2",
+              "0x1.b0952d7f59e22p-1", "0x1.fb944ae42e46ep-1"),
+}
+# (q, n) of the benchmark's two workloads, (15, 80) and (11, 50): alpha ->
+# (f_quantile(1 - alpha, FParams(q, n - q)), kappa(alpha, q, n))
+PINNED_KAPPA = {
+    (15, 80): {0.9: ("0x1.1a8605ecd1c7ap-1", "0x1.08dda58e04ab2p+3"),
+               0.5: ("0x1.ee824b03e619dp-1", "0x1.cf9a2653a7b83p+3"),
+               0.1: ("0x1.98273d71a88ffp+0", "0x1.7ea4c99a8e06fp+4")},
+    (11, 50): {0.9: ("0x1.f2a71a247e7c3p-2", "0x1.56d2e1f916f56p+2"),
+               0.5: ("0x1.e9b2f82ec4418p-1", "0x1.50ab0aa026ed0p+3"),
+               0.1: ("0x1.bdc3d97a96fc9p+0", "0x1.3276a58447cdap+4")},
+}
+
+
+def test_f_bits_are_pinned():
+    lower = set()
+    for (d1, d2), expected in PINNED_CDF.items():
+        for f, bits in zip(PINNED_F, expected):
+            # the side of _reg_inc_beta's symmetry switch this point takes
+            x = d1 * f / (d1 * f + d2)
+            lower.add(x < (0.5 * d1 + 1.0) / (0.5 * d1 + 0.5 * d2 + 2.0))
+            assert f_cdf(f, FParams(d1, d2)).hex() == bits, (d1, d2, f)
+    assert lower == {True, False}
+    for (q, n), by_alpha in PINNED_KAPPA.items():
+        for alpha, (quantile, threshold) in by_alpha.items():
+            assert f_quantile(1.0 - alpha, FParams(q, n - q)).hex() == quantile, (q, n, alpha)
+            assert kappa(alpha, q, n).hex() == threshold, (q, n, alpha)

@@ -226,15 +226,6 @@ def test_size_zero_is_the_exact_mean_fit():
         assert fit.rss == full_fit(data).tss == float(np.square(data.y - data.y.mean()).sum())
 
 
-def test_full_fit_reuses_the_full_mask_fit():
-    rng = np.random.default_rng(31)
-    data = random_dataset(rng, 30, 4)
-    entry = fit_subset(data, full_mask(4))
-    assert full_fit(data, entry) == full_fit(data)
-    with pytest.raises(DimensionMismatchError):
-        full_fit(data, fit_subset(data, (0, 1)))
-
-
 def test_degenerate_full_fit():
     rng = np.random.default_rng(9)
     X = rng.standard_normal((30, 2))

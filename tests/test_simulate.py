@@ -34,12 +34,6 @@ from cmcselect.simulate import _gen_design, _rho_to_w, gen_correlated_design, ge
 from conftest import ORDINARY, STRESS, spy_calls
 
 
-@pytest.fixture(autouse=True)
-def no_worker_outlives_its_test():
-    yield
-    assert multiprocessing.active_children() == []
-
-
 def test_scenario_validation():
     with pytest.raises(ConfigError):
         Scenario(kind="strong", n=40, p=10, p_active=5)

@@ -50,7 +50,7 @@ def test_limit_guard(monkeypatch):
 
     def stub_search(G, b, tss, p):
         searched.append(p)
-        return [({0: ((), 0.0)}, 0, 0)] * len(tss)
+        return [(((),), 0, 0)] * len(tss)
 
     monkeypatch.setattr(subsets, "_leaps_and_bounds", stub_search)
     rng = np.random.default_rng(8)
