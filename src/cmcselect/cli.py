@@ -478,7 +478,8 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--reps", type=int, default=100)
         sp.add_argument("--seed", type=int, default=1)
         sp.add_argument("--threads", type=int, default=os.cpu_count() or 1,
-                        help="worker processes, at most one per rep (default: machine parallelism)")
+                        help="processes that run reps, this one among them, at most one per rep "
+                             "(default: machine parallelism)")
         sp.add_argument("--format", choices=("table", "json", "csv"), default="table")
 
     pm = sub.add_parser("simulate", help="Monte Carlo rates for one scenario")

@@ -247,11 +247,11 @@ def _decisions(table: Mapping[int, tuple[Mask, float]], full: FullFit, criteria,
 
 
 def _full(per_size: PerSizeBest) -> FullFit:
-    """The full-model statistics of a table's dataset, from the full mask's RSS its fit kept.
+    """The full-model statistics of a table's dataset, from the full-mask RSS and TSS its fit kept.
 
     A collinear full design raises RankDeficientError, as full_fit does.
     """
-    return _full_stats(per_size.data, per_size.full_rss)
+    return _full_stats(per_size.data, per_size.full_rss, per_size.tss)
 
 
 def _reports(per_size: PerSizeBest, criteria, alphas) -> list[SelectionReport]:

@@ -253,14 +253,15 @@ def full_fit(data: Dataset) -> FullFit:
         If the response is constant, or the full-model RSS is zero up to
         DEGENERATE_TOL relative to the centered TSS.
     """
-    return _full_stats(data, fit_subset(data, full_mask(data.p)).rss)
+    R, tss = _factor([data])
+    rss, ok, _ = _fit_masks(R, tss, [0], [full_mask(data.p)])
+    return _full_stats(data, float(rss[0]) if ok[0] else None, float(tss[0]))
 
 
-def _full_stats(data: Dataset, rss: float | None) -> FullFit:
-    """full_fit's statistics and checks, from the full model's fit_subset RSS (None: collinear)."""
+def _full_stats(data: Dataset, rss: float | None, tss: float) -> FullFit:
+    """full_fit's statistics and checks, from the full model's RSS (None: collinear) and the TSS."""
     if rss is None:
         raise _collinear(full_mask(data.p))
-    tss = float(_mean_fits(data.y[None])[1][0])
     if np.ptp(data.y) == 0.0 or rss <= DEGENERATE_TOL * tss:
         raise DegenerateFitError("full-model residual sum of squares is numerically zero")
     return FullFit(n=data.n, q=data.q, rss=rss, sigma2=rss / (data.n - data.q), tss=tss)

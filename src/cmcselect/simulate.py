@@ -19,15 +19,18 @@ select_many's.  Results are merged by replication index, so a run is
 bit-identical for a fixed (seed, reps) no matter how many worker
 processes are used.
 
-At more than one worker, the workers are plain multiprocessing
-processes of the default start method (fork on Linux), started at once.
-Each takes the next chunk index from one lock-protected shared counter,
-so a slow chunk holds up one worker only, and sends each chunk's rows on
-its own one-way pipe, then a sentinel.  The parent waits on the pipes,
-merges rows as they come, and terminates and joins every worker before
-it returns or raises.  A chunk's exception is raised in the parent with
-its own type; a worker that dies before its sentinel raises
-RuntimeError naming its exit code.
+At more than one worker, the parent is one of them: it starts the
+others, plain multiprocessing processes of the default start method
+(fork on Linux), at once, then runs chunks itself.  Each process takes
+the next chunk index from one lock-protected shared counter, so a slow
+chunk holds up one process only.  A forked worker sends each chunk's
+rows on its own one-way pipe, then a sentinel.  After each chunk of its
+own the parent reads every pipe that is ready, so no worker blocks on a
+full pipe; once no chunk is left it waits on the pipes.  It merges rows
+as they come, and terminates and joins every worker before it returns
+or raises.  A chunk's exception is raised in the parent with its own
+type; a worker that dies before its sentinel raises RuntimeError naming
+its exit code.
 """
 
 from __future__ import annotations
@@ -223,6 +226,14 @@ def _chunks(reps: int, workers: int) -> list[range]:
     return [range(i * reps // count, (i + 1) * reps // count) for i in range(count)]
 
 
+def _next(counter) -> int:
+    """Take the next chunk index from the shared counter."""
+    with counter.get_lock():
+        i = counter.value
+        counter.value = i + 1
+    return i
+
+
 def _work(tasks, counter, conn) -> None:
     """A worker's loop: take the next chunk index from the shared counter, run it, send its rows.
 
@@ -230,12 +241,7 @@ def _work(tasks, counter, conn) -> None:
     exception a chunk raised; the pipe closes when the process exits.
     """
     try:
-        while True:
-            with counter.get_lock():
-                i = counter.value
-                counter.value = i + 1
-            if i >= len(tasks):
-                break
+        while (i := _next(counter)) < len(tasks):
             conn.send(_run_chunk(tasks[i]))
         conn.send(None)
     except Exception as exc:
@@ -243,12 +249,16 @@ def _work(tasks, counter, conn) -> None:
 
 
 def _pooled(tasks, workers: int):
-    """Yield the rows of every chunk from `workers` processes, in the order chunks finish.
+    """Yield every chunk's rows from `workers` processes, the caller among them, as chunks finish.
 
-    A worker's exception is raised here with its own type; a worker
-    whose pipe closes before it said it was done raises RuntimeError.
-    Every worker is terminated and joined when the generator finishes,
-    raises or is closed.
+    workers - 1 forked processes and the caller take chunk indices from
+    one shared counter.  After each chunk of its own the caller reads
+    every pipe that is ready, so no worker waits on a full pipe while it
+    computes; once no chunk is left it waits on the pipes.  A chunk's
+    exception is raised here with its own type; a worker whose pipe
+    closes before it said it was done raises RuntimeError.  Every worker
+    is terminated and joined when the generator finishes, raises or is
+    closed.
     """
     import multiprocessing
     from multiprocessing.connection import wait
@@ -258,8 +268,25 @@ def _pooled(tasks, workers: int):
     import numpy.random  # noqa: F401
     counter = multiprocessing.Value("i", 0)
     procs = {}
+
+    def read(ready):
+        # one message from each ready pipe: rows are yielded, the rest acted on
+        for conn in ready:
+            try:
+                msg = conn.recv()
+            except EOFError:
+                procs[conn].join()
+                raise RuntimeError(f"a Monte Carlo worker exited with code "
+                                   f"{procs[conn].exitcode} before its chunks were done") from None
+            if msg is None:
+                pending.remove(conn)
+            elif isinstance(msg, Exception):
+                raise msg
+            else:
+                yield msg
+
     try:
-        for _ in range(workers):
+        for _ in range(workers - 1):
             recv, send = multiprocessing.Pipe(duplex=False)
             proc = multiprocessing.Process(target=_work, args=(tasks, counter, send))
             proc.start()
@@ -268,20 +295,13 @@ def _pooled(tasks, workers: int):
             send.close()
             procs[recv] = proc
         pending = list(procs)
+        while (i := _next(counter)) < len(tasks):
+            yield _run_chunk(tasks[i])
+            # read until no pipe is ready, so no worker waits on a full pipe
+            while ready := wait(pending, 0):
+                yield from read(ready)
         while pending:
-            for conn in wait(pending):
-                try:
-                    msg = conn.recv()
-                except EOFError:
-                    procs[conn].join()
-                    raise RuntimeError(f"a Monte Carlo worker exited with code "
-                                       f"{procs[conn].exitcode} before its chunks were done") from None
-                if msg is None:
-                    pending.remove(conn)
-                elif isinstance(msg, Exception):
-                    raise msg
-                else:
-                    yield msg
+            yield from read(wait(pending))
     finally:
         for proc in procs.values():
             proc.terminate()
@@ -307,10 +327,10 @@ def run_monte_carlo(
     made by the same rules on the same table, so results are
     bit-identical to one-at-a-time select_many runs.  Once a chunk
     completes, and at most every 10 s, progress (reps done, elapsed time,
-    ETA) is logged at INFO.  At threads > 1 the workers are processes of
-    the default start method that take chunks from one shared counter;
-    they fork after numpy.random is imported, so none imports it on its
-    first chunk, and none outlives the call.
+    ETA) is logged at INFO.  At threads > 1 the calling process and
+    threads - 1 processes of the default start method take chunks from
+    one shared counter; the others fork after numpy.random is imported,
+    so none imports it on its first chunk, and none outlives the call.
 
     Parameters
     ----------
@@ -325,8 +345,9 @@ def run_monte_carlo(
         Replication r draws from default_rng([seed, r]); a collinear
         design is redrawn from the same stream (at most 10 times).
     threads : int
-        Worker processes, at most `reps` of them start; results are
-        identical for any value.
+        Processes that run chunks, the calling one among them: at most
+        min(threads, reps) - 1 start.  Results are identical for any
+        value.
 
     Returns
     -------

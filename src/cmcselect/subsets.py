@@ -73,6 +73,15 @@ _PIVOT_TOL = 1e-10
 # the incumbents improving in near depth-first order
 _BLOCK_FLOATS = 128 * 31**2
 
+# floats of the array each search allocates untouched and drops at once.
+# glibc serves it with mmap; freeing it raises glibc's dynamic mmap threshold
+# to its size and its trim threshold to twice that, so from then on every
+# block array (at most _BLOCK_FLOATS floats) comes from the heap, and a
+# finished subtree's arrays stay there for the next one instead of being
+# handed back to the kernel and faulted in again.  At 3.9 MB it stays below
+# the 4 MiB from which numpy asks for huge pages.
+_HEAP_FLOATS = 4 * _BLOCK_FLOATS
+
 
 @dataclass(frozen=True, eq=False)
 class PerSizeBest:
@@ -83,13 +92,15 @@ class PerSizeBest:
     counts the rank-deficient masks, refused by the search's sweep or by
     the QR rank test.  full_rss is the full mask's RSS, fitted the same
     way whether or not the full mask is a candidate, and None when the
-    full design is collinear.  entries gives each size's FitSummary, its
+    full design is collinear; tss is the centered TSS from the same
+    factoring (linalg._factor).  entries gives each size's FitSummary, its
     beta solved from the same small R factor the first time it is read.
     """
 
     data: Dataset = field(repr=False)
     table: dict[int, tuple[Mask, float]]
     full_rss: float | None
+    tss: float
     skipped: int = 0
     # search tree nodes evaluated, floors plus ceilings (0 for an explicit
     # list): the search's work, independent of the machine
@@ -176,6 +187,8 @@ def _leaps_and_bounds(G, b, tss, p: int) -> list[tuple[tuple[Mask, ...], int, in
     """
     K = len(tss)
     block = _block_nodes(p)
+    # never written, so never faulted in: see _HEAP_FLOATS
+    np.empty(_HEAP_FLOATS)
     diag = np.diagonal(G, axis1=1, axis2=2)
     M = np.empty((K, p + 1, p + 1))
     M[:, :p, :p] = G
@@ -386,9 +399,9 @@ def _fit_tables(datas, searches) -> list[PerSizeBest]:
             elif cur is None or (r, mask) < (cur[1], cur[0]):
                 tables[k][s] = (mask, r)
                 factors[k][s] = None if small is None else small[i]
-    return [PerSizeBest(d, table, full, skip, nodes, f)
-            for d, table, full, skip, (_, _, nodes), f
-            in zip(datas, tables, full_rss, skipped, searches, factors)]
+    return [PerSizeBest(d, table, full, t, skip, nodes, f)
+            for d, table, full, t, skip, (_, _, nodes), f
+            in zip(datas, tables, full_rss, tss.tolist(), skipped, searches, factors)]
 
 
 def best_per_size(

@@ -395,30 +395,91 @@ def test_redraws_stop_at_the_cap(monkeypatch, capsys):
 
 
 def test_a_dead_worker_fails_the_run(monkeypatch):
-    # a worker that exits without a word fails the run at once; the alarm
-    # turns a hang into an error
+    # a worker that exits without a word fails the run once the parent's
+    # chunk is done; the alarm turns a hang into an error
     parent = os.getpid()
     run_chunk = simulate._run_chunk
 
     def dies(args):
         if os.getpid() != parent:
             os._exit(7)
+        # the parent runs chunks too; a slow one leaves the worker chunks to take
+        time.sleep(0.2)
         return run_chunk(args)
 
     def hung(signum, frame):
         raise TimeoutError("run_monte_carlo hung on a dead worker")
 
     monkeypatch.setattr(simulate, "_run_chunk", dies)
+    monkeypatch.setattr(simulate, "_MAX_CHUNK", 1)
     previous = signal.signal(signal.SIGALRM, hung)
     signal.alarm(30)
     try:
         start = time.monotonic()
         with pytest.raises(RuntimeError, match="exited with code 7"):
-            run_monte_carlo(Scenario(kind="weak", n=20, p=4, p_active=2), reps=4, threads=2)
+            run_monte_carlo(Scenario(kind="weak", n=20, p=4, p_active=2), reps=16, threads=2)
         assert time.monotonic() - start < 1.0
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
+
+
+def test_an_error_in_the_parents_own_chunk_stops_the_pool(monkeypatch):
+    # the parent runs chunks too; what its own chunk raises reaches the caller
+    # with its type, and the autouse fixture checks that no worker outlives it
+    parent = os.getpid()
+    run_chunk = simulate._run_chunk
+
+    def fails_in_the_parent(args):
+        if os.getpid() == parent:
+            raise LookupError("the parent's chunk failed")
+        # a slow worker leaves the parent chunks to take
+        time.sleep(0.05)
+        return run_chunk(args)
+
+    monkeypatch.setattr(simulate, "_run_chunk", fails_in_the_parent)
+    monkeypatch.setattr(simulate, "_MAX_CHUNK", 1)
+    with pytest.raises(LookupError, match="the parent's chunk failed"):
+        run_monte_carlo(Scenario(kind="weak", n=20, p=4, p_active=2), reps=16, threads=2)
+
+
+def test_a_worker_is_not_starved_while_the_parent_computes(monkeypatch):
+    # four of these rows fill a 64 KB pipe; the parent reads the pipes after
+    # each chunk of its own, so the worker runs on while the parent computes
+    # and does most of the chunks; unread, it blocks after about four rows
+    # and leaves the parent nearly all 40
+    parent = os.getpid()
+
+    def slow_in_the_parent(args):
+        if os.getpid() == parent:
+            time.sleep(0.05)
+        return [(os.getpid(), bytes(16384))]
+
+    monkeypatch.setattr(simulate, "_run_chunk", slow_in_the_parent)
+    pids = [pid for rows in simulate._pooled(range(40), 2) for pid, _ in rows]
+    assert len(pids) == 40
+    assert pids.count(parent) < 20
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="glibc heap behaviour")
+def test_a_search_after_a_lockstep_search_does_not_fault_in_its_heap_again():
+    # a lockstep search frees its block arrays as subtrees finish; if glibc
+    # hands those pages back to the kernel, the next chunk faults them in
+    # again: 12-27k minor faults on a 2-core x86 host with numpy 2.4 and
+    # glibc trimming, against about 1k when the heap is kept
+    script = """if True:
+        import resource
+        from cmcselect import CRITERIA, Scenario, simulate
+
+        def chunk(shape, reps):
+            simulate._run_chunk((Scenario("weak", *shape), CRITERIA, (0.9, 0.5, 0.1), 1, range(reps)))
+
+        chunk((60, 20, 10), 30)
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        chunk((52, 26, 13), 16)
+        print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+    """
+    assert int(run_fresh(script)) < 5000
 
 
 def test_progress_is_logged_per_chunk(monkeypatch, caplog):
@@ -487,7 +548,7 @@ def test_monte_carlo_reproducible():
 
 
 def test_pool_starts_at_most_reps_workers(monkeypatch):
-    # every worker forks up front; count the starts
+    # every worker forks up front and the parent is one of them; count the starts
     started = []
     start = multiprocessing.Process.start
 
@@ -498,10 +559,10 @@ def test_pool_starts_at_most_reps_workers(monkeypatch):
     monkeypatch.setattr(multiprocessing.Process, "start", counted)
     sc = Scenario(kind="weak", n=20, p=4, p_active=2)
     pooled = run_monte_carlo(sc, reps=3, seed=4, threads=64)
-    assert len(started) == 3
+    assert len(started) == 2
     assert pooled.rates == run_monte_carlo(sc, reps=3, seed=4, threads=1).rates
     run_monte_carlo(sc, reps=1, seed=4, threads=8)
-    assert len(started) == 3
+    assert len(started) == 2
 
 
 def test_monte_carlo_seed_changes_rates():

@@ -19,6 +19,7 @@ from cmcselect import (
     subsets,
 )
 from cmcselect.cli import main
+from cmcselect.linalg import _mean_fits
 from cmcselect.simulate import Scenario, _gen_design, gen_correlated_design, gen_response
 from conftest import naive_best_per_size, random_dataset, spy_calls
 
@@ -180,6 +181,8 @@ def test_datasets_fitted_together_stack_refits(monkeypatch):
             len(datas) if candidates is None or s == 7 else per_size for s in sizes]
         assert isinstance(together, list) and len(together) == len(datas)
         assert_same_tables(lone, together)
+        # the TSS the factoring kept has the bits of each response's own mean fit
+        assert [t.tss for t in together] == [float(_mean_fits(d.y[None])[1][0]) for d in datas]
     assert together[2].skipped >= 1
     with pytest.raises(DimensionMismatchError):
         best_per_size([datas[0], random_dataset(rng, 31, 7)])
