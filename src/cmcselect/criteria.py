@@ -11,10 +11,14 @@ model.  BIC, Mallows Cp (AIC-equivalent here), and adjusted R-squared are
 provided for comparison; all four need only the per-size minimum-RSS
 table, since each is monotone in RSS at fixed size.
 
-Each rule is stated once, in cmc_from_table and ic_from_table, which
-_decisions runs on a per-size table for select_many's reports and for
-each Monte Carlo replicate; it runs cmc_from_table's two parts, _lambdas
-and _smallest_feasible, so that one table's lambdas serve every alpha.
+Each rule is stated once, over a (K, S) array of RSS: K tables, one per
+row, at S sizes, NaN where a table has no entry.  cmc is _lambdas and
+_smallest_feasible, so that one table's lambdas serve every alpha; BIC,
+Cp and adjusted R-squared are _scores, and the cross-size tie rule is
+_best.  _decisions runs them for a whole request: on a whole Monte Carlo
+chunk at once, and on one table (K = 1) for select_many's reports, as
+cmc_from_table and ic_from_table do.  _rates is the one rate rule, for
+classify and for a chunk.
 """
 
 from __future__ import annotations
@@ -23,6 +27,8 @@ import functools
 import math
 from dataclasses import dataclass
 from typing import Mapping
+
+import numpy as np
 
 from .errors import (
     ConfigError,
@@ -69,14 +75,6 @@ class SelectionReport:
     kappa: float | None
     scores: Mapping[int, float]
     per_size: PerSizeBest
-
-
-def _lambda(rss: float, rss_full: float, sigma2: float, size: int) -> float:
-    # tiny negative values from rounding clamp to zero; a submodel RSS
-    # genuinely below the full-model RSS is a consistency violation
-    if rss < rss_full - _LAMBDA_SLACK * rss_full:
-        raise InconsistentStatisticError(f"size-{size} rss {rss} fell below full-model rss {rss_full}")
-    return max(0.0, (rss - rss_full) / sigma2)
 
 
 # cached with no bound: every Monte Carlo replicate asks its worker for the
@@ -128,9 +126,26 @@ def classify(chosen, truth, p: int) -> RatePair:
     """Misclassification rates of a chosen mask against the true active set."""
     chosen = set(chosen)
     truth = set(truth)
-    fir = len(truth - chosen) / len(truth) if truth else 0.0
-    far = len(chosen - truth) / (p - len(truth)) if p > len(truth) else 0.0
-    return RatePair(fir=fir, far=far)
+    fir, far = _rates(len(truth - chosen), len(chosen - truth), len(truth), p)
+    return RatePair(fir=float(fir), far=float(far))
+
+
+def _rates(missed, extra, n_truth: int, p: int):
+    """The rate rule: (FIR, FAR) from the true predictors missed and the inactive ones chosen.
+
+    missed and extra are counts, or arrays of counts with one entry per
+    replicate; an empty truth has FIR 0, a truth of all p predictors FAR 0.
+    """
+    fir = missed / n_truth if n_truth else 0.0 * missed
+    far = extra / (p - n_truth) if p > n_truth else 0.0 * extra
+    return fir, far
+
+
+def _columns(table: Mapping[int, tuple[Mask, float]]):
+    """A per-size table as the rules read it: its sizes in order, its (1, S) RSS, its masks by column."""
+    sizes = sorted(table)
+    rss = np.array([[table[s][1] for s in sizes]], dtype=float)
+    return np.array(sizes, dtype=np.int64), rss, lambda k, j: table[sizes[j]][0]
 
 
 def cmc_from_table(
@@ -145,24 +160,39 @@ def cmc_from_table(
     size is feasible (possible only for explicit candidate lists that
     omit an adequate model).
     """
-    lambdas = _lambdas(table, full)
-    return _smallest_feasible(lambdas, kap), lambdas
+    sizes, rss, _ = _columns(table)
+    lambdas = _lambdas(rss, sizes, full)
+    col = _smallest_feasible(lambdas, kap)[0]
+    return int(sizes[col]), dict(zip(sizes.tolist(), lambdas[0].tolist()))
 
 
-def _lambdas(table: Mapping[int, tuple[Mask, float]], full: FullFit) -> dict[int, float]:
-    """cmc's per-size lambda table, in size order; it does not depend on alpha."""
-    return {s: _lambda(table[s][1], full.rss, full.sigma2, s) for s in sorted(table)}
+def _lambdas(rss: np.ndarray, sizes: np.ndarray, full: FullFit) -> np.ndarray:
+    """cmc's statistic (RSS - RSS_full) / sigma2_hat over (K, S) tables; it does not depend on alpha.
+
+    A missing entry (NaN) stays NaN.  The first entry, in row then size
+    order, whose RSS undershoots the full model's by more than
+    _LAMBDA_SLACK relative raises InconsistentStatisticError.
+    """
+    low = rss < full.rss - _LAMBDA_SLACK * full.rss
+    if low.any():
+        k, j = np.argwhere(low)[0]
+        rss_full = np.broadcast_to(full.rss, (len(rss), 1))[k, 0]
+        raise InconsistentStatisticError(
+            f"size-{sizes[j]} rss {float(rss[k, j])} fell below full-model rss {float(rss_full)}")
+    # tiny negative values from rounding clamp to zero; + 0.0 turns the -0.0
+    # np.maximum keeps into 0.0
+    return np.maximum((rss - full.rss) / full.sigma2, 0.0) + 0.0
 
 
-def _smallest_feasible(lambdas: Mapping[int, float], kap: float) -> int:
-    """cmc's rule: the first size, in lambdas' size order, with lambda <= kap."""
-    for s, lam in lambdas.items():
-        if lam <= kap:
-            return s
-    raise InfeasibleCandidatesError(
-        "no candidate model satisfies lambda <= kappa; "
-        "explicit candidate lists must include an adequate model"
-    )
+def _smallest_feasible(lambdas: np.ndarray, kap: float) -> np.ndarray:
+    """cmc's rule: each table's first column, in size order, with lambda <= kap; a missing size never is."""
+    feasible = lambdas <= kap
+    if not feasible.any(axis=1).all():
+        raise InfeasibleCandidatesError(
+            "no candidate model satisfies lambda <= kappa; "
+            "explicit candidate lists must include an adequate model"
+        )
+    return feasible.argmax(axis=1)
 
 
 def ic_from_table(
@@ -179,24 +209,46 @@ def ic_from_table(
     """
     if criterion not in ("bic", "cp_aic", "adjr2"):
         raise ConfigError(f"no information criterion {criterion!r}; expected bic, cp_aic or adjr2")
-    if not table:
-        raise InfeasibleCandidatesError("candidate set produced no usable model")
-    scores = {s: _score(criterion, rss, s + 1, full) for s, (_, rss) in table.items()}
-    sign = -1.0 if criterion == "adjr2" else 1.0
-    size = min(scores, key=lambda s: (sign * scores[s], table[s][0]))
-    return size, scores
+    sizes, rss, mask_of = _columns(table)
+    scores = _scores(criterion, rss, sizes, full)
+    col = _best(criterion, scores, mask_of)[0]
+    return int(sizes[col]), dict(zip(sizes.tolist(), scores[0].tolist()))
 
 
-def _score(criterion: str, rss: float, k: int, full: FullFit) -> float:
-    """One information criterion at one RSS with k coefficients; each formula is stated once."""
-    n = full.n
+def _scores(criterion: str, rss: np.ndarray, sizes: np.ndarray, full: FullFit) -> np.ndarray:
+    """One information criterion over (K, S) tables, each formula stated once; a missing entry stays NaN.
+
+    BIC takes math.log of each entry: numpy's log differs from it in the
+    last bit on some inputs, and a score would print differently.
+    """
+    n, k = full.n, sizes + 1
     if criterion == "bic":
-        if rss <= 0.0:
+        if (rss <= 0.0).any():
             raise DegenerateFitError("zero residual sum of squares; BIC undefined")
-        return n * math.log(rss / n) + k * math.log(n)
+        log = np.array([math.log(x) for x in (rss / n).ravel().tolist()]).reshape(rss.shape)
+        return n * log + k * math.log(n)
     if criterion == "cp_aic":
         return rss / full.sigma2 - n + 2.0 * k
     return 1.0 - (rss / (n - k)) / (full.tss / (n - 1))
+
+
+def _best(criterion: str, scores: np.ndarray, mask_of) -> np.ndarray:
+    """Each table's best column: adjusted R-squared's largest score, the others' smallest.
+
+    An exact tie across sizes goes to the lexicographically smaller mask,
+    mask_of(k, j) being table k's mask at column j.  A table with no
+    entry raises InfeasibleCandidatesError.
+    """
+    signed = -scores if criterion == "adjr2" else scores
+    # fmin skips the missing entries; a table with none reduces to +inf, which no NaN equals
+    hit = signed == np.fmin.reduce(signed, axis=1, initial=np.inf, keepdims=True)
+    count = hit.sum(axis=1)
+    if not count.all():
+        raise InfeasibleCandidatesError("candidate set produced no usable model")
+    cols = hit.argmax(axis=1)
+    for k in np.flatnonzero(count > 1).tolist():
+        cols[k] = min(np.flatnonzero(hit[k]).tolist(), key=lambda j: mask_of(k, j))
+    return cols
 
 
 def select_many(
@@ -230,20 +282,26 @@ def select_many(
     return _reports(best_per_size(data, candidates), criteria, alphas)
 
 
-def _decisions(table: Mapping[int, tuple[Mask, float]], full: FullFit, criteria, alphas):
-    """Each report's (criterion, alpha, kappa, size, scores), in labels_for order, from one table.
+def _decisions(rss: np.ndarray, sizes: np.ndarray, full: FullFit, criteria, alphas, mask_of):
+    """Each report's (criterion, alpha, kappa, columns, scores), in labels_for order, for K tables at once.
 
-    alpha and kappa are None for the non-cmc criteria.  The cmc reports
-    share one lambda table, computed once for all alphas.
+    rss (K, S) holds table k's RSS at sizes[j] in row k, column j, NaN
+    where the table has no such size; full's rss, sigma2 and tss are
+    floats or (K, 1) columns.  columns (K,) are the chosen columns and
+    scores the (K, S) criterion values; alpha and kappa are None for the
+    non-cmc criteria.  The cmc reports share one lambda array, computed
+    once for all alphas.  mask_of(k, j) is table k's mask at column j,
+    read only to break an exact cross-size score tie.
     """
     for c in criteria:
         if c == "cmc":
-            lambdas = _lambdas(table, full)
+            lambdas = _lambdas(rss, sizes, full)
             for a in alphas:
                 kap = kappa(a, full.q, full.n)
                 yield (c, _alpha(a), kap, _smallest_feasible(lambdas, kap), lambdas)
         else:
-            yield (c, None, None, *ic_from_table(table, full, c))
+            scores = _scores(c, rss, sizes, full)
+            yield (c, None, None, _best(c, scores, mask_of), scores)
 
 
 def _full(per_size: PerSizeBest) -> FullFit:
@@ -251,7 +309,9 @@ def _full(per_size: PerSizeBest) -> FullFit:
 
     A collinear full design raises RankDeficientError, as full_fit does.
     """
-    return _full_stats(per_size.data, per_size.full_rss, per_size.tss)
+    data = per_size.data
+    rss = math.nan if per_size.full_rss is None else per_size.full_rss
+    return _full_stats(data.n, data.q, rss, per_size.tss, data.y)
 
 
 def _reports(per_size: PerSizeBest, criteria, alphas) -> list[SelectionReport]:
@@ -259,10 +319,14 @@ def _reports(per_size: PerSizeBest, criteria, alphas) -> list[SelectionReport]:
 
     The request is not validated here; select_many does that.
     """
-    decisions = list(_decisions(per_size.table, _full(per_size), criteria, alphas))
+    sizes, rss, mask_of = _columns(per_size.table)
+    decisions = list(_decisions(rss, sizes, _full(per_size), criteria, alphas, mask_of))
     entries = per_size.entries
-    return [
-        SelectionReport(
+    reports = []
+    for c, a, kap, cols, values in decisions:
+        size = int(sizes[cols[0]])
+        scores = dict(zip(sizes.tolist(), values[0].tolist()))
+        reports.append(SelectionReport(
             criterion=c,
             alpha=a,
             chosen=entries[size].mask,
@@ -271,9 +335,8 @@ def _reports(per_size: PerSizeBest, criteria, alphas) -> list[SelectionReport]:
             kappa=kap,
             scores=scores,
             per_size=per_size,
-        )
-        for c, a, kap, size, scores in decisions
-    ]
+        ))
+    return reports
 
 
 def cmc_select(data: Dataset, alpha: float = 0.9, candidates=None) -> SelectionReport:

@@ -12,6 +12,8 @@ columns were dropped.
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -47,6 +49,12 @@ def full_mask(p: int) -> Mask:
     return tuple(range(p))
 
 
+@functools.cache
+def _default_names(p: int) -> tuple[str, ...]:
+    """x1..xp, made once per p: a Monte Carlo chunk builds a Dataset per replicate."""
+    return tuple(f"x{i+1}" for i in range(p))
+
+
 @dataclass(frozen=True, eq=False)
 class Dataset:
     """An immutable design matrix, response vector, and predictor names.
@@ -76,12 +84,12 @@ class Dataset:
             raise DimensionMismatchError(
                 f"y must be a length-{X.shape[0]} vector, got shape {y.shape}"
             )
-        if not np.all(np.isfinite(X)) or not np.all(np.isfinite(y)):
+        if not (np.isfinite(X).all() and np.isfinite(y).all()):
             raise DimensionMismatchError("X and y entries must all be finite")
         n, p = X.shape
         if n <= p + 1:
             raise TooFewRowsError(f"need n > p+1 rows for the full-model fit, got n={n}, p={p}")
-        names = tuple(self.names) if self.names else tuple(f"x{i+1}" for i in range(p))
+        names = tuple(self.names) if self.names else _default_names(p)
         if len(names) != p or len(set(names)) != p:
             raise DimensionMismatchError(f"names must be {p} unique labels, got {names!r}")
         X.flags.writeable = False
@@ -156,6 +164,8 @@ def _factor(datas) -> tuple[np.ndarray, np.ndarray]:
 def _fit_masks(R, tss, rows, masks) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     """Fit K' masks of one size s, masks[i] on the dataset with R factor R[rows[i]] and TSS tss[rows[i]].
 
+    masks is a (K', s) array of column indices, or K' masks of size s.
+
     Above size 0 this is one stacked QR of the (K', p+2, s+2) columns
     0, mask+1 and p+1 of R: the small R factor of [1 | X_S | y].  The
     RSS is its last diagonal entry squared, and a member whose leading
@@ -165,16 +175,17 @@ def _fit_masks(R, tss, rows, masks) -> tuple[np.ndarray, np.ndarray, np.ndarray 
     and the (K', s+2, s+2) small R factors (None at size 0).
     """
     rows = np.asarray(rows, dtype=np.intp)
-    s = len(masks[0])
+    masks = np.array(masks, dtype=np.intp, ndmin=2)
+    s = masks.shape[1]
     if not s:
         return tss[rows], np.ones(len(rows), dtype=bool), None
     p = R.shape[-1] - 2
     cols = np.empty((len(rows), s + 2), dtype=np.intp)
     cols[:, 0] = 0
-    cols[:, 1:-1] = np.asarray(masks) + 1
+    cols[:, 1:-1] = masks + 1
     cols[:, -1] = p + 1
     small = np.linalg.qr(R[rows[:, None, None], np.arange(p + 2)[:, None], cols[:, None, :]], mode="r")
-    diag = np.abs(np.diagonal(small, axis1=1, axis2=2)[:, :-1])
+    diag = np.abs(small.diagonal(axis1=1, axis2=2)[:, :-1])
     ok = diag.min(axis=1) > RANK_TOL * diag.max(axis=1)
     return small[:, -1, -1] ** 2, ok, small
 
@@ -232,7 +243,10 @@ def fit_subset(data: Dataset, mask) -> FitSummary:
 class FullFit:
     """Full-model statistics that every criterion reads: sizes, RSS, sigma-hat-squared, TSS.
 
-    Build it with full_fit, which validates it.
+    Build it with full_fit, which validates it.  A Monte Carlo chunk
+    builds one for all its datasets (_full_stats), with rss, sigma2 and
+    tss as (K, 1) columns that the criteria's rules broadcast over their
+    (K, S) tables.
     """
 
     n: int
@@ -255,16 +269,22 @@ def full_fit(data: Dataset) -> FullFit:
     """
     R, tss = _factor([data])
     rss, ok, _ = _fit_masks(R, tss, [0], [full_mask(data.p)])
-    return _full_stats(data, float(rss[0]) if ok[0] else None, float(tss[0]))
+    return _full_stats(data.n, data.q, float(rss[0]) if ok[0] else math.nan, float(tss[0]), data.y)
 
 
-def _full_stats(data: Dataset, rss: float | None, tss: float) -> FullFit:
-    """full_fit's statistics and checks, from the full model's RSS (None: collinear) and the TSS."""
-    if rss is None:
-        raise _collinear(full_mask(data.p))
-    if np.ptp(data.y) == 0.0 or rss <= DEGENERATE_TOL * tss:
+def _full_stats(n: int, q: int, rss, tss, Y) -> FullFit:
+    """full_fit's statistics and checks, from the full model's RSS (NaN: collinear), the TSS and the response.
+
+    For one dataset rss and tss are floats and Y is its (n,) response;
+    for K datasets they are (K, 1) columns and Y is the (K, n) stack, and
+    so are the FullFit's rss, sigma2 and tss.  Raises where any dataset
+    fails a check.
+    """
+    if np.isnan(rss).any():
+        raise _collinear(full_mask(q - 1))
+    if (np.ptp(Y, axis=-1) == 0.0).any() or np.less_equal(rss, DEGENERATE_TOL * tss).any():
         raise DegenerateFitError("full-model residual sum of squares is numerically zero")
-    return FullFit(n=data.n, q=data.q, rss=rss, sigma2=rss / (data.n - data.q), tss=tss)
+    return FullFit(n=n, q=q, rss=rss, sigma2=rss / (n - q), tss=tss)
 
 
 def standardize(data: Dataset) -> Dataset:

@@ -12,12 +12,13 @@ and as even as keep every worker busy: a chunk's datasets get their
 per-size tables from one best_per_size call, which searches them in
 lockstep, sharing blocks of tree nodes, and fits each size's winners
 with one stacked small QR from the datasets' R factors; masks, node
-counts and RSS are bit-identical to lone calls.  A replication scores
-its table through criteria._decisions, the rules select_many's reports
-come from, with no report and no coefficient solve, so the choices are
-select_many's.  Results are merged by replication index, so a run is
-bit-identical for a fixed (seed, reps) no matter how many worker
-processes are used.
+counts and RSS are bit-identical to lone calls.  The chunk is scored
+as arrays: one pass of criteria._decisions, the rules select_many's
+reports come from, chooses a size for every replication and criterion
+from the (K, p+1) RSS array the tables share, with no per-replication
+table, report or coefficient solve, so the choices are select_many's.
+Results are merged by replication index, so a run is bit-identical for
+a fixed (seed, reps) no matter how many worker processes are used.
 
 At more than one worker, the parent is one of them: it starts the
 others, plain multiprocessing processes of the default start method
@@ -42,9 +43,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .criteria import CRITERIA, RatePair, _decisions, _full, classify, labels_for
-from .errors import ConfigError, RankDeficientError, TooFewRowsError
-from .linalg import Dataset
+from .criteria import CRITERIA, RatePair, _decisions, _rates, labels_for
+from .errors import ConfigError, TooFewRowsError
+from .linalg import Dataset, _collinear, _full_stats, full_mask
 from .subsets import best_per_size
 
 log = logging.getLogger(__name__)
@@ -54,9 +55,13 @@ _REFERENCE_CORRELATED = (20, 10, 5)
 
 _MAX_REGEN = 10
 
-# most reps per chunk: a (400, 30) chunk then stacks about 3 MB per array;
-# the chunk's lockstep search holds blocks of at most subsets._BLOCK_FLOATS
-# floats, so a block's memory does not grow with the chunk
+# most reps per chunk.  At p = 10 a chunk of 32 or fewer searches in merged
+# lockstep blocks to the end, at about 57 us of search per rep; from 40 on, a
+# level of a merged block outgrows subsets._BLOCK_FLOATS and splits into
+# one-dataset blocks, and the search costs about 165 us per rep (2-core x86,
+# numpy 2.4).  A (400, 30) chunk stacks about 3 MB per array; the lockstep
+# search holds blocks of at most _BLOCK_FLOATS floats, so a block's memory
+# does not grow with the chunk
 _MAX_CHUNK = 32
 
 # least seconds between two progress lines
@@ -175,16 +180,23 @@ def _gen_design(scenario: Scenario, rng: np.random.Generator) -> np.ndarray:
 
 
 def _run_chunk(args) -> list[tuple[int, list[float], list[float], int]]:
-    """A chunk of replications: fresh data per rep, one table search call, classification.
+    """A chunk of replications: fresh data per rep, one table search call, every rep scored at once.
 
     Each rep draws from its own stream.  The chunk's datasets get their
-    tables from one best_per_size call, searched in lockstep, and each
-    rep's choices are its table's decisions (criteria._decisions).  A rep
-    whose full design is collinear is redrawn from its stream and
-    searched again with the other redrawn reps.  Each row is (rep, firs,
-    fars, redraws).
+    tables from one best_per_size call, searched in lockstep and fitted
+    together, whose arrays they share (subsets._Fits); no table is read
+    as a dict.  One pass of criteria._decisions scores the (K, p+1) RSS
+    array with the rules select_many's reports come from, and a chosen
+    key's rates are the bits it misses and adds against the truth's key
+    (criteria._rates).  A rep whose full design is collinear is redrawn
+    from its stream and searched again with the other redrawn reps.
+    Each row is (rep, firs, fars, redraws).
     """
     scenario, criteria, alphas, seed, reps = args
+    n, p = scenario.n, scenario.p
+    # the key of columns 0 .. p_active-1, column j being bit p-1-j
+    truth = (1 << p) - (1 << (p - scenario.p_active))
+    sizes = np.arange(p + 1)
     rngs = {r: np.random.default_rng([seed, r]) for r in reps}
     regen = dict.fromkeys(reps, 0)
     out = []
@@ -194,21 +206,30 @@ def _run_chunk(args) -> list[tuple[int, list[float], list[float], int]]:
         for r in pending:
             X = _gen_design(scenario, rngs[r])
             datas.append(Dataset(X=X, y=gen_response(X, scenario, rngs[r])))
+        fits = best_per_size(datas)[0].fits
+        kept = ~np.isnan(fits.full_rss)
         redraw = []
-        for r, per_size in zip(pending, best_per_size(datas)):
-            try:
-                full = _full(per_size)
-            except RankDeficientError:
+        for r, ok in zip(pending, kept.tolist()):
+            if not ok:
                 # the full design is collinear: redraw
                 regen[r] += 1
                 if regen[r] > _MAX_REGEN:
-                    raise
+                    raise _collinear(full_mask(p))
                 redraw.append(r)
-                continue
-            table = per_size.table
-            rates = [classify(table[size][0], scenario.truth, scenario.p)
-                     for _, _, _, size, _ in _decisions(table, full, criteria, alphas)]
-            out.append((r, [x.fir for x in rates], [x.far for x in rates], regen[r]))
+        rows = kept.nonzero()[0]
+        Y = np.stack([d.y for d in datas])[rows]
+        full = _full_stats(n, p + 1, fits.full_rss[rows, None], fits.tss[rows, None], Y)
+        firs, fars = [], []
+        for _, _, _, cols, _ in _decisions(fits.rss[rows], sizes, full, criteria, alphas,
+                                           lambda k, j: fits.mask(rows[k], j)):
+            chosen = fits.keys[rows, cols]
+            fir, far = _rates(np.bitwise_count(truth & ~chosen), np.bitwise_count(chosen & ~truth),
+                              scenario.p_active, p)
+            firs.append(fir)
+            fars.append(far)
+        done = [pending[i] for i in rows.tolist()]
+        out.extend((r, fi, fa, regen[r]) for r, fi, fa
+                   in zip(done, np.transpose(firs).tolist(), np.transpose(fars).tolist()))
         pending = redraw
     return out
 

@@ -37,19 +37,23 @@ more nodes at small p, where each node is small.
 Intercepts are handled exactly by centering: the RSS of a subset fitted
 with an intercept equals the RSS of the centered regression on the same
 columns, so the search runs on the centered Gram matrix and keeps only
-its winning masks.  A table's entries are those masks fitted from the R
-factor of their dataset's [1 | X | y] (linalg._factor, one batched QR
-for all of a call's datasets), one stacked small QR per size across the
-call, so each RSS has the bits a lone fit_subset gives.  Size p is the
-full mask, fitted the same way.
+the keys of its winning masks.  A table's entries are those masks
+fitted from the R factor of their dataset's [1 | X | y] (linalg._factor,
+one batched QR for all of a call's datasets), one stacked small QR per
+size across the call, so each RSS has the bits a lone fit_subset gives.
+Size p is the full mask, fitted the same way.  A call's tables are rows
+of arrays over all its datasets (_Fits), which a Monte Carlo chunk
+scores whole; a table's dict of masks is built only when read.
 """
 
 from __future__ import annotations
 
 import functools
 import logging
-from collections.abc import Sequence
+import math
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -83,50 +87,128 @@ _BLOCK_FLOATS = 128 * 31**2
 _HEAP_FLOATS = 4 * _BLOCK_FLOATS
 
 
+class _Fits(NamedTuple):
+    """One best_per_size call's tables, as arrays over its K datasets.
+
+    rss (K, p+1) holds each dataset's least RSS per size, NaN where the
+    size has no usable mask, and at (K, p+1) the index of that mask in
+    the size's (M, s) cols and (M, s+2, s+2) small R factors (None at
+    size 0), -1 where there is none.  keys (K, p+1) are the search's
+    winner keys (None for a list); full_rss (NaN where the full design is
+    collinear), tss, skipped and nodes are (K,).
+    """
+
+    rss: np.ndarray
+    at: np.ndarray
+    cols: dict[int, np.ndarray]
+    small: dict[int, np.ndarray | None]
+    keys: np.ndarray | None
+    full_rss: np.ndarray
+    tss: np.ndarray
+    skipped: np.ndarray
+    nodes: np.ndarray
+
+    def mask(self, row: int, size: int) -> Mask:
+        """Dataset row's best mask of one size; the size must be in its table."""
+        return tuple(self.cols[size][self.at[row, size]].tolist())
+
+
 @dataclass(frozen=True, eq=False)
 class PerSizeBest:
     """The minimum-RSS subset per size; sizes with no usable candidate are missing.
 
-    table maps each size to its best (mask, rss), fitted from the R
-    factor of the dataset's [1 | X | y] (linalg._fit_masks), and skipped
-    counts the rank-deficient masks, refused by the search's sweep or by
-    the QR rank test.  full_rss is the full mask's RSS, fitted the same
-    way whether or not the full mask is a candidate, and None when the
-    full design is collinear; tss is the centered TSS from the same
-    factoring (linalg._factor).  entries gives each size's FitSummary, its
-    beta solved from the same small R factor the first time it is read.
+    One dataset's row of its best_per_size call's arrays (fits, shared by
+    every table of the call).  table maps each size to its best (mask,
+    rss), fitted from the R factor of the dataset's [1 | X | y]
+    (linalg._fit_masks) and built from the arrays the first time it is
+    read; skipped counts the rank-deficient masks, refused by the
+    search's sweep or by the QR rank test.  full_rss is the full mask's
+    RSS, fitted the same way whether or not the full mask is a candidate,
+    and None when the full design is collinear; tss is the centered TSS
+    from the same factoring (linalg._factor).  entries gives each size's
+    FitSummary, its beta solved from the same small R factor the first
+    time that size is read.
     """
 
     data: Dataset = field(repr=False)
-    table: dict[int, tuple[Mask, float]]
-    full_rss: float | None
-    tss: float
-    skipped: int = 0
-    # search tree nodes evaluated, floors plus ceilings (0 for an explicit
-    # list): the search's work, independent of the machine
-    nodes: int = 0
-    # each size's small R factor, None at size 0 (linalg._summary)
-    factors: dict[int, np.ndarray | None] = field(default_factory=dict, repr=False)
+    fits: _Fits = field(repr=False)
+    row: int
+
+    @property
+    def full_rss(self) -> float | None:
+        rss = float(self.fits.full_rss[self.row])
+        return None if math.isnan(rss) else rss
+
+    @property
+    def tss(self) -> float:
+        return float(self.fits.tss[self.row])
+
+    @property
+    def skipped(self) -> int:
+        return int(self.fits.skipped[self.row])
+
+    @property
+    def nodes(self) -> int:
+        """Search tree nodes evaluated, floors plus ceilings (0 for a list): machine-independent work."""
+        return int(self.fits.nodes[self.row])
 
     @functools.cached_property
-    def entries(self) -> dict[int, FitSummary]:
+    def table(self) -> dict[int, tuple[Mask, float]]:
+        rss = self.fits.rss[self.row].tolist()
+        return {s: (self.fits.mask(self.row, s), rss[s])
+                for s in np.flatnonzero(self.fits.at[self.row] >= 0).tolist()}
+
+    @functools.cached_property
+    def entries(self) -> Mapping[int, FitSummary]:
         if self.skipped:
             log.info("skipped %d rank-deficient subset(s)", self.skipped)
         log.debug("search evaluated %d node(s), skipped %d subset(s)", self.nodes, self.skipped)
-        return {s: _summary(self.data, mask, rss, self.factors[s])
-                for s, (mask, rss) in self.table.items()}
+        return _Entries(self.data, self.table, self.fits.small, self.fits.at[self.row])
 
     def sizes(self) -> list[int]:
         return sorted(self.table)
 
 
-def _centered(data: Dataset):
-    Xc = data.X - data.X.mean(axis=0)
-    yc = data.y - data.y.mean()
+class _Entries(Mapping):
+    """A table's FitSummary per size, each solved the first time it is read.
+
+    select_many's reports read the few sizes they choose, so the other
+    sizes' coefficients are never solved.
+    """
+
+    def __init__(self, data: Dataset, table, small, at) -> None:
+        self._data, self._table, self._small, self._at = data, table, small, at
+        self._solved: dict[int, FitSummary] = {}
+
+    def __getitem__(self, size: int) -> FitSummary:
+        if size not in self._solved:
+            mask, rss = self._table[size]
+            small = self._small[size]
+            self._solved[size] = _summary(self._data, mask, rss,
+                                          None if small is None else small[self._at[size]])
+        return self._solved[size]
+
+    def __iter__(self):
+        return iter(self._table)
+
+    def __len__(self) -> int:
+        return len(self._table)
+
+
+def _centered(datas):
+    """The centered Gram matrices, cross-products and TSS of K same-shape datasets, stacked."""
+    # centered in place: each entry gets the bits of X - X.mean(axis=0) on its own
+    Xc = np.stack([d.X for d in datas])
+    Xc -= Xc.mean(axis=1, keepdims=True)
+    yc = np.stack([d.y for d in datas])
+    yc -= yc.mean(axis=1, keepdims=True)
     # einsum sums every entry in one order, so identical columns get
-    # identical Gram rows and exact ties stay exact; BLAS products do not
-    G = np.einsum("ij,ik->jk", Xc, Xc)
-    return G, np.einsum("ij,i->j", Xc, yc), float(yc @ yc)
+    # identical Gram rows and exact ties stay exact; BLAS products do not.
+    # Each dataset's bits are those of its lone call.  The TSS is a stacked
+    # matmul, which gives each one the bits of its lone dot product, as
+    # einsum does not
+    G = np.einsum("kij,kil->kjl", Xc, Xc)
+    return G, np.einsum("kij,ki->kj", Xc, yc), (yc[:, None, :] @ yc[:, :, None])[:, 0, 0]
 
 
 def _sweep(W: np.ndarray, diag: np.ndarray) -> np.ndarray:
@@ -161,7 +243,7 @@ def _block_nodes(p: int) -> int:
     return max(1, _BLOCK_FLOATS // (p + 1) ** 2)
 
 
-def _leaps_and_bounds(G, b, tss, p: int) -> list[tuple[tuple[Mask, ...], int, int]]:
+def _leaps_and_bounds(G, b, tss, p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Pruned exhaustive search over the inclusion/exclusion trees of K datasets.
 
     G (K, p, p), b (K, p) and tss (K,) are the centered Gram matrices,
@@ -181,9 +263,10 @@ def _leaps_and_bounds(G, b, tss, p: int) -> list[tuple[tuple[Mask, ...], int, in
     otherwise each dataset's children, include-children first, are cut
     into blocks of their own at multiples of the block size.  So every
     dataset sees the blocks its lone search sees, and its masks, skips
-    and node count do not depend on the others.  Returns, per
-    dataset, its winner masks below size p in size order, the collinear
-    subsets skipped and the nodes evaluated.
+    and node count do not depend on the others.  Returns the (K, p+1)
+    int64 keys of the winners, column s holding size s's (-1 where every
+    size-s subset is collinear) and column p the full mask's, and the
+    (K,) collinear subsets skipped and nodes evaluated.
     """
     K = len(tss)
     block = _block_nodes(p)
@@ -351,57 +434,75 @@ def _leaps_and_bounds(G, b, tss, p: int) -> list[tuple[tuple[Mask, ...], int, in
                     own_b = own[rows]
                 # the first block ends up on top of the stack
                 stack.append((d + 1, S2, T2, key2[lo:hi], slot2[lo:hi], ceil2[lo:hi], own_b))
-    bits = [(1 << (p - 1 - j), j) for j in range(p)]
-    out = []
-    for k in range(K):
-        # sizes below p, in size order; size p is the full mask's fit
-        keys = best_key[k * (p + 1) : k * (p + 1) + p]
-        masks = tuple(tuple([j for bit, j in bits if key & bit]) for key in keys if key >= 0)
-        out.append((masks, int(skipped[k]), int(nodes[k])))
-    return out
+    keys = np.array(best_key, dtype=np.int64).reshape(K, p + 1)
+    # size p is the full mask, fitted whether or not its design is collinear
+    keys[:, p] = (1 << p) - 1
+    return keys, skipped, nodes
 
 
-def _fit_tables(datas, searches) -> list[PerSizeBest]:
-    """Fit every dataset's masks from its R factor and keep the least RSS per size.
+def _fit_keys(R, tss, keys):
+    """Fit each dataset's keyed masks from its R factor, one stacked small QR per size.
 
-    searches holds, per dataset, its masks, the subsets its search
-    skipped and its node count.  One batched QR factors the datasets,
-    then each size is one stacked small QR across all of them; ties at
-    equal RSS go to the smaller mask, and a mask failing the rank test
-    is skipped and counted.  The full mask is fitted for every dataset
-    and kept as full_rss; it enters the table and the skip count only
-    where it is one of the dataset's masks.
+    keys (K, p+1) holds in column s the key of a dataset's size-s mask,
+    -1 where it has none.  Returns _Fits' rss, at, cols and small: a
+    mask failing the rank test is fitted but not usable.
     """
-    p = datas[0].p
-    by_size: dict[int, list[tuple[int, Mask]]] = {}
-    for k, (masks, _, _) in enumerate(searches):
-        for mask in masks:
-            by_size.setdefault(len(mask), []).append((k, mask))
-    # size p holds the full mask alone
-    listed = {k for k, _ in by_size.get(p, ())}
-    by_size[p] = [(k, full_mask(p)) for k in range(len(datas))]
-    R, tss = _factor(datas)
-    tables: list[dict[int, tuple[Mask, float]]] = [{} for _ in datas]
-    factors: list[dict[int, np.ndarray | None]] = [{} for _ in datas]
-    full_rss: list[float | None] = [None] * len(datas)
-    skipped = [skip for _, skip, _ in searches]
-    for s in sorted(by_size):
-        pairs = by_size[s]
-        rss, ok, small = _fit_masks(R, tss, [k for k, _ in pairs], [mask for _, mask in pairs])
-        for i, ((k, mask), r, good) in enumerate(zip(pairs, rss.tolist(), ok.tolist())):
-            if s == p:
-                full_rss[k] = r if good else None
-                if k not in listed:
-                    continue
-            cur = tables[k].get(s)
-            if not good:
-                skipped[k] += 1
-            elif cur is None or (r, mask) < (cur[1], cur[0]):
-                tables[k][s] = (mask, r)
-                factors[k][s] = None if small is None else small[i]
-    return [PerSizeBest(d, table, full, t, skip, nodes, f)
-            for d, table, full, t, skip, (_, _, nodes), f
-            in zip(datas, tables, full_rss, tss.tolist(), skipped, searches, factors)]
+    p = keys.shape[1] - 1
+    keyed = keys >= 0
+    member = (keys[:, :, None] & np.left_shift(1, p - 1 - np.arange(p))) != 0
+    cols, small, fitted, usable = {}, {}, [], []
+    for s in range(p + 1):
+        rows = keyed[:, s].nonzero()[0]
+        if len(rows):
+            cols[s] = member[rows, s].nonzero()[1].reshape(len(rows), s)
+            r, ok, small[s] = _fit_masks(R, tss, rows, cols[s])
+            fitted.append(r)
+            usable.append(ok)
+    # every fit in size order, then dataset order, as keyed.T lists them
+    size, row = keyed.T.nonzero()
+    ok = np.concatenate(usable)
+    rss = np.full(keys.shape, np.nan)
+    rss[row[ok], size[ok]] = np.concatenate(fitted)[ok]
+    at = np.full(keys.shape, -1)
+    # a fit's index among its size's fits
+    at[row[ok], size[ok]] = (np.arange(len(size)) - np.searchsorted(size, size))[ok]
+    return rss, at, cols, small
+
+
+def _fit_list(R, tss, masks, p: int):
+    """Fit every listed mask on every dataset, one stacked small QR per size, and keep each size's best.
+
+    A size's best is its least RSS among the masks passing the rank
+    test, ties to the smaller mask.  Returns _Fits' rss, at, cols and
+    small, each dataset's count of masks failing the rank test, and the
+    full mask's RSS (NaN: collinear), fitted for every dataset whether
+    or not it is listed.
+    """
+    K = len(R)
+    by_size: dict[int, list[Mask]] = {}
+    # sorted, so that a size's first least RSS is its smallest such mask
+    for mask in sorted(masks):
+        by_size.setdefault(len(mask), []).append(mask)
+    rss = np.full((K, p + 1), np.nan)
+    at = np.full((K, p + 1), -1)
+    cols, small = {}, {}
+    failed = np.zeros(K, dtype=np.int64)
+    for s, listed in sorted(by_size.items()):
+        m = len(listed)
+        cols[s] = np.array(listed * K, dtype=np.intp).reshape(K * m, s)
+        r, ok, small[s] = _fit_masks(R, tss, np.repeat(np.arange(K), m), cols[s])
+        usable = np.where(ok, r, np.inf)
+        pick = np.arange(K) * m + usable.reshape(K, m).argmin(axis=1)
+        keep = ok[pick]
+        rss[keep, s] = usable[pick[keep]]
+        at[keep, s] = pick[keep]
+        failed += m - ok.reshape(K, m).sum(axis=1)
+    if p in by_size:
+        full_rss = rss[:, p]
+    else:
+        r, ok, _ = _fit_masks(R, tss, np.arange(K), [full_mask(p)] * K)
+        full_rss = np.where(ok, r, np.nan)
+    return rss, at, cols, small, failed, full_rss
 
 
 def best_per_size(
@@ -440,17 +541,23 @@ def best_per_size(
     if len({d.X.shape for d in datas}) > 1:
         raise DimensionMismatchError("datasets fitted together must share one shape")
     p = datas[0].p
-    if candidates is not None:
-        masks = tuple(dict.fromkeys(as_mask(m, p) for m in candidates))
-        searches = [(masks, 0, 0)] * len(datas)
-    elif p > SUBSET_LIMIT:
-        raise LimitExceededError(
-            f"exhaustive search over p={p} exceeds the limit of {SUBSET_LIMIT}"
-        )
+    if candidates is None:
+        if p > SUBSET_LIMIT:
+            raise LimitExceededError(
+                f"exhaustive search over p={p} exceeds the limit of {SUBSET_LIMIT}"
+            )
+        # factored first, so that its arrays are freed before the search's
+        R, tss = _factor(datas)
+        keys, skipped, nodes = _leaps_and_bounds(*_centered(datas), p)
+        rss, at, cols, small = _fit_keys(R, tss, keys)
+        # the keyed masks the rank test refused
+        skipped = skipped + ((keys >= 0) & (at < 0)).sum(axis=1)
+        full_rss = rss[:, p]
     else:
-        G, b, tss = (np.stack(a) for a in zip(*map(_centered, datas)))
-        # the search's winners below size p, then the full mask
-        searches = [(masks + (full_mask(p),), skipped, nodes)
-                    for masks, skipped, nodes in _leaps_and_bounds(G, b, tss, p)]
-    tables = _fit_tables(datas, searches)
+        masks = tuple(dict.fromkeys(as_mask(m, p) for m in candidates))
+        R, tss = _factor(datas)
+        rss, at, cols, small, skipped, full_rss = _fit_list(R, tss, masks, p)
+        keys, nodes = None, np.zeros(len(datas), dtype=np.int64)
+    fits = _Fits(rss, at, cols, small, keys, full_rss, tss, skipped, nodes)
+    tables = [PerSizeBest(d, fits, k) for k, d in enumerate(datas)]
     return tables[0] if lone else tables

@@ -11,6 +11,7 @@ from cmcselect import (
     CRITERIA,
     ConfigError,
     Dataset,
+    DegenerateFitError,
     DomainError,
     InconsistentStatisticError,
     InfeasibleCandidatesError,
@@ -387,3 +388,182 @@ def test_power_of_two_column_scaling_changes_nothing_property(p, data):
     for s in ta.sizes():
         assert ta.entries[s].mask == tb.entries[s].mask
         assert ta.entries[s].rss == tb.entries[s].rss
+
+
+# The mapping rules as they read before the rules were stated over arrays:
+# one table, one size at a time.  The array rules must agree with them.
+def mapping_lambda(rss, rss_full, sigma2, size):
+    if rss < rss_full - criteria._LAMBDA_SLACK * rss_full:
+        raise InconsistentStatisticError(f"size-{size} rss {rss} fell below full-model rss {rss_full}")
+    return max(0.0, (rss - rss_full) / sigma2)
+
+
+def mapping_lambdas(table, full):
+    return {s: mapping_lambda(table[s][1], full.rss, full.sigma2, s) for s in sorted(table)}
+
+
+def mapping_smallest_feasible(lambdas, kap):
+    for s, lam in lambdas.items():
+        if lam <= kap:
+            return s
+    raise InfeasibleCandidatesError(
+        "no candidate model satisfies lambda <= kappa; "
+        "explicit candidate lists must include an adequate model"
+    )
+
+
+def mapping_cmc_from_table(table, full, kap):
+    lambdas = mapping_lambdas(table, full)
+    return mapping_smallest_feasible(lambdas, kap), lambdas
+
+
+def mapping_score(criterion, rss, k, full):
+    n = full.n
+    if criterion == "bic":
+        if rss <= 0.0:
+            raise DegenerateFitError("zero residual sum of squares; BIC undefined")
+        return n * math.log(rss / n) + k * math.log(n)
+    if criterion == "cp_aic":
+        return rss / full.sigma2 - n + 2.0 * k
+    return 1.0 - (rss / (n - k)) / (full.tss / (n - 1))
+
+
+def mapping_ic_from_table(table, full, criterion):
+    if criterion not in ("bic", "cp_aic", "adjr2"):
+        raise ConfigError(f"no information criterion {criterion!r}; expected bic, cp_aic or adjr2")
+    if not table:
+        raise InfeasibleCandidatesError("candidate set produced no usable model")
+    scores = {s: mapping_score(criterion, rss, s + 1, full) for s, (_, rss) in table.items()}
+    sign = -1.0 if criterion == "adjr2" else 1.0
+    size = min(scores, key=lambda s: (sign * scores[s], table[s][0]))
+    return size, scores
+
+
+def mapping_decisions(table, full, criteria_, alphas):
+    """Each report's (size, scores) for one table, as a list, or the error it raised."""
+    try:
+        out = []
+        for c in criteria_:
+            if c == "cmc":
+                lambdas = mapping_lambdas(table, full)
+                for a in alphas:
+                    out.append((mapping_smallest_feasible(lambdas, kappa(a, full.q, full.n)), lambdas))
+            else:
+                out.append(mapping_ic_from_table(table, full, c))
+        return out
+    except (InconsistentStatisticError, DegenerateFitError, InfeasibleCandidatesError) as exc:
+        return exc
+
+
+def mapping_classify(chosen, truth, p):
+    chosen = set(chosen)
+    truth = set(truth)
+    fir = len(truth - chosen) / len(truth) if truth else 0.0
+    far = len(chosen - truth) / (p - len(truth)) if p > len(truth) else 0.0
+    return fir, far
+
+
+def outcome(call):
+    """A call's result, or its error as (type, message)."""
+    try:
+        return call()
+    except (InconsistentStatisticError, DegenerateFitError, InfeasibleCandidatesError) as exc:
+        return type(exc), str(exc)
+
+
+def _random_tables(data, p: int, n: int, K: int):
+    """K random per-size tables with their full-model statistics, built to reach every rule's edges.
+
+    "tie" tables make every entry score the same Cp (sigma2 1, integer
+    RSS) or the same adjusted R-squared (RSS a dyadic multiple of n - k),
+    as in test_cross_size_score_tie_takes_the_smaller_mask; "low" tables
+    put one RSS below the full model's, "zero" tables one RSS at 0.
+    """
+    kind = data.draw(st.sampled_from(["random", "cp_tie", "adjr2_tie", "low", "zero"]), label="kind")
+    tables, fulls = [], []
+    for _ in range(K):
+        sizes = data.draw(st.lists(st.integers(0, p), unique=True, max_size=p + 1), label="sizes")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        rss_full = float(data.draw(st.sampled_from([0.5, 1.0, 2.0, 7.25]), label="rss_full"))
+        sigma2 = 1.0 if kind == "cp_tie" else rss_full / (n - p - 1)
+        full = FullFit(n=n, q=p + 1, rss=rss_full, sigma2=sigma2, tss=float(rng.uniform(10.0, 500.0)))
+        c = float(rng.integers(1, 64)) / 8.0 + rss_full
+        table = {}
+        for s in sizes:
+            mask = tuple(sorted(rng.choice(p, s, replace=False).tolist()))
+            if kind == "cp_tie":
+                rss = float(2 * n) - 2.0 * (s + 1)
+            elif kind == "adjr2_tie":
+                rss = c * (n - s - 1)
+            else:
+                rss = rss_full * float(rng.choice([1.0, 1.0 - 1e-12, 1.0 + 1e-12])) \
+                    if rng.random() < 0.3 else rss_full + float(rng.exponential(5.0))
+            table[s] = (mask, rss)
+        if kind in ("low", "zero") and sizes:
+            s = sizes[int(rng.integers(len(sizes)))]
+            table[s] = (table[s][0], 0.0 if kind == "zero" else rss_full * 0.5)
+        tables.append(table)
+        fulls.append(full)
+    return tables, fulls
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(p=st.integers(1, 8), data=st.data())
+def test_array_rules_agree_with_the_mapping_rules_property(p, data):
+    # random tables with missing sizes, exact cross-size ties, alpha 0, 1 and
+    # random, and every error path: the K = 1 calls and one pass over all K
+    # tables choose what the mapping rules choose, score the same bits and
+    # raise the same errors with the same messages
+    n = data.draw(st.integers(p + 2, p + 40), label="n")
+    K = data.draw(st.integers(1, 5), label="K")
+    tables, fulls = _random_tables(data, p, n, K)
+    alphas = data.draw(st.lists(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0), min_size=1,
+                                max_size=3, unique=True), label="alphas")
+    order = data.draw(st.permutations(CRITERIA), label="criteria")
+
+    for table, full in zip(tables, fulls):
+        for a in alphas:
+            kap = kappa(a, full.q, full.n)
+            assert outcome(lambda: cmc_from_table(table, full, kap)) == \
+                outcome(lambda: mapping_cmc_from_table(table, full, kap))
+        for c in ("bic", "cp_aic", "adjr2"):
+            assert outcome(lambda: ic_from_table(table, full, c)) == \
+                outcome(lambda: mapping_ic_from_table(table, full, c))
+
+    # all K tables at once, as a Monte Carlo chunk scores them
+    rss = np.full((K, p + 1), np.nan)
+    for k, table in enumerate(tables):
+        for s, (_, r) in table.items():
+            rss[k, s] = r
+    column = lambda name: np.array([[getattr(f, name)] for f in fulls])  # noqa: E731
+    stacked = FullFit(n=n, q=p + 1, rss=column("rss"), sigma2=column("sigma2"), tss=column("tss"))
+    want = [mapping_decisions(t, f, order, alphas) for t, f in zip(tables, fulls)]
+    errors = {(type(w), str(w)) for w in want if isinstance(w, Exception)}
+    got = outcome(lambda: list(criteria._decisions(
+        rss, np.arange(p + 1), stacked, order, alphas, lambda k, j: tables[k][j][0])))
+    if errors:
+        assert got in errors
+        return
+    for i, (_, _, _, cols, scores) in enumerate(got):
+        for k, table in enumerate(tables):
+            size, want_scores = want[k][i]
+            assert cols[k] == size
+            assert {s: scores[k, s] for s in table} == want_scores
+            assert np.isnan(np.delete(scores[k], sorted(table))).all()
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(p=st.integers(1, 30), data=st.data())
+def test_rate_rule_agrees_with_the_mapping_rule_property(p, data):
+    # classify, and the chunk's count of a chosen key's bits against the
+    # truth key, give the mapping rule's bits
+    t = data.draw(st.integers(0, p), label="active")
+    chosen = data.draw(st.lists(st.sets(st.integers(0, p - 1)), min_size=1, max_size=6), label="chosen")
+    truth = tuple(range(t))
+    want = [mapping_classify(c, truth, p) for c in chosen]
+    assert [tuple(classify(c, truth, p)) for c in chosen] == want
+    key = lambda mask: sum(1 << (p - 1 - j) for j in mask)  # noqa: E731
+    keys = np.array([key(c) for c in chosen], dtype=np.int64)
+    missed, extra = np.bitwise_count(key(truth) & ~keys), np.bitwise_count(keys & ~key(truth))
+    fir, far = criteria._rates(missed, extra, t, p)
+    assert list(zip(fir.tolist(), far.tolist())) == want

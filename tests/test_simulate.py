@@ -245,6 +245,29 @@ def test_a_chunk_makes_one_small_qr_per_size_and_no_beta_solve(monkeypatch):
     assert solves == summaries == built == []
 
 
+def test_a_chunk_reads_no_table_and_scores_every_rep_in_one_pass(monkeypatch):
+    # a 25-rep (50, 10, 5) chunk's tables are rows of one best_per_size call's
+    # arrays: none is read as a dict of masks or of fits, and one pass of the
+    # selection rules scores all 25 reps, not one pass per rep
+    tables = []
+    search = simulate.best_per_size
+
+    def recorded(datas):
+        out = search(datas)
+        tables.extend(out)
+        return out
+
+    monkeypatch.setattr(simulate, "best_per_size", recorded)
+    passes = spy_calls(monkeypatch, criteria._decisions)
+    sc = Scenario("weak", 50, 10, 5)
+    rows = simulate._run_chunk((sc, CRITERIA, (0.9, 0.5, 0.1), 1, range(25)))
+    monkeypatch.undo()
+    assert sorted(row[0] for row in rows) == list(range(25))
+    assert len(tables) == 25
+    assert [sorted({"table", "entries"} & set(vars(t))) for t in tables] == [[]] * 25
+    assert len(passes) == 1 and passes[0][0].shape == (25, 11)
+
+
 def test_replicates_choose_what_select_many_chooses_on_stress_scenarios(monkeypatch):
     # near-collinear groups, an almost noise-free response, a large intercept
     # and a large signal, and the benchmark's and two Table 1 shapes: every
@@ -272,25 +295,34 @@ def test_replicates_are_select_many_at_a_large_intercept(monkeypatch):
 
 def test_pool_workers_start_with_numpy_random_imported():
     # importing the package leaves numpy.random unimported; run_monte_carlo
-    # imports it before its pool forks, so a worker's first chunk finds it
+    # imports it before its pool forks, so a worker's first chunk finds it.
+    # The parent runs chunks too: a slow one leaves the worker chunks to take,
+    # and the worker counts the chunks it checked
     script = """if True:
-        import os, sys
+        import multiprocessing, os, sys, time
         import cmcselect
         from cmcselect import Scenario, run_monte_carlo, simulate
         assert "numpy.random" not in sys.modules
         parent = os.getpid()
+        checked = multiprocessing.Value("i", 0)
         run_chunk = simulate._run_chunk
 
         def probe(args):
-            if os.getpid() != parent and "numpy.random" not in sys.modules:
-                raise RuntimeError("a worker imported numpy.random itself")
+            if os.getpid() == parent:
+                time.sleep(0.2)
+            else:
+                if "numpy.random" not in sys.modules:
+                    raise RuntimeError("a worker imported numpy.random itself")
+                with checked.get_lock():
+                    checked.value += 1
             return run_chunk(args)
 
         simulate._run_chunk = probe
-        run_monte_carlo(Scenario("weak", 30, 4, 2), reps=4, threads=2)
-        print("ok")
+        simulate._MAX_CHUNK = 1
+        run_monte_carlo(Scenario("weak", 30, 4, 2), reps=16, threads=2)
+        print(checked.value > 0)
     """
-    assert run_fresh(script) == "ok\n"
+    assert run_fresh(script) == "True\n"
 
 
 def test_importing_the_package_loads_no_process_or_hash_module():

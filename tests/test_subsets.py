@@ -51,7 +51,12 @@ def test_limit_guard(monkeypatch):
 
     def stub_search(G, b, tss, p):
         searched.append(p)
-        return [(((),), 0, 0)] * len(tss)
+        # the empty mask at size 0, no winner at sizes 1 .. p-1, the full mask at size p
+        keys = np.full((len(tss), p + 1), -1, dtype=np.int64)
+        keys[:, 0] = 0
+        keys[:, p] = (1 << p) - 1
+        zeros = np.zeros(len(tss), dtype=np.int64)
+        return keys, zeros, zeros
 
     monkeypatch.setattr(subsets, "_leaps_and_bounds", stub_search)
     rng = np.random.default_rng(8)
@@ -468,8 +473,8 @@ def test_select_factors_its_dataset_once(tmp_path, capsys, monkeypatch):
 
 
 def test_entries_solve_beta_when_read_with_no_second_qr(monkeypatch):
-    # a table's coefficients are solved the first time its entries are read,
-    # one solve per size above 0 from the small R factors the table's RSS came
+    # a size's coefficients are solved the first time that entry is read, one
+    # solve per size above 0 from the small R factors the table's RSS came
     # from, and each table solves only its own
     rng = np.random.default_rng(6)
     datas = [random_dataset(rng, 30, 5) for _ in range(4)]
@@ -484,9 +489,11 @@ def test_entries_solve_beta_when_read_with_no_second_qr(monkeypatch):
     monkeypatch.setattr(np.linalg, "qr", lambda *args, **kwargs: qrs.append(args))
     monkeypatch.setattr(np.linalg, "solve", spy_solve)
     for i, table in enumerate(tables):
-        assert len(solves) == 5 * i
         entries = table.entries
         assert table.entries is entries
+        assert len(solves) == 5 * i
+        for s in table.sizes():
+            assert entries[s] is entries[s]
         assert len(solves) == 5 * (i + 1)
     monkeypatch.undo()
     assert qrs == []
