@@ -12,7 +12,6 @@ columns were dropped.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 
@@ -49,12 +48,6 @@ def full_mask(p: int) -> Mask:
     return tuple(range(p))
 
 
-@functools.cache
-def _default_names(p: int) -> tuple[str, ...]:
-    """x1..xp, made once per p: a Monte Carlo chunk builds a Dataset per replicate."""
-    return tuple(f"x{i+1}" for i in range(p))
-
-
 @dataclass(frozen=True, eq=False)
 class Dataset:
     """An immutable design matrix, response vector, and predictor names.
@@ -84,12 +77,12 @@ class Dataset:
             raise DimensionMismatchError(
                 f"y must be a length-{X.shape[0]} vector, got shape {y.shape}"
             )
-        if not (np.isfinite(X).all() and np.isfinite(y).all()):
+        if not np.all(np.isfinite(X)) or not np.all(np.isfinite(y)):
             raise DimensionMismatchError("X and y entries must all be finite")
         n, p = X.shape
         if n <= p + 1:
             raise TooFewRowsError(f"need n > p+1 rows for the full-model fit, got n={n}, p={p}")
-        names = tuple(self.names) if self.names else _default_names(p)
+        names = tuple(self.names) if self.names else tuple(f"x{i+1}" for i in range(p))
         if len(names) != p or len(set(names)) != p:
             raise DimensionMismatchError(f"names must be {p} unique labels, got {names!r}")
         X.flags.writeable = False
@@ -185,7 +178,7 @@ def _fit_masks(R, tss, rows, masks) -> tuple[np.ndarray, np.ndarray, np.ndarray 
     cols[:, 1:-1] = masks + 1
     cols[:, -1] = p + 1
     small = np.linalg.qr(R[rows[:, None, None], np.arange(p + 2)[:, None], cols[:, None, :]], mode="r")
-    diag = np.abs(small.diagonal(axis1=1, axis2=2)[:, :-1])
+    diag = np.abs(np.diagonal(small, axis1=1, axis2=2)[:, :-1])
     ok = diag.min(axis=1) > RANK_TOL * diag.max(axis=1)
     return small[:, -1, -1] ** 2, ok, small
 

@@ -187,15 +187,14 @@ def _run_chunk(args) -> list[tuple[int, list[float], list[float], int]]:
     together, whose arrays they share (subsets._Fits); no table is read
     as a dict.  One pass of criteria._decisions scores the (K, p+1) RSS
     array with the rules select_many's reports come from, and a chosen
-    key's rates are the bits it misses and adds against the truth's key
-    (criteria._rates).  A rep whose full design is collinear is redrawn
-    from its stream and searched again with the other redrawn reps.
-    Each row is (rep, firs, fars, redraws).
+    mask's rates come from the true columns it leaves out and the others
+    it holds (subsets._Fits.misses, criteria._rates).  A rep whose full
+    design is collinear is redrawn from its stream and searched again
+    with the other redrawn reps.  Each row is (rep, firs, fars, redraws).
     """
     scenario, criteria, alphas, seed, reps = args
     n, p = scenario.n, scenario.p
-    # the key of columns 0 .. p_active-1, column j being bit p-1-j
-    truth = (1 << p) - (1 << (p - scenario.p_active))
+    truth = tuple(range(scenario.p_active))
     sizes = np.arange(p + 1)
     rngs = {r: np.random.default_rng([seed, r]) for r in reps}
     regen = dict.fromkeys(reps, 0)
@@ -217,20 +216,18 @@ def _run_chunk(args) -> list[tuple[int, list[float], list[float], int]]:
                     raise _collinear(full_mask(p))
                 redraw.append(r)
         rows = kept.nonzero()[0]
+        done = [pending[i] for i in rows.tolist()]
+        pending = redraw
+        if not done:
+            continue
         Y = np.stack([d.y for d in datas])[rows]
         full = _full_stats(n, p + 1, fits.full_rss[rows, None], fits.tss[rows, None], Y)
-        firs, fars = [], []
-        for _, _, _, cols, _ in _decisions(fits.rss[rows], sizes, full, criteria, alphas,
-                                           lambda k, j: fits.mask(rows[k], j)):
-            chosen = fits.keys[rows, cols]
-            fir, far = _rates(np.bitwise_count(truth & ~chosen), np.bitwise_count(chosen & ~truth),
-                              scenario.p_active, p)
-            firs.append(fir)
-            fars.append(far)
-        done = [pending[i] for i in rows.tolist()]
-        out.extend((r, fi, fa, regen[r]) for r, fi, fa
-                   in zip(done, np.transpose(firs).tolist(), np.transpose(fars).tolist()))
-        pending = redraw
+        # each report's chosen size per rep, (reports, K')
+        cols = np.array([chosen for _, _, _, chosen, _ in _decisions(
+            fits.rss[rows], sizes, full, criteria, alphas, lambda k, j: fits.mask(rows[k], j))],
+            dtype=np.intp).reshape(-1, len(rows))
+        fir, far = _rates(*fits.misses(rows, cols, truth), scenario.p_active, p)
+        out.extend((r, fi, fa, regen[r]) for r, fi, fa in zip(done, fir.T.tolist(), far.T.tolist()))
     return out
 
 

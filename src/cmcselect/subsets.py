@@ -112,8 +112,24 @@ class _Fits(NamedTuple):
         """Dataset row's best mask of one size; the size must be in its table."""
         return tuple(self.cols[size][self.at[row, size]].tolist())
 
+    def misses(self, rows, sizes, truth: Mask) -> tuple[np.ndarray, np.ndarray]:
+        """Per dataset rows[i], the columns of truth its size-sizes[i] mask leaves out, and the others it holds.
 
-@dataclass(frozen=True, eq=False)
+        Two arrays of counts, read from the search's keys: sizes may stack
+        several choices per dataset, (..., len(rows)), and must be in their
+        tables.
+        """
+        held = _held(self.keys[rows, sizes], self.keys.shape[1] - 1)
+        kept = held[..., list(truth)].sum(axis=-1)
+        return len(truth) - kept, held.sum(axis=-1) - kept
+
+
+def _held(keys: np.ndarray, p: int) -> np.ndarray:
+    """The (..., p) columns each search key holds: column j is bit p-1-j."""
+    return (keys[..., None] & np.left_shift(1, p - 1 - np.arange(p))) != 0
+
+
+@dataclass(frozen=True, eq=False, repr=False)
 class PerSizeBest:
     """The minimum-RSS subset per size; sizes with no usable candidate are missing.
 
@@ -167,6 +183,10 @@ class PerSizeBest:
 
     def sizes(self) -> list[int]:
         return sorted(self.table)
+
+    def __repr__(self) -> str:
+        return (f"PerSizeBest(table={self.table!r}, full_rss={self.full_rss!r}, tss={self.tss!r}, "
+                f"skipped={self.skipped!r}, nodes={self.nodes!r})")
 
 
 class _Entries(Mapping):
@@ -449,7 +469,7 @@ def _fit_keys(R, tss, keys):
     """
     p = keys.shape[1] - 1
     keyed = keys >= 0
-    member = (keys[:, :, None] & np.left_shift(1, p - 1 - np.arange(p))) != 0
+    member = _held(keys, p)
     cols, small, fitted, usable = {}, {}, [], []
     for s in range(p + 1):
         rows = keyed[:, s].nonzero()[0]

@@ -553,17 +553,20 @@ def test_array_rules_agree_with_the_mapping_rules_property(p, data):
 
 
 @settings(max_examples=200, derandomize=True, deadline=None)
-@given(p=st.integers(1, 30), data=st.data())
-def test_rate_rule_agrees_with_the_mapping_rule_property(p, data):
-    # classify, and the chunk's count of a chosen key's bits against the
-    # truth key, give the mapping rule's bits
+@given(p=st.integers(1, 30), q=st.integers(1, 8), data=st.data())
+def test_rate_rule_agrees_with_the_mapping_rule_property(p, q, data):
+    # classify, and a chunk's counts of each searched mask against the
+    # truth, give the mapping rule's bits
     t = data.draw(st.integers(0, p), label="active")
     chosen = data.draw(st.lists(st.sets(st.integers(0, p - 1)), min_size=1, max_size=6), label="chosen")
     truth = tuple(range(t))
     want = [mapping_classify(c, truth, p) for c in chosen]
     assert [tuple(classify(c, truth, p)) for c in chosen] == want
-    key = lambda mask: sum(1 << (p - 1 - j) for j in mask)  # noqa: E731
-    keys = np.array([key(c) for c in chosen], dtype=np.int64)
-    missed, extra = np.bitwise_count(key(truth) & ~keys), np.bitwise_count(keys & ~key(truth))
-    fir, far = criteria._rates(missed, extra, t, p)
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    truth = tuple(sorted(data.draw(st.sets(st.integers(0, q - 1)), label="truth")))
+    rng = np.random.default_rng(seed)
+    tables = best_per_size([random_dataset(rng, 3 * q + 5, q) for _ in range(3)])
+    rows, sizes = np.array([(k, s) for k, tb in enumerate(tables) for s in tb.sizes()]).T
+    fir, far = criteria._rates(*tables[0].fits.misses(rows, sizes, truth), len(truth), q)
+    want = [mapping_classify(tables[k].table[s][0], truth, q) for k, s in zip(rows, sizes)]
     assert list(zip(fir.tolist(), far.tolist())) == want
