@@ -12,13 +12,13 @@ provided for comparison; all four need only the per-size minimum-RSS
 table, since each is monotone in RSS at fixed size.
 
 Each rule is stated once, over a (K, S) array of RSS: K tables, one per
-row, at S sizes, NaN where a table has no entry.  cmc is _lambdas and
-_smallest_feasible, so that one table's lambdas serve every alpha; BIC,
-Cp and adjusted R-squared are _scores, and the cross-size tie rule is
-_best.  _decisions runs them for a whole request: on a whole Monte Carlo
-chunk at once, and on one table (K = 1) for select_many's reports, as
-cmc_from_table and ic_from_table do.  _rates is the one rate rule, for
-classify and for a chunk.
+row, column s holding size s, NaN where a table has no entry.  cmc is
+_lambdas and _smallest_feasible, so that one table's lambdas serve every
+alpha; BIC, Cp and adjusted R-squared are _scores, and the cross-size
+tie rule is _best.  _decisions runs them for a whole request, and
+_decide runs it on rows of one best_per_size call's arrays: a whole
+Monte Carlo chunk at once, or select_many's one row.  _rates is the one
+rate rule, for classify and for a chunk.
 """
 
 from __future__ import annotations
@@ -141,11 +141,11 @@ def _rates(missed, extra, n_truth: int, p: int):
     return fir, far
 
 
-def _columns(table: Mapping[int, tuple[Mask, float]]):
-    """A per-size table as the rules read it: its sizes in order, its (1, S) RSS, its masks by column."""
-    sizes = sorted(table)
-    rss = np.array([[table[s][1] for s in sizes]], dtype=float)
-    return np.array(sizes, dtype=np.int64), rss, lambda k, j: table[sizes[j]][0]
+def _columns(table: Mapping[int, tuple[Mask, float]]) -> np.ndarray:
+    """A per-size table as the rules read it: a (1, S) row of RSS by size, NaN at a size it lacks."""
+    rss = np.full((1, max(table, default=-1) + 1), np.nan)
+    rss[0, list(table)] = [r for _, r in table.values()]
+    return rss
 
 
 def cmc_from_table(
@@ -160,13 +160,12 @@ def cmc_from_table(
     size is feasible (possible only for explicit candidate lists that
     omit an adequate model).
     """
-    sizes, rss, _ = _columns(table)
-    lambdas = _lambdas(rss, sizes, full)
-    col = _smallest_feasible(lambdas, kap)[0]
-    return int(sizes[col]), dict(zip(sizes.tolist(), lambdas[0].tolist()))
+    lambdas = _lambdas(_columns(table), full)
+    row = lambdas[0].tolist()
+    return int(_smallest_feasible(lambdas, kap)[0]), {s: row[s] for s in sorted(table)}
 
 
-def _lambdas(rss: np.ndarray, sizes: np.ndarray, full: FullFit) -> np.ndarray:
+def _lambdas(rss: np.ndarray, full: FullFit) -> np.ndarray:
     """cmc's statistic (RSS - RSS_full) / sigma2_hat over (K, S) tables; it does not depend on alpha.
 
     A missing entry (NaN) stays NaN.  The first entry, in row then size
@@ -175,17 +174,17 @@ def _lambdas(rss: np.ndarray, sizes: np.ndarray, full: FullFit) -> np.ndarray:
     """
     low = rss < full.rss - _LAMBDA_SLACK * full.rss
     if low.any():
-        k, j = np.argwhere(low)[0]
+        k, s = np.argwhere(low)[0]
         rss_full = np.broadcast_to(full.rss, (len(rss), 1))[k, 0]
         raise InconsistentStatisticError(
-            f"size-{sizes[j]} rss {float(rss[k, j])} fell below full-model rss {float(rss_full)}")
+            f"size-{s} rss {float(rss[k, s])} fell below full-model rss {float(rss_full)}")
     # tiny negative values from rounding clamp to zero; + 0.0 turns the -0.0
     # np.maximum keeps into 0.0
     return np.maximum((rss - full.rss) / full.sigma2, 0.0) + 0.0
 
 
 def _smallest_feasible(lambdas: np.ndarray, kap: float) -> np.ndarray:
-    """cmc's rule: each table's first column, in size order, with lambda <= kap; a missing size never is."""
+    """cmc's rule: each table's smallest size with lambda <= kap; a missing size never is."""
     feasible = lambdas <= kap
     if not feasible.any(axis=1).all():
         raise InfeasibleCandidatesError(
@@ -209,19 +208,19 @@ def ic_from_table(
     """
     if criterion not in ("bic", "cp_aic", "adjr2"):
         raise ConfigError(f"no information criterion {criterion!r}; expected bic, cp_aic or adjr2")
-    sizes, rss, mask_of = _columns(table)
-    scores = _scores(criterion, rss, sizes, full)
-    col = _best(criterion, scores, mask_of)[0]
-    return int(sizes[col]), dict(zip(sizes.tolist(), scores[0].tolist()))
+    scores = _scores(criterion, _columns(table), full)
+    row = scores[0].tolist()
+    size = _best(criterion, scores, lambda k, s: table[s][0])[0]
+    return int(size), {s: row[s] for s in sorted(table)}
 
 
-def _scores(criterion: str, rss: np.ndarray, sizes: np.ndarray, full: FullFit) -> np.ndarray:
+def _scores(criterion: str, rss: np.ndarray, full: FullFit) -> np.ndarray:
     """One information criterion over (K, S) tables, each formula stated once; a missing entry stays NaN.
 
     BIC takes math.log of each entry: numpy's log differs from it in the
     last bit on some inputs, and a score would print differently.
     """
-    n, k = full.n, sizes + 1
+    n, k = full.n, np.arange(1, rss.shape[1] + 1)
     if criterion == "bic":
         if (rss <= 0.0).any():
             raise DegenerateFitError("zero residual sum of squares; BIC undefined")
@@ -233,11 +232,11 @@ def _scores(criterion: str, rss: np.ndarray, sizes: np.ndarray, full: FullFit) -
 
 
 def _best(criterion: str, scores: np.ndarray, mask_of) -> np.ndarray:
-    """Each table's best column: adjusted R-squared's largest score, the others' smallest.
+    """Each table's best size: adjusted R-squared's largest score, the others' smallest.
 
     An exact tie across sizes goes to the lexicographically smaller mask,
-    mask_of(k, j) being table k's mask at column j.  A table with no
-    entry raises InfeasibleCandidatesError.
+    mask_of(k, s) being table k's size-s mask.  A table with no entry
+    raises InfeasibleCandidatesError.
     """
     signed = -scores if criterion == "adjr2" else scores
     # fmin skips the missing entries; a table with none reduces to +inf, which no NaN equals
@@ -245,10 +244,10 @@ def _best(criterion: str, scores: np.ndarray, mask_of) -> np.ndarray:
     count = hit.sum(axis=1)
     if not count.all():
         raise InfeasibleCandidatesError("candidate set produced no usable model")
-    cols = hit.argmax(axis=1)
+    sizes = hit.argmax(axis=1)
     for k in np.flatnonzero(count > 1).tolist():
-        cols[k] = min(np.flatnonzero(hit[k]).tolist(), key=lambda j: mask_of(k, j))
-    return cols
+        sizes[k] = min(np.flatnonzero(hit[k]).tolist(), key=lambda s: mask_of(k, s))
+    return sizes
 
 
 def select_many(
@@ -282,36 +281,37 @@ def select_many(
     return _reports(best_per_size(data, candidates), criteria, alphas)
 
 
-def _decisions(rss: np.ndarray, sizes: np.ndarray, full: FullFit, criteria, alphas, mask_of):
-    """Each report's (criterion, alpha, kappa, columns, scores), in labels_for order, for K tables at once.
+def _decisions(rss: np.ndarray, full: FullFit, criteria, alphas, mask_of):
+    """Each report's (criterion, alpha, kappa, sizes, scores), in labels_for order, for K tables at once.
 
-    rss (K, S) holds table k's RSS at sizes[j] in row k, column j, NaN
+    rss (K, S) holds table k's RSS at size s in row k, column s, NaN
     where the table has no such size; full's rss, sigma2 and tss are
-    floats or (K, 1) columns.  columns (K,) are the chosen columns and
-    scores the (K, S) criterion values; alpha and kappa are None for the
-    non-cmc criteria.  The cmc reports share one lambda array, computed
-    once for all alphas.  mask_of(k, j) is table k's mask at column j,
-    read only to break an exact cross-size score tie.
+    floats or (K, 1) columns.  sizes (K,) are the chosen sizes and scores
+    the (K, S) criterion values; alpha and kappa are None for the non-cmc
+    criteria.  The cmc reports share one lambda array, computed once for
+    all alphas.  mask_of(k, s) is table k's size-s mask, read only to
+    break an exact cross-size score tie.
     """
     for c in criteria:
         if c == "cmc":
-            lambdas = _lambdas(rss, sizes, full)
+            lambdas = _lambdas(rss, full)
             for a in alphas:
                 kap = kappa(a, full.q, full.n)
                 yield (c, _alpha(a), kap, _smallest_feasible(lambdas, kap), lambdas)
         else:
-            scores = _scores(c, rss, sizes, full)
+            scores = _scores(c, rss, full)
             yield (c, None, None, _best(c, scores, mask_of), scores)
 
 
-def _full(per_size: PerSizeBest) -> FullFit:
-    """The full-model statistics of a table's dataset, from the full-mask RSS and TSS its fit kept.
+def _decide(fits, rows, Y, criteria, alphas):
+    """_decisions for rows of one best_per_size call's tables (subsets._Fits), from their arrays.
 
-    A collinear full design raises RankDeficientError, as full_fit does.
+    Y is the rows' (K', n) stacked responses.  The FullFit comes from the
+    call's full_rss and tss, as (K', 1) columns, and raises as full_fit
+    does: a collinear full design raises RankDeficientError.
     """
-    data = per_size.data
-    rss = math.nan if per_size.full_rss is None else per_size.full_rss
-    return _full_stats(data.n, data.q, rss, per_size.tss, data.y)
+    full = _full_stats(Y.shape[1], fits.rss.shape[1], fits.full_rss[rows, None], fits.tss[rows, None], Y)
+    return _decisions(fits.rss[rows], full, criteria, alphas, lambda k, s: fits.mask(rows[k], s))
 
 
 def _reports(per_size: PerSizeBest, criteria, alphas) -> list[SelectionReport]:
@@ -319,21 +319,21 @@ def _reports(per_size: PerSizeBest, criteria, alphas) -> list[SelectionReport]:
 
     The request is not validated here; select_many does that.
     """
-    sizes, rss, mask_of = _columns(per_size.table)
-    decisions = list(_decisions(rss, sizes, _full(per_size), criteria, alphas, mask_of))
+    decisions = list(_decide(per_size.fits, [per_size.row], per_size.data.y[None], criteria, alphas))
     entries = per_size.entries
+    sizes = per_size.sizes()
     reports = []
-    for c, a, kap, cols, values in decisions:
-        size = int(sizes[cols[0]])
-        scores = dict(zip(sizes.tolist(), values[0].tolist()))
+    for c, a, kap, chosen, values in decisions:
+        size = int(chosen[0])
+        row = values[0].tolist()
         reports.append(SelectionReport(
             criterion=c,
             alpha=a,
             chosen=entries[size].mask,
             fit=entries[size],
-            lambda_=None if kap is None else scores[size],
+            lambda_=None if kap is None else row[size],
             kappa=kap,
-            scores=scores,
+            scores={s: row[s] for s in sizes},
             per_size=per_size,
         ))
     return reports

@@ -13,10 +13,10 @@ per-size tables from one best_per_size call, which searches them in
 lockstep, sharing blocks of tree nodes, and fits each size's winners
 with one stacked small QR from the datasets' R factors; masks, node
 counts and RSS are bit-identical to lone calls.  The chunk is scored
-as arrays: one pass of criteria._decisions, the rules select_many's
-reports come from, chooses a size for every replication and criterion
-from the (K, p+1) RSS array the tables share, with no per-replication
-table, report or coefficient solve, so the choices are select_many's.
+as arrays: criteria._decide, which scores select_many's reports too,
+chooses a size for every replication and criterion in one pass over the
+(K, p+1) RSS array the tables share, with no per-replication table,
+report or coefficient solve, so the choices are select_many's.
 Results are merged by replication index, so a run is bit-identical for
 a fixed (seed, reps) no matter how many worker processes are used.
 
@@ -43,9 +43,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .criteria import CRITERIA, RatePair, _decisions, _rates, labels_for
+from .criteria import CRITERIA, RatePair, _decide, _rates, labels_for
 from .errors import ConfigError, TooFewRowsError
-from .linalg import Dataset, _collinear, _full_stats, full_mask
+from .linalg import Dataset, _collinear, full_mask
 from .subsets import best_per_size
 
 log = logging.getLogger(__name__)
@@ -185,17 +185,16 @@ def _run_chunk(args) -> list[tuple[int, list[float], list[float], int]]:
     Each rep draws from its own stream.  The chunk's datasets get their
     tables from one best_per_size call, searched in lockstep and fitted
     together, whose arrays they share (subsets._Fits); no table is read
-    as a dict.  One pass of criteria._decisions scores the (K, p+1) RSS
-    array with the rules select_many's reports come from, and a chosen
+    as a dict.  criteria._decide scores the kept reps' rows of those
+    arrays in one pass, as it scores select_many's one row, and a chosen
     mask's rates come from the true columns it leaves out and the others
     it holds (subsets._Fits.misses, criteria._rates).  A rep whose full
     design is collinear is redrawn from its stream and searched again
     with the other redrawn reps.  Each row is (rep, firs, fars, redraws).
     """
     scenario, criteria, alphas, seed, reps = args
-    n, p = scenario.n, scenario.p
+    p = scenario.p
     truth = tuple(range(scenario.p_active))
-    sizes = np.arange(p + 1)
     rngs = {r: np.random.default_rng([seed, r]) for r in reps}
     regen = dict.fromkeys(reps, 0)
     out = []
@@ -221,12 +220,10 @@ def _run_chunk(args) -> list[tuple[int, list[float], list[float], int]]:
         if not done:
             continue
         Y = np.stack([d.y for d in datas])[rows]
-        full = _full_stats(n, p + 1, fits.full_rss[rows, None], fits.tss[rows, None], Y)
         # each report's chosen size per rep, (reports, K')
-        cols = np.array([chosen for _, _, _, chosen, _ in _decisions(
-            fits.rss[rows], sizes, full, criteria, alphas, lambda k, j: fits.mask(rows[k], j))],
-            dtype=np.intp).reshape(-1, len(rows))
-        fir, far = _rates(*fits.misses(rows, cols, truth), scenario.p_active, p)
+        chosen = np.array([sizes for _, _, _, sizes, _ in _decide(fits, rows, Y, criteria, alphas)],
+                          dtype=np.intp).reshape(-1, len(rows))
+        fir, far = _rates(*fits.misses(rows, chosen, truth), scenario.p_active, p)
         out.extend((r, fi, fa, regen[r]) for r, fi, fa in zip(done, fir.T.tolist(), far.T.tolist()))
     return out
 

@@ -37,13 +37,14 @@ more nodes at small p, where each node is small.
 Intercepts are handled exactly by centering: the RSS of a subset fitted
 with an intercept equals the RSS of the centered regression on the same
 columns, so the search runs on the centered Gram matrix and keeps only
-the keys of its winning masks.  A table's entries are those masks
-fitted from the R factor of their dataset's [1 | X | y] (linalg._factor,
-one batched QR for all of a call's datasets), one stacked small QR per
-size across the call, so each RSS has the bits a lone fit_subset gives.
-Size p is the full mask, fitted the same way.  A call's tables are rows
-of arrays over all its datasets (_Fits), which a Monte Carlo chunk
-scores whole; a table's dict of masks is built only when read.
+the keys of its winning masks.  One fitter (_fit) fits searched
+winners and listed masks alike from the R factor of their dataset's
+[1 | X | y] (linalg._factor, one batched QR for all of a call's
+datasets), one stacked small QR per size across the call, so each RSS
+has the bits a lone fit_subset gives.  Size p is the full mask, fitted
+the same way.  A call's tables are rows of arrays over all its datasets
+(_Fits), column s for size s, which a Monte Carlo chunk scores whole; a
+table's dict of masks is built only when read.
 """
 
 from __future__ import annotations
@@ -171,8 +172,7 @@ class PerSizeBest:
     @functools.cached_property
     def table(self) -> dict[int, tuple[Mask, float]]:
         rss = self.fits.rss[self.row].tolist()
-        return {s: (self.fits.mask(self.row, s), rss[s])
-                for s in np.flatnonzero(self.fits.at[self.row] >= 0).tolist()}
+        return {s: (self.fits.mask(self.row, s), rss[s]) for s in self.sizes()}
 
     @functools.cached_property
     def entries(self) -> Mapping[int, FitSummary]:
@@ -182,7 +182,7 @@ class PerSizeBest:
         return _Entries(self.data, self.table, self.fits.small, self.fits.at[self.row])
 
     def sizes(self) -> list[int]:
-        return sorted(self.table)
+        return np.flatnonzero(self.fits.at[self.row] >= 0).tolist()
 
     def __repr__(self) -> str:
         return (f"PerSizeBest(table={self.table!r}, full_rss={self.full_rss!r}, tss={self.tss!r}, "
@@ -460,69 +460,42 @@ def _leaps_and_bounds(G, b, tss, p: int) -> tuple[np.ndarray, np.ndarray, np.nda
     return keys, skipped, nodes
 
 
-def _fit_keys(R, tss, keys):
-    """Fit each dataset's keyed masks from its R factor, one stacked small QR per size.
+def _fit(R, tss, size, row, cols):
+    """Fit masks from the datasets' R factors, one stacked small QR per size, and keep each size's best.
 
-    keys (K, p+1) holds in column s the key of a dataset's size-s mask,
-    -1 where it has none.  Returns _Fits' rss, at, cols and small: a
-    mask failing the rank test is fitted but not usable.
+    Fit i is a mask of size size[i] on dataset row[i], its columns the
+    next size[i] entries of cols.  The fits come in ascending size, and
+    each dataset's fits of one size in ascending mask order.  A dataset's
+    best at a size is the first of its least RSS among the masks passing
+    the rank test, so the smallest such mask.  Returns _Fits' rss, at,
+    cols and small, and each dataset's count of masks failing the rank
+    test.
     """
-    p = keys.shape[1] - 1
-    keyed = keys >= 0
-    member = _held(keys, p)
-    cols, small, fitted, usable = {}, {}, [], []
-    for s in range(p + 1):
-        rows = keyed[:, s].nonzero()[0]
-        if len(rows):
-            cols[s] = member[rows, s].nonzero()[1].reshape(len(rows), s)
-            r, ok, small[s] = _fit_masks(R, tss, rows, cols[s])
-            fitted.append(r)
-            usable.append(ok)
-    # every fit in size order, then dataset order, as keyed.T lists them
-    size, row = keyed.T.nonzero()
-    ok = np.concatenate(usable)
-    rss = np.full(keys.shape, np.nan)
-    rss[row[ok], size[ok]] = np.concatenate(fitted)[ok]
-    at = np.full(keys.shape, -1)
-    # a fit's index among its size's fits
-    at[row[ok], size[ok]] = (np.arange(len(size)) - np.searchsorted(size, size))[ok]
-    return rss, at, cols, small
-
-
-def _fit_list(R, tss, masks, p: int):
-    """Fit every listed mask on every dataset, one stacked small QR per size, and keep each size's best.
-
-    A size's best is its least RSS among the masks passing the rank
-    test, ties to the smaller mask.  Returns _Fits' rss, at, cols and
-    small, each dataset's count of masks failing the rank test, and the
-    full mask's RSS (NaN: collinear), fitted for every dataset whether
-    or not it is listed.
-    """
-    K = len(R)
-    by_size: dict[int, list[Mask]] = {}
-    # sorted, so that a size's first least RSS is its smallest such mask
-    for mask in sorted(masks):
-        by_size.setdefault(len(mask), []).append(mask)
+    K, p = len(R), R.shape[-1] - 2
+    # size s's fits are bounds[s]:bounds[s+1]
+    bounds = np.searchsorted(size, np.arange(p + 2))
+    by_size, small = {}, {}
+    r, ok = np.empty(len(size)), np.empty(len(size), dtype=bool)
+    c = 0
+    for s, (a, b) in enumerate(zip(bounds.tolist(), bounds[1:].tolist())):
+        if a < b:
+            by_size[s] = cols[c : c + s * (b - a)].reshape(b - a, s)
+            c += s * (b - a)
+            r[a:b], ok[a:b], small[s] = _fit_masks(R, tss, row[a:b], by_size[s])
+    r[~ok] = np.inf
+    # by size, dataset and RSS, ties in the order given: each (size, dataset)'s
+    # first fit is its best, if it passed the rank test
+    order = np.lexsort((r, row, size))
+    size_o, row_o = size[order], row[order]
+    best = ok[order]
+    best[1:] &= (size_o[1:] != size_o[:-1]) | (row_o[1:] != row_o[:-1])
+    best = order[best]
     rss = np.full((K, p + 1), np.nan)
+    rss[row[best], size[best]] = r[best]
     at = np.full((K, p + 1), -1)
-    cols, small = {}, {}
-    failed = np.zeros(K, dtype=np.int64)
-    for s, listed in sorted(by_size.items()):
-        m = len(listed)
-        cols[s] = np.array(listed * K, dtype=np.intp).reshape(K * m, s)
-        r, ok, small[s] = _fit_masks(R, tss, np.repeat(np.arange(K), m), cols[s])
-        usable = np.where(ok, r, np.inf)
-        pick = np.arange(K) * m + usable.reshape(K, m).argmin(axis=1)
-        keep = ok[pick]
-        rss[keep, s] = usable[pick[keep]]
-        at[keep, s] = pick[keep]
-        failed += m - ok.reshape(K, m).sum(axis=1)
-    if p in by_size:
-        full_rss = rss[:, p]
-    else:
-        r, ok, _ = _fit_masks(R, tss, np.arange(K), [full_mask(p)] * K)
-        full_rss = np.where(ok, r, np.nan)
-    return rss, at, cols, small, failed, full_rss
+    # a fit's index among its size's fits
+    at[row[best], size[best]] = best - bounds[size[best]]
+    return rss, at, by_size, small, np.bincount(row[~ok], minlength=K)
 
 
 def best_per_size(
@@ -543,8 +516,8 @@ def best_per_size(
         iterable (e.g. a lasso path) is fitted as listed, with no limit:
         each mask goes through as_mask (sorted, deduplicated, an index
         outside [0, p) raises DimensionMismatchError before any fit),
-        and repeats are dropped in first-seen order.  An empty list
-        yields an empty table, not every subset.
+        and repeats are dropped.  An empty list yields an empty table,
+        not every subset.
 
     Returns
     -------
@@ -560,7 +533,7 @@ def best_per_size(
         return []
     if len({d.X.shape for d in datas}) > 1:
         raise DimensionMismatchError("datasets fitted together must share one shape")
-    p = datas[0].p
+    K, p = len(datas), datas[0].p
     if candidates is None:
         if p > SUBSET_LIMIT:
             raise LimitExceededError(
@@ -569,15 +542,25 @@ def best_per_size(
         # factored first, so that its arrays are freed before the search's
         R, tss = _factor(datas)
         keys, skipped, nodes = _leaps_and_bounds(*_centered(datas), p)
-        rss, at, cols, small = _fit_keys(R, tss, keys)
-        # the keyed masks the rank test refused
-        skipped = skipped + ((keys >= 0) & (at < 0)).sum(axis=1)
+        # the winners, by size, then dataset
+        size, row = (keys >= 0).T.nonzero()
+        rss, at, cols, small, failed = _fit(R, tss, size, row, _held(keys[row, size], p).nonzero()[1])
+        # the winners the rank test refused count as skipped too
+        skipped = skipped + failed
         full_rss = rss[:, p]
     else:
-        masks = tuple(dict.fromkeys(as_mask(m, p) for m in candidates))
+        masks = sorted({as_mask(m, p) for m in candidates}, key=lambda m: (len(m), m))
         R, tss = _factor(datas)
-        rss, at, cols, small, skipped, full_rss = _fit_list(R, tss, masks, p)
-        keys, nodes = None, np.zeros(len(datas), dtype=np.int64)
+        # each listed mask on every dataset in turn
+        size = np.repeat(np.array([len(m) for m in masks], dtype=np.intp), K)
+        flat = np.array([j for m in masks for _ in range(K) for j in m], dtype=np.intp)
+        rss, at, cols, small, skipped = _fit(R, tss, size, np.tile(np.arange(K), len(masks)), flat)
+        if p in cols:
+            full_rss = rss[:, p]
+        else:
+            r, ok, _ = _fit_masks(R, tss, np.arange(K), [full_mask(p)] * K)
+            full_rss = np.where(ok, r, np.nan)
+        keys, nodes = None, np.zeros(K, dtype=np.int64)
     fits = _Fits(rss, at, cols, small, keys, full_rss, tss, skipped, nodes)
     tables = [PerSizeBest(d, fits, k) for k, d in enumerate(datas)]
     return tables[0] if lone else tables

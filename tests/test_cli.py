@@ -229,16 +229,20 @@ def test_select_table_output(tmp_path, capsys):
 
 
 def test_select_without_predictors(tmp_path, capsys):
-    # a response-only file selects the intercept-only model in every format
+    # a response-only file (p = 0) selects the intercept-only model for every
+    # criterion and alpha, in every format
     path = write(tmp_path, "y.csv", "y\n1\n2\n4\n")
     outs = {}
     for fmt in ("table", "json", "csv"):
-        code = main(["select", "--data", path, "--response", "y", "--format", fmt])
+        code = main(["select", "--data", path, "--response", "y", "--alphas", "0,0.9,1", "--format", fmt])
         outs[fmt] = capsys.readouterr().out
         assert code == 0, fmt
-    assert "chosen (0 of 0): (intercept only)" in outs["table"]
+    assert outs["table"].count("chosen (0 of 0): (intercept only)") == 6
     assert "  intercept   2.3333" in outs["table"]
-    assert json.loads(outs["json"])["results"][0]["chosen"] == []
+    results = json.loads(outs["json"])["results"]
+    assert [(r["criterion"], r["chosen"]) for r in results] == \
+        [("cmc", [])] * 3 + [("bic", []), ("cp_aic", []), ("adjr2", [])]
+    assert [row.split(",")[2] for row in outs["csv"].splitlines()[1:]] == ["intercept"] * 6
 
 
 def test_select_json_round_trip(tmp_path, capsys):
@@ -431,6 +435,13 @@ def test_select_exit_codes(tmp_path, capsys, monkeypatch):
     monkeypatch.delenv(PROSTATE_ENV, raising=False)
     assert main(["select"]) == 2
     assert PROSTATE_ENV in capsys.readouterr().err
+
+    # without --data, a response other than the prostate file's is refused
+    # before any file is read
+    reads = spy_calls(monkeypatch, cmcselect.datasets._read_text)
+    assert main(["select", "--response", "foo"]) == 2
+    assert "the prostate fixture's response is 'lpsa'" in capsys.readouterr().err
+    assert reads == []
 
 
 def error_classes(base: type) -> list[type]:

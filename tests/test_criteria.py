@@ -198,12 +198,16 @@ def test_a_list_without_the_full_mask_factors_its_dataset_once(monkeypatch):
     # and stays out of the table and the skip count
     data = random_dataset(np.random.default_rng(5), 30, 4)
     factors = spy_calls(monkeypatch, linalg._factor)
+    passes = spy_calls(monkeypatch, criteria._decisions)
     select_many(data, ("bic",), (), candidates=[(0,), (1, 2)])
     assert len(factors) == 1
     per_size = best_per_size(data, [(0,), (1, 2)])
     monkeypatch.undo()
     assert (per_size.sizes(), per_size.skipped) == ([1, 2], 0)
-    assert criteria._full(per_size) == full_fit(data)
+    # the rules read full_fit's statistics, all five fields, as (1, 1) columns
+    full = passes[0][1]
+    assert {k: np.ravel(v).tolist() for k, v in vars(full).items()} == \
+        {k: [v] for k, v in vars(full_fit(data)).items()}
     # a collinear full design raises as full_fit does
     X = data.X.copy()
     X[:, 3] = X[:, 0]
@@ -540,7 +544,7 @@ def test_array_rules_agree_with_the_mapping_rules_property(p, data):
     want = [mapping_decisions(t, f, order, alphas) for t, f in zip(tables, fulls)]
     errors = {(type(w), str(w)) for w in want if isinstance(w, Exception)}
     got = outcome(lambda: list(criteria._decisions(
-        rss, np.arange(p + 1), stacked, order, alphas, lambda k, j: tables[k][j][0])))
+        rss, stacked, order, alphas, lambda k, s: tables[k][s][0])))
     if errors:
         assert got in errors
         return

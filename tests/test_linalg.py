@@ -66,6 +66,10 @@ def test_dataset_validation():
         Dataset(X=np.array([[np.nan], [1.0], [2.0]]), y=np.zeros(3))
     with pytest.raises(DimensionMismatchError):
         Dataset(X=np.zeros((4, 2)), y=np.zeros(4), names=("a",))
+    # X is a matrix: neither a vector nor a stack of matrices
+    for shape in ((4,), (4, 1, 1)):
+        with pytest.raises(DimensionMismatchError, match="2-dimensional"):
+            Dataset(X=np.zeros(shape), y=np.zeros(4))
     data = Dataset(X=np.zeros((3, 1)) + np.arange(3)[:, None], y=np.arange(3.0))
     assert data.names == ("x1",)
     assert not data.X.flags.writeable

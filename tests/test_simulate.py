@@ -475,6 +475,26 @@ def test_an_error_in_the_parents_own_chunk_stops_the_pool(monkeypatch):
         run_monte_carlo(Scenario(kind="weak", n=20, p=4, p_active=2), reps=16, threads=2)
 
 
+def test_an_error_in_a_workers_chunk_reaches_the_caller_with_its_type(monkeypatch):
+    # the mirror image of the test above: only the forked worker's chunks
+    # raise, so the error crosses the worker's pipe and the parent raises it
+    # with its own type; the autouse fixture checks that no worker outlives it
+    parent = os.getpid()
+    run_chunk = simulate._run_chunk
+
+    def fails_in_a_worker(args):
+        if os.getpid() != parent:
+            raise LookupError("a worker's chunk failed")
+        # a slow parent leaves the worker chunks to take
+        time.sleep(0.05)
+        return run_chunk(args)
+
+    monkeypatch.setattr(simulate, "_run_chunk", fails_in_a_worker)
+    monkeypatch.setattr(simulate, "_MAX_CHUNK", 1)
+    with pytest.raises(LookupError, match="a worker's chunk failed"):
+        run_monte_carlo(Scenario(kind="weak", n=20, p=4, p_active=2), reps=16, threads=2)
+
+
 def test_a_worker_is_not_starved_while_the_parent_computes(monkeypatch):
     # four of these rows fill a 64 KB pipe; the parent reads the pipes after
     # each chunk of its own, so the worker runs on while the parent computes

@@ -25,7 +25,7 @@ from conftest import naive_best_per_size, random_dataset, spy_calls
 
 
 def test_candidate_list_is_canonicalized():
-    # each mask is sorted and deduplicated, repeated masks drop in first-seen order
+    # each mask is sorted and deduplicated, and repeated masks drop
     rng = np.random.default_rng(4)
     data = random_dataset(rng, 15, 4)
     messy = best_per_size(data, [(1, 0), (0, 1, 1), (2,)])
@@ -159,8 +159,16 @@ def test_explicit_per_size_takes_min():
     rss3 = fit_subset(data, (3,)).rss
     assert table.entries[1].rss == min(rss0, rss3)
     # an empty list is an empty explicit list, not every subset
-    assert best_per_size(data, []).entries == {}
+    empty = best_per_size(data, [])
+    assert (empty.entries, empty.skipped, empty.full_rss) == ({}, 0, fit_subset(data, range(4)).rss)
     assert best_per_size(data, None).sizes() == [0, 1, 2, 3, 4]
+    # no datasets give no tables, searched or listed
+    assert best_per_size([]) == best_per_size([], []) == []
+    # repr shows the table and the counts, as README says
+    text = repr(table)
+    for part in (f"table={table.table!r}", f"full_rss={table.full_rss!r}", f"tss={table.tss!r}",
+                 "skipped=0", "nodes=0"):
+        assert part in text
 
 
 def test_datasets_fitted_together_stack_refits(monkeypatch):
