@@ -77,9 +77,9 @@ class SelectionReport:
     per_size: PerSizeBest
 
 
-# cached with no bound: every Monte Carlo replicate asks its worker for the
-# same thresholds, and a bounded cache evicts each of them once a request
-# has more alphas than the bound
+# cached with no bound: _decisions asks once per alpha per Monte Carlo chunk
+# or select call, for a request's alphas in one order, so a bounded cache
+# evicts each of them once a request has more alphas than the bound
 @functools.cache
 def kappa(alpha: float, q: int, n: int) -> float:
     """Threshold q * F(1 - alpha; q, n - q); 0 at alpha=1, +inf at alpha=0.
@@ -303,14 +303,15 @@ def _decisions(rss: np.ndarray, full: FullFit, criteria, alphas, mask_of):
             yield (c, None, None, _best(c, scores, mask_of), scores)
 
 
-def _decide(fits, rows, Y, criteria, alphas):
+def _decide(fits, rows, criteria, alphas):
     """_decisions for rows of one best_per_size call's tables (subsets._Fits), from their arrays.
 
-    Y is the rows' (K', n) stacked responses.  The FullFit comes from the
-    call's full_rss and tss, as (K', 1) columns, and raises as full_fit
-    does: a collinear full design raises RankDeficientError.
+    The FullFit comes from the call's full_rss, tss and responses, as
+    (K', 1) columns and the (K', n) stack, and raises as full_fit does: a
+    collinear full design raises RankDeficientError.
     """
-    full = _full_stats(Y.shape[1], fits.rss.shape[1], fits.full_rss[rows, None], fits.tss[rows, None], Y)
+    y = fits.y[rows]
+    full = _full_stats(y.shape[1], fits.rss.shape[1], fits.full_rss[rows, None], fits.tss[rows, None], y)
     return _decisions(fits.rss[rows], full, criteria, alphas, lambda k, s: fits.mask(rows[k], s))
 
 
@@ -319,7 +320,7 @@ def _reports(per_size: PerSizeBest, criteria, alphas) -> list[SelectionReport]:
 
     The request is not validated here; select_many does that.
     """
-    decisions = list(_decide(per_size.fits, [per_size.row], per_size.data.y[None], criteria, alphas))
+    decisions = list(_decide(per_size.fits, [per_size.row], criteria, alphas))
     entries = per_size.entries
     sizes = per_size.sizes()
     reports = []

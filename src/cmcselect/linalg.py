@@ -134,24 +134,27 @@ def _mean_fits(Y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return mean, np.square(Y - mean[:, None]).sum(axis=1)
 
 
-def _factor(datas) -> tuple[np.ndarray, np.ndarray]:
-    """The (K, p+2, p+2) R factors of K same-shape datasets' [1 | X | y], and their TSS.
+def _stack(datas) -> np.ndarray:
+    """The (K, n, p+2) [1 | X | y] of K same-shape datasets: the one copy of them into arrays."""
+    n, p = datas[0].X.shape
+    A = np.empty((len(datas), n, p + 2))
+    A[:, :, 0] = 1.0
+    for i, data in enumerate(datas):
+        A[i, :, 1:-1] = data.X
+        A[i, :, -1] = data.y
+    return A
+
+
+def _factor(A) -> tuple[np.ndarray, np.ndarray]:
+    """The (K, p+2, p+2) R factors of a (K, n, p+2) _stack, and the TSS of its responses.
 
     One batched QR, run per matrix, so a dataset's R has the same bits
     at any K.  Q'[1 | X_S | y] is R's columns 0, S+1 and p+1, so every
     subset's fit is in R (Miller, *Subset Selection in Regression*, 2002,
     ch. 2; Golub & Van Loan, *Matrix Computations*, 5.3).  The TSS are
-    _mean_fits' (size 0's RSS).
+    _mean_fits' (size 0's RSS) of the stack's last column.
     """
-    n, p = datas[0].X.shape
-    A = np.empty((len(datas), n, p + 2))
-    A[:, :, 0] = 1.0
-    Y = np.empty((len(datas), n))
-    for i, data in enumerate(datas):
-        A[i, :, 1:-1] = data.X
-        Y[i] = data.y
-    A[:, :, -1] = Y
-    return np.linalg.qr(A, mode="r"), _mean_fits(Y)[1]
+    return np.linalg.qr(A, mode="r"), _mean_fits(A[:, :, -1])[1]
 
 
 def _fit_masks(R, tss, rows, masks) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
@@ -225,7 +228,7 @@ def fit_subset(data: Dataset, mask) -> FitSummary:
         RANK_TOL (relative, on the QR diagonal).
     """
     mask = as_mask(mask, data.p)
-    R, tss = _factor([data])
+    R, tss = _factor(_stack([data]))
     rss, ok, small = _fit_masks(R, tss, [0], [mask])
     if not ok[0]:
         raise _collinear(mask)
@@ -260,7 +263,7 @@ def full_fit(data: Dataset) -> FullFit:
         If the response is constant, or the full-model RSS is zero up to
         DEGENERATE_TOL relative to the centered TSS.
     """
-    R, tss = _factor([data])
+    R, tss = _factor(_stack([data]))
     rss, ok, _ = _fit_masks(R, tss, [0], [full_mask(data.p)])
     return _full_stats(data.n, data.q, float(rss[0]) if ok[0] else math.nan, float(tss[0]), data.y)
 

@@ -194,7 +194,6 @@ def _run_chunk(args) -> list[tuple[int, list[float], list[float], int]]:
     """
     scenario, criteria, alphas, seed, reps = args
     p = scenario.p
-    truth = tuple(range(scenario.p_active))
     rngs = {r: np.random.default_rng([seed, r]) for r in reps}
     regen = dict.fromkeys(reps, 0)
     out = []
@@ -219,11 +218,10 @@ def _run_chunk(args) -> list[tuple[int, list[float], list[float], int]]:
         pending = redraw
         if not done:
             continue
-        Y = np.stack([d.y for d in datas])[rows]
         # each report's chosen size per rep, (reports, K')
-        chosen = np.array([sizes for _, _, _, sizes, _ in _decide(fits, rows, Y, criteria, alphas)],
+        chosen = np.array([sizes for _, _, _, sizes, _ in _decide(fits, rows, criteria, alphas)],
                           dtype=np.intp).reshape(-1, len(rows))
-        fir, far = _rates(*fits.misses(rows, chosen, truth), scenario.p_active, p)
+        fir, far = _rates(*fits.misses(rows, chosen, scenario.truth), scenario.p_active, p)
         out.extend((r, fi, fa, regen[r]) for r, fi, fa in zip(done, fir.T.tolist(), far.T.tolist()))
     return out
 

@@ -8,17 +8,18 @@ partial model's most complete extension is a floor for every model in
 between), which is what makes p = 20..30 Monte Carlo runs cheap.
 
 The search walks the inclusion/exclusion tree with Gaussian sweeps of
-the augmented Gram matrix [[G, b], [b', tss]].  Each node carries two
-swept blocks over its undecided variables plus y: the floor
-(swept on the variables decided in) and the ceiling (the full-model
-sweep with the variables decided out unswept).  Including a variable is
-one rank-1 sweep of the floor, excluding it one rank-1 unsweep of the
-ceiling, and a node's RSS is the [y, y] entry, so no node solves a
-linear system.  The tree decides the strongest variables first, those
-whose deletion from the full model costs the most RSS (the |t| order
-Furnival & Wilson recommend), so good incumbents come early and prune
-most of the tree.  Nodes advance one tree level at a time, a block of
-nodes per numpy call, from a depth-first stack of blocks.
+the augmented Gram matrix [[G, b], [b', tss]] of the centered [X | y]
+(_centered).  Each node carries two swept blocks over its undecided
+variables plus y: the floor (swept on the variables decided in) and the
+ceiling (the full-model sweep with the variables decided out unswept).
+Including a variable is one rank-1 sweep of the floor, excluding it one
+rank-1 unsweep of the ceiling, and a node's RSS is the [y, y] entry, so
+no node solves a linear system.  The tree decides the strongest
+variables first, those whose deletion from the full model costs the most
+RSS (the |t| order Furnival & Wilson recommend), so good incumbents come
+early and prune most of the tree.  Nodes advance one tree level at a
+time, a block of nodes per numpy call, from a depth-first stack of
+blocks.
 
 One call searches all its datasets in lockstep.  A block holds nodes of
 one depth from one dataset or from several, each tagged with its owner,
@@ -37,14 +38,16 @@ more nodes at small p, where each node is small.
 Intercepts are handled exactly by centering: the RSS of a subset fitted
 with an intercept equals the RSS of the centered regression on the same
 columns, so the search runs on the centered Gram matrix and keeps only
-the keys of its winning masks.  One fitter (_fit) fits searched
-winners and listed masks alike from the R factor of their dataset's
-[1 | X | y] (linalg._factor, one batched QR for all of a call's
-datasets), one stacked small QR per size across the call, so each RSS
-has the bits a lone fit_subset gives.  Size p is the full mask, fitted
-the same way.  A call's tables are rows of arrays over all its datasets
-(_Fits), column s for size s, which a Monte Carlo chunk scores whole; a
-table's dict of masks is built only when read.
+the keys of its winning masks.  A call copies its datasets once, into
+one [1 | X | y] stack (linalg._stack) that is freed before the search:
+its batched QR gives their R factors and TSS (linalg._factor), and its
+centered [X | y] the search's matrices.  One fitter (_fit) fits searched
+winners and listed masks alike from the R factors, one stacked small QR
+per size across the call, so each RSS has the bits a lone fit_subset
+gives.  Size p is the full mask, fitted the same way.  A call's tables
+are rows of arrays over all its datasets (_Fits), column s for size s,
+which a Monte Carlo chunk scores whole; a table's dict of masks is
+built only when read.
 """
 
 from __future__ import annotations
@@ -59,7 +62,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DimensionMismatchError, LimitExceededError
-from .linalg import Dataset, FitSummary, Mask, _factor, _fit_masks, _summary, as_mask, full_mask
+from .linalg import Dataset, FitSummary, Mask, _factor, _fit_masks, _stack, _summary, as_mask, full_mask
 
 log = logging.getLogger(__name__)
 
@@ -74,17 +77,17 @@ _PIVOT_TOL = 1e-10
 
 # floats per swept array of a search block, from one dataset or several: a
 # node at depth 0 holds (p+1)^2, so a block holds _BLOCK_FLOATS // (p+1)^2
-# nodes (128 at p = 30, 1016 at p = 10), which bounds its memory and keeps
-# the incumbents improving in near depth-first order
+# nodes, at least one (128 at p = 30, 1016 at p = 10), which bounds its
+# memory and keeps the incumbents improving in near depth-first order
 _BLOCK_FLOATS = 128 * 31**2
 
-# floats of the array each search allocates untouched and drops at once.
-# glibc serves it with mmap; freeing it raises glibc's dynamic mmap threshold
-# to its size and its trim threshold to twice that, so from then on every
-# block array (at most _BLOCK_FLOATS floats) comes from the heap, and a
-# finished subtree's arrays stay there for the next one instead of being
-# handed back to the kernel and faulted in again.  At 3.9 MB it stays below
-# the 4 MiB from which numpy asks for huge pages.
+# floats of the array each search allocates untouched, before its stack of
+# datasets, and drops at once.  glibc serves it with mmap; freeing it raises
+# glibc's dynamic mmap threshold to its size and its trim threshold to twice
+# that, so from then on every block array (at most _BLOCK_FLOATS floats)
+# comes from the heap, and a finished subtree's arrays stay there for the
+# next one instead of being handed back to the kernel and faulted in again.
+# At 3.9 MB it stays below the 4 MiB from which numpy asks for huge pages.
 _HEAP_FLOATS = 4 * _BLOCK_FLOATS
 
 
@@ -96,7 +99,8 @@ class _Fits(NamedTuple):
     the size's (M, s) cols and (M, s+2, s+2) small R factors (None at
     size 0), -1 where there is none.  keys (K, p+1) are the search's
     winner keys (None for a list); full_rss (NaN where the full design is
-    collinear), tss, skipped and nodes are (K,).
+    collinear), tss, skipped and nodes are (K,); y holds the (K, n)
+    responses that the scorers read (criteria._decide).
     """
 
     rss: np.ndarray
@@ -106,6 +110,7 @@ class _Fits(NamedTuple):
     keys: np.ndarray | None
     full_rss: np.ndarray
     tss: np.ndarray
+    y: np.ndarray
     skipped: np.ndarray
     nodes: np.ndarray
 
@@ -215,20 +220,15 @@ class _Entries(Mapping):
         return len(self._table)
 
 
-def _centered(datas):
-    """The centered Gram matrices, cross-products and TSS of K same-shape datasets, stacked."""
-    # centered in place: each entry gets the bits of X - X.mean(axis=0) on its own
-    Xc = np.stack([d.X for d in datas])
-    Xc -= Xc.mean(axis=1, keepdims=True)
-    yc = np.stack([d.y for d in datas])
-    yc -= yc.mean(axis=1, keepdims=True)
-    # einsum sums every entry in one order, so identical columns get
-    # identical Gram rows and exact ties stay exact; BLAS products do not.
-    # Each dataset's bits are those of its lone call.  The TSS is a stacked
-    # matmul, which gives each one the bits of its lone dot product, as
-    # einsum does not
-    G = np.einsum("kij,kil->kjl", Xc, Xc)
-    return G, np.einsum("kij,ki->kj", Xc, yc), (yc[:, None, :] @ yc[:, :, None])[:, 0, 0]
+def _centered(A) -> np.ndarray:
+    """The (K, p+1, p+1) centered augmented Gram matrices [[G, b], [b', tss]] of a _stack's [X | y].
+
+    einsum sums every entry in one order, so identical columns get identical
+    rows and exact ties stay exact, as BLAS products do not; it reduces each
+    dataset on its own, so a stacked row has the bits of its lone call.
+    """
+    C = A[:, :, 1:] - A[:, :, 1:].mean(axis=1, keepdims=True)
+    return np.einsum("kij,kil->kjl", C, C)
 
 
 def _sweep(W: np.ndarray, diag: np.ndarray) -> np.ndarray:
@@ -258,24 +258,19 @@ def _sweep(W: np.ndarray, diag: np.ndarray) -> np.ndarray:
     return clean
 
 
-def _block_nodes(p: int) -> int:
-    """Nodes per search block at p predictors: _BLOCK_FLOATS // (p+1)^2, at least one."""
-    return max(1, _BLOCK_FLOATS // (p + 1) ** 2)
-
-
-def _leaps_and_bounds(G, b, tss, p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _leaps_and_bounds(M, p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Pruned exhaustive search over the inclusion/exclusion trees of K datasets.
 
-    G (K, p, p), b (K, p) and tss (K,) are the centered Gram matrices,
-    cross-products and total sums of squares.  A node at depth d has
-    decided its dataset's order[:d]; its floor is the decided-in set and
-    its ceiling the floor plus order[d:].  Evaluating a node gives its
-    include child's floor and its exclude child's ceiling; both are
-    registered, and a child is expanded only if its ceiling RSS could
-    still beat or tie its dataset's incumbent at some reachable size, so
-    ties survive and the lexicographic rule stays exact.  A child with one
-    undecided variable is not expanded: its children repeat registered
-    sets.
+    M (K, p+1, p+1) holds their centered augmented Gram matrices
+    [[G, b], [b', tss]] (_centered), y last, and is permuted into search
+    order in place.  A node at depth d has decided its dataset's order[:d];
+    its floor is the decided-in set and its ceiling the floor plus
+    order[d:].  Evaluating a node gives its include child's floor and its
+    exclude child's ceiling; both are registered, and a child is expanded
+    only if its ceiling RSS could still beat or tie its dataset's incumbent
+    at some reachable size, so ties survive and the lexicographic rule stays
+    exact.  A child with one undecided variable is not expanded: its
+    children repeat registered sets.
 
     A block holds nodes of one depth, of one dataset or of several, each
     tagged with its owner, so one set of numpy calls advances every
@@ -288,15 +283,10 @@ def _leaps_and_bounds(G, b, tss, p: int) -> tuple[np.ndarray, np.ndarray, np.nda
     size-s subset is collinear) and column p the full mask's, and the
     (K,) collinear subsets skipped and nodes evaluated.
     """
-    K = len(tss)
-    block = _block_nodes(p)
-    # never written, so never faulted in: see _HEAP_FLOATS
-    np.empty(_HEAP_FLOATS)
-    diag = np.diagonal(G, axis1=1, axis2=2)
-    M = np.empty((K, p + 1, p + 1))
-    M[:, :p, :p] = G
-    M[:, :p, p] = M[:, p, :p] = b
-    M[:, p, p] = tss
+    K = len(M)
+    block = max(1, _BLOCK_FLOATS // (p + 1) ** 2)
+    diag = np.diagonal(M, axis1=1, axis2=2)[:, :p]
+    b = M[:, :p, p]
     # one full-model sweep gives both the order and, permuted, the ceiling chain
     T = M.copy()
     full_ok = _sweep(T, diag)
@@ -310,9 +300,9 @@ def _leaps_and_bounds(G, b, tss, p: int) -> tuple[np.ndarray, np.ndarray, np.nda
     order = np.argsort(-score, axis=1, kind="stable")
     ks = np.arange(K)[:, None]
     gdiag = diag[ks, order]
-    # both matrices' rows and columns in search order, y last
+    # both matrices' rows and columns in search order, y last; M in place, once diag and b are read
     at = np.concatenate((order, np.full((K, 1), p)), axis=1)
-    M = M[ks[:, :, None], at[:, :, None], at[:, None, :]]
+    M[:] = M[ks[:, :, None], at[:, :, None], at[:, None, :]]
     T = T[ks[:, :, None], at[:, :, None], at[:, None, :]]
     # a subset's key has bit p-1-j for column j, so at equal size the larger
     # key holds the first differing column: the lexicographically smaller mask
@@ -324,7 +314,7 @@ def _leaps_and_bounds(G, b, tss, p: int) -> tuple[np.ndarray, np.ndarray, np.nda
     # the incumbents: slot k * (p+1) + s holds dataset k's best size-s subset;
     # a node carries the slot of its floor, so its size is slot - k * (p+1)
     best_rss = np.full((K, p + 1), np.inf)
-    best_rss[:, 0] = tss
+    best_rss[:, 0] = M[:, p, p]
     flat_rss = best_rss.reshape(-1)
     best_key = ([0] + [-1] * p) * K
     # at depth d, reach[k, lo] for lo <= d+1 is dataset k's worst incumbent
@@ -539,9 +529,18 @@ def best_per_size(
             raise LimitExceededError(
                 f"exhaustive search over p={p} exceeds the limit of {SUBSET_LIMIT}"
             )
-        # factored first, so that its arrays are freed before the search's
-        R, tss = _factor(datas)
-        keys, skipped, nodes = _leaps_and_bounds(*_centered(datas), p)
+        # never written, so never faulted in: see _HEAP_FLOATS
+        np.empty(_HEAP_FLOATS)
+    else:
+        masks = sorted({as_mask(m, p) for m in candidates}, key=lambda m: (len(m), m))
+    A = _stack(datas)
+    R, tss = _factor(A)
+    y = A[:, :, -1].copy()
+    if candidates is None:
+        M = _centered(A)
+        # the stack is freed before the search's arrays
+        del A
+        keys, skipped, nodes = _leaps_and_bounds(M, p)
         # the winners, by size, then dataset
         size, row = (keys >= 0).T.nonzero()
         rss, at, cols, small, failed = _fit(R, tss, size, row, _held(keys[row, size], p).nonzero()[1])
@@ -549,8 +548,6 @@ def best_per_size(
         skipped = skipped + failed
         full_rss = rss[:, p]
     else:
-        masks = sorted({as_mask(m, p) for m in candidates}, key=lambda m: (len(m), m))
-        R, tss = _factor(datas)
         # each listed mask on every dataset in turn
         size = np.repeat(np.array([len(m) for m in masks], dtype=np.intp), K)
         flat = np.array([j for m in masks for _ in range(K) for j in m], dtype=np.intp)
@@ -561,6 +558,6 @@ def best_per_size(
             r, ok, _ = _fit_masks(R, tss, np.arange(K), [full_mask(p)] * K)
             full_rss = np.where(ok, r, np.nan)
         keys, nodes = None, np.zeros(K, dtype=np.int64)
-    fits = _Fits(rss, at, cols, small, keys, full_rss, tss, skipped, nodes)
+    fits = _Fits(rss, at, cols, small, keys, full_rss, tss, y, skipped, nodes)
     tables = [PerSizeBest(d, fits, k) for k, d in enumerate(datas)]
     return tables[0] if lone else tables

@@ -17,7 +17,7 @@ from cmcselect import (
     full_fit,
     standardize,
 )
-from cmcselect.linalg import _factor, _fit_masks, _summary, full_mask
+from cmcselect.linalg import _factor, _fit_masks, _stack, _summary, full_mask
 from conftest import normal_eq_fit, random_dataset
 
 # hand-checkable instance: x = (0,1,2,3), y = (0,1,2,4)
@@ -170,7 +170,7 @@ def test_stacked_fits_match_lone_fits_bit_for_bit(K):
                     X[:, mask[1]] = 3.0 * X[:, mask[0]]
                 datas.append(Dataset(X=X, y=rng.standard_normal(n) + 2.0))
                 masks.append(mask)
-            R, tss = _factor(datas)
+            R, tss = _factor(_stack(datas))
             rss, ok, small = _fit_masks(R, tss, range(K), masks)
             assert rss.shape == ok.shape == (K,)
             for i, (data, mask) in enumerate(zip(datas, masks)):

@@ -49,13 +49,13 @@ def test_limit_guard(monkeypatch):
     # a stub search that only records p: this checks the guard, not the engine
     searched = []
 
-    def stub_search(G, b, tss, p):
+    def stub_search(M, p):
         searched.append(p)
         # the empty mask at size 0, no winner at sizes 1 .. p-1, the full mask at size p
-        keys = np.full((len(tss), p + 1), -1, dtype=np.int64)
+        keys = np.full((len(M), p + 1), -1, dtype=np.int64)
         keys[:, 0] = 0
         keys[:, p] = (1 << p) - 1
-        zeros = np.zeros(len(tss), dtype=np.int64)
+        zeros = np.zeros(len(M), dtype=np.int64)
         return keys, zeros, zeros
 
     monkeypatch.setattr(subsets, "_leaps_and_bounds", stub_search)
@@ -183,11 +183,14 @@ def test_datasets_fitted_together_stack_refits(monkeypatch):
     lists = [(0,), (3,), (1, 6), (1, 2), tuple(range(7))]
     for candidates, sizes in ((None, range(8)), (lists, (1, 2, 7))):
         lone = [best_per_size(d, candidates) for d in datas]
+        stacks = spy_calls(monkeypatch, subsets._stack)
         factors = spy_calls(monkeypatch, subsets._factor)
         fits = spy_calls(monkeypatch, subsets._fit_masks)
         together = best_per_size(datas, candidates)
         monkeypatch.undo()
-        assert [len(datas_) for datas_, in factors] == [len(datas)]
+        # one stack of the call's datasets, factored once
+        assert [len(datas_) for datas_, in stacks] == [len(datas)]
+        assert [len(A) for A, in factors] == [len(datas)]
         assert [len(masks[0]) for _, _, _, masks in fits] == list(sizes)
         per_size = len(datas) if candidates is None else len(datas) * 2
         assert [len(masks) for _, _, _, masks in fits] == [
@@ -197,6 +200,10 @@ def test_datasets_fitted_together_stack_refits(monkeypatch):
         # the TSS the factoring kept has the bits of each response's own mean fit
         assert [t.tss for t in together] == [float(_mean_fits(d.y[None])[1][0]) for d in datas]
     assert together[2].skipped >= 1
+    # each dataset's row of the search's input has its lone call's bits
+    M = subsets._centered(subsets._stack(datas))
+    for k, d in enumerate(datas):
+        assert np.array_equal(M[k], subsets._centered(subsets._stack([d]))[0])
     with pytest.raises(DimensionMismatchError):
         best_per_size([datas[0], random_dataset(rng, 31, 7)])
 
@@ -328,10 +335,15 @@ def test_overflowing_merged_blocks_match_lone_calls():
     assert_same_tables([best_per_size(d) for d in datas], best_per_size(datas))
 
 
-def test_block_bound_scales_with_p():
+def test_block_bound_scales_with_p(monkeypatch):
     # a block's swept arrays hold at most the floats of a 128-node p = 30 block
-    assert [subsets._block_nodes(p) for p in (30, 20, 14, 10)] == [128, 278, 546, 1016]
-    assert subsets._block_nodes(10**4) == 1
+    assert [subsets._BLOCK_FLOATS // (p + 1) ** 2 for p in (30, 20, 14, 10)] == [128, 278, 546, 1016]
+    # a bound below one node's floats still gives blocks of one node
+    data = weak_draw(0)
+    bound_blocks(monkeypatch, 1, data.p)
+    one = best_per_size(data)
+    monkeypatch.setattr(subsets, "_BLOCK_FLOATS", 1)
+    assert_same_tables([one], [best_per_size(data)])
 
 
 def test_p30_search_work_is_pinned():
