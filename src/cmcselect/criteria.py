@@ -18,7 +18,9 @@ alpha; BIC, Cp and adjusted R-squared are _scores, and the cross-size
 tie rule is _best.  _decisions runs them for a whole request, and
 _decide runs it on rows of one best_per_size call's arrays: a whole
 Monte Carlo chunk at once, or select_many's one row.  _rates is the one
-rate rule, for classify and for a chunk.
+rate rule, for classify and for a chunk.  _caps restates a request's
+rules as per-size RSS caps, which let a chunk's search skip the sizes
+no report can choose.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from .errors import (
 )
 from .fdist import FParams, f_quantile
 from .linalg import Dataset, FitSummary, FullFit, Mask, _full_stats
-from .subsets import PerSizeBest, best_per_size
+from .subsets import _CAP_SLACK, PerSizeBest, best_per_size
 
 CRITERIA = ("adjr2", "cp_aic", "bic", "cmc")
 
@@ -248,6 +250,59 @@ def _best(criterion: str, scores: np.ndarray, mask_of) -> np.ndarray:
     for k in np.flatnonzero(count > 1).tolist():
         sizes[k] = min(np.flatnonzero(hit[k]).tolist(), key=lambda s: mask_of(k, s))
     return sizes
+
+
+def _caps(criteria, alphas, n: int, p: int):
+    """A request's per-size RSS caps, as a function of a search's incumbents (subsets._leaps_and_bounds).
+
+    The function maps (K, p+1) incumbent RSS, inf where a size has none,
+    column 0 the TSS and column p the full model's, to (K, p+1) caps: a
+    size whose least RSS lies above its cap cannot be any report's choice,
+    since the incumbents only fall.  Per criterion, with r the incumbents
+    and sigma2 = r_p / (n - p - 1), each rule rewritten with no log or exp:
+
+    - BIC: min_j(r_j w_j) / w_s, w_j = n^((j+1)/n);
+    - Cp: min_j(r_j + 2 sigma2 (j+1)) - 2 sigma2 (s+1);
+    - adjusted R-squared: min_j(r_j / (n-j-1)) * (n-s-1);
+    - cmc at each alpha: r_p + kappa sigma2 below the incumbents' cmc
+      size, no cap at that size, and nothing above it.
+
+    A size's cap is the largest over the request, times 1 + _CAP_SLACK.
+    A table whose full model has no finite incumbent is not capped.
+    """
+    size = np.arange(p + 1)
+    # BIC's and adjusted R-squared's caps are min_j(r_j c_j) / c_s, one row of c each
+    scale = [c for crit, c in (("bic", float(n) ** ((size + 1) / n)),
+                               ("adjr2", 1.0 / (n - size - 1.0))) if crit in criteria]
+    pen = 2.0 * (size + 1) if "cp_aic" in criteria else None
+    kaps = np.array([kappa(a, p + 1, n) for a in alphas]) if "cmc" in criteria else None
+
+    def caps(rss: np.ndarray) -> np.ndarray:
+        full = rss[:, p, None]
+        sigma2 = full / (n - p - 1)
+        out = np.full(rss.shape, -np.inf)
+        for c in scale:
+            np.maximum(out, (rss * c).min(axis=1, keepdims=True) / c, out=out)
+        if pen is not None:
+            cp = sigma2 * pen
+            np.maximum(out, (rss + cp).min(axis=1, keepdims=True) - cp, out=out)
+        if kaps is not None:
+            # (K, alphas): each alpha's limit on the RSS, and the incumbents' cmc size
+            limit = full + sigma2 * kaps
+            at = (rss[:, :, None] <= limit[:, None, :]).argmax(axis=1)
+            # size s's cap is the largest limit whose size lies above s: a
+            # running maximum, from the top size down, of each limit put at
+            # its size less one (column at of below, whose column 0 is size -1)
+            rows = np.arange(len(rss))[:, None]
+            below = np.full((len(rss), p + 2), -np.inf)
+            np.maximum.at(below, (rows, at), limit)
+            np.maximum(out, np.maximum.accumulate(below[:, :0:-1], axis=1)[:, ::-1], out=out)
+            out[rows, at] = np.inf
+        out *= 1.0 + _CAP_SLACK
+        out[~np.isfinite(full[:, 0])] = np.inf
+        return out
+
+    return caps
 
 
 def select_many(

@@ -8,15 +8,21 @@ Each replication draws a fresh design and response from a child generator
 keyed by (seed, replication index), selects on it as select_many does
 (the selector a user runs on one dataset), and classifies each chosen
 mask against the true active set.  Replications run in chunks, as few
-and as even as keep every worker busy: a chunk's datasets get their
-per-size tables from one best_per_size call, which searches them in
-lockstep, sharing blocks of tree nodes, and fits each size's winners
-with one stacked small QR from the datasets' R factors; masks, node
-counts and RSS are bit-identical to lone calls.  The chunk is scored
-as arrays: criteria._decide, which scores select_many's reports too,
+and as even as keep every worker busy.  A chunk draws its replications
+straight into one [1 | X | y] stack, with no Dataset per replication,
+and hands it to subsets._search, which searches them in lockstep,
+sharing blocks of tree nodes, and fits each size's winners with one
+stacked small QR from the datasets' R factors.  The search is capped
+for the chunk's request (criteria._caps): it prunes, and drops without
+refitting, every size that none of the chunk's criteria and alphas can
+choose, and a dataset whose refits stray from the sweep's RSS is
+searched again uncapped, so every size a report can choose has the
+mask, RSS and bits of an uncapped lone call.  The chunk is scored as
+arrays: criteria._decide, which scores select_many's reports too,
 chooses a size for every replication and criterion in one pass over the
-(K, p+1) RSS array the tables share, with no per-replication table,
-report or coefficient solve, so the choices are select_many's.
+(K, p+1) RSS array the tables share (NaN at a dropped size, which no
+rule chooses), with no per-replication table, report or coefficient
+solve, so the choices are select_many's.
 Results are merged by replication index, so a run is bit-identical for
 a fixed (seed, reps) no matter how many worker processes are used.
 
@@ -43,10 +49,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .criteria import CRITERIA, RatePair, _decide, _rates, labels_for
-from .errors import ConfigError, TooFewRowsError
-from .linalg import Dataset, _collinear, full_mask
-from .subsets import best_per_size
+from .criteria import CRITERIA, RatePair, _caps, _decide, _rates, labels_for
+from .errors import ConfigError, DimensionMismatchError, TooFewRowsError
+from .linalg import _collinear, full_mask
+from .subsets import _search
 
 log = logging.getLogger(__name__)
 
@@ -55,13 +61,13 @@ _REFERENCE_CORRELATED = (20, 10, 5)
 
 _MAX_REGEN = 10
 
-# most reps per chunk.  At p = 10 a chunk of 32 or fewer searches in merged
-# lockstep blocks to the end, at about 57 us of search per rep; from 40 on, a
-# level of a merged block outgrows subsets._BLOCK_FLOATS and splits into
-# one-dataset blocks, and the search costs about 165 us per rep (2-core x86,
-# numpy 2.4).  A (400, 30) chunk stacks about 3 MB per array; the lockstep
-# search holds blocks of at most _BLOCK_FLOATS floats, so a block's memory
-# does not grow with the chunk
+# most reps per chunk.  At p = 10 an uncapped chunk of 32 or fewer searches
+# in merged lockstep blocks to the end, at about 57 us of search per rep; from
+# 40 on, a level of a merged block outgrows subsets._BLOCK_FLOATS and splits
+# into one-dataset blocks, and the search costs about 165 us per rep (2-core
+# x86, numpy 2.4).  A (400, 30) chunk stacks about 3 MB per array; the
+# lockstep search holds blocks of at most _BLOCK_FLOATS floats, so a block's
+# memory does not grow with the chunk
 _MAX_CHUNK = 32
 
 # least seconds between two progress lines
@@ -179,31 +185,46 @@ def _gen_design(scenario: Scenario, rng: np.random.Generator) -> np.ndarray:
     return gen_correlated_design(scenario, rng)
 
 
-def _run_chunk(args) -> list[tuple[int, list[float], list[float], int]]:
-    """A chunk of replications: fresh data per rep, one table search call, every rep scored at once.
+def _draw(scenario: Scenario, rngs) -> np.ndarray:
+    """One draw per stream, straight into the (K, n, p+2) [1 | X | y] stack that subsets._search takes.
 
-    Each rep draws from its own stream.  The chunk's datasets get their
-    tables from one best_per_size call, searched in lockstep and fitted
-    together, whose arrays they share (subsets._Fits); no table is read
-    as a dict.  criteria._decide scores the kept reps' rows of those
-    arrays in one pass, as it scores select_many's one row, and a chosen
-    mask's rates come from the true columns it leaves out and the others
-    it holds (subsets._Fits.misses, criteria._rates).  A rep whose full
-    design is collinear is redrawn from its stream and searched again
-    with the other redrawn reps.  Each row is (rep, firs, fars, redraws).
+    Its entries are those of a Dataset of each draw, and like one it
+    refuses a non-finite entry.
+    """
+    A = np.empty((len(rngs), scenario.n, scenario.p + 2))
+    A[:, :, 0] = 1.0
+    for i, rng in enumerate(rngs):
+        X = _gen_design(scenario, rng)
+        A[i, :, 1:-1] = X
+        A[i, :, -1] = gen_response(X, scenario, rng)
+    if not np.isfinite(A).all():
+        raise DimensionMismatchError("X and y entries must all be finite")
+    return A
+
+
+def _run_chunk(args) -> list[tuple[int, list[float], list[float], int]]:
+    """A chunk of replications: fresh data per rep, one capped table search, every rep scored at once.
+
+    Each rep draws from its own stream, into one stack (_draw).  The
+    chunk's datasets get their tables from one subsets._search call,
+    searched in lockstep under the request's caps and fitted together,
+    whose arrays they share (subsets._Fits).  criteria._decide scores the
+    kept reps' rows of those arrays in one pass, as it scores
+    select_many's one row, and a chosen mask's rates come from the true
+    columns it leaves out and the others it holds (subsets._Fits.misses,
+    criteria._rates).  A rep whose full design is collinear is redrawn
+    from its stream and searched again with the other redrawn reps.  Each
+    row is (rep, firs, fars, redraws).
     """
     scenario, criteria, alphas, seed, reps = args
     p = scenario.p
+    caps = _caps(criteria, alphas, scenario.n, p)
     rngs = {r: np.random.default_rng([seed, r]) for r in reps}
     regen = dict.fromkeys(reps, 0)
     out = []
     pending = list(reps)
     while pending:
-        datas = []
-        for r in pending:
-            X = _gen_design(scenario, rngs[r])
-            datas.append(Dataset(X=X, y=gen_response(X, scenario, rngs[r])))
-        fits = best_per_size(datas)[0].fits
+        fits = _search(_draw(scenario, [rngs[r] for r in pending]), caps)
         kept = ~np.isnan(fits.full_rss)
         redraw = []
         for r, ok in zip(pending, kept.tolist()):
@@ -336,9 +357,10 @@ def run_monte_carlo(
     Replications run in the fewest chunks of at most 32 that give every
     worker the same number, their sizes differing by at most one (100
     reps: four chunks of 25 at one or two workers).  Each chunk's tables
-    are searched together.  A replication's choices are select_many's,
-    made by the same rules on the same table, so results are
-    bit-identical to one-at-a-time select_many runs.  Once a chunk
+    are searched together, under caps that keep every size the request
+    can choose.  A replication's choices are select_many's, made by the
+    same rules on the same table entries, so results are bit-identical
+    to one-at-a-time select_many runs.  Once a chunk
     completes, and at most every 10 s, progress (reps done, elapsed time,
     ETA) is logged at INFO.  At threads > 1 the calling process and
     threads - 1 processes of the default start method take chunks from

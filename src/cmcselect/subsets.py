@@ -48,6 +48,19 @@ gives.  Size p is the full mask, fitted the same way.  A call's tables
 are rows of arrays over all its datasets (_Fits), column s for size s,
 which a Monte Carlo chunk scores whole; a table's dict of masks is
 built only when read.
+
+A Monte Carlo chunk searches through _search, the stacked entry behind
+best_per_size, handing it the [1 | X | y] stack it drew its replicates
+into and its request's caps (criteria._caps): per-size RSS caps, from
+the incumbents, above which no report can choose a size.  The capped
+search prunes against the lesser of each incumbent and its cap, and
+drops (NaN, not refitted) each size whose best ends above its cap, so a
+replicate searches and refits only the sizes its reports can read:
+about 35 nodes instead of 200 on a (50, 10, 5) draw, 60 instead of 31
+million when all 30 of 30 predictors are strongly active.  Caps prune
+on the sweep's RSS while reports read the refits, so a dataset whose
+refitted winners stray from the sweep is searched again, uncapped.
+best_per_size, select and the library never cap.
 """
 
 from __future__ import annotations
@@ -66,10 +79,22 @@ from .linalg import Dataset, FitSummary, Mask, _factor, _fit_masks, _stack, _sum
 
 log = logging.getLogger(__name__)
 
-# most predictors for an exhaustive search: at p = 30 one peaks at 46 MB of
-# process RSS and takes 0.1-0.4 s on the paper's weak designs, 25 s with all
-# 30 strongly active (2-core x86, numpy 2.4)
+# most predictors for an exhaustive search: at p = 30 an uncapped search
+# (best_per_size, select) peaks at 46 MB of process RSS and takes 0.1-0.4 s
+# on the paper's weak designs, 25 s with all 30 strongly active; a Monte
+# Carlo replicate's capped search takes 2-50 ms on the paper's designs and
+# 2 ms with all 30 active (2-core x86, numpy 2.4)
 SUBSET_LIMIT = 30
+
+# a capped search (criteria._caps) keeps every size whose least RSS is within
+# this relative slack of its cap, so rounding in the sweep cannot drop a size
+# that a report on the refits might choose or tie
+_CAP_SLACK = 1e-9
+
+# a capped search's dataset is searched again, uncapped, once a refitted
+# winner's RSS strays from its sweep RSS by more than this relative amount,
+# a hundredth of _CAP_SLACK
+_CAP_DRIFT = _CAP_SLACK / 100
 
 # a sweep pivot at or below this fraction of its column's centered sum of
 # squares (1 - R^2 on the variables swept before it) marks a collinear subset
@@ -81,8 +106,8 @@ _PIVOT_TOL = 1e-10
 # memory and keeps the incumbents improving in near depth-first order
 _BLOCK_FLOATS = 128 * 31**2
 
-# floats of the array each search allocates untouched, before its stack of
-# datasets, and drops at once.  glibc serves it with mmap; freeing it raises
+# floats of the array each search allocates untouched, once its stack of
+# datasets is freed, and drops at once.  glibc serves it with mmap; freeing it raises
 # glibc's dynamic mmap threshold to its size and its trim threshold to twice
 # that, so from then on every block array (at most _BLOCK_FLOATS floats)
 # comes from the heap, and a finished subtree's arrays stay there for the
@@ -92,13 +117,13 @@ _HEAP_FLOATS = 4 * _BLOCK_FLOATS
 
 
 class _Fits(NamedTuple):
-    """One best_per_size call's tables, as arrays over its K datasets.
+    """One _search's or best_per_size call's tables, as arrays over its K datasets.
 
     rss (K, p+1) holds each dataset's least RSS per size, NaN where the
-    size has no usable mask, and at (K, p+1) the index of that mask in
-    the size's (M, s) cols and (M, s+2, s+2) small R factors (None at
-    size 0), -1 where there is none.  keys (K, p+1) are the search's
-    winner keys (None for a list); full_rss (NaN where the full design is
+    size has no usable mask or a capped search dropped it, and at
+    (K, p+1) the index of that mask in the size's (M, s) cols and
+    (M, s+2, s+2) small R factors (None at size 0), -1 where there is
+    none.  keys (K, p+1) are the search's winner keys (None for a list); full_rss (NaN where the full design is
     collinear), tss, skipped and nodes are (K,); y holds the (K, n)
     responses that the scorers read (criteria._decide).
     """
@@ -258,7 +283,7 @@ def _sweep(W: np.ndarray, diag: np.ndarray) -> np.ndarray:
     return clean
 
 
-def _leaps_and_bounds(M, p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _leaps_and_bounds(M, p: int, caps=None) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Pruned exhaustive search over the inclusion/exclusion trees of K datasets.
 
     M (K, p+1, p+1) holds their centered augmented Gram matrices
@@ -278,10 +303,23 @@ def _leaps_and_bounds(M, p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     otherwise each dataset's children, include-children first, are cut
     into blocks of their own at multiples of the block size.  So every
     dataset sees the blocks its lone search sees, and its masks, skips
-    and node count do not depend on the others.  Returns the (K, p+1)
-    int64 keys of the winners, column s holding size s's (-1 where every
-    size-s subset is collinear) and column p the full mask's, and the
-    (K,) collinear subsets skipped and nodes evaluated.
+    and node count do not depend on the others.
+
+    caps, when given, maps the (K', p+1) incumbent RSS of some of the
+    datasets (inf where a size has none; column 0 the TSS, column p the
+    full model's) to their (K', p+1) caps: a size whose least RSS lies
+    above its cap cannot be chosen (criteria._caps).  Then every test
+    above reads min(incumbent, cap) for the incumbent, so a candidate
+    registers, and a child is expanded, only if it can beat that at a
+    reachable size, and a size in 1 .. p-1 whose final best lies above
+    its final cap is dropped (key -1): its best may sit in a pruned
+    subtree.  Every kept size's winner is the uncapped search's.
+
+    Returns the (K, p+1) int64 keys of the winners, column s holding size
+    s's (-1 where every size-s subset is collinear, or dropped) and
+    column p the full mask's, their (K, p+1) sweep RSS (inf where there
+    is none, and at p where the full design is collinear), and the (K,)
+    collinear subsets skipped and nodes evaluated.
     """
     K = len(M)
     block = max(1, _BLOCK_FLOATS // (p + 1) ** 2)
@@ -317,10 +355,17 @@ def _leaps_and_bounds(M, p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     best_rss[:, 0] = M[:, p, p]
     flat_rss = best_rss.reshape(-1)
     best_key = ([0] + [-1] * p) * K
-    # at depth d, reach[k, lo] for lo <= d+1 is dataset k's worst incumbent
+    # what a candidate must beat: the incumbent, or with caps the lesser of it and its cap
+    bound = best_rss if caps is None else np.empty((K, p + 1))
+    flat_bound = bound.reshape(-1)
+    # at depth d, reach[k, lo] for lo <= d+1 is dataset k's worst bound
     # over sizes lo .. lo+p-d-1, which a child with floor size lo can reach
     reach = np.empty((K, p + 1))
     flat_reach = reach.reshape(-1)
+
+    def tighten(rows) -> None:
+        # the bounds of the datasets in rows (a slice), from their incumbents
+        np.minimum(best_rss[rows], caps(best_rss[rows]), out=bound[rows])
 
     def skip(own, ok) -> None:
         # count the collinear subsets, the False entries of ok, per dataset
@@ -354,6 +399,8 @@ def _leaps_and_bounds(M, p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
                               np.zeros(n, dtype=np.int64), own * (p + 1),
                               ceil[own], int(own[0]) if n == 1 else own))
     with np.errstate(divide="ignore", invalid="ignore"):
+        if caps is not None:
+            tighten(slice(None))
         while stack:
             d, S, T, key, floor_slot, ceil, own = stack.pop()
             # own is the block's one dataset, or each node's when it holds several
@@ -383,7 +430,7 @@ def _leaps_and_bounds(M, p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             slot_in = floor_slot + 1
             slot = np.concatenate((slot_in, floor_slot + (p - d - 1)))
             rss = np.concatenate((floor, cex))
-            hit = rss <= flat_rss[slot]
+            hit = rss <= flat_bound[slot]
             hit[:n] &= inc_ok
             if T is None:
                 hit[n:] &= exc_ok
@@ -392,11 +439,13 @@ def _leaps_and_bounds(M, p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             if len(hit):
                 keys = np.concatenate((key_in, key | tail[own, d + 1]))
                 register(slot[hit].tolist(), rss[hit].tolist(), keys[hit].tolist())
+                if caps is not None:
+                    tighten(slice(own, own + 1) if single else slice(None))
             if d + 2 >= p:
                 continue
-            # the maxima of a sliding-window view of the incumbents
-            window = np.ndarray((K, d + 2, p - d), best_rss.dtype, best_rss, 0,
-                                best_rss.strides + best_rss.strides[1:])
+            # the maxima of a sliding-window view of the bounds
+            window = np.ndarray((K, d + 2, p - d), bound.dtype, bound, 0,
+                                bound.strides + bound.strides[1:])
             if single:
                 # a one-dataset block reads only its own row
                 window[own].max(axis=1, out=reach[own, : d + 2])
@@ -444,10 +493,13 @@ def _leaps_and_bounds(M, p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
                     own_b = own[rows]
                 # the first block ends up on top of the stack
                 stack.append((d + 1, S2, T2, key2[lo:hi], slot2[lo:hi], ceil2[lo:hi], own_b))
-    keys = np.array(best_key, dtype=np.int64).reshape(K, p + 1)
+        keys = np.array(best_key, dtype=np.int64).reshape(K, p + 1)
+        if caps is not None:
+            # sizes 0 and p hold one subset each, so their bests are exact
+            keys[:, 1:p][best_rss[:, 1:p] > caps(best_rss)[:, 1:p]] = -1
     # size p is the full mask, fitted whether or not its design is collinear
     keys[:, p] = (1 << p) - 1
-    return keys, skipped, nodes
+    return keys, best_rss, skipped, nodes
 
 
 def _fit(R, tss, size, row, cols):
@@ -488,6 +540,53 @@ def _fit(R, tss, size, row, cols):
     return rss, at, by_size, small, np.bincount(row[~ok], minlength=K)
 
 
+def _search(A, caps=None) -> _Fits:
+    """The tables of every dataset of a _stack: one lockstep search, its winners fitted from the R factors.
+
+    A is the (K, n, p+2) [1 | X | y] of K datasets; the call takes it
+    over and frees it before the search.  best_per_size searches through
+    here, and a Monte Carlo chunk draws its replicates straight into A.
+    Raises LimitExceededError beyond SUBSET_LIMIT predictors.
+
+    caps (criteria._caps) lets the search drop each size that no report
+    can choose (_leaps_and_bounds): a dropped size is not fitted, and its
+    RSS is NaN.  Caps prune on the sweep RSS, but reports read the
+    refits, so a dataset any of whose refitted winners strays from its
+    sweep RSS by more than _CAP_DRIFT relative, or fails the rank test,
+    is searched again, uncapped; its node count adds both searches.
+    """
+    p = A.shape[2] - 2
+    if p > SUBSET_LIMIT:
+        raise LimitExceededError(f"exhaustive search over p={p} exceeds the limit of {SUBSET_LIMIT}")
+    R, tss = _factor(A)
+    y = A[:, :, -1].copy()
+    M = _centered(A)
+    # the stack is freed before the search's arrays
+    del A
+    # never written, so never faulted in: see _HEAP_FLOATS
+    np.empty(_HEAP_FLOATS)
+    # the search permutes M in place; an uncapped search again needs it as it was
+    fresh = None if caps is None else M.copy()
+    keys, sweep, skipped, nodes = _leaps_and_bounds(M, p, caps)
+
+    def fit():
+        # the winners, by size, then dataset
+        size, row = (keys >= 0).T.nonzero()
+        return _fit(R, tss, size, row, _held(keys[row, size], p).nonzero()[1])
+
+    rss, at, cols, small, failed = fit()
+    if caps is not None:
+        # a dataset whose full design the sweep found collinear was not capped
+        stray = (keys >= 0) & ~(np.abs(rss - sweep) <= _CAP_DRIFT * sweep)
+        redo = (stray.any(axis=1) & np.isfinite(sweep[:, p])).nonzero()[0]
+        if len(redo):
+            keys[redo], _, skipped[redo], again = _leaps_and_bounds(fresh[redo], p)
+            nodes[redo] += again
+            rss, at, cols, small, failed = fit()
+    # the winners the rank test refused count as skipped too
+    return _Fits(rss, at, cols, small, keys, rss[:, p], tss, y, skipped + failed, nodes)
+
+
 def best_per_size(
     data: Dataset | Sequence[Dataset], candidates=None
 ) -> PerSizeBest | list[PerSizeBest]:
@@ -501,19 +600,23 @@ def best_per_size(
         batched QR factors them, one stacked small QR fits each size.
         Each table equals the one-dataset call's, node count included.
     candidates : None or iterable of masks
-        None considers every subset: the leaps-and-bounds search, which
-        raises LimitExceededError beyond SUBSET_LIMIT predictors.  An
-        iterable (e.g. a lasso path) is fitted as listed, with no limit:
-        each mask goes through as_mask (sorted, deduplicated, an index
-        outside [0, p) raises DimensionMismatchError before any fit),
-        and repeats are dropped.  An empty list yields an empty table,
+        None considers every subset: the leaps-and-bounds search
+        (_search, uncapped), which raises LimitExceededError beyond
+        SUBSET_LIMIT predictors.  An iterable (e.g. a lasso path) is
+        fitted as listed, with no limit: each mask goes through as_mask
+        (sorted, deduplicated, an index outside [0, p) raises
+        DimensionMismatchError before any fit), and repeats are dropped.  An empty list yields an empty table,
         not every subset.
 
     Returns
     -------
     PerSizeBest, or for a sequence a list of them in its order
         Ties at equal RSS break to the lexicographically smallest sorted
-        mask.  Rank-deficient masks are skipped and counted; each table
+        mask.  The rule is exact only for bit-identical columns: between
+        proportional columns (X[:, c] = a * X[:, j]), or masks whose RSS
+        differ in the last bits, rounding in the sweep picks the winner,
+        so a change to the search's arithmetic can move it.
+        Rank-deficient masks are skipped and counted; each table
         RSS and entry carries the bits fit_subset gives for its mask, and
         `nodes` counts the search's work (0 for a list).
     """
@@ -525,29 +628,12 @@ def best_per_size(
         raise DimensionMismatchError("datasets fitted together must share one shape")
     K, p = len(datas), datas[0].p
     if candidates is None:
-        if p > SUBSET_LIMIT:
-            raise LimitExceededError(
-                f"exhaustive search over p={p} exceeds the limit of {SUBSET_LIMIT}"
-            )
-        # never written, so never faulted in: see _HEAP_FLOATS
-        np.empty(_HEAP_FLOATS)
+        fits = _search(_stack(datas))
     else:
         masks = sorted({as_mask(m, p) for m in candidates}, key=lambda m: (len(m), m))
-    A = _stack(datas)
-    R, tss = _factor(A)
-    y = A[:, :, -1].copy()
-    if candidates is None:
-        M = _centered(A)
-        # the stack is freed before the search's arrays
-        del A
-        keys, skipped, nodes = _leaps_and_bounds(M, p)
-        # the winners, by size, then dataset
-        size, row = (keys >= 0).T.nonzero()
-        rss, at, cols, small, failed = _fit(R, tss, size, row, _held(keys[row, size], p).nonzero()[1])
-        # the winners the rank test refused count as skipped too
-        skipped = skipped + failed
-        full_rss = rss[:, p]
-    else:
+        A = _stack(datas)
+        R, tss = _factor(A)
+        y = A[:, :, -1].copy()
         # each listed mask on every dataset in turn
         size = np.repeat(np.array([len(m) for m in masks], dtype=np.intp), K)
         flat = np.array([j for m in masks for _ in range(K) for j in m], dtype=np.intp)
@@ -557,7 +643,6 @@ def best_per_size(
         else:
             r, ok, _ = _fit_masks(R, tss, np.arange(K), [full_mask(p)] * K)
             full_rss = np.where(ok, r, np.nan)
-        keys, nodes = None, np.zeros(K, dtype=np.int64)
-    fits = _Fits(rss, at, cols, small, keys, full_rss, tss, y, skipped, nodes)
+        fits = _Fits(rss, at, cols, small, None, full_rss, tss, y, skipped, np.zeros(K, dtype=np.int64))
     tables = [PerSizeBest(d, fits, k) for k, d in enumerate(datas)]
     return tables[0] if lone else tables

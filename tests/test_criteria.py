@@ -556,6 +556,45 @@ def test_array_rules_agree_with_the_mapping_rules_property(p, data):
             assert np.isnan(np.delete(scores[k], sorted(table))).all()
 
 
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(p=st.integers(1, 12), data=st.data())
+def test_caps_keep_every_size_a_report_can_choose_property(p, data):
+    # on tables of falling RSS with missing sizes (a search's incumbents once
+    # it ends), exact cross-size ties of Cp (sigma2 1, integer RSS) or of
+    # adjusted R-squared (RSS a dyadic multiple of n - k) among them, each
+    # report's choice lies within its size's cap, and blanking every size
+    # above its cap changes no choice
+    n = data.draw(st.integers(p + 2, p + 40), label="n")
+    K = data.draw(st.integers(1, 4), label="K")
+    crits = data.draw(st.lists(st.sampled_from(CRITERIA), min_size=1, max_size=4, unique=True),
+                      label="criteria")
+    alphas = data.draw(st.lists(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0), min_size=1,
+                                max_size=3, unique=True), label="alphas")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    size = np.arange(p + 1)
+    kind = data.draw(st.sampled_from(["random", "cp_tie", "adjr2_tie"]), label="kind")
+    if kind == "cp_tie":
+        rss = np.tile(float(n + p + 1) - 2.0 * (size + 1), (K, 1))
+    elif kind == "adjr2_tie":
+        rss = np.tile(float(rng.integers(1, 64)) / 8.0 * (n - size - 1), (K, 1))
+    else:
+        rss = 100.0 * np.cumprod(rng.uniform(0.2, 1.0, (K, p + 1)), axis=1)
+    rss[:, 1:p][rng.uniform(size=(K, p - 1)) < 0.3] = np.inf
+    caps = criteria._caps(crits, alphas, n, p)(rss)
+    full = FullFit(n=n, q=p + 1, rss=rss[:, p:], sigma2=rss[:, p:] / (n - p - 1), tss=rss[:, :1])
+    table = np.where(np.isinf(rss), np.nan, rss)
+    chosen = [d[3] for d in criteria._decisions(table, full, crits, alphas, lambda k, s: tuple(range(s)))]
+    for sizes in chosen:
+        assert (rss[np.arange(K), sizes] <= caps[np.arange(K), sizes]).all()
+    blank = np.where(rss > caps, np.nan, table)
+    again = [d[3] for d in criteria._decisions(blank, full, crits, alphas, lambda k, s: tuple(range(s)))]
+    assert [c.tolist() for c in again] == [c.tolist() for c in chosen]
+    # a table whose full model the sweep found collinear is not capped
+    rss[0, p] = np.inf
+    with np.errstate(invalid="ignore"):
+        assert np.isposinf(criteria._caps(crits, alphas, n, p)(rss[:1])).all()
+
+
 @settings(max_examples=200, derandomize=True, deadline=None)
 @given(p=st.integers(1, 30), q=st.integers(1, 8), data=st.data())
 def test_rate_rule_agrees_with_the_mapping_rule_property(p, q, data):

@@ -11,6 +11,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cmcselect
 from cmcselect import (
@@ -29,6 +31,7 @@ from cmcselect import (
     run_monte_carlo,
     select_many,
     simulate,
+    subsets,
 )
 from cmcselect.simulate import _gen_design, _rho_to_w, gen_correlated_design, gen_response
 from conftest import ORDINARY, STRESS, spy_calls
@@ -218,10 +221,23 @@ def test_replicate_runs_select_many(monkeypatch):
             assert len(res.labels) == 6
 
 
+def record_searches(monkeypatch) -> list:
+    """Route _run_chunk's stacked searches through a recorder; returns the list of their _Fits."""
+    fits: list = []
+    search = simulate._search
+
+    def recorded(A, caps):
+        fits.append(search(A, caps))
+        return fits[-1]
+
+    monkeypatch.setattr(simulate, "_search", recorded)
+    return fits
+
+
 def test_a_chunk_makes_one_small_qr_per_size_and_no_beta_solve(monkeypatch):
     # a 25-rep (50, 10, 5) chunk factors its datasets' [1 | X | y] with one
-    # batched QR, fits each size above 0 with one stacked small QR across the
-    # chunk, and solves no coefficients: no FitSummary, no report
+    # batched QR, fits each size its caps keep with at most one stacked small
+    # QR across the chunk, and solves no coefficients: no FitSummary, no report
     qr_shapes, solves = [], []
     qr, solve = np.linalg.qr, np.linalg.solve
 
@@ -235,36 +251,42 @@ def test_a_chunk_makes_one_small_qr_per_size_and_no_beta_solve(monkeypatch):
 
     summaries = spy_calls(monkeypatch, cmcselect.linalg._summary)
     built = spy_calls(monkeypatch, criteria._reports)
+    searched = record_searches(monkeypatch)
     monkeypatch.setattr(np.linalg, "qr", spy_qr)
     monkeypatch.setattr(np.linalg, "solve", spy_solve)
     sc = Scenario("weak", 50, 10, 5)
     rows = simulate._run_chunk((sc, CRITERIA, (0.9, 0.5, 0.1), 1, range(25)))
     monkeypatch.undo()
     assert sorted(row[0] for row in rows) == list(range(25))
-    assert qr_shapes == [(25, 50, 12)] + [(25, 12, s + 2) for s in range(1, 11)]
+    (fits,) = searched
+    # size 0 is the mean fit and size p the full mask, which every rep fits
+    kept = (fits.keys >= 0).sum(axis=0).tolist()
+    assert kept[sc.p] == 25 and sum(kept[1:sc.p]) < 25 * (sc.p - 1)
+    assert qr_shapes == [(25, 50, 12)] + [(k, 12, s + 2) for s, k in enumerate(kept) if s and k]
     assert solves == summaries == built == []
 
 
 def test_a_chunk_reads_no_table_and_scores_every_rep_in_one_pass(monkeypatch):
-    # a 25-rep (50, 10, 5) chunk's tables are rows of one best_per_size call's
-    # arrays: none is read as a dict of masks or of fits, and one pass of the
-    # selection rules scores all 25 reps, not one pass per rep
-    tables = []
-    search = simulate.best_per_size
+    # a 25-rep (50, 10, 5) chunk draws its reps into one stack for one
+    # stacked search, builds no Dataset and no per-size table, and one pass
+    # of the selection rules scores all 25 reps, not one pass per rep
+    searched = record_searches(monkeypatch)
+    tables = spy_calls(monkeypatch, subsets.best_per_size)
+    datasets = []
+    post_init = cmcselect.linalg.Dataset.__post_init__
 
-    def recorded(datas):
-        out = search(datas)
-        tables.extend(out)
-        return out
+    def counted(self):
+        datasets.append(self)
+        post_init(self)
 
-    monkeypatch.setattr(simulate, "best_per_size", recorded)
+    monkeypatch.setattr(cmcselect.linalg.Dataset, "__post_init__", counted)
     passes = spy_calls(monkeypatch, criteria._decisions)
     sc = Scenario("weak", 50, 10, 5)
     rows = simulate._run_chunk((sc, CRITERIA, (0.9, 0.5, 0.1), 1, range(25)))
     monkeypatch.undo()
     assert sorted(row[0] for row in rows) == list(range(25))
-    assert len(tables) == 25
-    assert [sorted({"table", "entries"} & set(vars(t))) for t in tables] == [[]] * 25
+    assert [f.rss.shape for f in searched] == [(25, 11)]
+    assert tables == datasets == []
     assert len(passes) == 1 and passes[0][0].shape == (25, 11)
 
 
@@ -291,6 +313,81 @@ def test_replicates_are_select_many_at_a_large_intercept(monkeypatch):
     assert sorted(row[0] for row in rows) == list(range(40))
     for rep, firs, fars, _ in rows:
         assert (firs, fars) == _select_many_rates(sc, 1, rep), rep
+
+
+def test_a_large_intercept_searches_again_uncapped(monkeypatch):
+    # the large-intercept refits stray far from the sweep's RSS, on which the
+    # caps pruned, so the chunk searches its reps again, uncapped (a search
+    # called with no caps), and still chooses what select_many chooses
+    searches = spy_calls(monkeypatch, subsets._leaps_and_bounds)
+    rows = record_rows(monkeypatch)
+    sc = Scenario(kind="weak", n=50, p=10, p_active=5, sigma=1e-4, beta0=1e10)
+    run_monte_carlo(sc, reps=12, seed=1)
+    assert [len(args) for args in searches] == [3, 2]
+    assert len(searches[1][0]) > 0
+    for rep, firs, fars, _ in rows:
+        assert (firs, fars) == _select_many_rates(sc, 1, rep), rep
+
+
+def test_the_tables_never_search_uncapped(monkeypatch):
+    # the refits of the paper's designs stay within _CAP_DRIFT of the sweep,
+    # so no Table 1-3 row at seed 1 searches a rep twice
+    searches = spy_calls(monkeypatch, subsets._leaps_and_bounds)
+    for table in (1, 2, 3):
+        for i, (label, sc, crits, alphas) in enumerate(cli._TABLES[table]):
+            searches.clear()
+            run_monte_carlo(sc, crits, alphas, reps=25, seed=1 + i)
+            assert [len(args) for args in searches] == [3], (table, label)
+
+
+def _outcome(args):
+    """A chunk's rows, or the type and message of what it raised."""
+    try:
+        return simulate._run_chunk(args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=120, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_capped_chunks_give_the_uncapped_rows_property(data):
+    # every rep's FIR and FAR for every criterion and alpha are those of the
+    # same chunk searched with no caps, on weak and correlated designs up to
+    # rho = 0.999999, large intercepts, rescaled columns and exactly
+    # duplicated columns (a collinear full design, which is redrawn)
+    p = data.draw(st.integers(2, 9), label="p")
+    p_active = data.draw(st.integers(1, p - 1), label="p_active")
+    n = data.draw(st.integers(p + 2, 4 * p + 10), label="n")
+    shape = dict(n=n, p=p, p_active=p_active,
+                 sigma=data.draw(st.sampled_from([1.0, 0.1, 1e-3]), label="sigma"),
+                 beta0=data.draw(st.sampled_from([1.0, 1e4, 1e10]), label="beta0"))
+    if data.draw(st.booleans(), label="correlated"):
+        sc = Scenario("correlated", rho=data.draw(st.sampled_from([0.3, 0.9, 0.999, 0.999999]), label="rho"),
+                      group_size=data.draw(st.integers(1, min(p_active, p - p_active)), label="group"), **shape)
+    else:
+        sc = Scenario("weak", **shape)
+    scales = 10.0 ** np.array(data.draw(st.lists(st.sampled_from([-3, 0, 0, 3]), min_size=p, max_size=p),
+                                        label="log10 column scales"))
+    twins = data.draw(st.permutations(range(p)), label="twin columns")[:2]
+    duplicate = data.draw(st.booleans(), label="duplicate a column")
+    alphas = tuple(data.draw(st.lists(st.sampled_from([0.0, 0.01, 0.1, 0.5, 0.9, 0.99, 1.0]),
+                                      min_size=1, max_size=4, unique=True), label="alphas"))
+    args = (sc, CRITERIA, alphas, data.draw(st.integers(0, 2**16), label="seed"),
+            range(data.draw(st.integers(1, 8), label="reps")))
+    draw = simulate._gen_design
+
+    def gen(scenario, rng):
+        X = draw(scenario, rng) * scales
+        # half the draws copy one column onto another
+        if duplicate and rng.random() < 0.5:
+            X[:, twins[1]] = X[:, twins[0]]
+        return X
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simulate, "_gen_design", gen)
+        capped = _outcome(args)
+        mp.setattr(simulate, "_caps", lambda *request: None)
+        assert capped == _outcome(args)
 
 
 def test_pool_workers_start_with_numpy_random_imported():

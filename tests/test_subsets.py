@@ -9,13 +9,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cmcselect import (
+    CRITERIA,
     Dataset,
     DimensionMismatchError,
     LimitExceededError,
     best_per_size,
     cmc_select,
+    criteria,
     fit_subset,
     select_many,
+    simulate,
     subsets,
 )
 from cmcselect.cli import main
@@ -49,14 +52,14 @@ def test_limit_guard(monkeypatch):
     # a stub search that only records p: this checks the guard, not the engine
     searched = []
 
-    def stub_search(M, p):
+    def stub_search(M, p, caps=None):
         searched.append(p)
         # the empty mask at size 0, no winner at sizes 1 .. p-1, the full mask at size p
         keys = np.full((len(M), p + 1), -1, dtype=np.int64)
         keys[:, 0] = 0
         keys[:, p] = (1 << p) - 1
         zeros = np.zeros(len(M), dtype=np.int64)
-        return keys, zeros, zeros
+        return keys, np.full((len(M), p + 1), np.inf), zeros, zeros
 
     monkeypatch.setattr(subsets, "_leaps_and_bounds", stub_search)
     rng = np.random.default_rng(8)
@@ -354,6 +357,62 @@ def test_p30_search_work_is_pinned():
     X = _gen_design(scen, rng)
     table = best_per_size(Dataset(X=X, y=gen_response(X, scen, rng)))
     assert (table.nodes, table.skipped) == (278942, 0)
+
+
+def capped_chunk(scen: Scenario, reps) -> subsets._Fits:
+    """A Monte Carlo chunk's stacked search of reps with seed 1, capped for every criterion at alphas 0.9, 0.5, 0.1."""
+    A = simulate._draw(scen, [np.random.default_rng([1, r]) for r in reps])
+    return subsets._search(A, criteria._caps(CRITERIA, (0.9, 0.5, 0.1), scen.n, scen.p))
+
+
+# nodes of each of reps 0-7 of a capped chunk; uncapped, the (60, 30, 15)
+# rep 0 alone takes 278,942 (test_p30_search_work_is_pinned)
+PINNED_CAPPED = {
+    (50, 10, 5): [46, 38, 30, 36, 34, 28, 24, 26],
+    (60, 20, 10): [366, 246, 516, 318, 428, 176, 226, 256],
+    (60, 30, 15): [3330, 5122, 48676, 4590, 10330, 3472, 1654, 3154],
+}
+
+
+def test_capped_search_work_is_pinned(monkeypatch):
+    searches = spy_calls(monkeypatch, subsets._leaps_and_bounds)
+    for shape, want in PINNED_CAPPED.items():
+        scen = Scenario("weak", *shape)
+        fits = capped_chunk(scen, range(8))
+        assert fits.nodes.tolist() == want, shape
+        # a rep's capped search in lockstep is its lone capped search
+        assert capped_chunk(scen, [2]).nodes.tolist() == want[2:3], shape
+    # one capped search per chunk: none was searched again uncapped
+    assert [len(args) for args in searches] == [3] * 6
+    # every predictor strongly active: about 31 M nodes and 27 s uncapped
+    fits = capped_chunk(Scenario("weak", n=200, p=30, p_active=30, sigma=0.1), [0])
+    assert fits.nodes.tolist() == [60]
+
+
+def test_a_capped_search_keeps_the_uncapped_winners():
+    # every size a capped search keeps holds the uncapped search's winner and
+    # RSS bit for bit, the others are NaN: on the paper's shapes, and on a
+    # near-collinear full design whose sweep refuses the full model, so that
+    # its caps are off, while its QR fit passes
+    rng = np.random.default_rng(0)
+    X = rng.standard_normal((30, 5))
+    X[:, 4] = X[:, 1] + 1e-7 * rng.standard_normal(30)
+    near = subsets._stack([Dataset(X=X, y=X[:, 0] + rng.standard_normal(30))])
+    stacks = [(near, 5, 30)]
+    for shape in ((50, 10, 5), (20, 10, 5), (60, 20, 10)):
+        scen = Scenario("weak", *shape)
+        stacks.append((simulate._draw(scen, [np.random.default_rng([1, r]) for r in range(8)]),
+                       scen.p, scen.n))
+    for A, p, n in stacks:
+        capped = subsets._search(A.copy(), criteria._caps(CRITERIA, (0.9, 0.5, 0.1), n, p))
+        full = subsets._search(A)
+        kept = capped.keys >= 0
+        assert np.array_equal(capped.keys[kept], full.keys[kept])
+        assert np.array_equal(capped.rss[kept], full.rss[kept], equal_nan=True)
+        assert np.isnan(capped.rss[~kept]).all()
+        # the near-collinear design keeps every size; the paper's drop some
+        assert kept.all() == (A is near), p
+        assert not np.isnan(full.full_rss).any()
 
 
 def assert_matches(table, expect) -> None:
