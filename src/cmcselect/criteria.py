@@ -40,7 +40,7 @@ from .errors import (
 )
 from .fdist import FParams, f_quantile
 from .linalg import Dataset, FitSummary, FullFit, Mask, _full_stats
-from .subsets import _CAP_SLACK, PerSizeBest, best_per_size
+from .subsets import _CAP_SLACK, _CAP_SLACK_TSS, PerSizeBest, best_per_size
 
 CRITERIA = ("adjr2", "cp_aic", "bic", "cmc")
 
@@ -267,8 +267,9 @@ def _caps(criteria, alphas, n: int, p: int):
     - cmc at each alpha: r_p + kappa sigma2 below the incumbents' cmc
       size, no cap at that size, and nothing above it.
 
-    A size's cap is the largest over the request, times 1 + _CAP_SLACK.
-    A table whose full model has no finite incumbent is not capped.
+    A size's cap is the largest over the request, times 1 + _CAP_SLACK,
+    plus _CAP_SLACK_TSS times the TSS (column 0).  A table whose full
+    model has no finite incumbent is not capped.
     """
     size = np.arange(p + 1)
     # BIC's and adjusted R-squared's caps are min_j(r_j c_j) / c_s, one row of c each
@@ -298,7 +299,7 @@ def _caps(criteria, alphas, n: int, p: int):
             np.maximum.at(below, (rows, at), limit)
             np.maximum(out, np.maximum.accumulate(below[:, :0:-1], axis=1)[:, ::-1], out=out)
             out[rows, at] = np.inf
-        out *= 1.0 + _CAP_SLACK
+        out = out * (1.0 + _CAP_SLACK) + _CAP_SLACK_TSS * rss[:, :1]
         out[~np.isfinite(full[:, 0])] = np.inf
         return out
 

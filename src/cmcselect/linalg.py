@@ -1,10 +1,11 @@
 """Least-squares fitting of predictor subsets with an always-present intercept.
 
 Every model is identified by a mask of predictor indices; the intercept is
-implicit and never part of the mask.  Each dataset's [1 | X | y] is
-factored once by a Householder QR, and a subset's fit is the small QR of
-its columns of that (p+2)x(p+2) R factor, stacked over fits of one size,
-so a fit's cost does not grow with n.  The empty mask is the exact mean
+implicit and never part of the mask.  Each dataset's centered
+[1 | X - xbar | y - ybar] is factored once by a Householder QR, and a
+subset's fit is the small QR of its columns of that (p+2)x(p+2) R factor,
+stacked over fits of one size, so a fit's cost does not grow with n, nor
+its error with the means.  The empty mask is the exact mean
 fit.  Coefficient vectors come back dense (length p+1, exact zeros at
 excluded positions) so downstream consumers never need to know which
 columns were dropped.
@@ -123,41 +124,32 @@ class FitSummary:
         object.__setattr__(self, "beta", beta)
 
 
-def _mean_fits(Y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The intercept-only fit of each row of a (K, n) stack of responses: its mean and centered TSS.
-
-    Size 0's fit and FullFit.tss both come from here, so adjusted
-    R-squared is exactly 0 at size 0.  numpy reduces each row on its
-    own, so a row's bits do not depend on K.
-    """
-    mean = Y.mean(axis=1)
-    return mean, np.square(Y - mean[:, None]).sum(axis=1)
-
-
-def _stack(datas) -> np.ndarray:
-    """The (K, n, p+2) [1 | X | y] of K same-shape datasets: the one copy of them into arrays."""
-    n, p = datas[0].X.shape
-    A = np.empty((len(datas), n, p + 2))
+def _stack(pairs) -> np.ndarray:
+    """The (K, n, p+2) [1 | X | y] of K same-shape (X, y) pairs: the one copy of a call's data into arrays."""
+    n, p = pairs[0][0].shape
+    A = np.empty((len(pairs), n, p + 2))
     A[:, :, 0] = 1.0
-    for i, data in enumerate(datas):
-        A[i, :, 1:-1] = data.X
-        A[i, :, -1] = data.y
+    for i, (X, y) in enumerate(pairs):
+        A[i, :, 1:-1] = X
+        A[i, :, -1] = y
     return A
 
 
-def _factor(A) -> tuple[np.ndarray, np.ndarray]:
-    """The (K, p+2, p+2) R factors of a (K, n, p+2) _stack, and the TSS of its responses.
+def _factor(A) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Center a (K, n, p+2) _stack's [X | y] in place: its R factors, TSS and (K, p+1) means [xbar | ybar].
 
-    One batched QR, run per matrix, so a dataset's R has the same bits
-    at any K.  Q'[1 | X_S | y] is R's columns 0, S+1 and p+1, so every
-    subset's fit is in R (Miller, *Subset Selection in Regression*, 2002,
-    ch. 2; Golub & Van Loan, *Matrix Computations*, 5.3).  The TSS are
-    _mean_fits' (size 0's RSS) of the stack's last column.
+    A call's one centering, which the search's Gram matrices read too
+    (subsets._gram).  One batched QR, run per matrix, so a dataset's bits
+    do not depend on K.  Q'[1 | X_S | y] is R's columns 0, S+1 and p+1,
+    so every subset's fit is in R (Miller, *Subset Selection in
+    Regression*, 2002, ch. 2; Golub & Van Loan, *Matrix Computations*, 5.3).
     """
-    return np.linalg.qr(A, mode="r"), _mean_fits(A[:, :, -1])[1]
+    mean = A[:, :, 1:].mean(axis=1)
+    A[:, :, 1:] -= mean[:, None, :]
+    return np.linalg.qr(A, mode="r"), np.square(A[:, :, -1]).sum(axis=1), mean
 
 
-def _fit_masks(R, tss, rows, masks) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+def _fit_masks(R, tss, rows, masks) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Fit K' masks of one size s, masks[i] on the dataset with R factor R[rows[i]] and TSS tss[rows[i]].
 
     masks is a (K', s) array of column indices, or K' masks of size s.
@@ -167,14 +159,15 @@ def _fit_masks(R, tss, rows, masks) -> tuple[np.ndarray, np.ndarray, np.ndarray 
     RSS is its last diagonal entry squared, and a member whose leading
     (s+1) |R| diagonal fails the RANK_TOL ratio test is collinear.  Each
     member's bits do not depend on K' or its position.  Size 0 is the
-    mean fit, with no QR.  Returns the (K',) RSS, the (K',) rank tests
-    and the (K', s+2, s+2) small R factors (None at size 0).
+    mean fit, with no QR: its RSS is the TSS, its factor the identity (the
+    centered [1 | y]'s diagonal R, rows scaled to 1).  Returns the (K',)
+    RSS, the (K',) rank tests and the (K', s+2, s+2) small R factors.
     """
     rows = np.asarray(rows, dtype=np.intp)
     masks = np.array(masks, dtype=np.intp, ndmin=2)
     s = masks.shape[1]
     if not s:
-        return tss[rows], np.ones(len(rows), dtype=bool), None
+        return tss[rows], np.ones(len(rows), dtype=bool), np.broadcast_to(np.eye(2), (len(rows), 2, 2))
     p = R.shape[-1] - 2
     cols = np.empty((len(rows), s + 2), dtype=np.intp)
     cols[:, 0] = 0
@@ -186,18 +179,17 @@ def _fit_masks(R, tss, rows, masks) -> tuple[np.ndarray, np.ndarray, np.ndarray 
     return small[:, -1, -1] ** 2, ok, small
 
 
-def _summary(data: Dataset, mask: Mask, rss: float, small: np.ndarray | None) -> FitSummary:
+def _summary(data: Dataset, mask: Mask, rss: float, small: np.ndarray, mean: np.ndarray) -> FitSummary:
     """The FitSummary of one _fit_masks member: beta solved from its small R factor, no second QR.
 
-    small is None at size 0, whose intercept is _mean_fits' mean.
+    mean is the dataset's [xbar | ybar] (_factor): the intercept is
+    ybar + coef_0 - xbar_S . beta_S.
     """
+    cols = np.asarray(mask, dtype=np.intp)
+    coef = np.linalg.solve(small[:-1, :-1], small[:-1, -1])
     beta = np.zeros(data.q)
-    if small is None:
-        beta[0] = _mean_fits(data.y[None])[0][0]
-    else:
-        coef = np.linalg.solve(small[:-1, :-1], small[:-1, -1])
-        beta[0] = coef[0]
-        beta[np.asarray(mask) + 1] = coef[1:]
+    beta[0] = mean[-1] + coef[0] - mean[cols] @ coef[1:]
+    beta[cols + 1] = coef[1:]
     return FitSummary(mask=mask, beta=beta, rss=rss, df_resid=data.n - len(mask) - 1)
 
 
@@ -228,11 +220,11 @@ def fit_subset(data: Dataset, mask) -> FitSummary:
         RANK_TOL (relative, on the QR diagonal).
     """
     mask = as_mask(mask, data.p)
-    R, tss = _factor(_stack([data]))
+    R, tss, mean = _factor(_stack([(data.X, data.y)]))
     rss, ok, small = _fit_masks(R, tss, [0], [mask])
     if not ok[0]:
         raise _collinear(mask)
-    return _summary(data, mask, float(rss[0]), None if small is None else small[0])
+    return _summary(data, mask, float(rss[0]), small[0], mean[0])
 
 
 @dataclass(frozen=True)
@@ -263,7 +255,7 @@ def full_fit(data: Dataset) -> FullFit:
         If the response is constant, or the full-model RSS is zero up to
         DEGENERATE_TOL relative to the centered TSS.
     """
-    R, tss = _factor(_stack([data]))
+    R, tss, _ = _factor(_stack([(data.X, data.y)]))
     rss, ok, _ = _fit_masks(R, tss, [0], [full_mask(data.p)])
     return _full_stats(data.n, data.q, float(rss[0]) if ok[0] else math.nan, float(tss[0]), data.y)
 

@@ -9,15 +9,16 @@ keyed by (seed, replication index), selects on it as select_many does
 (the selector a user runs on one dataset), and classifies each chosen
 mask against the true active set.  Replications run in chunks, as few
 and as even as keep every worker busy.  A chunk draws its replications
-straight into one [1 | X | y] stack, with no Dataset per replication,
-and hands it to subsets._search, which searches them in lockstep,
-sharing blocks of tree nodes, and fits each size's winners with one
-stacked small QR from the datasets' R factors.  The search is capped
-for the chunk's request (criteria._caps): it prunes, and drops without
+into one [1 | X | y] stack (linalg._stack), with no Dataset per
+replication, and hands it to subsets._search, which centers it once,
+searches them in lockstep, sharing blocks of tree nodes, and fits each
+size's winners with one stacked small QR.  The search is capped for the
+chunk's request (criteria._caps): it prunes, and drops without
 refitting, every size that none of the chunk's criteria and alphas can
-choose, and a dataset whose refits stray from the sweep's RSS is
-searched again uncapped, so every size a report can choose has the
-mask, RSS and bits of an uncapped lone call.  The chunk is scored as
+choose; a dataset whose refits stray from the sweep's RSS beyond the
+caps' slack (a few eps times the TSS) is searched again uncapped, so
+every size a report can choose has the mask, RSS and bits of an
+uncapped lone call.  The chunk is scored as
 arrays: criteria._decide, which scores select_many's reports too,
 chooses a size for every replication and criterion in one pass over the
 (K, p+1) RSS array the tables share (NaN at a dropped size, which no
@@ -51,7 +52,7 @@ import numpy as np
 
 from .criteria import CRITERIA, RatePair, _caps, _decide, _rates, labels_for
 from .errors import ConfigError, DimensionMismatchError, TooFewRowsError
-from .linalg import _collinear, full_mask
+from .linalg import _collinear, _stack, full_mask
 from .subsets import _search
 
 log = logging.getLogger(__name__)
@@ -186,17 +187,17 @@ def _gen_design(scenario: Scenario, rng: np.random.Generator) -> np.ndarray:
 
 
 def _draw(scenario: Scenario, rngs) -> np.ndarray:
-    """One draw per stream, straight into the (K, n, p+2) [1 | X | y] stack that subsets._search takes.
+    """One draw per stream, into the (K, n, p+2) [1 | X | y] stack (linalg._stack) that subsets._search takes.
 
     Its entries are those of a Dataset of each draw, and like one it
     refuses a non-finite entry.
     """
-    A = np.empty((len(rngs), scenario.n, scenario.p + 2))
-    A[:, :, 0] = 1.0
-    for i, rng in enumerate(rngs):
+
+    def draw(rng):
         X = _gen_design(scenario, rng)
-        A[i, :, 1:-1] = X
-        A[i, :, -1] = gen_response(X, scenario, rng)
+        return X, gen_response(X, scenario, rng)
+
+    A = _stack([draw(rng) for rng in rngs])
     if not np.isfinite(A).all():
         raise DimensionMismatchError("X and y entries must all be finite")
     return A

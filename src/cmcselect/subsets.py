@@ -9,7 +9,7 @@ between), which is what makes p = 20..30 Monte Carlo runs cheap.
 
 The search walks the inclusion/exclusion tree with Gaussian sweeps of
 the augmented Gram matrix [[G, b], [b', tss]] of the centered [X | y]
-(_centered).  Each node carries two swept blocks over its undecided
+(_gram).  Each node carries two swept blocks over its undecided
 variables plus y: the floor (swept on the variables decided in) and the
 ceiling (the full-model sweep with the variables decided out unswept).
 Including a variable is one rank-1 sweep of the floor, excluding it one
@@ -39,9 +39,9 @@ Intercepts are handled exactly by centering: the RSS of a subset fitted
 with an intercept equals the RSS of the centered regression on the same
 columns, so the search runs on the centered Gram matrix and keeps only
 the keys of its winning masks.  A call copies its datasets once, into
-one [1 | X | y] stack (linalg._stack) that is freed before the search:
-its batched QR gives their R factors and TSS (linalg._factor), and its
-centered [X | y] the search's matrices.  One fitter (_fit) fits searched
+one [1 | X | y] stack (linalg._stack) that is freed before the search,
+and centers its [X | y] once, in place, for its R factors, TSS and
+search matrices alike (linalg._factor).  One fitter (_fit) fits searched
 winners and listed masks alike from the R factors, one stacked small QR
 per size across the call, so each RSS has the bits a lone fit_subset
 gives.  Size p is the full mask, fitted the same way.  A call's tables
@@ -59,8 +59,8 @@ replicate searches and refits only the sizes its reports can read:
 about 35 nodes instead of 200 on a (50, 10, 5) draw, 60 instead of 31
 million when all 30 of 30 predictors are strongly active.  Caps prune
 on the sweep's RSS while reports read the refits, so a dataset whose
-refitted winners stray from the sweep is searched again, uncapped.
-best_per_size, select and the library never cap.
+refits stray from the sweep beyond the caps' slack is searched again,
+uncapped.  best_per_size, select and the library never cap.
 """
 
 from __future__ import annotations
@@ -87,14 +87,16 @@ log = logging.getLogger(__name__)
 SUBSET_LIMIT = 30
 
 # a capped search (criteria._caps) keeps every size whose least RSS is within
-# this relative slack of its cap, so rounding in the sweep cannot drop a size
-# that a report on the refits might choose or tie
+# _CAP_SLACK of its cap, relative, plus _CAP_SLACK_TSS times the TSS, so
+# rounding cannot drop a size that a report on the refits might choose or tie:
+# the sweep's RSS and the refits' differed by at most 6.8 eps * TSS on weak,
+# tiny-noise and beta0 = 1e6 designs, six times below _CAP_DRIFT's 1e-14 * TSS
 _CAP_SLACK = 1e-9
+_CAP_SLACK_TSS = 1e-12
 
 # a capped search's dataset is searched again, uncapped, once a refitted
-# winner's RSS strays from its sweep RSS by more than this relative amount,
-# a hundredth of _CAP_SLACK
-_CAP_DRIFT = _CAP_SLACK / 100
+# winner's RSS strays from its sweep RSS by more than this fraction of the slack
+_CAP_DRIFT = 1e-2
 
 # a sweep pivot at or below this fraction of its column's centered sum of
 # squares (1 - R^2 on the variables swept before it) marks a collinear subset
@@ -122,10 +124,11 @@ class _Fits(NamedTuple):
     rss (K, p+1) holds each dataset's least RSS per size, NaN where the
     size has no usable mask or a capped search dropped it, and at
     (K, p+1) the index of that mask in the size's (M, s) cols and
-    (M, s+2, s+2) small R factors (None at size 0), -1 where there is
-    none.  keys (K, p+1) are the search's winner keys (None for a list); full_rss (NaN where the full design is
-    collinear), tss, skipped and nodes are (K,); y holds the (K, n)
-    responses that the scorers read (criteria._decide).
+    (M, s+2, s+2) small R factors, -1 where there is none.  keys
+    (K, p+1) are the search's winner keys (None for a list); full_rss
+    (NaN where the full design is collinear), tss, skipped and nodes are
+    (K,); mean (K, p+1) is [xbar | ybar] (linalg._factor); y holds the
+    (K, n) centered responses that the scorers read (criteria._decide).
     """
 
     rss: np.ndarray
@@ -135,6 +138,7 @@ class _Fits(NamedTuple):
     keys: np.ndarray | None
     full_rss: np.ndarray
     tss: np.ndarray
+    mean: np.ndarray
     y: np.ndarray
     skipped: np.ndarray
     nodes: np.ndarray
@@ -166,15 +170,15 @@ class PerSizeBest:
 
     One dataset's row of its best_per_size call's arrays (fits, shared by
     every table of the call).  table maps each size to its best (mask,
-    rss), fitted from the R factor of the dataset's [1 | X | y]
+    rss), fitted from the R factor of the dataset's centered [1 | X | y]
     (linalg._fit_masks) and built from the arrays the first time it is
     read; skipped counts the rank-deficient masks, refused by the
     search's sweep or by the QR rank test.  full_rss is the full mask's
     RSS, fitted the same way whether or not the full mask is a candidate,
     and None when the full design is collinear; tss is the centered TSS
-    from the same factoring (linalg._factor).  entries gives each size's
+    from the same centering (linalg._factor).  entries gives each size's
     FitSummary, its beta solved from the same small R factor the first
-    time that size is read.
+    time that size is read and its intercept from the same means.
     """
 
     data: Dataset = field(repr=False)
@@ -209,7 +213,7 @@ class PerSizeBest:
         if self.skipped:
             log.info("skipped %d rank-deficient subset(s)", self.skipped)
         log.debug("search evaluated %d node(s), skipped %d subset(s)", self.nodes, self.skipped)
-        return _Entries(self.data, self.table, self.fits.small, self.fits.at[self.row])
+        return _Entries(self.data, self.table, self.fits, self.row)
 
     def sizes(self) -> list[int]:
         return np.flatnonzero(self.fits.at[self.row] >= 0).tolist()
@@ -226,16 +230,15 @@ class _Entries(Mapping):
     sizes' coefficients are never solved.
     """
 
-    def __init__(self, data: Dataset, table, small, at) -> None:
-        self._data, self._table, self._small, self._at = data, table, small, at
+    def __init__(self, data: Dataset, table, fits: _Fits, row: int) -> None:
+        self._data, self._table, self._fits, self._row = data, table, fits, row
         self._solved: dict[int, FitSummary] = {}
 
     def __getitem__(self, size: int) -> FitSummary:
         if size not in self._solved:
             mask, rss = self._table[size]
-            small = self._small[size]
-            self._solved[size] = _summary(self._data, mask, rss,
-                                          None if small is None else small[self._at[size]])
+            small = self._fits.small[size][self._fits.at[self._row, size]]
+            self._solved[size] = _summary(self._data, mask, rss, small, self._fits.mean[self._row])
         return self._solved[size]
 
     def __iter__(self):
@@ -245,15 +248,14 @@ class _Entries(Mapping):
         return len(self._table)
 
 
-def _centered(A) -> np.ndarray:
-    """The (K, p+1, p+1) centered augmented Gram matrices [[G, b], [b', tss]] of a _stack's [X | y].
+def _gram(A) -> np.ndarray:
+    """The (K, p+1, p+1) augmented Gram matrices [[G, b], [b', tss]] of a factored _stack's centered [X | y].
 
     einsum sums every entry in one order, so identical columns get identical
     rows and exact ties stay exact, as BLAS products do not; it reduces each
     dataset on its own, so a stacked row has the bits of its lone call.
     """
-    C = A[:, :, 1:] - A[:, :, 1:].mean(axis=1, keepdims=True)
-    return np.einsum("kij,kil->kjl", C, C)
+    return np.einsum("kij,kil->kjl", A[:, :, 1:], A[:, :, 1:])
 
 
 def _sweep(W: np.ndarray, diag: np.ndarray) -> np.ndarray:
@@ -287,7 +289,7 @@ def _leaps_and_bounds(M, p: int, caps=None) -> tuple[np.ndarray, np.ndarray, np.
     """Pruned exhaustive search over the inclusion/exclusion trees of K datasets.
 
     M (K, p+1, p+1) holds their centered augmented Gram matrices
-    [[G, b], [b', tss]] (_centered), y last, and is permuted into search
+    [[G, b], [b', tss]] (_gram), y last, and is permuted into search
     order in place.  A node at depth d has decided its dataset's order[:d];
     its floor is the decided-in set and its ceiling the floor plus
     order[d:].  Evaluating a node gives its include child's floor and its
@@ -544,23 +546,25 @@ def _search(A, caps=None) -> _Fits:
     """The tables of every dataset of a _stack: one lockstep search, its winners fitted from the R factors.
 
     A is the (K, n, p+2) [1 | X | y] of K datasets; the call takes it
-    over and frees it before the search.  best_per_size searches through
-    here, and a Monte Carlo chunk draws its replicates straight into A.
-    Raises LimitExceededError beyond SUBSET_LIMIT predictors.
+    over, centers it in place (linalg._factor) and frees it before the
+    search.  best_per_size searches through here, and a Monte Carlo chunk
+    draws its replicates into A.  Raises LimitExceededError beyond
+    SUBSET_LIMIT predictors.
 
     caps (criteria._caps) lets the search drop each size that no report
     can choose (_leaps_and_bounds): a dropped size is not fitted, and its
     RSS is NaN.  Caps prune on the sweep RSS, but reports read the
     refits, so a dataset any of whose refitted winners strays from its
-    sweep RSS by more than _CAP_DRIFT relative, or fails the rank test,
-    is searched again, uncapped; its node count adds both searches.
+    sweep RSS by more than _CAP_DRIFT of the caps' slack, or fails the
+    rank test, is searched again, uncapped; its node count adds both
+    searches.
     """
     p = A.shape[2] - 2
     if p > SUBSET_LIMIT:
         raise LimitExceededError(f"exhaustive search over p={p} exceeds the limit of {SUBSET_LIMIT}")
-    R, tss = _factor(A)
+    R, tss, mean = _factor(A)
     y = A[:, :, -1].copy()
-    M = _centered(A)
+    M = _gram(A)
     # the stack is freed before the search's arrays
     del A
     # never written, so never faulted in: see _HEAP_FLOATS
@@ -577,14 +581,15 @@ def _search(A, caps=None) -> _Fits:
     rss, at, cols, small, failed = fit()
     if caps is not None:
         # a dataset whose full design the sweep found collinear was not capped
-        stray = (keys >= 0) & ~(np.abs(rss - sweep) <= _CAP_DRIFT * sweep)
+        slack = _CAP_SLACK * sweep + _CAP_SLACK_TSS * sweep[:, :1]
+        stray = (keys >= 0) & ~(np.abs(rss - sweep) <= _CAP_DRIFT * slack)
         redo = (stray.any(axis=1) & np.isfinite(sweep[:, p])).nonzero()[0]
         if len(redo):
             keys[redo], _, skipped[redo], again = _leaps_and_bounds(fresh[redo], p)
             nodes[redo] += again
             rss, at, cols, small, failed = fit()
     # the winners the rank test refused count as skipped too
-    return _Fits(rss, at, cols, small, keys, rss[:, p], tss, y, skipped + failed, nodes)
+    return _Fits(rss, at, cols, small, keys, rss[:, p], tss, mean, y, skipped + failed, nodes)
 
 
 def best_per_size(
@@ -628,11 +633,11 @@ def best_per_size(
         raise DimensionMismatchError("datasets fitted together must share one shape")
     K, p = len(datas), datas[0].p
     if candidates is None:
-        fits = _search(_stack(datas))
+        fits = _search(_stack([(d.X, d.y) for d in datas]))
     else:
         masks = sorted({as_mask(m, p) for m in candidates}, key=lambda m: (len(m), m))
-        A = _stack(datas)
-        R, tss = _factor(A)
+        A = _stack([(d.X, d.y) for d in datas])
+        R, tss, mean = _factor(A)
         y = A[:, :, -1].copy()
         # each listed mask on every dataset in turn
         size = np.repeat(np.array([len(m) for m in masks], dtype=np.intp), K)
@@ -643,6 +648,6 @@ def best_per_size(
         else:
             r, ok, _ = _fit_masks(R, tss, np.arange(K), [full_mask(p)] * K)
             full_rss = np.where(ok, r, np.nan)
-        fits = _Fits(rss, at, cols, small, None, full_rss, tss, y, skipped, np.zeros(K, dtype=np.int64))
+        fits = _Fits(rss, at, cols, small, None, full_rss, tss, mean, y, skipped, np.zeros(K, dtype=np.int64))
     tables = [PerSizeBest(d, fits, k) for k, d in enumerate(datas)]
     return tables[0] if lone else tables

@@ -1,5 +1,7 @@
 """Least-squares fitting checks against hand-solved normal equations."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -170,7 +172,7 @@ def test_stacked_fits_match_lone_fits_bit_for_bit(K):
                     X[:, mask[1]] = 3.0 * X[:, mask[0]]
                 datas.append(Dataset(X=X, y=rng.standard_normal(n) + 2.0))
                 masks.append(mask)
-            R, tss = _factor(_stack(datas))
+            R, tss, mean = _factor(_stack([(d.X, d.y) for d in datas]))
             rss, ok, small = _fit_masks(R, tss, range(K), masks)
             assert rss.shape == ok.shape == (K,)
             for i, (data, mask) in enumerate(zip(datas, masks)):
@@ -180,7 +182,7 @@ def test_stacked_fits_match_lone_fits_bit_for_bit(K):
                         fit_subset(data, mask)
                     continue
                 assert ok[i]
-                fit = _summary(data, mask, float(rss[i]), None if small is None else small[i])
+                fit = _summary(data, mask, float(rss[i]), small[i], mean[i])
                 lone = fit_subset(data, mask)
                 assert fit.mask == lone.mask == mask
                 assert fit.rss == lone.rss
@@ -219,15 +221,54 @@ def test_fits_from_r_match_the_lstsq_oracle_property(p, data):
     assert not np.any(np.delete(fit.beta, cols))
 
 
+def _exact_rss(X: np.ndarray, y: np.ndarray, mask) -> Fraction:
+    """The RSS of y on [1 | X[:, mask]] in rational arithmetic, exact for the float entries."""
+    def centered(column):
+        exact = [Fraction(v) for v in column.tolist()]
+        mean = sum(exact) / len(exact)
+        return [v - mean for v in exact]
+
+    # centered normal equations [G | b], solved by Gauss-Jordan elimination
+    cent = [centered(X[:, j]) for j in mask]
+    yc = centered(y)
+    rows = [[sum(a * b for a, b in zip(ci, cj)) for cj in cent + [yc]] for ci in cent]
+    for k in range(len(rows)):
+        rows[k] = [v / rows[k][k] for v in rows[k]]
+        for i in range(len(rows)):
+            if i != k:
+                rows[i] = [a - rows[i][k] * b for a, b in zip(rows[i], rows[k])]
+    beta = [row[-1] for row in rows]
+    return sum(v * v for v in yc) - sum(bj * sum(a * v for a, v in zip(c, yc)) for bj, c in zip(beta, cent))
+
+
+def test_rss_keeps_its_digits_under_a_shifted_response():
+    # the one centering factors [1 | X - xbar | y - ybar], so a fit's error
+    # scales with the response's spread, not its mean: against exact rational
+    # arithmetic the RSS stays within 1e-14 relative at shifts up to 1e12
+    # (1.2e-15 at worst here; a QR of the uncentered [1 | X | y] loses up to
+    # 8.5e-13 at 1e5 and 3.5e-6 at 1e12)
+    rng = np.random.default_rng(31)
+    n, p = 50, 8
+    X = rng.standard_normal((n, p))
+    noise = X[:, :4] @ rng.uniform(-2, 2, 4) + rng.standard_normal(n)
+    for shift in (1e5, 1e8, 1e10, 1e12):
+        data = Dataset(X=X, y=shift + noise)
+        for mask in ((1, 5), (0, 2, 3, 6), full_mask(p)):
+            exact = _exact_rss(data.X, data.y, mask)
+            assert abs(Fraction(fit_subset(data, mask).rss) - exact) <= Fraction(1e-14) * exact, (shift, mask)
+
+
 def test_size_zero_is_the_exact_mean_fit():
     # the empty mask's fit is the mean and the centered TSS, the TSS full_fit
-    # reports, so adjusted R-squared is exactly 0 at size 0
+    # reports, so adjusted R-squared is exactly 0 at size 0; both come from
+    # the one mean that centers the dataset's stack
     rng = np.random.default_rng(12)
     for _ in range(10):
         data = random_dataset(rng, 40, 5)
+        ybar = _stack([(data.X, data.y)])[:, :, 1:].mean(axis=1)[0, -1]
         fit = fit_subset(data, ())
-        assert fit.beta[0] == data.y.mean() and not np.any(fit.beta[1:])
-        assert fit.rss == full_fit(data).tss == float(np.square(data.y - data.y.mean()).sum())
+        assert fit.beta[0] == ybar and not np.any(fit.beta[1:])
+        assert fit.rss == full_fit(data).tss == float(np.square(data.y - ybar).sum())
 
 
 def test_degenerate_full_fit():

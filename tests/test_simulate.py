@@ -304,9 +304,9 @@ def test_replicates_choose_what_select_many_chooses_on_stress_scenarios(monkeypa
 
 
 def test_replicates_are_select_many_at_a_large_intercept(monkeypatch):
-    # at an intercept of 1e10 and noise of 1e-4 every fit loses most of its
-    # digits to the uncentered [1 | X | y]; a chunk's reps still choose what
-    # select_many chooses on each rep alone, fitted from the same R factor
+    # at an intercept of 1e10 and noise of 1e-4 the centering's own rounding
+    # is far above the noise; a chunk's reps still choose what select_many
+    # chooses on each rep alone, fitted from the same R factor
     sc = Scenario(kind="weak", n=50, p=10, p_active=5, sigma=1e-4, beta0=1e10)
     rows = record_rows(monkeypatch)
     run_monte_carlo(sc, reps=40, seed=1)
@@ -327,6 +327,19 @@ def test_a_large_intercept_searches_again_uncapped(monkeypatch):
     assert len(searches[1][0]) > 0
     for rep, firs, fars, _ in rows:
         assert (firs, fars) == _select_many_rates(sc, 1, rep), rep
+
+
+def test_tiny_noise_is_searched_once(monkeypatch):
+    # the caps' slack in TSS units covers the sweep's rounding against the
+    # refits, both of the one centered stack, so a chunk whose RSS lie far
+    # below its TSS searches each rep once, capped, and gets the rows of the
+    # same chunk searched with no caps
+    args = (Scenario("weak", n=60, p=20, p_active=10, sigma=1e-4), CRITERIA, (0.9, 0.5, 0.1), 1, range(25))
+    searches = spy_calls(monkeypatch, subsets._leaps_and_bounds)
+    capped = simulate._run_chunk(args)
+    assert [len(call) for call in searches] == [3]
+    monkeypatch.setattr(simulate, "_caps", lambda *request: None)
+    assert capped == simulate._run_chunk(args)
 
 
 def test_the_tables_never_search_uncapped(monkeypatch):

@@ -22,7 +22,6 @@ from cmcselect import (
     subsets,
 )
 from cmcselect.cli import main
-from cmcselect.linalg import _mean_fits
 from cmcselect.simulate import Scenario, _gen_design, gen_correlated_design, gen_response
 from conftest import naive_best_per_size, random_dataset, spy_calls
 
@@ -200,13 +199,23 @@ def test_datasets_fitted_together_stack_refits(monkeypatch):
             len(datas) if candidates is None or s == 7 else per_size for s in sizes]
         assert isinstance(together, list) and len(together) == len(datas)
         assert_same_tables(lone, together)
-        # the TSS the factoring kept has the bits of each response's own mean fit
-        assert [t.tss for t in together] == [float(_mean_fits(d.y[None])[1][0]) for d in datas]
+        # the TSS the factoring kept is each response's sum of squares about
+        # the mean of its lone stack, the one centering of its call
+        assert [t.tss for t in together] == [
+            float(np.square(d.y - subsets._stack([(d.X, d.y)])[:, :, 1:].mean(axis=1)[0, -1]).sum())
+            for d in datas]
     assert together[2].skipped >= 1
+
+    def gram(datas):
+        # the search's input: the Gram matrices of the stack _factor centered
+        A = subsets._stack([(d.X, d.y) for d in datas])
+        subsets._factor(A)
+        return subsets._gram(A)
+
     # each dataset's row of the search's input has its lone call's bits
-    M = subsets._centered(subsets._stack(datas))
+    M = gram(datas)
     for k, d in enumerate(datas):
-        assert np.array_equal(M[k], subsets._centered(subsets._stack([d]))[0])
+        assert np.array_equal(M[k], gram([d])[0])
     with pytest.raises(DimensionMismatchError):
         best_per_size([datas[0], random_dataset(rng, 31, 7)])
 
@@ -397,7 +406,7 @@ def test_a_capped_search_keeps_the_uncapped_winners():
     rng = np.random.default_rng(0)
     X = rng.standard_normal((30, 5))
     X[:, 4] = X[:, 1] + 1e-7 * rng.standard_normal(30)
-    near = subsets._stack([Dataset(X=X, y=X[:, 0] + rng.standard_normal(30))])
+    near = subsets._stack([(X, X[:, 0] + rng.standard_normal(30))])
     stacks = [(near, 5, 30)]
     for shape in ((50, 10, 5), (20, 10, 5), (60, 20, 10)):
         scen = Scenario("weak", *shape)
@@ -553,8 +562,9 @@ def test_select_factors_its_dataset_once(tmp_path, capsys, monkeypatch):
 
 def test_entries_solve_beta_when_read_with_no_second_qr(monkeypatch):
     # a size's coefficients are solved the first time that entry is read, one
-    # solve per size above 0 from the small R factors the table's RSS came
-    # from, and each table solves only its own
+    # solve per size from the small R factors the table's RSS came from (at
+    # size 0 the centered mean fit's diagonal factor), and each table solves
+    # only its own
     rng = np.random.default_rng(6)
     datas = [random_dataset(rng, 30, 5) for _ in range(4)]
     tables = best_per_size(datas)
@@ -570,10 +580,10 @@ def test_entries_solve_beta_when_read_with_no_second_qr(monkeypatch):
     for i, table in enumerate(tables):
         entries = table.entries
         assert table.entries is entries
-        assert len(solves) == 5 * i
+        assert len(solves) == 6 * i
         for s in table.sizes():
             assert entries[s] is entries[s]
-        assert len(solves) == 5 * (i + 1)
+        assert len(solves) == 6 * (i + 1)
     monkeypatch.undo()
     assert qrs == []
     for data, table in zip(datas, tables):
