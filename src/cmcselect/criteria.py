@@ -359,15 +359,14 @@ def _decisions(rss: np.ndarray, full: FullFit, criteria, alphas, mask_of):
             yield (c, None, None, _best(c, scores, mask_of), scores)
 
 
-def _decide(fits, rows, criteria, alphas):
-    """_decisions for rows of one best_per_size call's tables (subsets._Fits), from their arrays.
+def _decide(fits, rows, n: int, criteria, alphas):
+    """_decisions for rows of one subsets._search call's tables (subsets._Fits), from their arrays.
 
-    The FullFit comes from the call's full_rss, tss and responses, as
-    (K', 1) columns and the (K', n) stack, and raises as full_fit does: a
-    collinear full design raises RankDeficientError.
+    n is the datasets' row count.  The FullFit comes from the call's
+    full_rss and tss as (K', 1) columns, and raises as full_fit does
+    (RankDeficientError on a collinear full design).
     """
-    y = fits.y[rows]
-    full = _full_stats(y.shape[1], fits.rss.shape[1], fits.full_rss[rows, None], fits.tss[rows, None], y)
+    full = _full_stats(n, fits.rss.shape[1], fits.full_rss[rows, None], fits.tss[rows, None])
     return _decisions(fits.rss[rows], full, criteria, alphas, lambda k, s: fits.mask(rows[k], s))
 
 
@@ -376,7 +375,7 @@ def _reports(per_size: PerSizeBest, criteria, alphas) -> list[SelectionReport]:
 
     The request is not validated here; select_many does that.
     """
-    decisions = list(_decide(per_size.fits, [per_size.row], criteria, alphas))
+    decisions = list(_decide(per_size.fits, [per_size.row], per_size.data.n, criteria, alphas))
     entries = per_size.entries
     sizes = per_size.sizes()
     reports = []

@@ -257,20 +257,20 @@ def full_fit(data: Dataset) -> FullFit:
     """
     R, tss, _ = _factor(_stack([(data.X, data.y)]))
     rss, ok, _ = _fit_masks(R, tss, [0], [full_mask(data.p)])
-    return _full_stats(data.n, data.q, float(rss[0]) if ok[0] else math.nan, float(tss[0]), data.y)
+    return _full_stats(data.n, data.q, float(rss[0]) if ok[0] else math.nan, float(tss[0]))
 
 
-def _full_stats(n: int, q: int, rss, tss, Y) -> FullFit:
-    """full_fit's statistics and checks, from the full model's RSS (NaN: collinear), the TSS and the response.
+def _full_stats(n: int, q: int, rss, tss) -> FullFit:
+    """full_fit's statistics and checks, from the full model's RSS (NaN: collinear) and the centered TSS.
 
-    For one dataset rss and tss are floats and Y is its (n,) response;
-    for K datasets they are (K, 1) columns and Y is the (K, n) stack, and
-    so are the FullFit's rss, sigma2 and tss.  Raises where any dataset
-    fails a check.
+    For one dataset rss and tss are floats, for K datasets (K, 1) columns,
+    as are the FullFit's rss, sigma2 and tss.  Raises where any dataset
+    fails a check; a constant response fails DEGENERATE_TOL, since its
+    centered response lies on the intercept column.
     """
     if np.isnan(rss).any():
         raise _collinear(full_mask(q - 1))
-    if (np.ptp(Y, axis=-1) == 0.0).any() or np.less_equal(rss, DEGENERATE_TOL * tss).any():
+    if np.less_equal(rss, DEGENERATE_TOL * tss).any():
         raise DegenerateFitError("full-model residual sum of squares is numerically zero")
     return FullFit(n=n, q=q, rss=rss, sigma2=rss / (n - q), tss=tss)
 

@@ -62,13 +62,13 @@ _REFERENCE_CORRELATED = (20, 10, 5)
 
 _MAX_REGEN = 10
 
-# most reps per chunk.  At p = 10 an uncapped chunk of 32 or fewer searches
-# in merged lockstep blocks to the end, at about 57 us of search per rep; from
-# 40 on, a level of a merged block outgrows subsets._BLOCK_FLOATS and splits
-# into one-dataset blocks, and the search costs about 165 us per rep (2-core
-# x86, numpy 2.4).  A (400, 30) chunk stacks about 3 MB per array; the
-# lockstep search holds blocks of at most _BLOCK_FLOATS floats, so a block's
-# memory does not grow with the chunk
+# most reps per chunk.  Chunk size decides whether a capped search stays in
+# merged lockstep blocks: per rep, a weak (50, 10, 5) chunk costs about 148 us
+# at 25 reps and 108 at 64, a weak (60, 20, 10) one 427-564 at 16 and
+# 1,076-1,134 at 32, whose levels split into one-dataset blocks (2-core x86,
+# numpy 2.4).  No one bound serves both, so 32 stays until the chunk size
+# depends on p.  A (400, 30) chunk stacks about 3 MB per array; a block holds
+# at most _BLOCK_FLOATS floats, whatever the chunk
 _MAX_CHUNK = 32
 
 # least seconds between two progress lines
@@ -241,7 +241,7 @@ def _run_chunk(args) -> list[tuple[int, list[float], list[float], int]]:
         if not done:
             continue
         # each report's chosen size per rep, (reports, K')
-        chosen = np.array([sizes for _, _, _, sizes, _ in _decide(fits, rows, criteria, alphas)],
+        chosen = np.array([sizes for _, _, _, sizes, _ in _decide(fits, rows, scenario.n, criteria, alphas)],
                           dtype=np.intp).reshape(-1, len(rows))
         fir, far = _rates(*fits.misses(rows, chosen, scenario.truth), scenario.p_active, p)
         out.extend((r, fi, fa, regen[r]) for r, fi, fa in zip(done, fir.T.tolist(), far.T.tolist()))

@@ -39,28 +39,28 @@ Intercepts are handled exactly by centering: the RSS of a subset fitted
 with an intercept equals the RSS of the centered regression on the same
 columns, so the search runs on the centered Gram matrix and keeps only
 the keys of its winning masks.  A call copies its datasets once, into
-one [1 | X | y] stack (linalg._stack) that is freed before the search,
-and centers its [X | y] once, in place, for its R factors, TSS and
-search matrices alike (linalg._factor).  One fitter (_fit) fits searched
-winners and listed masks alike from the R factors, one stacked small QR
-per size across the call, so each RSS has the bits a lone fit_subset
-gives.  Size p is the full mask, fitted the same way.  A call's tables
-are rows of arrays over all its datasets (_Fits), column s for size s,
-which a Monte Carlo chunk scores whole; a table's dict of masks is
-built only when read.
+one [1 | X | y] stack (linalg._stack).  _search, the one entry from that
+stack to the call's tables, centers its [X | y] once, in place, for its
+R factors, TSS and search matrices alike (linalg._factor).  Its winners
+are the search's or a candidate list's masks; one fitter (_fit) fits
+either from the R factors, one stacked small QR per size across the
+call, so each RSS has the bits a lone fit_subset gives.  Size p is the
+full mask, fitted the same way.  A call's tables are rows of arrays over
+all its datasets (_Fits), column s for size s, which a Monte Carlo chunk
+scores whole; a table's dict of masks is built only when read.
 
-A Monte Carlo chunk searches through _search, the stacked entry behind
-best_per_size, handing it the [1 | X | y] stack it drew its replicates
-into and its request's caps (criteria._caps): per-size RSS caps, from
-the incumbents, above which no report can choose a size.  The capped
-search prunes against the lesser of each incumbent and its cap, and
-drops (NaN, not refitted) each size whose best ends above its cap, so a
-replicate searches and refits only the sizes its reports can read:
-about 35 nodes instead of 200 on a (50, 10, 5) draw, 60 instead of 31
-million when all 30 of 30 predictors are strongly active.  Caps prune
-on the sweep's RSS while reports read the refits, so a dataset whose
-refits stray from the sweep beyond the caps' slack is searched again,
-uncapped.  best_per_size, select and the library never cap.
+A Monte Carlo chunk calls _search as best_per_size does, handing it the
+[1 | X | y] stack it drew its replicates into and its request's caps
+(criteria._caps): per-size RSS caps, from the incumbents, above which
+no report can choose a size.  The capped search prunes against the
+lesser of each incumbent and its cap, and drops (NaN, not refitted)
+each size whose best ends above its cap, so a replicate searches and
+refits only the sizes its reports can read: about 35 nodes instead of
+200 on a (50, 10, 5) draw, 60 instead of 31 million when all 30 of 30
+predictors are strongly active.  Caps prune on the sweep's RSS while
+reports read the refits, so a dataset whose refits stray from the sweep
+beyond the caps' slack is searched again, uncapped.  best_per_size,
+select and the library never cap.
 """
 
 from __future__ import annotations
@@ -119,7 +119,7 @@ _HEAP_FLOATS = 4 * _BLOCK_FLOATS
 
 
 class _Fits(NamedTuple):
-    """One _search's or best_per_size call's tables, as arrays over its K datasets.
+    """One _search call's tables, as arrays over its K datasets, searched or listed.
 
     rss (K, p+1) holds each dataset's least RSS per size, NaN where the
     size has no usable mask or a capped search dropped it, and at
@@ -127,19 +127,18 @@ class _Fits(NamedTuple):
     (M, s+2, s+2) small R factors, -1 where there is none.  keys
     (K, p+1) are the search's winner keys (None for a list); full_rss
     (NaN where the full design is collinear), tss, skipped and nodes are
-    (K,); mean (K, p+1) is [xbar | ybar] (linalg._factor); y holds the
-    (K, n) centered responses that the scorers read (criteria._decide).
+    (K,); mean (K, p+1) is [xbar | ybar] (linalg._factor).  The scorers
+    read rss, full_rss and tss (criteria._decide), not the responses.
     """
 
     rss: np.ndarray
     at: np.ndarray
     cols: dict[int, np.ndarray]
-    small: dict[int, np.ndarray | None]
+    small: dict[int, np.ndarray]
     keys: np.ndarray | None
     full_rss: np.ndarray
     tss: np.ndarray
     mean: np.ndarray
-    y: np.ndarray
     skipped: np.ndarray
     nodes: np.ndarray
 
@@ -542,14 +541,17 @@ def _fit(R, tss, size, row, cols):
     return rss, at, by_size, small, np.bincount(row[~ok], minlength=K)
 
 
-def _search(A, caps=None) -> _Fits:
-    """The tables of every dataset of a _stack: one lockstep search, its winners fitted from the R factors.
+def _search(A, caps=None, masks=None) -> _Fits:
+    """The tables of every dataset of a _stack, fitted from its R factors: the one entry to a call's _Fits.
 
     A is the (K, n, p+2) [1 | X | y] of K datasets; the call takes it
-    over, centers it in place (linalg._factor) and frees it before the
-    search.  best_per_size searches through here, and a Monte Carlo chunk
-    draws its replicates into A.  Raises LimitExceededError beyond
-    SUBSET_LIMIT predictors.
+    over and centers it in place (linalg._factor).  With masks None, one
+    lockstep search finds the winners, the stack freed before it, and
+    raises LimitExceededError beyond SUBSET_LIMIT predictors.  Otherwise
+    the canonical masks, sorted by size, then lexicographically, are the
+    winners on every dataset, with no limit; an unlisted full mask is
+    fitted for full_rss alone.  best_per_size enters here, and a Monte
+    Carlo chunk draws its replicates into A.
 
     caps (criteria._caps) lets the search drop each size that no report
     can choose (_leaps_and_bounds): a dropped size is not fitted, and its
@@ -559,26 +561,33 @@ def _search(A, caps=None) -> _Fits:
     rank test, is searched again, uncapped; its node count adds both
     searches.
     """
-    p = A.shape[2] - 2
-    if p > SUBSET_LIMIT:
+    K, p = len(A), A.shape[2] - 2
+    if masks is None and p > SUBSET_LIMIT:
         raise LimitExceededError(f"exhaustive search over p={p} exceeds the limit of {SUBSET_LIMIT}")
     R, tss, mean = _factor(A)
-    y = A[:, :, -1].copy()
-    M = _gram(A)
-    # the stack is freed before the search's arrays
-    del A
-    # never written, so never faulted in: see _HEAP_FLOATS
-    np.empty(_HEAP_FLOATS)
-    # the search permutes M in place; an uncapped search again needs it as it was
-    fresh = None if caps is None else M.copy()
-    keys, sweep, skipped, nodes = _leaps_and_bounds(M, p, caps)
 
-    def fit():
-        # the winners, by size, then dataset
+    def winners():
+        # the search's winners, by size, then dataset
         size, row = (keys >= 0).T.nonzero()
-        return _fit(R, tss, size, row, _held(keys[row, size], p).nonzero()[1])
+        return size, row, _held(keys[row, size], p).nonzero()[1]
 
-    rss, at, cols, small, failed = fit()
+    if masks is None:
+        M = _gram(A)
+        # the stack is freed before the search's arrays
+        del A
+        # never written, so never faulted in: see _HEAP_FLOATS
+        np.empty(_HEAP_FLOATS)
+        # the search permutes M in place; an uncapped search again needs it as it was
+        fresh = None if caps is None else M.copy()
+        keys, sweep, skipped, nodes = _leaps_and_bounds(M, p, caps)
+        fitted = winners()
+    else:
+        keys, skipped, nodes = None, np.zeros(K, dtype=np.int64), np.zeros(K, dtype=np.int64)
+        # each listed mask on every dataset in turn
+        size = np.repeat(np.array([len(m) for m in masks], dtype=np.intp), K)
+        flat = np.array([j for m in masks for _ in range(K) for j in m], dtype=np.intp)
+        fitted = size, np.tile(np.arange(K), len(masks)), flat
+    rss, at, cols, small, failed = _fit(R, tss, *fitted)
     if caps is not None:
         # a dataset whose full design the sweep found collinear was not capped
         slack = _CAP_SLACK * sweep + _CAP_SLACK_TSS * sweep[:, :1]
@@ -587,9 +596,14 @@ def _search(A, caps=None) -> _Fits:
         if len(redo):
             keys[redo], _, skipped[redo], again = _leaps_and_bounds(fresh[redo], p)
             nodes[redo] += again
-            rss, at, cols, small, failed = fit()
+            rss, at, cols, small, failed = _fit(R, tss, *winners())
+    full_rss = rss[:, p]
+    if p not in cols:
+        # a list without the full mask has it fitted for full_rss alone
+        r, ok, _ = _fit_masks(R, tss, np.arange(K), [full_mask(p)] * K)
+        full_rss = np.where(ok, r, np.nan)
     # the winners the rank test refused count as skipped too
-    return _Fits(rss, at, cols, small, keys, rss[:, p], tss, mean, y, skipped + failed, nodes)
+    return _Fits(rss, at, cols, small, keys, full_rss, tss, mean, skipped + failed, nodes)
 
 
 def best_per_size(
@@ -608,10 +622,11 @@ def best_per_size(
         None considers every subset: the leaps-and-bounds search
         (_search, uncapped), which raises LimitExceededError beyond
         SUBSET_LIMIT predictors.  An iterable (e.g. a lasso path) is
-        fitted as listed, with no limit: each mask goes through as_mask
-        (sorted, deduplicated, an index outside [0, p) raises
-        DimensionMismatchError before any fit), and repeats are dropped.  An empty list yields an empty table,
-        not every subset.
+        fitted as listed by the same _search call, with no search and no
+        limit: each mask goes through as_mask (sorted, deduplicated, an
+        index outside [0, p) raises DimensionMismatchError before any
+        fit), and repeats are dropped.  An empty list yields an empty
+        table, not every subset.
 
     Returns
     -------
@@ -631,23 +646,8 @@ def best_per_size(
         return []
     if len({d.X.shape for d in datas}) > 1:
         raise DimensionMismatchError("datasets fitted together must share one shape")
-    K, p = len(datas), datas[0].p
-    if candidates is None:
-        fits = _search(_stack([(d.X, d.y) for d in datas]))
-    else:
-        masks = sorted({as_mask(m, p) for m in candidates}, key=lambda m: (len(m), m))
-        A = _stack([(d.X, d.y) for d in datas])
-        R, tss, mean = _factor(A)
-        y = A[:, :, -1].copy()
-        # each listed mask on every dataset in turn
-        size = np.repeat(np.array([len(m) for m in masks], dtype=np.intp), K)
-        flat = np.array([j for m in masks for _ in range(K) for j in m], dtype=np.intp)
-        rss, at, cols, small, skipped = _fit(R, tss, size, np.tile(np.arange(K), len(masks)), flat)
-        if p in cols:
-            full_rss = rss[:, p]
-        else:
-            r, ok, _ = _fit_masks(R, tss, np.arange(K), [full_mask(p)] * K)
-            full_rss = np.where(ok, r, np.nan)
-        fits = _Fits(rss, at, cols, small, None, full_rss, tss, mean, y, skipped, np.zeros(K, dtype=np.int64))
+    masks = None if candidates is None else sorted({as_mask(m, datas[0].p) for m in candidates},
+                                                   key=lambda m: (len(m), m))
+    fits = _search(_stack([(d.X, d.y) for d in datas]), masks=masks)
     tables = [PerSizeBest(d, fits, k) for k, d in enumerate(datas)]
     return tables[0] if lone else tables

@@ -17,6 +17,7 @@ from cmcselect import (
     as_mask,
     fit_subset,
     full_fit,
+    select_many,
     standardize,
 )
 from cmcselect.linalg import _factor, _fit_masks, _stack, _summary, full_mask
@@ -282,6 +283,25 @@ def test_degenerate_full_fit():
     for c in (0.1, 5.0):
         with pytest.raises(DegenerateFitError):
             full_fit(Dataset(X=X, y=np.full(30, c)))
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(p=st.integers(1, 12), data=st.data())
+def test_constant_response_is_degenerate(p, data):
+    # a constant response centers onto the intercept column, so the full RSS
+    # is rounding noise on the TSS and DEGENERATE_TOL refuses it, with no check
+    # of the response itself: full_fit, a searched and a listed select_many
+    n = data.draw(st.integers(max(5, p + 2), 200), label="n")
+    c = data.draw(st.sampled_from([-1.0, 1.0]), label="sign") * 10.0 ** data.draw(
+        st.floats(np.log10(5e-9), np.log10(2e10)), label="log10 magnitude")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    X = rng.standard_normal((n, p)) * 10.0 ** rng.uniform(-3, 3, p)
+    constant = Dataset(X=X, y=np.full(n, c))
+    with pytest.raises(DegenerateFitError):
+        full_fit(constant)
+    for candidates in (None, [(0,), tuple(range(p))], [(0,)]):
+        with pytest.raises(DegenerateFitError):
+            select_many(constant, ("cmc", "bic"), (0.9,), candidates)
 
 
 def test_variance_needs_residual_df():

@@ -186,12 +186,14 @@ def test_datasets_fitted_together_stack_refits(monkeypatch):
     for candidates, sizes in ((None, range(8)), (lists, (1, 2, 7))):
         lone = [best_per_size(d, candidates) for d in datas]
         stacks = spy_calls(monkeypatch, subsets._stack)
+        searches = spy_calls(monkeypatch, subsets._search)
         factors = spy_calls(monkeypatch, subsets._factor)
         fits = spy_calls(monkeypatch, subsets._fit_masks)
         together = best_per_size(datas, candidates)
         monkeypatch.undo()
-        # one stack of the call's datasets, factored once
+        # one stack of the call's datasets, handed to the one entry, factored once
         assert [len(datas_) for datas_, in stacks] == [len(datas)]
+        assert [len(A) for A, in searches] == [len(datas)]
         assert [len(A) for A, in factors] == [len(datas)]
         assert [len(masks[0]) for _, _, _, masks in fits] == list(sizes)
         per_size = len(datas) if candidates is None else len(datas) * 2
