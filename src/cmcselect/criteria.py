@@ -291,14 +291,10 @@ def _caps(criteria, alphas, n: int, p: int):
             # (K, alphas): each alpha's limit on the RSS, and the incumbents' cmc size
             limit = full + sigma2 * kaps
             at = (rss[:, :, None] <= limit[:, None, :]).argmax(axis=1)
-            # size s's cap is the largest limit whose size lies above s: a
-            # running maximum, from the top size down, of each limit put at
-            # its size less one (column at of below, whose column 0 is size -1)
-            rows = np.arange(len(rss))[:, None]
-            below = np.full((len(rss), p + 2), -np.inf)
-            np.maximum.at(below, (rows, at), limit)
-            np.maximum(out, np.maximum.accumulate(below[:, :0:-1], axis=1)[:, ::-1], out=out)
-            out[rows, at] = np.inf
+            # size s's cap is the largest limit whose size lies above s
+            above = np.where(size[:, None] < at[:, None, :], limit[:, None, :], -np.inf)
+            np.maximum(out, above.max(axis=2), out=out)
+            out[np.arange(len(rss))[:, None], at] = np.inf
         out = out * (1.0 + _CAP_SLACK) + _CAP_SLACK_TSS * rss[:, :1]
         out[~np.isfinite(full[:, 0])] = np.inf
         return out

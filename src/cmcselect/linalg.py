@@ -252,8 +252,8 @@ def full_fit(data: Dataset) -> FullFit:
     RankDeficientError
         If the full design is collinear.
     DegenerateFitError
-        If the response is constant, or the full-model RSS is zero up to
-        DEGENERATE_TOL relative to the centered TSS.
+        If the response is constant, the full-model RSS is zero up to
+        DEGENERATE_TOL relative to the centered TSS, or either overflows.
     """
     R, tss, _ = _factor(_stack([(data.X, data.y)]))
     rss, ok, _ = _fit_masks(R, tss, [0], [full_mask(data.p)])
@@ -266,8 +266,11 @@ def _full_stats(n: int, q: int, rss, tss) -> FullFit:
     For one dataset rss and tss are floats, for K datasets (K, 1) columns,
     as are the FullFit's rss, sigma2 and tss.  Raises where any dataset
     fails a check; a constant response fails DEGENERATE_TOL, since its
-    centered response lies on the intercept column.
+    centered response lies on the intercept column, and sums of squares
+    that overflow fail before the others.
     """
+    if np.isinf(rss).any() or not np.isfinite(tss).all():
+        raise DegenerateFitError("full-model sums of squares overflow; rescale the response or predictors")
     if np.isnan(rss).any():
         raise _collinear(full_mask(q - 1))
     if np.less_equal(rss, DEGENERATE_TOL * tss).any():

@@ -288,15 +288,16 @@ def _leaps_and_bounds(M, p: int, caps=None) -> tuple[np.ndarray, np.ndarray, np.
     """Pruned exhaustive search over the inclusion/exclusion trees of K datasets.
 
     M (K, p+1, p+1) holds their centered augmented Gram matrices
-    [[G, b], [b', tss]] (_gram), y last, and is permuted into search
-    order in place.  A node at depth d has decided its dataset's order[:d];
-    its floor is the decided-in set and its ceiling the floor plus
-    order[d:].  Evaluating a node gives its include child's floor and its
-    exclude child's ceiling; both are registered, and a child is expanded
-    only if its ceiling RSS could still beat or tie its dataset's incumbent
-    at some reachable size, so ties survive and the lexicographic rule stays
-    exact.  A child with one undecided variable is not expanded: its
-    children repeat registered sets.
+    [[G, b], [b', tss]] (_gram), y last, and is never written: each root
+    block gathers its rows and columns in search order.  A node at depth
+    d has decided its dataset's order[:d]; its floor is the decided-in
+    set and its ceiling the floor plus order[d:].  Evaluating a node
+    gives its include child's floor and its exclude child's ceiling; both
+    are registered, and a child is expanded only if its ceiling RSS could
+    still beat or tie its dataset's incumbent at some reachable size, so
+    ties survive and the lexicographic rule stays exact.  A child with one
+    undecided variable is not expanded: its children repeat registered
+    sets.
 
     A block holds nodes of one depth, of one dataset or of several, each
     tagged with its owner, so one set of numpy calls advances every
@@ -326,7 +327,7 @@ def _leaps_and_bounds(M, p: int, caps=None) -> tuple[np.ndarray, np.ndarray, np.
     block = max(1, _BLOCK_FLOATS // (p + 1) ** 2)
     diag = np.diagonal(M, axis1=1, axis2=2)[:, :p]
     b = M[:, :p, p]
-    # one full-model sweep gives both the order and, permuted, the ceiling chain
+    # one full-model sweep gives both the order and, gathered, the ceiling chain
     T = M.copy()
     full_ok = _sweep(T, diag)
     # order by the RSS increase of deleting j from the full model,
@@ -337,12 +338,9 @@ def _leaps_and_bounds(M, p: int, caps=None) -> tuple[np.ndarray, np.ndarray, np.
     tp = T[:, :p, p]
     np.divide(tp * tp, -np.diagonal(T, axis1=1, axis2=2)[:, :p], out=score, where=full_ok[:, None])
     order = np.argsort(-score, axis=1, kind="stable")
-    ks = np.arange(K)[:, None]
-    gdiag = diag[ks, order]
-    # both matrices' rows and columns in search order, y last; M in place, once diag and b are read
+    gdiag = np.take_along_axis(diag, order, axis=1)
+    # each dataset's rows and columns in search order, y last
     at = np.concatenate((order, np.full((K, 1), p)), axis=1)
-    M[:] = M[ks[:, :, None], at[:, :, None], at[:, None, :]]
-    T = T[ks[:, :, None], at[:, :, None], at[:, None, :]]
     # a subset's key has bit p-1-j for column j, so at equal size the larger
     # key holds the first differing column: the lexicographically smaller mask
     first = np.left_shift(1, p - 1 - order)
@@ -396,7 +394,9 @@ def _leaps_and_bounds(M, p: int, caps=None) -> tuple[np.ndarray, np.ndarray, np.
             for lo in range(0, len(group), block):
                 own = group[lo : lo + block]
                 n = len(own)
-                stack.append((0, M[own], None if chain is None else chain[own],
+                # the block's matrices, gathered in search order
+                ix = own[:, None, None], at[own, :, None], at[own, None, :]
+                stack.append((0, M[ix], None if chain is None else chain[ix],
                               np.zeros(n, dtype=np.int64), own * (p + 1),
                               ceil[own], int(own[0]) if n == 1 else own))
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -496,8 +496,9 @@ def _leaps_and_bounds(M, p: int, caps=None) -> tuple[np.ndarray, np.ndarray, np.
                 stack.append((d + 1, S2, T2, key2[lo:hi], slot2[lo:hi], ceil2[lo:hi], own_b))
         keys = np.array(best_key, dtype=np.int64).reshape(K, p + 1)
         if caps is not None:
-            # sizes 0 and p hold one subset each, so their bests are exact
-            keys[:, 1:p][best_rss[:, 1:p] > caps(best_rss)[:, 1:p]] = -1
+            # sizes 0 and p hold one subset each, so their bests are exact; each row's
+            # bound was tightened after its last registration, so it is min(best, cap)
+            keys[:, 1:p][best_rss[:, 1:p] > bound[:, 1:p]] = -1
     # size p is the full mask, fitted whether or not its design is collinear
     keys[:, p] = (1 << p) - 1
     return keys, best_rss, skipped, nodes
@@ -577,8 +578,6 @@ def _search(A, caps=None, masks=None) -> _Fits:
         del A
         # never written, so never faulted in: see _HEAP_FLOATS
         np.empty(_HEAP_FLOATS)
-        # the search permutes M in place; an uncapped search again needs it as it was
-        fresh = None if caps is None else M.copy()
         keys, sweep, skipped, nodes = _leaps_and_bounds(M, p, caps)
         fitted = winners()
     else:
@@ -594,7 +593,7 @@ def _search(A, caps=None, masks=None) -> _Fits:
         stray = (keys >= 0) & ~(np.abs(rss - sweep) <= _CAP_DRIFT * slack)
         redo = (stray.any(axis=1) & np.isfinite(sweep[:, p])).nonzero()[0]
         if len(redo):
-            keys[redo], _, skipped[redo], again = _leaps_and_bounds(fresh[redo], p)
+            keys[redo], _, skipped[redo], again = _leaps_and_bounds(M[redo], p)
             nodes[redo] += again
             rss, at, cols, small, failed = _fit(R, tss, *winners())
     full_rss = rss[:, p]

@@ -383,6 +383,25 @@ def test_select_negative_zero_alpha_is_alpha_zero(tmp_path, capsys):
         "cmc_0", "cmc_0.5"]
 
 
+def test_overflow_and_non_finite_draws_exit(tmp_path, capsys):
+    # sums of squares that overflow are a numerical error that names the
+    # overflow; a draw that is not finite at all is refused as input
+    rng = np.random.default_rng(0)
+    X = rng.standard_normal((30, 3))
+    y = (1.0 + X[:, 0] + rng.standard_normal(30)) * 1e154
+    path = write(tmp_path, "huge.csv", "y,a,b,c\n" + "".join(
+        f"{v!r},{a!r},{b!r},{c!r}\n" for v, (a, b, c) in zip(y.tolist(), X.tolist())))
+    simulate = ["simulate", "--n", "20", "--p", "3", "--p-active", "1", "--reps", "2",
+                "--threads", "1", "--sigma"]
+    with np.errstate(all="ignore"):
+        for argv in (["select", "--data", path, "--response", "y"], simulate + ["1e200"]):
+            assert main(argv) == 3
+            assert "numerical error: full-model sums of squares overflow" in capsys.readouterr().err
+    with np.errstate(over="ignore"):
+        assert main(simulate + ["1e308"]) == 2
+    assert capsys.readouterr().err == "error: X and y entries must all be finite\n"
+
+
 def test_select_searches_once(tmp_path, capsys, monkeypatch):
     path = write(tmp_path, "d4.csv",
                  "y,a,b,c\n1,0,2,1\n3,1,0,2\n4,2,1,0\n8,3,3,1\n9,4,2,2\n13,5,4,0\n")

@@ -304,6 +304,23 @@ def test_constant_response_is_degenerate(p, data):
             select_many(constant, ("cmc", "bic"), (0.9,), candidates)
 
 
+def test_overflowing_sums_of_squares_are_named():
+    # up to a scale of 1e153 the choices do not move; at 1e154 the centered
+    # TSS overflows to inf, which is refused as an overflow, not as a zero RSS
+    rng = np.random.default_rng(0)
+    X = rng.standard_normal((30, 3))
+    y = 1.0 + X[:, 0] + rng.standard_normal(30)
+    with np.errstate(all="ignore"):
+        chosen = [[r.chosen for r in select_many(Dataset(X=X, y=y * s))] for s in (1.0, 1e153)]
+        assert chosen[0] == chosen[1]
+        huge = Dataset(X=X, y=y * 1e154)
+        with pytest.raises(DegenerateFitError, match="overflow"):
+            full_fit(huge)
+        for candidates in (None, [(0,), (0, 1, 2)]):
+            with pytest.raises(DegenerateFitError, match="overflow"):
+                select_many(huge, candidates=candidates)
+
+
 def test_variance_needs_residual_df():
     # the dataset itself refuses n = p+1, so full_fit's sigma2 always has n - q >= 1
     X = np.array([[0.0, 1.0], [1.0, 0.0], [2.0, 3.0]])

@@ -426,6 +426,25 @@ def test_a_capped_search_keeps_the_uncapped_winners():
         assert not np.isnan(full.full_rss).any()
 
 
+def test_the_search_never_writes_its_gram_matrix():
+    # each root block gathers its rows and columns in search order, so the
+    # caller's Gram matrices keep their bytes: an uncapped one-dataset call, a
+    # capped 25-rep chunk, and a collinear full design with no ceiling chain
+    scen = Scenario("weak", n=50, p=10, p_active=5)
+    lone = random_dataset(np.random.default_rng(5), 30, 8)
+    twin = twin_dataset(8, 8, col=2, copy=7)
+    calls = [(subsets._stack([(lone.X, lone.y)]), None),
+             (simulate._draw(scen, [np.random.default_rng([1, r]) for r in range(25)]),
+              criteria._caps(CRITERIA, (0.9, 0.5, 0.1), scen.n, scen.p)),
+             (subsets._stack([(twin.X, twin.y)]), None)]
+    for A, caps in calls:
+        subsets._factor(A)
+        M = subsets._gram(A)
+        before = M.tobytes()
+        subsets._leaps_and_bounds(M, A.shape[2] - 2, caps)
+        assert M.tobytes() == before
+
+
 def assert_matches(table, expect) -> None:
     """Masks equal the oracle's exactly, RSS within 1e-9 relative."""
     assert masks_of(table) == {s: mask for s, (mask, _) in expect.items()}
