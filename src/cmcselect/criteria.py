@@ -19,8 +19,9 @@ tie rule is _best.  _decisions runs them for a whole request, and
 _decide runs it on rows of one best_per_size call's arrays: a whole
 Monte Carlo chunk at once, or select_many's one row.  _rates is the one
 rate rule, for classify and for a chunk.  _caps restates a request's
-rules as per-size RSS caps, which let a chunk's search skip the sizes
-no report can choose.
+rules as exact per-size RSS caps, which let a chunk's search skip the
+sizes no report can choose; the subsets module docstring says how the
+search applies them.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from .errors import (
 )
 from .fdist import FParams, f_quantile
 from .linalg import Dataset, FitSummary, FullFit, Mask, _full_stats
-from .subsets import _CAP_SLACK, _CAP_SLACK_TSS, PerSizeBest, best_per_size
+from .subsets import PerSizeBest, best_per_size
 
 CRITERIA = ("adjr2", "cp_aic", "bic", "cmc")
 
@@ -267,9 +268,10 @@ def _caps(criteria, alphas, n: int, p: int):
     - cmc at each alpha: r_p + kappa sigma2 below the incumbents' cmc
       size, no cap at that size, and nothing above it.
 
-    A size's cap is the largest over the request, times 1 + _CAP_SLACK,
-    plus _CAP_SLACK_TSS times the TSS (column 0).  A table whose full
-    model has no finite incumbent is not capped.
+    A size's cap is the largest over the request: -inf where no report
+    can choose the size, +inf at a size left uncapped.  The caps are
+    exact; subsets._search owns their rounding (see the subsets module
+    docstring).
     """
     size = np.arange(p + 1)
     # BIC's and adjusted R-squared's caps are min_j(r_j c_j) / c_s, one row of c each
@@ -279,8 +281,7 @@ def _caps(criteria, alphas, n: int, p: int):
     kaps = np.array([kappa(a, p + 1, n) for a in alphas]) if "cmc" in criteria else None
 
     def caps(rss: np.ndarray) -> np.ndarray:
-        full = rss[:, p, None]
-        sigma2 = full / (n - p - 1)
+        sigma2 = rss[:, p, None] / (n - p - 1)
         out = np.full(rss.shape, -np.inf)
         for c in scale:
             np.maximum(out, (rss * c).min(axis=1, keepdims=True) / c, out=out)
@@ -289,14 +290,12 @@ def _caps(criteria, alphas, n: int, p: int):
             np.maximum(out, (rss + cp).min(axis=1, keepdims=True) - cp, out=out)
         if kaps is not None:
             # (K, alphas): each alpha's limit on the RSS, and the incumbents' cmc size
-            limit = full + sigma2 * kaps
+            limit = rss[:, p, None] + sigma2 * kaps
             at = (rss[:, :, None] <= limit[:, None, :]).argmax(axis=1)
             # size s's cap is the largest limit whose size lies above s
             above = np.where(size[:, None] < at[:, None, :], limit[:, None, :], -np.inf)
             np.maximum(out, above.max(axis=2), out=out)
             out[np.arange(len(rss))[:, None], at] = np.inf
-        out = out * (1.0 + _CAP_SLACK) + _CAP_SLACK_TSS * rss[:, :1]
-        out[~np.isfinite(full[:, 0])] = np.inf
         return out
 
     return caps

@@ -106,7 +106,12 @@ def _reg_inc_beta(x: float, a: float, b: float) -> float:
 
 
 def f_cdf(f: float, params: FParams) -> float:
-    """P(F <= f) for F with params.d1 and params.d2 degrees of freedom."""
+    """P(F <= f) for F with params.d1 and params.d2 degrees of freedom.
+
+    Raises DomainError when it cannot give a probability: a result
+    outside [0, 1], which cancellation in ln B(d1/2, d2/2) gives at a
+    huge d2, or a continued fraction that does not converge.
+    """
     if math.isnan(f) or f < 0.0:
         raise DomainError(f"f must be >= 0, got {f!r}")
     if f == 0.0:
@@ -117,7 +122,10 @@ def f_cdf(f: float, params: FParams) -> float:
         return 1.0
     # so can the sum, so only then divide by d1 * f instead
     x = d1 * f / (d1 * f + d2) if math.isfinite(d1 * f + d2) else 1.0 / (1.0 + d2 / (d1 * f))
-    return _reg_inc_beta(x, 0.5 * d1, 0.5 * d2)
+    cdf = _reg_inc_beta(x, 0.5 * d1, 0.5 * d2)
+    if not 0.0 <= cdf <= 1.0:
+        raise DomainError(f"F cdf at f={f!r} with d1={d1!r}, d2={d2!r} lost its precision: got {cdf!r}")
+    return cdf
 
 
 def _f_pdf(f: float, d1: float, d2: float) -> float:
@@ -153,7 +161,6 @@ def f_quantile(prob: float, params: FParams) -> float:
         return 0.0
     if prob == 1.0:
         return math.inf
-    d1, d2 = params.d1, params.d2
 
     lo, hi = 0.0, 1.0
     c_hi = f_cdf(hi, params)
@@ -174,7 +181,7 @@ def f_quantile(prob: float, params: FParams) -> float:
         err = c - prob
         if abs(err) <= 1e-14 * max(prob, 1.0 - prob):
             break
-        g = _f_pdf(x, d1, d2)
+        g = _f_pdf(x, params.d1, params.d2)
         if g > 0.0:
             step = err / g
             x_new = x - step

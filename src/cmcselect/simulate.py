@@ -15,15 +15,13 @@ searches them in lockstep, sharing blocks of tree nodes, and fits each
 size's winners with one stacked small QR.  The search is capped for the
 chunk's request (criteria._caps): it prunes, and drops without
 refitting, every size that none of the chunk's criteria and alphas can
-choose; a dataset whose refits stray from the sweep's RSS beyond the
-caps' slack (a few eps times the TSS) is searched again uncapped, so
-every size a report can choose has the mask, RSS and bits of an
-uncapped lone call.  The chunk is scored as
-arrays: criteria._decide, which scores select_many's reports too,
-chooses a size for every replication and criterion in one pass over the
-(K, p+1) RSS array the tables share (NaN at a dropped size, which no
-rule chooses), with no per-replication table, report or coefficient
-solve, so the choices are select_many's.
+choose, and every size a report can choose keeps the mask, RSS and bits
+of an uncapped lone call (the subsets module docstring says how).  The
+chunk is scored as arrays: criteria._decide, which scores select_many's
+reports too, chooses a size for every replication and criterion in one
+pass over the (K, p+1) RSS array the tables share (NaN at a dropped
+size, which no rule chooses), with no per-replication table, report or
+coefficient solve, so the choices are select_many's.
 Results are merged by replication index, so a run is bit-identical for
 a fixed (seed, reps) no matter how many worker processes are used.
 
@@ -106,10 +104,12 @@ class Scenario:
             raise ConfigError(f"p_active must lie in [0, p], got {self.p_active}")
         if not (0.0 <= self.rho < 1.0):
             raise ConfigError(f"rho must lie in [0, 1), got {self.rho}")
+        # -0.0 is rho 0, so it prints as 0; it mixes in nothing, as 0.0 does
+        object.__setattr__(self, "rho", self.rho + 0.0)
         if self.kind == "weak" and self.rho != 0.0:
             raise ConfigError(f"rho applies only to the correlated kind, got {self.rho} for weak")
         if not (self.sigma > 0.0 and math.isfinite(self.sigma)):
-            raise ConfigError(f"sigma must be positive, got {self.sigma}")
+            raise ConfigError(f"sigma must be positive and finite, got {self.sigma}")
         for name in ("beta0", "active_value"):
             if not math.isfinite(getattr(self, name)):
                 raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
@@ -208,14 +208,15 @@ def _run_chunk(args) -> list[tuple[int, list[float], list[float], int]]:
 
     Each rep draws from its own stream, into one stack (_draw).  The
     chunk's datasets get their tables from one subsets._search call,
-    searched in lockstep under the request's caps and fitted together,
-    whose arrays they share (subsets._Fits).  criteria._decide scores the
-    kept reps' rows of those arrays in one pass, as it scores
-    select_many's one row, and a chosen mask's rates come from the true
-    columns it leaves out and the others it holds (subsets._Fits.misses,
-    criteria._rates).  A rep whose full design is collinear is redrawn
-    from its stream and searched again with the other redrawn reps.  Each
-    row is (rep, firs, fars, redraws).
+    searched in lockstep under the request's caps (criteria._caps, as the
+    subsets module docstring says) and fitted together, whose arrays they
+    share (subsets._Fits).  criteria._decide scores the kept reps' rows
+    of those arrays in one pass, as it scores select_many's one row, and
+    a chosen mask's rates come from the true columns it leaves out and
+    the others it holds (subsets._Fits.misses, criteria._rates).  A rep
+    whose full design is collinear is redrawn from its stream and
+    searched again with the other redrawn reps.  Each row is (rep, firs,
+    fars, redraws).
     """
     scenario, criteria, alphas, seed, reps = args
     p = scenario.p
@@ -359,11 +360,11 @@ def run_monte_carlo(
     worker the same number, their sizes differing by at most one (100
     reps: four chunks of 25 at one or two workers).  Each chunk's tables
     are searched together, under caps that keep every size the request
-    can choose.  A replication's choices are select_many's, made by the
-    same rules on the same table entries, so results are bit-identical
-    to one-at-a-time select_many runs.  Once a chunk
-    completes, and at most every 10 s, progress (reps done, elapsed time,
-    ETA) is logged at INFO.  At threads > 1 the calling process and
+    can choose (see the subsets module docstring).  A replication's
+    choices are select_many's, made by the same rules on the same table
+    entries, so results are bit-identical to one-at-a-time select_many
+    runs.  Once a chunk completes, and at most every 10 s, progress
+    (reps done, elapsed time, ETA) is logged at INFO.  At threads > 1 the calling process and
     threads - 1 processes of the default start method take chunks from
     one shared counter; the others fork after numpy.random is imported,
     so none imports it on its first chunk, and none outlives the call.

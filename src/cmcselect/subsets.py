@@ -51,15 +51,21 @@ scores whole; a table's dict of masks is built only when read.
 
 A Monte Carlo chunk calls _search as best_per_size does, handing it the
 [1 | X | y] stack it drew its replicates into and its request's caps
-(criteria._caps): per-size RSS caps, from the incumbents, above which
-no report can choose a size.  The capped search prunes against the
-lesser of each incumbent and its cap, and drops (NaN, not refitted)
-each size whose best ends above its cap, so a replicate searches and
-refits only the sizes its reports can read: about 35 nodes instead of
-200 on a (50, 10, 5) draw, 60 instead of 31 million when all 30 of 30
-predictors are strongly active.  Caps prune on the sweep's RSS while
-reports read the refits, so a dataset whose refits stray from the sweep
-beyond the caps' slack is searched again, uncapped.  best_per_size,
+(criteria._caps): per size, the exact RSS, from the incumbents, above
+which no report can choose that size.  _search alone owns the capped
+search's rounding.  It widens each cap by _CAP_SLACK of itself plus
+_CAP_SLACK_TSS of the TSS, so that rounding cannot drop a size a report
+on the refits might choose or tie, and leaves a dataset uncapped while
+its full model has no finite incumbent (the sweep found its full design
+collinear).  The search prunes against the lesser of each incumbent and
+its widened cap, and drops (NaN, not refitted) each size whose best
+ends above it, so a replicate searches and refits only the sizes its
+reports can read: about 35 nodes instead of 200 on a (50, 10, 5) draw,
+60 instead of 31 million when all 30 of 30 predictors are strongly
+active.  Caps prune on the sweep's RSS while reports read the refits,
+so a dataset any of whose refitted winners strays from its sweep RSS by
+more than _CAP_DRIFT of the slack, or fails the rank test, is searched
+again, uncapped, and its node count adds both searches.  best_per_size,
 select and the library never cap.
 """
 
@@ -86,16 +92,12 @@ log = logging.getLogger(__name__)
 # 2 ms with all 30 active (2-core x86, numpy 2.4)
 SUBSET_LIMIT = 30
 
-# a capped search (criteria._caps) keeps every size whose least RSS is within
-# _CAP_SLACK of its cap, relative, plus _CAP_SLACK_TSS times the TSS, so
-# rounding cannot drop a size that a report on the refits might choose or tie:
-# the sweep's RSS and the refits' differed by at most 6.8 eps * TSS on weak,
-# tiny-noise and beta0 = 1e6 designs, six times below _CAP_DRIFT's 1e-14 * TSS
+# the capped search's slack and drift guard, read by _search alone (see the
+# module docstring): the sweep's RSS and the refits' differed by at most
+# 6.8 eps * TSS on weak, tiny-noise and beta0 = 1e6 designs, six times below
+# the guard's 1e-14 * TSS
 _CAP_SLACK = 1e-9
 _CAP_SLACK_TSS = 1e-12
-
-# a capped search's dataset is searched again, uncapped, once a refitted
-# winner's RSS strays from its sweep RSS by more than this fraction of the slack
 _CAP_DRIFT = 1e-2
 
 # a sweep pivot at or below this fraction of its column's centered sum of
@@ -309,8 +311,8 @@ def _leaps_and_bounds(M, p: int, caps=None) -> tuple[np.ndarray, np.ndarray, np.
 
     caps, when given, maps the (K', p+1) incumbent RSS of some of the
     datasets (inf where a size has none; column 0 the TSS, column p the
-    full model's) to their (K', p+1) caps: a size whose least RSS lies
-    above its cap cannot be chosen (criteria._caps).  Then every test
+    full model's) to the (K', p+1) caps the search prunes with, as
+    _search hands them over (see the module docstring).  Then every test
     above reads min(incumbent, cap) for the incumbent, so a candidate
     registers, and a child is expanded, only if it can beat that at a
     reachable size, and a size in 1 .. p-1 whose final best lies above
@@ -364,7 +366,8 @@ def _leaps_and_bounds(M, p: int, caps=None) -> tuple[np.ndarray, np.ndarray, np.
 
     def tighten(rows) -> None:
         # the bounds of the datasets in rows (a slice), from their incumbents
-        np.minimum(best_rss[rows], caps(best_rss[rows]), out=bound[rows])
+        if caps is not None:
+            np.minimum(best_rss[rows], caps(best_rss[rows]), out=bound[rows])
 
     def skip(own, ok) -> None:
         # count the collinear subsets, the False entries of ok, per dataset
@@ -400,8 +403,7 @@ def _leaps_and_bounds(M, p: int, caps=None) -> tuple[np.ndarray, np.ndarray, np.
                               np.zeros(n, dtype=np.int64), own * (p + 1),
                               ceil[own], int(own[0]) if n == 1 else own))
     with np.errstate(divide="ignore", invalid="ignore"):
-        if caps is not None:
-            tighten(slice(None))
+        tighten(slice(None))
         while stack:
             d, S, T, key, floor_slot, ceil, own = stack.pop()
             # own is the block's one dataset, or each node's when it holds several
@@ -440,8 +442,7 @@ def _leaps_and_bounds(M, p: int, caps=None) -> tuple[np.ndarray, np.ndarray, np.
             if len(hit):
                 keys = np.concatenate((key_in, key | tail[own, d + 1]))
                 register(slot[hit].tolist(), rss[hit].tolist(), keys[hit].tolist())
-                if caps is not None:
-                    tighten(slice(own, own + 1) if single else slice(None))
+                tighten(slice(own, own + 1) if single else slice(None))
             if d + 2 >= p:
                 continue
             # the maxima of a sliding-window view of the bounds
@@ -495,10 +496,10 @@ def _leaps_and_bounds(M, p: int, caps=None) -> tuple[np.ndarray, np.ndarray, np.
                 # the first block ends up on top of the stack
                 stack.append((d + 1, S2, T2, key2[lo:hi], slot2[lo:hi], ceil2[lo:hi], own_b))
         keys = np.array(best_key, dtype=np.int64).reshape(K, p + 1)
-        if caps is not None:
-            # sizes 0 and p hold one subset each, so their bests are exact; each row's
-            # bound was tightened after its last registration, so it is min(best, cap)
-            keys[:, 1:p][best_rss[:, 1:p] > bound[:, 1:p]] = -1
+        # sizes 0 and p hold one subset each, so their bests are exact; each row's
+        # bound was tightened after its last registration, so it is min(best, cap),
+        # and uncapped it is best_rss itself, so nothing drops
+        keys[:, 1:p][best_rss[:, 1:p] > bound[:, 1:p]] = -1
     # size p is the full mask, fitted whether or not its design is collinear
     keys[:, p] = (1 << p) - 1
     return keys, best_rss, skipped, nodes
@@ -554,13 +555,11 @@ def _search(A, caps=None, masks=None) -> _Fits:
     fitted for full_rss alone.  best_per_size enters here, and a Monte
     Carlo chunk draws its replicates into A.
 
-    caps (criteria._caps) lets the search drop each size that no report
-    can choose (_leaps_and_bounds): a dropped size is not fitted, and its
-    RSS is NaN.  Caps prune on the sweep RSS, but reports read the
-    refits, so a dataset any of whose refitted winners strays from its
-    sweep RSS by more than _CAP_DRIFT of the caps' slack, or fails the
-    rank test, is searched again, uncapped; its node count adds both
-    searches.
+    caps (criteria._caps, exact) lets the search drop each size that no
+    report can choose: a dropped size is not fitted, and its RSS is NaN.
+    Here alone the caps are widened by the slack, left off a collinear
+    full sweep, and guarded against drift by an uncapped re-search, as
+    the module docstring states.
     """
     K, p = len(A), A.shape[2] - 2
     if masks is None and p > SUBSET_LIMIT:
@@ -578,7 +577,10 @@ def _search(A, caps=None, masks=None) -> _Fits:
         del A
         # never written, so never faulted in: see _HEAP_FLOATS
         np.empty(_HEAP_FLOATS)
-        keys, sweep, skipped, nodes = _leaps_and_bounds(M, p, caps)
+        # each cap widened by the slack, and none while the full model has no finite incumbent
+        widened = None if caps is None else lambda r: np.where(
+            np.isfinite(r[:, p, None]), caps(r) * (1.0 + _CAP_SLACK) + _CAP_SLACK_TSS * r[:, :1], np.inf)
+        keys, sweep, skipped, nodes = _leaps_and_bounds(M, p, widened)
         fitted = winners()
     else:
         keys, skipped, nodes = None, np.zeros(K, dtype=np.int64), np.zeros(K, dtype=np.int64)
@@ -588,7 +590,7 @@ def _search(A, caps=None, masks=None) -> _Fits:
         fitted = size, np.tile(np.arange(K), len(masks)), flat
     rss, at, cols, small, failed = _fit(R, tss, *fitted)
     if caps is not None:
-        # a dataset whose full design the sweep found collinear was not capped
+        # the drift guard; a dataset whose full design the sweep found collinear was not capped
         slack = _CAP_SLACK * sweep + _CAP_SLACK_TSS * sweep[:, :1]
         stray = (keys >= 0) & ~(np.abs(rss - sweep) <= _CAP_DRIFT * slack)
         redo = (stray.any(axis=1) & np.isfinite(sweep[:, p])).nonzero()[0]

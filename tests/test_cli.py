@@ -583,6 +583,14 @@ def test_simulate_exit_codes(capsys):
     assert main(["simulate", "--n", "25", "--p", "4", "--p-active", "2",
                  "--rho", "0.5", "--reps", "2", "--threads", "1"]) == 2
     capsys.readouterr()
+    # a rho of -0 is rho 0, in every output format
+    assert main(["simulate", "--n", "20", "--p", "3", "--p-active", "1", "--rho", "-0",
+                 "--reps", "2", "--threads", "1", "--format", "csv"]) == 0
+    rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+    assert rows[0][5] == "rho" and {row[5] for row in rows[1:]} == {"0"}
+    assert main(["simulate", "--n", "25", "--p", "4", "--p-active", "2",
+                 "--sigma", "inf", "--reps", "2", "--threads", "1"]) == 2
+    assert "sigma must be positive and finite, got inf" in capsys.readouterr().err
     # n = p+1 leaves no residual degree of freedom
     assert main(["simulate", "--n", "11", "--p", "10", "--p-active", "5",
                  "--reps", "1", "--threads", "1"]) == 2

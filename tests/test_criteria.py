@@ -30,7 +30,7 @@ from cmcselect import (
     kappa,
     select_many,
 )
-from cmcselect import criteria, linalg
+from cmcselect import criteria, linalg, subsets
 from cmcselect.linalg import full_mask
 from cmcselect.simulate import Scenario, gen_correlated_design, gen_response
 from conftest import random_dataset, spy_calls
@@ -580,7 +580,9 @@ def test_caps_keep_every_size_a_report_can_choose_property(p, data):
     else:
         rss = 100.0 * np.cumprod(rng.uniform(0.2, 1.0, (K, p + 1)), axis=1)
     rss[:, 1:p][rng.uniform(size=(K, p - 1)) < 0.3] = np.inf
-    caps = criteria._caps(crits, alphas, n, p)(rss)
+    # the exact caps, widened by the slack as the search applies them
+    exact = criteria._caps(crits, alphas, n, p)(rss)
+    caps = exact * (1.0 + subsets._CAP_SLACK) + subsets._CAP_SLACK_TSS * rss[:, :1]
     full = FullFit(n=n, q=p + 1, rss=rss[:, p:], sigma2=rss[:, p:] / (n - p - 1), tss=rss[:, :1])
     table = np.where(np.isinf(rss), np.nan, rss)
     chosen = [d[3] for d in criteria._decisions(table, full, crits, alphas, lambda k, s: tuple(range(s)))]
@@ -589,10 +591,6 @@ def test_caps_keep_every_size_a_report_can_choose_property(p, data):
     blank = np.where(rss > caps, np.nan, table)
     again = [d[3] for d in criteria._decisions(blank, full, crits, alphas, lambda k, s: tuple(range(s)))]
     assert [c.tolist() for c in again] == [c.tolist() for c in chosen]
-    # a table whose full model the sweep found collinear is not capped
-    rss[0, p] = np.inf
-    with np.errstate(invalid="ignore"):
-        assert np.isposinf(criteria._caps(crits, alphas, n, p)(rss[:1])).all()
 
 
 @settings(max_examples=200, derandomize=True, deadline=None)

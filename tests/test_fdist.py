@@ -4,6 +4,7 @@ The oracle integrates the F density with scipy's adaptive quadrature;
 the package itself never imports scipy.
 """
 
+import contextlib
 import math
 
 import numpy as np
@@ -60,6 +61,23 @@ def test_cdf_where_the_sum_of_its_terms_overflows():
     # b = 1e306 past lgamma's range: I_x(3, b) is the chi-square(6) cdf at
     # 2 b x = 4, 1 - 5 exp(-2)
     assert abs(_reg_inc_beta(2e-306, 3.0, 1e306) - (1.0 - 5.0 * math.exp(-2.0))) < 1e-12
+
+
+def test_cdf_refuses_a_value_it_cannot_evaluate():
+    # at a huge d2, lgamma(a + b) - lgamma(b) cancels and the result leaves
+    # [0, 1]; past that, the continued fraction does not converge
+    with pytest.raises(DomainError, match=r"d1=2, d2=1e\+18"):
+        f_cdf(3.0, FParams(2, 1e18))
+    with pytest.raises(DomainError, match=r"d1=1, d2=1e\+17"):
+        f_cdf(3.0, FParams(1, 1e17))
+    with pytest.raises(DomainError, match="failed to converge"):
+        f_cdf(1.4, FParams(5, 1e20))
+    # every other point of a grid out to d2 = 1e30 is a probability
+    for d1 in (1, 2, 5, 15, 31):
+        for d2 in np.logspace(0.0, 30.0, 61).tolist():
+            for f in np.logspace(-2.0, 1.0, 16).tolist():
+                with contextlib.suppress(DomainError):
+                    assert 0.0 <= f_cdf(f, FParams(d1, d2)) <= 1.0, (d1, d2, f)
 
 
 def test_ln_inv_beta_past_lgamma_range():

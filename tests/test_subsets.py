@@ -404,25 +404,30 @@ def test_a_capped_search_keeps_the_uncapped_winners():
     # every size a capped search keeps holds the uncapped search's winner and
     # RSS bit for bit, the others are NaN: on the paper's shapes, and on a
     # near-collinear full design whose sweep refuses the full model, so that
-    # its caps are off, while its QR fit passes
+    # its caps are off, while its QR fit passes, alone and stacked with
+    # clean weak draws whose caps stay on
+    def near(n, p, rng):
+        X = rng.standard_normal((n, p))
+        X[:, p - 1] = X[:, 1] + 1e-7 * rng.standard_normal(n)
+        return subsets._stack([(X, X[:, 0] + rng.standard_normal(n))])
+
     rng = np.random.default_rng(0)
-    X = rng.standard_normal((30, 5))
-    X[:, 4] = X[:, 1] + 1e-7 * rng.standard_normal(30)
-    near = subsets._stack([(X, X[:, 0] + rng.standard_normal(30))])
-    stacks = [(near, 5, 30)]
+    draws = lambda scen, reps: simulate._draw(scen, [np.random.default_rng([1, r]) for r in reps])  # noqa: E731
+    stacks = [(near(30, 5, rng), 5, 30, [True])]
+    mixed = np.concatenate((near(50, 10, rng), draws(Scenario("weak", 50, 10, 5), range(7))))
+    stacks.append((mixed, 10, 50, [True] + [False] * 7))
     for shape in ((50, 10, 5), (20, 10, 5), (60, 20, 10)):
         scen = Scenario("weak", *shape)
-        stacks.append((simulate._draw(scen, [np.random.default_rng([1, r]) for r in range(8)]),
-                       scen.p, scen.n))
-    for A, p, n in stacks:
+        stacks.append((draws(scen, range(8)), scen.p, scen.n, [False] * 8))
+    for A, p, n, collinear in stacks:
         capped = subsets._search(A.copy(), criteria._caps(CRITERIA, (0.9, 0.5, 0.1), n, p))
         full = subsets._search(A)
         kept = capped.keys >= 0
         assert np.array_equal(capped.keys[kept], full.keys[kept])
         assert np.array_equal(capped.rss[kept], full.rss[kept], equal_nan=True)
         assert np.isnan(capped.rss[~kept]).all()
-        # the near-collinear design keeps every size; the paper's drop some
-        assert kept.all() == (A is near), p
+        # a near-collinear design keeps every size; each of the paper's drops some
+        assert kept.all(axis=1).tolist() == collinear, p
         assert not np.isnan(full.full_rss).any()
 
 
@@ -601,6 +606,8 @@ def test_entries_solve_beta_when_read_with_no_second_qr(monkeypatch):
     for i, table in enumerate(tables):
         entries = table.entries
         assert table.entries is entries
+        # its length is the table's, and reading it solves nothing
+        assert len(entries) == len(table.table)
         assert len(solves) == 6 * i
         for s in table.sizes():
             assert entries[s] is entries[s]
