@@ -282,7 +282,7 @@ def _select_csv(reports: list[SelectionReport], names: tuple[str, ...]) -> str:
 
 def run_select(args: argparse.Namespace) -> str:
     """Run the requested criteria on one dataset and serialize the reports."""
-    if args.data:
+    if args.data is not None:
         if not args.response:
             raise ConfigError("--response is required with --data")
         data = load_csv(args.data, args.response)

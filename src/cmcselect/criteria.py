@@ -15,13 +15,12 @@ Each rule is stated once, over a (K, S) array of RSS: K tables, one per
 row, column s holding size s, NaN where a table has no entry.  cmc is
 _lambdas and _smallest_feasible, so that one table's lambdas serve every
 alpha; BIC, Cp and adjusted R-squared are _scores, and the cross-size
-tie rule is _best.  _decisions runs them for a whole request, and
-_decide runs it on rows of one best_per_size call's arrays: a whole
-Monte Carlo chunk at once, or select_many's one row.  _rates is the one
-rate rule, for classify and for a chunk.  _caps restates a request's
-rules as exact per-size RSS caps, which let a chunk's search skip the
-sizes no report can choose; the subsets module docstring says how the
-search applies them.
+tie rule is _best.  _decisions runs them for a whole request over K
+tables at once: select_many's one row, or every replicate of a Monte
+Carlo run in one pass.  _rates is the one rate rule, for classify and
+for a run.  _caps restates a request's rules as exact per-size RSS caps,
+which let a Monte Carlo chunk's search skip the sizes no report can
+choose; the subsets module docstring says how the search applies them.
 """
 
 from __future__ import annotations
@@ -80,7 +79,7 @@ class SelectionReport:
     per_size: PerSizeBest
 
 
-# cached with no bound: _decisions asks once per alpha per Monte Carlo chunk
+# cached with no bound: _decisions asks once per alpha per Monte Carlo run
 # or select call, for a request's alphas in one order, so a bounded cache
 # evicts each of them once a request has more alphas than the bound
 @functools.cache
@@ -354,23 +353,15 @@ def _decisions(rss: np.ndarray, full: FullFit, criteria, alphas, mask_of):
             yield (c, None, None, _best(c, scores, mask_of), scores)
 
 
-def _decide(fits, rows, n: int, criteria, alphas):
-    """_decisions for rows of one subsets._search call's tables (subsets._Fits), from their arrays.
-
-    n is the datasets' row count.  The FullFit comes from the call's
-    full_rss and tss as (K', 1) columns, and raises as full_fit does
-    (RankDeficientError on a collinear full design).
-    """
-    full = _full_stats(n, fits.rss.shape[1], fits.full_rss[rows, None], fits.tss[rows, None])
-    return _decisions(fits.rss[rows], full, criteria, alphas, lambda k, s: fits.mask(rows[k], s))
-
-
 def _reports(per_size: PerSizeBest, criteria, alphas) -> list[SelectionReport]:
     """One report per criterion and cmc alpha, in labels_for order, from one table.
 
     The request is not validated here; select_many does that.
     """
-    decisions = list(_decide(per_size.fits, [per_size.row], per_size.data.n, criteria, alphas))
+    fits, row = per_size.fits, per_size.row
+    # the table's row of the call's arrays; full's statistics are (1, 1) columns
+    full = _full_stats(per_size.data.n, fits.rss.shape[1], fits.full_rss[[row], None], fits.tss[[row], None])
+    decisions = list(_decisions(fits.rss[[row]], full, criteria, alphas, lambda k, s: fits.mask(row, s)))
     entries = per_size.entries
     sizes = per_size.sizes()
     reports = []

@@ -37,7 +37,9 @@ FETCH_INSTRUCTION = (
 
 
 def _read_text(path) -> tuple[bytes, str]:
-    """A file's bytes and their UTF-8 text, a leading byte-order mark dropped."""
+    """A file's bytes and their UTF-8 text, a leading byte-order mark dropped; an empty path is refused."""
+    if not os.fspath(path):
+        raise ParseError("cannot read a file: the path is empty")
     try:
         raw = Path(path).read_bytes()
         return raw, raw.decode("utf-8-sig")

@@ -16,14 +16,17 @@ size's winners with one stacked small QR.  The search is capped for the
 chunk's request (criteria._caps): it prunes, and drops without
 refitting, every size that none of the chunk's criteria and alphas can
 choose, and every size a report can choose keeps the mask, RSS and bits
-of an uncapped lone call (the subsets module docstring says how).  The
-chunk is scored as arrays: criteria._decide, which scores select_many's
-reports too, chooses a size for every replication and criterion in one
-pass over the (K, p+1) RSS array the tables share (NaN at a dropped
-size, which no rule chooses), with no per-replication table, report or
-coefficient solve, so the choices are select_many's.
-Results are merged by replication index, so a run is bit-identical for
-a fixed (seed, reps) no matter how many worker processes are used.
+of an uncapped lone call (the subsets module docstring says how).  A
+chunk returns each replication's per-size row: its RSS by size (NaN at
+a dropped size, which no rule chooses), the keys of its winning masks,
+its full-model RSS and TSS, and its redraw count.  The run copies the
+rows into (reps, p+1) arrays by replication index and, once every chunk
+is in, scores them all in one pass (_score): criteria._decisions, the
+rules select_many's reports come from, chooses a size for every
+replication and criterion, with no per-replication table, report or
+coefficient solve, so the choices are select_many's, and criteria._rates
+turns the chosen masks into rates.  A run is bit-identical for a fixed
+(seed, reps) no matter how many worker processes are used.
 
 At more than one worker, the parent is one of them: it starts the
 others, plain multiprocessing processes of the default start method
@@ -48,10 +51,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .criteria import CRITERIA, RatePair, _caps, _decide, _rates, labels_for
+from .criteria import CRITERIA, RatePair, _caps, _decisions, _rates, labels_for
 from .errors import ConfigError, DimensionMismatchError, TooFewRowsError
-from .linalg import _collinear, _stack, full_mask
-from .subsets import _search
+from .linalg import _collinear, _full_stats, _stack, full_mask
+from .subsets import _held, _search
 
 log = logging.getLogger(__name__)
 
@@ -203,27 +206,26 @@ def _draw(scenario: Scenario, rngs) -> np.ndarray:
     return A
 
 
-def _run_chunk(args) -> list[tuple[int, list[float], list[float], int]]:
-    """A chunk of replications: fresh data per rep, one capped table search, every rep scored at once.
+def _run_chunk(args):
+    """A chunk of replications: fresh data per rep and one capped table search; returns their per-size rows.
 
     Each rep draws from its own stream, into one stack (_draw).  The
     chunk's datasets get their tables from one subsets._search call,
     searched in lockstep under the request's caps (criteria._caps, as the
-    subsets module docstring says) and fitted together, whose arrays they
-    share (subsets._Fits).  criteria._decide scores the kept reps' rows
-    of those arrays in one pass, as it scores select_many's one row, and
-    a chosen mask's rates come from the true columns it leaves out and
-    the others it holds (subsets._Fits.misses, criteria._rates).  A rep
-    whose full design is collinear is redrawn from its stream and
-    searched again with the other redrawn reps.  Each row is (rep, firs,
-    fars, redraws).
+    subsets module docstring says) and fitted together (subsets._Fits).
+    A rep whose full design is collinear is redrawn from its stream and
+    searched again with the other redrawn reps.  The kept reps' full-model
+    statistics are checked here (linalg._full_stats), so a degenerate
+    scenario fails at its first chunk.  Returns the reps' indices, their
+    (K', p+1) rss (NaN at a size the caps dropped) and keys rows, their
+    (K',) full_rss and tss, and their redraw counts.
     """
     scenario, criteria, alphas, seed, reps = args
-    p = scenario.p
-    caps = _caps(criteria, alphas, scenario.n, p)
+    n, p = scenario.n, scenario.p
+    caps = _caps(criteria, alphas, n, p)
     rngs = {r: np.random.default_rng([seed, r]) for r in reps}
     regen = dict.fromkeys(reps, 0)
-    out = []
+    parts = []
     pending = list(reps)
     while pending:
         fits = _search(_draw(scenario, [rngs[r] for r in pending]), caps)
@@ -236,17 +238,36 @@ def _run_chunk(args) -> list[tuple[int, list[float], list[float], int]]:
                 if regen[r] > _MAX_REGEN:
                     raise _collinear(full_mask(p))
                 redraw.append(r)
-        rows = kept.nonzero()[0]
-        done = [pending[i] for i in rows.tolist()]
+        _full_stats(n, p + 1, fits.full_rss[kept, None], fits.tss[kept, None])
+        parts.append((np.array(pending)[kept], fits.rss[kept], fits.keys[kept],
+                      fits.full_rss[kept], fits.tss[kept]))
         pending = redraw
-        if not done:
-            continue
-        # each report's chosen size per rep, (reports, K')
-        chosen = np.array([sizes for _, _, _, sizes, _ in _decide(fits, rows, scenario.n, criteria, alphas)],
-                          dtype=np.intp).reshape(-1, len(rows))
-        fir, far = _rates(*fits.misses(rows, chosen, scenario.truth), scenario.p_active, p)
-        out.extend((r, fi, fa, regen[r]) for r, fi, fa in zip(done, fir.T.tolist(), far.T.tolist()))
-    return out
+    done, *rows = (np.concatenate(part) for part in zip(*parts))
+    return done, *rows, np.array([regen[r] for r in done.tolist()])
+
+
+def _score(scenario: Scenario, criteria, alphas, rss, keys, full_rss, tss):
+    """Every rep's (FIR, FAR) per report, as (reps, reports) arrays, from one pass of the selection rules.
+
+    _decisions chooses each rep's size for every report over the
+    (reps, p+1) rss, with the rules and full-model statistics that choose
+    select_many's, an exact cross-size tie going to the smaller of the
+    masks decoded from the keys (subsets._held), which are the masks
+    _Fits.mask gives select_many.  The chosen keys' missed and extra
+    columns give the rates (criteria._rates).  The arrays are C-ordered,
+    one row per rep, so each report's mean over axis 0 sums its reps in
+    rep order.
+    """
+    p, truth = scenario.p, list(scenario.truth)
+    full = _full_stats(scenario.n, p + 1, full_rss[:, None], tss[:, None])
+    chosen = [d[3] for d in _decisions(rss, full, criteria, alphas,
+                                       lambda k, s: tuple(_held(keys[k, s], p).nonzero()[0].tolist()))]
+    # (reps, reports), C-ordered: an index's layout is its result's, and so the rates'
+    chosen = np.ascontiguousarray(np.array(chosen, dtype=np.intp).reshape(-1, len(keys)).T)
+    # (reps, reports, p): the columns each chosen mask holds
+    held = _held(keys[np.arange(len(keys))[:, None], chosen], p)
+    hits = held[..., truth].sum(axis=-1)
+    return _rates(len(truth) - hits, held.sum(axis=-1) - hits, len(truth), p)
 
 
 def _chunks(reps: int, workers: int) -> list[range]:
@@ -362,8 +383,8 @@ def run_monte_carlo(
     are searched together, under caps that keep every size the request
     can choose (see the subsets module docstring).  A replication's
     choices are select_many's, made by the same rules on the same table
-    entries, so results are bit-identical to one-at-a-time select_many
-    runs.  Once a chunk completes, and at most every 10 s, progress
+    entries in one pass over every replication once all chunks are in, so
+    results are bit-identical to one-at-a-time select_many runs.  Once a chunk completes, and at most every 10 s, progress
     (reps done, elapsed time, ETA) is logged at INFO.  At threads > 1 the calling process and
     threads - 1 processes of the default start method take chunks from
     one shared counter; the others fork after numpy.random is imported,
@@ -405,9 +426,9 @@ def run_monte_carlo(
     criteria = tuple(criteria)
     alphas = tuple(float(a) for a in alphas)
     labels = labels_for(criteria, alphas)
-    fir = np.empty((reps, len(labels)))
-    far = np.empty((reps, len(labels)))
-    regenerated = 0
+    # each rep's rss, keys, full_rss, tss and redraws, by rep index
+    rows = (np.empty((reps, scenario.p + 1)), np.empty((reps, scenario.p + 1), dtype=np.int64),
+            np.empty(reps), np.empty(reps), np.empty(reps, dtype=np.int64))
     # every worker starts at once, so never more than there are reps
     workers = min(threads, reps)
     tasks = [(scenario, criteria, alphas, seed, chunk) for chunk in _chunks(reps, workers)]
@@ -415,12 +436,10 @@ def run_monte_carlo(
     start = last = time.monotonic()
     done = 0
     try:
-        for chunk in results:
-            for rep, firs, fars, regen in chunk:
-                fir[rep] = firs
-                far[rep] = fars
-                regenerated += regen
-            done += len(chunk)
+        for chunk_reps, *chunk in results:
+            for whole, part in zip(rows, chunk):
+                whole[chunk_reps] = part
+            done += len(chunk_reps)
             now = time.monotonic()
             if now - last >= _PROGRESS_EVERY_S:
                 last = now
@@ -430,6 +449,7 @@ def run_monte_carlo(
     finally:
         if workers != 1:
             results.close()
+    fir, far = _score(scenario, criteria, alphas, *rows[:4])
     mean_fir = fir.mean(axis=0)
     mean_far = far.mean(axis=0)
     zero = ((fir == 0.0) & (far == 0.0)).mean(axis=0)
@@ -442,5 +462,5 @@ def run_monte_carlo(
         labels=labels,
         rates=rates,
         zero_fraction=zero_fraction,
-        regenerated=regenerated,
+        regenerated=int(rows[4].sum()),
     )

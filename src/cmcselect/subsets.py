@@ -47,7 +47,7 @@ either from the R factors, one stacked small QR per size across the
 call, so each RSS has the bits a lone fit_subset gives.  Size p is the
 full mask, fitted the same way.  A call's tables are rows of arrays over
 all its datasets (_Fits), column s for size s, which a Monte Carlo chunk
-scores whole; a table's dict of masks is built only when read.
+returns whole; a table's dict of masks is built only when read.
 
 A Monte Carlo chunk calls _search as best_per_size does, handing it the
 [1 | X | y] stack it drew its replicates into and its request's caps
@@ -130,7 +130,9 @@ class _Fits(NamedTuple):
     (K, p+1) are the search's winner keys (None for a list); full_rss
     (NaN where the full design is collinear), tss, skipped and nodes are
     (K,); mean (K, p+1) is [xbar | ybar] (linalg._factor).  The scorers
-    read rss, full_rss and tss (criteria._decide), not the responses.
+    read rss, full_rss and tss (criteria._decisions), not the responses,
+    and break an exact cross-size tie on masks: select_many's from mask, a
+    Monte Carlo run's decoded from keys (_held), the same masks.
     """
 
     rss: np.ndarray
@@ -147,17 +149,6 @@ class _Fits(NamedTuple):
     def mask(self, row: int, size: int) -> Mask:
         """Dataset row's best mask of one size; the size must be in its table."""
         return tuple(self.cols[size][self.at[row, size]].tolist())
-
-    def misses(self, rows, sizes, truth: Mask) -> tuple[np.ndarray, np.ndarray]:
-        """Per dataset rows[i], the columns of truth its size-sizes[i] mask leaves out, and the others it holds.
-
-        Two arrays of counts, read from the search's keys: sizes may stack
-        several choices per dataset, (..., len(rows)), and must be in their
-        tables.
-        """
-        held = _held(self.keys[rows, sizes], self.keys.shape[1] - 1)
-        kept = held[..., list(truth)].sum(axis=-1)
-        return len(truth) - kept, held.sum(axis=-1) - kept
 
 
 def _held(keys: np.ndarray, p: int) -> np.ndarray:

@@ -527,6 +527,20 @@ def test_byte_order_mark_is_not_a_name(tmp_path, capsys):
     assert read_candidate_list(str(cands), ("x1", "x2", "x3")) == [[0, 2], [1]]
 
 
+def test_an_empty_path_is_refused(tmp_path, capsys, monkeypatch):
+    # an empty --data is a path, not a missing one: it never falls back to
+    # the prostate fixture, and neither it nor an empty list: path reads the
+    # working directory
+    path = write(tmp_path, "d1.csv", D1_CSV)
+    fixture = write(tmp_path, "prostate.data", "")
+    monkeypatch.setenv(PROSTATE_ENV, fixture)
+    for argv in (["--data", "", "--response", "y"],
+                 ["--data", "", "--response", "lpsa"],
+                 ["--data", path, "--response", "y", "--candidates", "list:"]):
+        assert main(["select", *argv]) == 2, argv
+        assert capsys.readouterr().err == "error: cannot read a file: the path is empty\n", argv
+
+
 def test_select_numerical_exit_code(tmp_path, capsys):
     exact = write(tmp_path, "exact.csv", "y,x\n1,0\n3,1\n5,2\n7,3\n9,4\n")
     assert main(["select", "--data", exact, "--response", "y"]) == 3
@@ -615,6 +629,19 @@ def test_simulate_exit_codes(capsys):
     assert main(["tables", "--table", "2", "--reps", "1", "--seed", "-1",
                  "--threads", "1"]) == 2
     assert "seed" in capsys.readouterr().err
+
+
+def test_a_degenerate_simulation_fails_at_its_first_chunk(capsys, monkeypatch):
+    # noise of 1e-9 leaves the full model's RSS numerically zero: the run
+    # fails with that error, serially at its first chunk's search (one of
+    # four), and from a worker with the same exit code and message
+    searches = spy_calls(monkeypatch, cmcselect.simulate._search)
+    argv = ["simulate", "--n", "30", "--p", "4", "--p-active", "2", "--sigma", "1e-9", "--reps", "100"]
+    for threads in ("1", "2"):
+        assert main([*argv, "--threads", threads]) == 3
+        assert "full-model residual sum of squares is numerically zero" in capsys.readouterr().err
+        if threads == "1":
+            assert len(searches) == 1
 
 
 def test_simulate_at_the_subset_limit(capsys):

@@ -596,8 +596,9 @@ def test_caps_keep_every_size_a_report_can_choose_property(p, data):
 @settings(max_examples=200, derandomize=True, deadline=None)
 @given(p=st.integers(1, 30), q=st.integers(1, 8), data=st.data())
 def test_rate_rule_agrees_with_the_mapping_rule_property(p, q, data):
-    # classify, and a chunk's counts of each searched mask against the
-    # truth, give the mapping rule's bits
+    # classify, and the rate rule on the columns a searched mask's key holds
+    # (subsets._held, as a Monte Carlo run decodes its chosen keys), give the
+    # mapping rule's bits
     t = data.draw(st.integers(0, p), label="active")
     chosen = data.draw(st.lists(st.sets(st.integers(0, p - 1)), min_size=1, max_size=6), label="chosen")
     truth = tuple(range(t))
@@ -608,6 +609,8 @@ def test_rate_rule_agrees_with_the_mapping_rule_property(p, q, data):
     rng = np.random.default_rng(seed)
     tables = best_per_size([random_dataset(rng, 3 * q + 5, q) for _ in range(3)])
     rows, sizes = np.array([(k, s) for k, tb in enumerate(tables) for s in tb.sizes()]).T
-    fir, far = criteria._rates(*tables[0].fits.misses(rows, sizes, truth), len(truth), q)
+    held = subsets._held(tables[0].fits.keys[rows, sizes], q)
+    hits = held[:, list(truth)].sum(axis=-1)
+    fir, far = criteria._rates(len(truth) - hits, held.sum(axis=-1) - hits, len(truth), q)
     want = [mapping_classify(tables[k].table[s][0], truth, q) for k, s in zip(rows, sizes)]
     assert list(zip(fir.tolist(), far.tolist())) == want

@@ -183,18 +183,27 @@ def _select_many_rates(sc: Scenario, seed: int, rep: int, draws: int = 1):
     return [r.fir for r in rates], [r.far for r in rates]
 
 
+def scored(chunks) -> dict:
+    """Chunks' rows, given as (args, rows) pairs, scored as the run scores them: each rep's (firs, fars)."""
+    out = {}
+    for (scenario, crits, alphas, _, _), (reps, rss, keys, full_rss, tss, _) in chunks:
+        fir, far = simulate._score(scenario, crits, alphas, rss, keys, full_rss, tss)
+        out.update(zip(reps.tolist(), zip(fir.tolist(), far.tolist())))
+    return out
+
+
 def record_rows(monkeypatch) -> list:
-    """Route _run_chunk through a recorder; returns the list its rows are appended to."""
-    rows: list = []
+    """Route _run_chunk through a recorder; returns the list its (args, rows) pairs are appended to."""
+    chunks: list = []
     run_chunk = simulate._run_chunk
 
     def recorded(args):
         out = run_chunk(args)
-        rows.extend(out)
+        chunks.append((args, out))
         return out
 
     monkeypatch.setattr(simulate, "_run_chunk", recorded)
-    return rows
+    return chunks
 
 
 def test_replicate_runs_select_many(monkeypatch):
@@ -212,8 +221,8 @@ def test_replicate_runs_select_many(monkeypatch):
         for seed in (1, 2, 3):
             rows.clear()
             res = run_monte_carlo(sc, reps=5, seed=seed)
+            per_rep = scored(rows)
             assert built == []
-            per_rep = {rep: (firs, fars) for rep, firs, fars, _ in rows}
             assert sorted(per_rep) == list(range(5))
             for rep, got in per_rep.items():
                 assert got == _select_many_rates(sc, seed, rep), (sc, seed, rep)
@@ -237,7 +246,8 @@ def record_searches(monkeypatch) -> list:
 def test_a_chunk_makes_one_small_qr_per_size_and_no_beta_solve(monkeypatch):
     # a 25-rep (50, 10, 5) chunk factors its datasets' [1 | X | y] with one
     # batched QR, fits each size its caps keep with at most one stacked small
-    # QR across the chunk, and solves no coefficients: no FitSummary, no report
+    # QR across the chunk, and neither it nor the scoring of its rows solves
+    # coefficients: no FitSummary, no report
     qr_shapes, solves = [], []
     qr, solve = np.linalg.qr, np.linalg.solve
 
@@ -255,9 +265,10 @@ def test_a_chunk_makes_one_small_qr_per_size_and_no_beta_solve(monkeypatch):
     monkeypatch.setattr(np.linalg, "qr", spy_qr)
     monkeypatch.setattr(np.linalg, "solve", spy_solve)
     sc = Scenario("weak", 50, 10, 5)
-    rows = simulate._run_chunk((sc, CRITERIA, (0.9, 0.5, 0.1), 1, range(25)))
+    args = (sc, CRITERIA, (0.9, 0.5, 0.1), 1, range(25))
+    rows = scored([(args, simulate._run_chunk(args))])
     monkeypatch.undo()
-    assert sorted(row[0] for row in rows) == list(range(25))
+    assert sorted(rows) == list(range(25))
     (fits,) = searched
     # size 0 is the mean fit and size p the full mask, which every rep fits
     kept = (fits.keys >= 0).sum(axis=0).tolist()
@@ -267,9 +278,10 @@ def test_a_chunk_makes_one_small_qr_per_size_and_no_beta_solve(monkeypatch):
 
 
 def test_a_chunk_reads_no_table_and_scores_every_rep_in_one_pass(monkeypatch):
-    # a 25-rep (50, 10, 5) chunk draws its reps into one stack for one
-    # stacked search, builds no Dataset and no per-size table, and one pass
-    # of the selection rules scores all 25 reps, not one pass per rep
+    # each 25-rep (50, 10, 5) chunk of a 100-rep run draws its reps into one
+    # stack for one stacked search and builds no Dataset and no per-size
+    # table; one pass of the selection rules scores all 100 reps once the
+    # chunks are in, not one pass per chunk or per rep
     searched = record_searches(monkeypatch)
     tables = spy_calls(monkeypatch, subsets.best_per_size)
     datasets = []
@@ -281,13 +293,13 @@ def test_a_chunk_reads_no_table_and_scores_every_rep_in_one_pass(monkeypatch):
 
     monkeypatch.setattr(cmcselect.linalg.Dataset, "__post_init__", counted)
     passes = spy_calls(monkeypatch, criteria._decisions)
-    sc = Scenario("weak", 50, 10, 5)
-    rows = simulate._run_chunk((sc, CRITERIA, (0.9, 0.5, 0.1), 1, range(25)))
+    rows = record_rows(monkeypatch)
+    run_monte_carlo(Scenario("weak", 50, 10, 5), reps=100, seed=1)
     monkeypatch.undo()
-    assert sorted(row[0] for row in rows) == list(range(25))
-    assert [f.rss.shape for f in searched] == [(25, 11)]
+    assert sorted(r for _, out in rows for r in out[0].tolist()) == list(range(100))
+    assert [f.rss.shape for f in searched] == [(25, 11)] * 4
     assert tables == datasets == []
-    assert len(passes) == 1 and passes[0][0].shape == (25, 11)
+    assert [args[0].shape for args in passes] == [(100, 11)]
 
 
 def test_replicates_choose_what_select_many_chooses_on_stress_scenarios(monkeypatch):
@@ -298,9 +310,10 @@ def test_replicates_choose_what_select_many_chooses_on_stress_scenarios(monkeypa
     for sc in STRESS + ORDINARY:
         rows.clear()
         run_monte_carlo(sc, reps=12, seed=1)
-        assert sorted(row[0] for row in rows) == list(range(12))
-        for rep, firs, fars, _ in rows:
-            assert (firs, fars) == _select_many_rates(sc, 1, rep), (sc, rep)
+        per_rep = scored(rows)
+        assert sorted(per_rep) == list(range(12))
+        for rep, got in per_rep.items():
+            assert got == _select_many_rates(sc, 1, rep), (sc, rep)
 
 
 def test_replicates_are_select_many_at_a_large_intercept(monkeypatch):
@@ -310,9 +323,10 @@ def test_replicates_are_select_many_at_a_large_intercept(monkeypatch):
     sc = Scenario(kind="weak", n=50, p=10, p_active=5, sigma=1e-4, beta0=1e10)
     rows = record_rows(monkeypatch)
     run_monte_carlo(sc, reps=40, seed=1)
-    assert sorted(row[0] for row in rows) == list(range(40))
-    for rep, firs, fars, _ in rows:
-        assert (firs, fars) == _select_many_rates(sc, 1, rep), rep
+    per_rep = scored(rows)
+    assert sorted(per_rep) == list(range(40))
+    for rep, got in per_rep.items():
+        assert got == _select_many_rates(sc, 1, rep), rep
 
 
 def test_a_large_intercept_searches_again_uncapped(monkeypatch):
@@ -325,8 +339,49 @@ def test_a_large_intercept_searches_again_uncapped(monkeypatch):
     run_monte_carlo(sc, reps=12, seed=1)
     assert [len(args) for args in searches] == [3, 2]
     assert len(searches[1][0]) > 0
-    for rep, firs, fars, _ in rows:
-        assert (firs, fars) == _select_many_rates(sc, 1, rep), rep
+    per_rep = scored(rows)
+    assert sorted(per_rep) == list(range(12))
+    for rep, got in per_rep.items():
+        assert got == _select_many_rates(sc, 1, rep), rep
+
+
+def test_keys_decode_to_the_masks_the_fits_hold(monkeypatch):
+    # the run breaks an exact cross-size tie on the masks decoded from a
+    # chunk's keys, select_many on _Fits.mask: at every size a capped chunk
+    # kept, the two are one mask, also where the large intercept's chunk is
+    # searched again, uncapped
+    searched = record_searches(monkeypatch)
+    searches = spy_calls(monkeypatch, subsets._leaps_and_bounds)
+    for sc in (Scenario("weak", 50, 10, 5), Scenario("correlated", 60, 12, 6, rho=0.9, group_size=3),
+               Scenario("weak", 50, 10, 5, sigma=1e-4, beta0=1e10)):
+        searched.clear()
+        searches.clear()
+        run_monte_carlo(sc, reps=30, seed=1)
+        assert [len(args) for args in searches] == ([3, 2] if sc.beta0 == 1e10 else [3])
+        for fits in searched:
+            for k, s in zip(*(fits.at >= 0).nonzero()):
+                decoded = tuple(subsets._held(fits.keys[k, s], sc.p).nonzero()[0].tolist())
+                assert decoded == fits.mask(k, s), (sc, k, s)
+
+
+def test_the_run_breaks_a_cross_size_tie_on_the_masks_its_keys_hold():
+    # Cp = rss / sigma2 - n + 2(size + 1) is 3.0 at sizes 1 and 2 of both
+    # reps (sigma2 = 6 / 6 = 1), as in test_cross_size_score_tie_takes_the_smaller_mask;
+    # the lexicographically smaller mask wins: (0, 1) over (2,) in rep 0,
+    # (0,) over (1, 2) in rep 1.  Key bit p-1-j holds column j
+    sc = Scenario(kind="weak", n=10, p=3, p_active=2)
+    rss = np.array([[20.0, 9.0, 7.0, 6.0]] * 2)
+    keys = np.array([[0, 0b001, 0b110, 0b111], [0, 0b100, 0b011, 0b111]])
+    fir, far = simulate._score(sc, ("cp_aic",), (), rss, keys, np.full(2, 6.0), np.full(2, 20.0))
+    assert (fir.tolist(), far.tolist()) == ([[0.0], [0.5]], [[0.0], [0.0]])
+
+
+def test_an_empty_request_gives_empty_results():
+    # no criterion and no alpha: no labels, no rates, no zero fractions
+    sc = Scenario(kind="weak", n=20, p=4, p_active=2)
+    for threads in (1, 2):
+        res = run_monte_carlo(sc, criteria=(), alphas=(), reps=5, seed=1, threads=threads)
+        assert (res.labels, res.rates, res.zero_fraction, res.regenerated) == ((), {}, {}, 0)
 
 
 def test_tiny_noise_is_searched_once(monkeypatch):
@@ -336,10 +391,10 @@ def test_tiny_noise_is_searched_once(monkeypatch):
     # same chunk searched with no caps
     args = (Scenario("weak", n=60, p=20, p_active=10, sigma=1e-4), CRITERIA, (0.9, 0.5, 0.1), 1, range(25))
     searches = spy_calls(monkeypatch, subsets._leaps_and_bounds)
-    capped = simulate._run_chunk(args)
+    capped = _outcome(args)
     assert [len(call) for call in searches] == [3]
     monkeypatch.setattr(simulate, "_caps", lambda *request: None)
-    assert capped == simulate._run_chunk(args)
+    assert_capped_rows_are_uncapped(capped, _outcome(args))
 
 
 def test_the_tables_never_search_uncapped(monkeypatch):
@@ -354,17 +409,37 @@ def test_the_tables_never_search_uncapped(monkeypatch):
 
 
 def _outcome(args):
-    """A chunk's rows, or the type and message of what it raised."""
+    """A chunk's rows and their scored rates, or the type and message of what either raised."""
     try:
-        return simulate._run_chunk(args)
+        rows = simulate._run_chunk(args)
+        return rows, scored([(args, rows)])
     except Exception as exc:
         return type(exc), str(exc)
+
+
+def assert_capped_rows_are_uncapped(capped, uncapped) -> None:
+    """Capped chunk outcomes score as uncapped ones, with their rss and keys at every size the caps kept.
+
+    Raw rows differ by design at a size the caps dropped (NaN rss, key -1).
+    """
+    if isinstance(capped[0], type) or isinstance(uncapped[0], type):
+        assert capped == uncapped
+        return
+    (rows, rates), (full, want) = capped, uncapped
+    assert rates == want
+    (reps, rss, keys, *rest), (full_reps, full_rss, full_keys, *full_rest) = rows, full
+    kept = ~np.isnan(rss)
+    assert reps.tolist() == full_reps.tolist()
+    assert rss[kept].tolist() == full_rss[kept].tolist()
+    assert keys[kept].tolist() == full_keys[kept].tolist()
+    assert [a.tolist() for a in rest] == [a.tolist() for a in full_rest]
 
 
 @settings(max_examples=120, derandomize=True, deadline=None)
 @given(data=st.data())
 def test_capped_chunks_give_the_uncapped_rows_property(data):
-    # every rep's FIR and FAR for every criterion and alpha are those of the
+    # every rep's FIR and FAR for every criterion and alpha, and its rss and
+    # keys at every size the caps kept, are those of the
     # same chunk searched with no caps, on weak and correlated designs up to
     # rho = 0.999999, large intercepts, rescaled columns and exactly
     # duplicated columns (a collinear full design, which is redrawn)
@@ -400,7 +475,7 @@ def test_capped_chunks_give_the_uncapped_rows_property(data):
         mp.setattr(simulate, "_gen_design", gen)
         capped = _outcome(args)
         mp.setattr(simulate, "_caps", lambda *request: None)
-        assert capped == _outcome(args)
+        assert_capped_rows_are_uncapped(capped, _outcome(args))
 
 
 def test_pool_workers_start_with_numpy_random_imported():
@@ -477,7 +552,7 @@ def test_every_chunk_runs_once_with_more_workers_than_cores():
     sc = Scenario(kind="weak", n=20, p=4, p_active=2)
     tasks = [(sc, ("bic",), (), 3, range(r, r + 1)) for r in range(64)]
     workers = (os.cpu_count() or 1) + 1
-    reps = [row[0] for rows in simulate._pooled(tasks, workers) for row in rows]
+    reps = [r for rows in simulate._pooled(tasks, workers) for r in rows[0].tolist()]
     assert sorted(reps) == list(range(64))
 
 
